@@ -5,16 +5,15 @@ Times the stages that matter for the "analytical search is fast" claim and
 writes them to ``BENCH_optimizer.json`` so the repo finally has a recorded
 perf trajectory across commits:
 
-* ``cold_operator_vectorized_s`` / ``cold_operator_scalar_s`` — one cold
-  MOpt search for a single ResNet-18 operator through the batched core
-  and through the pre-PR scalar path (``OptimizerSettings(vectorized=
-  False)``).
-* ``cold_network_vectorized_s`` / ``cold_network_scalar_s`` — a cold
-  analytical (measure-free) whole-network optimization of ResNet-18
-  through :class:`repro.api.Session` (the engine's ``NetworkOptimizer``
-  under the hood).
+* ``cold_operator_vectorized_s`` — one cold MOpt search for a single
+  ResNet-18 operator (the stage keeps its historical name so recorded
+  baselines stay comparable).
+* ``cold_network_vectorized_s`` — a cold analytical (measure-free)
+  whole-network optimization of ResNet-18 through
+  :class:`repro.api.Session` (the engine's ``NetworkOptimizer`` under the
+  hood).
 * ``cold_network_batched_workload_s`` — the same network at batch size 8
-  (the "batched workload" axis of the ROADMAP), vectorized path only.
+  (the "batched workload" axis of the ROADMAP).
 * ``mopt_cold_*`` — the raw-speed-round-2 cold path: single operator and
   whole network timed from a *cleared* process-global compile cache, so
   the figures include shape-family plan compilation.  The payload also
@@ -53,9 +52,8 @@ baseline can never silently mix timings from two revisions.
 
 Run with:  PYTHONPATH=src python benchmarks/run_bench.py [--quick] [--out PATH]
 
-``--quick`` restricts the network to its first four layers and skips the
-scalar network baseline so the smoke configuration finishes in seconds;
-the full run is the configuration whose numbers are recorded in
+``--quick`` restricts the network to its first four layers so the smoke
+configuration finishes in seconds; the full run is the configuration whose numbers are recorded in
 CHANGES.md.
 """
 
@@ -68,7 +66,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from repro.api import Session
@@ -271,8 +268,7 @@ def main() -> int:
     specs = network_benchmarks(NETWORK)
     if args.quick:
         specs = specs[:4]
-    vectorized = fast_settings(parallel=True, threads=THREADS)
-    scalar = replace(vectorized, vectorized=False)
+    settings = fast_settings(parallel=True, threads=THREADS)
 
     exit_code = 0
     stages = dict(merged_base.get("wall_s", {}))
@@ -280,16 +276,11 @@ def main() -> int:
     spec = specs[0]
 
     if "operator" in groups:
-        print(f"cold single-operator search ({spec.name}), vectorized ...")
+        print(f"cold single-operator search ({spec.name}) ...")
         stages["cold_operator_vectorized_s"] = _timed(
-            lambda: MOptOptimizer(machine, vectorized).optimize(spec)
+            lambda: MOptOptimizer(machine, settings).optimize(spec)
         )
         print(f"  {stages['cold_operator_vectorized_s']:.2f} s")
-        print(f"cold single-operator search ({spec.name}), scalar (pre-PR path) ...")
-        stages["cold_operator_scalar_s"] = _timed(
-            lambda: MOptOptimizer(machine, scalar).optimize(spec)
-        )
-        print(f"  {stages['cold_operator_scalar_s']:.2f} s")
 
     if "mopt" in groups:
         print("mopt cold path (cleared compile cache): single operator ...")
@@ -298,15 +289,15 @@ def main() -> int:
 
         DEFAULT_COMPILE_CACHE.clear()
         stages["mopt_cold_operator_s"] = _timed(
-            lambda: MOptOptimizer(machine, vectorized).optimize(spec)
+            lambda: MOptOptimizer(machine, settings).optimize(spec)
         )
         print(f"  {stages['mopt_cold_operator_s']:.2f} s")
         print(f"mopt cold path (cleared compile cache): {NETWORK} network ...")
         DEFAULT_COMPILE_CACHE.clear()
-        stages["mopt_cold_network_s"] = _network_seconds(vectorized, specs)
+        stages["mopt_cold_network_s"] = _network_seconds(settings, specs)
         print(f"  {stages['mopt_cold_network_s']:.2f} s")
         payload["mopt_cold"] = {
-            "class_workers": solve_pool.resolve_workers(vectorized.class_workers, 8),
+            "class_workers": solve_pool.resolve_workers(settings.class_workers, 8),
             "compile_cache": DEFAULT_COMPILE_CACHE.stats(),
         }
 
@@ -317,7 +308,7 @@ def main() -> int:
 
         def _cold_solve() -> None:
             DEFAULT_COMPILE_CACHE.clear()
-            MOptOptimizer(machine, vectorized).optimize(spec)
+            MOptOptimizer(machine, settings).optimize(spec)
 
         reps = 1 if args.quick else 3
         stages["obs_untraced_operator_s"] = min(
@@ -411,26 +402,21 @@ def main() -> int:
         payload["obs_overhead"] = payload_obs
 
     if "network" in groups:
-        print(f"cold {NETWORK} network search ({len(specs)} layers), vectorized ...")
+        print(f"cold {NETWORK} network search ({len(specs)} layers) ...")
         cache = ResultCache()
-        stages["cold_network_vectorized_s"] = _network_seconds(vectorized, specs, cache)
+        stages["cold_network_vectorized_s"] = _network_seconds(settings, specs, cache)
         print(f"  {stages['cold_network_vectorized_s']:.2f} s")
 
         print("warm re-run against the cache ...")
-        stages["warm_network_s"] = _network_seconds(vectorized, specs, cache)
+        stages["warm_network_s"] = _network_seconds(settings, specs, cache)
         print(f"  {stages['warm_network_s']:.4f} s")
 
-        print(f"cold batched workload (batch={BATCHED_WORKLOAD_BATCH}), vectorized ...")
+        print(f"cold batched workload (batch={BATCHED_WORKLOAD_BATCH}) ...")
         batched_specs = [s.with_batch(BATCHED_WORKLOAD_BATCH) for s in specs]
         stages["cold_network_batched_workload_s"] = _network_seconds(
-            vectorized, batched_specs
+            settings, batched_specs
         )
         print(f"  {stages['cold_network_batched_workload_s']:.2f} s")
-
-        if not args.quick:
-            print(f"cold {NETWORK} network search, scalar (pre-PR path) ...")
-            stages["cold_network_scalar_s"] = _network_seconds(scalar, specs)
-            print(f"  {stages['cold_network_scalar_s']:.2f} s")
 
     if "serving" in groups:
         print(f"async serving: {SERVING_CLIENTS} concurrent clients, cold + warm ...")
@@ -440,7 +426,7 @@ def main() -> int:
             networks=(NETWORK,) if args.quick else (NETWORK, "mobilenet"),
             strategy="mopt",
             strategy_options={
-                "settings": vectorized,
+                "settings": settings,
                 "threads": THREADS,
                 "measure": False,
             },
@@ -559,17 +545,6 @@ def main() -> int:
             "wall_s": stages,
         }
     )
-    if (
-        "cold_network_scalar_s" in stages
-        and "cold_network_vectorized_s" in stages
-    ):
-        payload["network_speedup"] = (
-            stages["cold_network_scalar_s"] / stages["cold_network_vectorized_s"]
-        )
-    if "cold_operator_scalar_s" in stages:
-        payload["operator_speedup"] = (
-            stages["cold_operator_scalar_s"] / stages["cold_operator_vectorized_s"]
-        )
 
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"\nwrote {out_path}")

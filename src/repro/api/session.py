@@ -595,18 +595,18 @@ class Session:
                 spec=spec, result=result, cached=False, shape_key=shape_key
             )
         key = self.cache.key_for(spec, self.machine, self.strategy)
-        cached = self.cache.get(key)
-        if cached is not None:
-            result, was_cached = cached, True
-        else:
-            result = self.cache.get_or_compute(
-                key, lambda: self.strategy.search(spec, self.machine)
-            )
-            was_cached = False
+        # One lookup: the result is cached unless this call had to solve it.
+        solved = []
+
+        def compute() -> StrategyResult:
+            solved.append(True)
+            return self.strategy.search(spec, self.machine)
+
+        result = self.cache.get_or_compute(key, compute)
         if result.spec_name != spec.name:
             result = result.with_spec_name(spec.name)
         return OpResult(
-            spec=spec, result=result, cached=was_cached, shape_key=shape_key
+            spec=spec, result=result, cached=not solved, shape_key=shape_key
         )
 
     def _solve_distinct(

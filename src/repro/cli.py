@@ -389,8 +389,8 @@ def _run_bench(args: argparse.Namespace) -> int:
         "warm_s": warm_s,
         "total_gflops": cold.total_gflops,
         # Stage names intersect benchmarks/run_bench.py's wall_s section
-        # (the default mopt settings equal run_bench's `vectorized`
-        # settings), so a run_bench baseline can gate this CLI bench.
+        # (the default mopt settings equal run_bench's settings), so a
+        # run_bench baseline can gate this CLI bench.
         "wall_s": {
             "cold_network_vectorized_s": cold_s,
             "warm_network_s": warm_s,

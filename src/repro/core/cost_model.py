@@ -352,7 +352,7 @@ def combined_footprint_nd(tiles, *, stride: int = 1, dilation: int = 1):
     order.  This is the single array implementation of the Eq. 4 left-hand
     side shared by the batched cost tables and the row-batched solver
     evaluators (summation order Out + Ker + In, matching
-    :meth:`CompiledPermutationCost.footprint_array` bitwise).
+    :meth:`CompiledPermutationCost.footprint_floats` bitwise).
     """
     import numpy as np
 
@@ -389,8 +389,14 @@ class CompiledPermutationCost:
     solving for tile sizes; building :class:`~repro.core.config.TilingConfig`
     objects on every call would dominate the runtime.  This class performs
     the permutation analysis (reuse positions, case selection) once and then
-    evaluates volumes either on dictionaries (``volume``) or, much faster,
-    on NumPy arrays ordered like :data:`LOOP_INDICES` (``volume_array``).
+    evaluates the volume and the combined footprint in two forms, both
+    ordered like :data:`LOOP_INDICES`: per point on plain float sequences
+    (``volume_floats``/``footprint_floats``, SLSQP's line search) and per
+    ``(M, 7)`` row matrix (``volume_rows``/``footprint_rows``, the batched
+    finite-difference sweeps).  The two forms perform the same IEEE-754
+    operations in the same order, so they agree bitwise row for row; the
+    generic :func:`volume_general` / :func:`combined_footprint` remain the
+    independent reference they are tested against.
     """
 
     _POS = {index: position for position, index in enumerate(LOOP_INDICES)}
@@ -402,7 +408,6 @@ class CompiledPermutationCost:
         self.permutation = config.permutation
         self.stride = stride
         self.dilation = dilation
-        self._plans: Dict[str, Tuple[str, Tuple[str, ...], bool, str]] = {}
         self._array_plans = []
         for tensor in TENSOR_NAMES:
             position, iterator = reuse_position(config, tensor)
@@ -411,7 +416,6 @@ class CompiledPermutationCost:
                 indices = config.indices_above(position)
             else:
                 indices = config.indices_at_or_above(position)
-            self._plans[tensor] = (tensor, indices, partial, iterator)
             self._array_plans.append(
                 (
                     tensor,
@@ -421,7 +425,7 @@ class CompiledPermutationCost:
                 )
             )
         self._np = _np
-        # Positions used repeatedly by the array evaluator.
+        # Positions used repeatedly by the evaluators.
         self._p = {i: self._POS[i] for i in LOOP_INDICES}
         # Integer-position plans for the pure-float evaluator.
         self._float_plans = [
@@ -430,83 +434,12 @@ class CompiledPermutationCost:
         ]
         self._iterator_name = {self._POS[i]: i for i in LOOP_INDICES}
 
-    # -- dictionary interface -------------------------------------------
-    def tensor_volume(
-        self, tensor: str, problem: Mapping[str, float], tiles: Mapping[str, float]
-    ) -> float:
-        """Volume of one tensor for given problem extents and tile sizes."""
-        name, indices, partial, iterator = self._plans[tensor]
-        product = 1.0
-        for index in indices:
-            product *= problem[index] / tiles[index]
-        footprint = tensor_footprint(name, tiles, stride=self.stride, dilation=self.dilation)
-        if partial:
-            extra = _in_partial_term(problem, tiles, iterator, self.stride, self.dilation)
-            return product * (extra + footprint)
-        factor = OUT_TRAFFIC_FACTOR if name == "Out" else 1.0
-        return factor * product * footprint
-
-    def volume(self, problem: Mapping[str, float], tiles: Mapping[str, float]) -> float:
-        """Total volume across the three tensors."""
-        return sum(self.tensor_volume(t, problem, tiles) for t in TENSOR_NAMES)
-
-    def footprint(self, tiles: Mapping[str, float]) -> float:
-        """Combined tile footprint (capacity-constraint left-hand side)."""
-        return combined_footprint(tiles, stride=self.stride, dilation=self.dilation)
-
-    # -- array interface (fast path used inside the solver) ---------------
-    def volume_array(self, problem, tiles) -> float:
-        """Total volume; ``problem``/``tiles`` are arrays in LOOP_INDICES order."""
-        p = self._p
-        stride, dilation = self.stride, self.dilation
-        ext_h = (tiles[p["h"]] - 1) * stride + (tiles[p["r"]] - 1) * dilation + 1
-        ext_w = (tiles[p["w"]] - 1) * stride + (tiles[p["s"]] - 1) * dilation + 1
-        footprints = {
-            "Out": tiles[p["n"]] * tiles[p["k"]] * tiles[p["h"]] * tiles[p["w"]],
-            "Ker": tiles[p["k"]] * tiles[p["c"]] * tiles[p["r"]] * tiles[p["s"]],
-            "In": tiles[p["n"]] * tiles[p["c"]] * ext_h * ext_w,
-        }
-        total = 0.0
-        for tensor, idx, partial, iterator in self._array_plans:
-            ratios = problem[idx] / tiles[idx]
-            product = float(ratios.prod()) if len(idx) else 1.0
-            footprint = footprints[tensor]
-            if partial:
-                steps = max(problem[p[iterator]] / tiles[p[iterator]] - 1.0, 0.0)
-                if iterator == "w":
-                    extra = tiles[p["n"]] * tiles[p["c"]] * ext_h * min(ext_w, tiles[p["w"]] * stride) * steps
-                elif iterator == "s":
-                    extra = tiles[p["n"]] * tiles[p["c"]] * ext_h * min(ext_w, tiles[p["s"]] * dilation) * steps
-                elif iterator == "h":
-                    extra = tiles[p["n"]] * tiles[p["c"]] * min(ext_h, tiles[p["h"]] * stride) * ext_w * steps
-                else:
-                    extra = tiles[p["n"]] * tiles[p["c"]] * min(ext_h, tiles[p["r"]] * dilation) * ext_w * steps
-                total += product * (extra + footprint)
-            else:
-                factor = OUT_TRAFFIC_FACTOR if tensor == "Out" else 1.0
-                total += factor * product * footprint
-        return total
-
-    def footprint_array(self, tiles) -> float:
-        """Combined tile footprint for an array of tile sizes."""
-        p = self._p
-        stride, dilation = self.stride, self.dilation
-        ext_h = (tiles[p["h"]] - 1) * stride + (tiles[p["r"]] - 1) * dilation + 1
-        ext_w = (tiles[p["w"]] - 1) * stride + (tiles[p["s"]] - 1) * dilation + 1
-        return (
-            tiles[p["n"]] * tiles[p["k"]] * tiles[p["h"]] * tiles[p["w"]]
-            + tiles[p["k"]] * tiles[p["c"]] * tiles[p["r"]] * tiles[p["s"]]
-            + tiles[p["n"]] * tiles[p["c"]] * ext_h * ext_w
-        )
-
     # -- pure-float interface (per-point evaluations inside SLSQP) ---------
     def volume_floats(self, problem, tiles) -> float:
         """Total volume on plain Python float sequences in LOOP_INDICES order.
 
-        Bitwise-identical to :meth:`volume_array` (IEEE-754 double
-        operations in the same order) but ~10x faster for single points
-        because no NumPy scalars are materialized.  This is what the
-        vectorized solver path hands to SLSQP's line search.
+        No NumPy scalars are materialized, which keeps single-point
+        evaluations (SLSQP's line search) cheap.
         """
         p = self._p
         stride, dilation = self.stride, self.dilation
@@ -543,8 +476,8 @@ class CompiledPermutationCost:
         return total
 
     def footprint_floats(self, tiles) -> float:
-        """Combined footprint on a plain float sequence (matches
-        :meth:`footprint_array` bitwise)."""
+        """Combined footprint on a plain float sequence (capacity-constraint
+        left-hand side)."""
         p = self._p
         stride, dilation = self.stride, self.dilation
         ext_h = (tiles[p["h"]] - 1) * stride + (tiles[p["r"]] - 1) * dilation + 1
@@ -555,12 +488,12 @@ class CompiledPermutationCost:
             + tiles[p["n"]] * tiles[p["c"]] * ext_h * ext_w
         )
 
-    # -- row-batched interface (vectorized solver core) --------------------
+    # -- row-batched interface (batched finite-difference sweeps) ---------
     def volume_rows(self, problem, tiles):
         """Total volumes for row matrices of points: ``(M, 7) -> (M,)``.
 
         Row ``m`` of the result is bitwise-identical to
-        ``volume_array(problem[m], tiles[m])``: every elementwise operation
+        ``volume_floats(problem[m], tiles[m])``: every elementwise operation
         and reduction is performed in the same order, so solvers that mix
         per-point evaluations (line searches) with batched ones (gradient
         sweeps) see one consistent function.  ``problem`` may also be a
@@ -609,7 +542,7 @@ class CompiledPermutationCost:
     def footprint_rows(self, tiles):
         """Combined footprints for a row matrix of tile vectors: ``(M, 7) -> (M,)``.
 
-        Row-for-row bitwise-identical to :meth:`footprint_array`.
+        Row-for-row bitwise-identical to :meth:`footprint_floats`.
         """
         return combined_footprint_nd(tiles, stride=self.stride, dilation=self.dilation)
 

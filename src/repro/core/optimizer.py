@@ -98,21 +98,6 @@ class OptimizerSettings:
     permutation_class_names:
         Restrict the search to a subset of the eight pruned classes (mainly
         for tests and ablations); ``None`` searches all eight.
-    vectorized:
-        Solve through the batched evaluation core (default): SLSQP runs
-        receive batched finite-difference jacobians instead of letting
-        scipy difference the Python objective point-by-point, making a
-        cold search several times faster.  ``False`` selects the original
-        scalar path; both paths solve the same problems and agree on the
-        chosen configurations bitwise — ``tests/test_batched.py`` and
-        ``tests/test_differential.py`` pin the equivalence.
-    dedup_classes:
-        Collapse permutation classes whose cost expressions coincide once
-        extent-1 loops are dropped (see
-        :meth:`~repro.core.cost_model.CompiledPermutationCost.plan_signature`)
-        and solve each group once.  The collapse is certified bitwise-exact,
-        so this is purely an execution knob; matmul-like operators shrink
-        from eight solves to two.
     class_workers:
         Fan the independent per-class solves of this *single* operator out
         across a process pool.  ``None`` or ``1`` solves serially; the pool
@@ -132,8 +117,6 @@ class OptimizerSettings:
     snap_to_divisors: bool = True
     solver: SolverOptions = field(default_factory=SolverOptions)
     permutation_class_names: Optional[Tuple[str, ...]] = None
-    vectorized: bool = True
-    dedup_classes: bool = True
     class_workers: Optional[int] = None
 
     def with_solver(self, solver: SolverOptions) -> "OptimizerSettings":
@@ -303,8 +286,6 @@ class MOptOptimizer:
         solve per group suffices — each member still gets its own
         permutation in the final configuration.
         """
-        if not self.settings.dedup_classes:
-            return [[cls] for cls in classes]
         pinned = frozenset(
             position
             for position, index in enumerate(LOOP_INDICES)
@@ -408,21 +389,15 @@ class MOptOptimizer:
         not_visited = [level for level in levels if level not in fixed]
         warm: Optional[Dict[str, Dict[str, float]]] = None
         while not_visited:
+            round_ = _RoundEvaluator(
+                compiled, levels, extents, capacities, bandwidths, fixed, not_visited
+            )
             if len(not_visited) > 1:
                 # Selection solve: the epigraph min-max identifies the
                 # round's bottleneck level in one solve (the old scan needed
                 # one hypothesis solve per unvisited level just to rank them).
                 with _span("solve.select", class_name=cls.name):
-                    times, tiles = self._bottleneck_solve(
-                        compiled,
-                        levels,
-                        extents,
-                        capacities,
-                        bandwidths,
-                        fixed,
-                        not_visited,
-                        warm,
-                    )
+                    times, tiles = self._bottleneck_solve(round_, warm)
                 # The level attaining the bottleneck at the min-max optimum
                 # is the round's most constraining unvisited level (ties keep
                 # the innermost, matching the hypothesis-scan order).
@@ -440,16 +415,8 @@ class MOptOptimizer:
             # with the relaxed fallback of the original scan) and freeze the
             # refined tiles — the objective now shapes every coordinate.
             with _span("solve.refine", class_name=cls.name, level=best_level):
-                _, tiles = self._refine_solve(
-                    compiled,
-                    levels,
-                    extents,
-                    capacities,
-                    bandwidths,
-                    fixed,
-                    not_visited,
-                    best_level,
-                    dominate=len(not_visited) > 1,
+                tiles = self._refine_solve(
+                    round_, best_level, dominate=len(not_visited) > 1
                 )
             fixed[best_level] = tiles[best_level]
             not_visited.remove(best_level)
@@ -457,35 +424,9 @@ class MOptOptimizer:
         return fixed
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _level_time_array(
-        compiled: CompiledPermutationCost,
-        level_order: Sequence[str],
-        tiles_arrays: Mapping[str, np.ndarray],
-        extents_array: np.ndarray,
-        bandwidths: Mapping[str, float],
-        level: str,
-    ) -> float:
-        """Bandwidth-scaled time of one level; tile sizes given as arrays."""
-        idx = level_order.index(level)
-        if idx + 1 < len(level_order):
-            outer = tiles_arrays[level_order[idx + 1]]
-        else:
-            outer = extents_array
-        inner = tiles_arrays[level]
-        volume = compiled.volume_array(outer, inner)
-        count = float(np.prod(extents_array / outer))
-        return volume * count / bandwidths[level]
-
     def _bottleneck_solve(
         self,
-        compiled: CompiledPermutationCost,
-        levels: Sequence[str],
-        extents: Mapping[str, float],
-        capacities: Mapping[str, float],
-        bandwidths: Mapping[str, float],
-        fixed: Mapping[str, Mapping[str, float]],
-        not_visited: Sequence[str],
+        round_: "_RoundEvaluator",
         warm: Optional[Mapping[str, Mapping[str, float]]],
     ) -> Tuple[Dict[str, float], Dict[str, Dict[str, float]]]:
         """One epigraph round of Algorithm 1: min ``tau`` s.t. every level fits.
@@ -508,69 +449,30 @@ class MOptOptimizer:
         coordinates), so the solver polishes the best-ranked start only and
         the screened and exact solver modes coincide bitwise.
 
-        With ``settings.vectorized`` the problem additionally carries
-        batched evaluators over ``(M, D)`` point matrices so SLSQP receives
-        batched finite-difference jacobians.  The scalar closures below
-        remain the single source of truth for the problem's semantics and
-        are what SLSQP's line search evaluates on both paths.
+        The level times, footprints and bounds come from the round's shared
+        evaluator; this solve only maps its log coordinates onto it and
+        assembles the epigraph constraints, per point (SLSQP's line search)
+        and per ``(M, D)`` point matrix (the batched finite-difference
+        sweep).
 
         Returns the per-level times at the solution and the per-level tile
         sizes (free and fixed).
         """
-        free_levels = list(not_visited)
-        level_order = list(levels)
-        extents_array = np.array([extents[i] for i in LOOP_INDICES], dtype=float)
-        fixed_arrays = {
-            level: np.array([values[i] for i in LOOP_INDICES], dtype=float)
-            for level, values in fixed.items()
-        }
-
-        # Bounds: each free level's tile is bounded below by the nearest fixed
-        # inner level (or 1) and above by the nearest fixed outer level (or N).
-        bounds: List[Tuple[float, float]] = []
-        lower_by_level: Dict[str, np.ndarray] = {}
-        upper_by_level: Dict[str, np.ndarray] = {}
-        for level in free_levels:
-            idx = level_order.index(level)
-            lower = np.ones(7)
-            for inner_idx in range(idx - 1, -1, -1):
-                if level_order[inner_idx] in fixed_arrays:
-                    lower = fixed_arrays[level_order[inner_idx]]
-                    break
-            upper = extents_array
-            for outer_idx in range(idx + 1, len(level_order)):
-                if level_order[outer_idx] in fixed_arrays:
-                    upper = fixed_arrays[level_order[outer_idx]]
-                    break
-            low_arr = np.minimum(lower, upper)
-            high_arr = np.maximum(low_arr, upper)
-            lower_by_level[level] = low_arr
-            upper_by_level[level] = high_arr
-            for position in range(7):
-                bounds.append((float(low_arr[position]), float(high_arr[position])))
-
-        def unpack(x: np.ndarray) -> Dict[str, np.ndarray]:
-            tiles_arrays: Dict[str, np.ndarray] = dict(fixed_arrays)
-            for pos, level in enumerate(free_levels):
-                tiles_arrays[level] = x[pos * 7 : (pos + 1) * 7]
-            return tiles_arrays
+        compiled = round_.compiled
+        level_order = round_.level_order
+        free_levels = round_.free_levels
+        extents = round_.extents
 
         # Certified floor of the bottleneck: interval arithmetic over the
         # tile boxes bounds every level's time from below; no feasible
         # tiling of this permutation class can beat the largest floor.
-        def level_box(level: str) -> Tuple[np.ndarray, np.ndarray]:
-            if level in fixed_arrays:
-                array = fixed_arrays[level]
-                return array, array
-            return lower_by_level[level], upper_by_level[level]
-
-        floor_by_level: Dict[str, float] = {}
+        floors: List[float] = []
         for index, level in enumerate(level_order):
-            inner_lo, inner_hi = level_box(level)
+            inner_lo, inner_hi = round_.box(level)
             if index + 1 < len(level_order):
-                outer_lo, outer_hi = level_box(level_order[index + 1])
+                outer_lo, outer_hi = round_.box(level_order[index + 1])
             else:
-                outer_lo = outer_hi = extents_array
+                outer_lo = outer_hi = extents
             volume_floor = compiled.volume_interval_bound(
                 outer_lo.tolist(),
                 outer_hi.tolist(),
@@ -578,32 +480,9 @@ class MOptOptimizer:
                 inner_hi.tolist(),
                 upper=False,
             )
-            count_floor = float(np.prod(extents_array / outer_hi))
-            floor_by_level[level] = volume_floor * count_floor / bandwidths[level]
-        tau_floor = max(floor_by_level.values())
-
-        # SLSQP evaluates the objective and the constraint function at the
-        # same points (and at finite-difference perturbations of them); a tiny
-        # memo keyed on the raw tile bytes avoids recomputing the per-level
-        # times twice per point.
-        times_cache: Dict[bytes, Dict[str, float]] = {}
-
-        def level_times(tiles_vector: np.ndarray) -> Dict[str, float]:
-            key = tiles_vector.tobytes()
-            cached = times_cache.get(key)
-            if cached is not None:
-                return cached
-            tiles_arrays = unpack(tiles_vector)
-            times = {
-                level: self._level_time_array(
-                    compiled, level_order, tiles_arrays, extents_array, bandwidths, level
-                )
-                for level in level_order
-            }
-            if len(times_cache) > 4096:
-                times_cache.clear()
-            times_cache[key] = times
-            return times
+            count_floor = float(np.prod(extents / outer_hi))
+            floors.append(volume_floor * count_floor / round_.bandwidth_list[index])
+        tau_floor = max(floors)
 
         # The solver works in log coordinates: the decision vector is
         # ``z = [log(tiles), v]`` with ``v = log(tau)``.  The level times are
@@ -613,8 +492,7 @@ class MOptOptimizer:
         # objective ``v`` is linear — SLSQP converges on this form where the
         # linear-coordinate epigraph (tau spanning eight decades against
         # tile extents in the thousands) stalls its line search.
-        lows_arr = np.array([b[0] for b in bounds], dtype=float)
-        highs_arr = np.array([b[1] for b in bounds], dtype=float)
+        lows_arr, highs_arr = round_.lows, round_.highs
         log_bounds: List[Tuple[float, float]] = [
             (float(lo), float(hi))
             for lo, hi in zip(np.log(lows_arr), np.log(highs_arr))
@@ -657,8 +535,7 @@ class MOptOptimizer:
             # Round-trip through log space so the scored bottleneck value is
             # exactly the one the solver's constraints see at this start.
             log_tiles = np.log(clipped)
-            effective = np.exp(log_tiles)
-            tau_start = max(level_times(effective).values())
+            tau_start = max(round_.level_times(np.exp(log_tiles)).values())
             scored_starts.append((tau_start, order_index, log_tiles))
         scored_starts.sort(key=lambda item: (item[0], item[1]))
 
@@ -676,278 +553,71 @@ class MOptOptimizer:
             for tau, _, log_tiles in scored_starts
         ]
 
+        # One inequality function: capacity constraints of the free levels,
+        # nesting between adjacent levels that involve a free level (linear
+        # in log coordinates), and ``v`` dominating every level's log-time.
+        fixed_logs = {level: np.log(array) for level, array in round_.fixed.items()}
+        fixed_log_floats = {level: array.tolist() for level, array in fixed_logs.items()}
+
         def objective(x: np.ndarray) -> float:
-            return float(x[-1])
+            return float(np.asarray(x, dtype=float)[-1])
 
-        # Single vectorized inequality function: capacity constraints of the
-        # free levels, nesting between adjacent levels that involve a free
-        # level (linear in log coordinates), and ``v`` dominating every
-        # level's log-time.
-        nesting_pairs = [
-            (level_order[idx], level_order[idx + 1])
-            for idx in range(len(level_order) - 1)
-            if level_order[idx] in free_levels or level_order[idx + 1] in free_levels
-        ]
-        fixed_logs = {
-            level: np.log(array) for level, array in fixed_arrays.items()
-        }
-
-        def unpack_logs(y: np.ndarray) -> Dict[str, np.ndarray]:
-            logs: Dict[str, np.ndarray] = dict(fixed_logs)
-            for pos, level in enumerate(free_levels):
-                logs[level] = y[pos * 7 : (pos + 1) * 7]
-            return logs
-
+        @_memoized
         def constraints(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
             y = x[:-1]
             v = float(x[-1])
             tiles_vector = np.exp(y)
-            tiles_arrays = unpack(tiles_vector)
-            log_arrays = unpack_logs(y)
-            values: List[float] = []
-            for level in free_levels:
-                cap = capacities[level]
-                values.append((cap - compiled.footprint_array(tiles_arrays[level])) / cap)
-            for inner_level, outer_level in nesting_pairs:
-                diff = log_arrays[outer_level] - log_arrays[inner_level]
-                values.extend(diff.tolist())
-            times = level_times(tiles_vector)
+            logs = round_.split(y.tolist(), fixed_log_floats)
+            values = round_.capacity_slacks(tiles_vector.tolist())
+            for inner_level, outer_level in round_.nesting_pairs:
+                outer_y, inner_y = logs[outer_level], logs[inner_level]
+                values.extend(outer_y[j] - inner_y[j] for j in range(7))
+            times = round_.level_times(tiles_vector)
             for level in level_order:
                 values.append(v - float(np.log(times[level])))
             return np.array(values)
 
-        batch_objective = batch_full = None
-        if self.settings.vectorized:
-            level_order_list = list(level_order)
-            num_order = len(level_order_list)
-            bandwidth_row = np.array(
-                [bandwidths[level] for level in level_order_list], dtype=float
-            )
-            bandwidth_list = bandwidth_row.tolist()
-            extents_list = extents_array.tolist()
-            fixed_floats = {
-                level: array.tolist() for level, array in fixed_arrays.items()
-            }
-            capacity_list = [capacities[level] for level in free_levels]
+        def batch_objective(points: np.ndarray) -> np.ndarray:
+            return np.asarray(points, dtype=float)[:, -1]
 
-            # Fast per-point closures on plain floats: bitwise-identical to
-            # the memoized array closures above but without NumPy-scalar
-            # overhead.  SLSQP's line search calls these thousands of times.
-            float_memo: Dict[bytes, Dict[str, float]] = {}
+        def batch_constraints(points: np.ndarray) -> np.ndarray:
+            points = np.asarray(points, dtype=float)
+            y_points = points[:, :-1]
+            times, slacks = round_.batch(np.exp(y_points))
+            logs = round_.rows_by_level(y_points, fixed_logs)
+            nesting = [
+                logs[outer_level] - logs[inner_level]
+                for inner_level, outer_level in round_.nesting_pairs
+            ]
+            dominance = points[:, -1:] - np.log(times).T
+            return np.concatenate([slacks] + nesting + [dominance], axis=1)
 
-            def float_level_times(tiles_vector: np.ndarray) -> Dict[str, float]:
-                key = tiles_vector.tobytes()
-                cached = float_memo.get(key)
-                if cached is not None:
-                    return cached
-                flat = tiles_vector.tolist()
-                tiles_f = dict(fixed_floats)
-                for position, level in enumerate(free_levels):
-                    tiles_f[level] = flat[position * 7 : (position + 1) * 7]
-                times: Dict[str, float] = {}
-                for index, level in enumerate(level_order_list):
-                    outer = (
-                        tiles_f[level_order_list[index + 1]]
-                        if index + 1 < num_order
-                        else extents_list
-                    )
-                    volume = compiled.volume_floats(outer, tiles_f[level])
-                    count = extents_list[0] / outer[0]
-                    for j in range(1, 7):
-                        count *= extents_list[j] / outer[j]
-                    times[level] = volume * count / bandwidth_list[index]
-                if len(float_memo) > 4096:
-                    float_memo.clear()
-                float_memo[key] = times
-                return times
-
-            def fast_objective(x: np.ndarray) -> float:
-                return float(np.asarray(x, dtype=float)[-1])
-
-            fixed_log_floats = {
-                level: array.tolist() for level, array in fixed_logs.items()
-            }
-            constraint_memo: Dict[bytes, np.ndarray] = {}
-
-            def fast_constraints(x: np.ndarray) -> np.ndarray:
-                x = np.asarray(x, dtype=float)
-                key = x.tobytes()
-                cached = constraint_memo.get(key)
-                if cached is not None:
-                    return cached
-                y = x[:-1]
-                v = float(x[-1])
-                tiles_vector = np.exp(y)
-                flat = tiles_vector.tolist()
-                ylist = y.tolist()
-                tiles_f = dict(fixed_floats)
-                logs_f = dict(fixed_log_floats)
-                for position, level in enumerate(free_levels):
-                    tiles_f[level] = flat[position * 7 : (position + 1) * 7]
-                    logs_f[level] = ylist[position * 7 : (position + 1) * 7]
-                values: List[float] = []
-                for index, level in enumerate(free_levels):
-                    cap = capacity_list[index]
-                    values.append((cap - compiled.footprint_floats(tiles_f[level])) / cap)
-                for inner_level, outer_level in nesting_pairs:
-                    outer_y, inner_y = logs_f[outer_level], logs_f[inner_level]
-                    values.extend(outer_y[j] - inner_y[j] for j in range(7))
-                times = float_level_times(tiles_vector)
-                for level in level_order_list:
-                    values.append(v - float(np.log(times[level])))
-                result = np.array(values)
-                if len(constraint_memo) > 4096:
-                    constraint_memo.clear()
-                constraint_memo[key] = result
-                return result
-
-            # One-slot memo: the FD sweep asks for the objective and the
-            # constraint values of the same point matrix back to back.
-            memo: Dict[str, object] = {}
-            # Broadcast views of the fixed tiles / problem extents per batch
-            # size (almost always the FD sweep's D probes).
-            broadcast_cache: Dict[int, Dict[str, np.ndarray]] = {}
-
-            def batch_eval(points: np.ndarray):
-                points = np.asarray(points, dtype=float)
-                key = points.tobytes()
-                if memo.get("key") == key:
-                    return memo["value"]
-                count_points = points.shape[0]
-                y_points = points[:, :-1]
-                tile_points = np.exp(y_points)
-                v_column = points[:, -1]
-                fixed_views = broadcast_cache.get(count_points)
-                if fixed_views is None:
-                    fixed_views = {
-                        level: np.broadcast_to(array, (count_points, 7))
-                        for level, array in fixed_arrays.items()
-                    }
-                    fixed_views["__whole__"] = np.broadcast_to(
-                        extents_array, (count_points, 7)
-                    )
-                    for level, array in fixed_logs.items():
-                        fixed_views["log:" + level] = np.broadcast_to(
-                            array, (count_points, 7)
-                        )
-                    if len(broadcast_cache) > 8:
-                        broadcast_cache.clear()
-                    broadcast_cache[count_points] = fixed_views
-                tiles_by_level = {
-                    level: view
-                    for level, view in fixed_views.items()
-                    if not level.startswith("log:") and level != "__whole__"
-                }
-                logs_by_level = {
-                    level[len("log:") :]: view
-                    for level, view in fixed_views.items()
-                    if level.startswith("log:")
-                }
-                whole = fixed_views["__whole__"]
-                for position, level in enumerate(free_levels):
-                    tiles_by_level[level] = tile_points[
-                        :, position * 7 : (position + 1) * 7
-                    ]
-                    logs_by_level[level] = y_points[
-                        :, position * 7 : (position + 1) * 7
-                    ]
-                # All (level, point) volumes in one fused sweep of the
-                # row-batched cost model.
-                outer_stack = np.concatenate(
-                    [
-                        tiles_by_level[level_order_list[index + 1]]
-                        if index + 1 < num_order
-                        else whole
-                        for index in range(num_order)
-                    ]
-                )
-                inner_stack = np.concatenate(
-                    [tiles_by_level[level] for level in level_order_list]
-                )
-                volumes = compiled.volume_rows(outer_stack, inner_stack).reshape(
-                    num_order, count_points
-                )
-                counts = np.prod(extents_array / outer_stack, axis=-1).reshape(
-                    num_order, count_points
-                )
-                times = volumes * counts / bandwidth_row[:, None]
-                free_stack = np.concatenate(
-                    [tiles_by_level[level] for level in free_levels]
-                )
-                footprints = compiled.footprint_rows(free_stack).reshape(
-                    len(free_levels), count_points
-                )
-                columns: List[np.ndarray] = []
-                for index, level in enumerate(free_levels):
-                    cap = capacities[level]
-                    columns.append(((cap - footprints[index]) / cap)[:, None])
-                for inner_level, outer_level in nesting_pairs:
-                    columns.append(
-                        logs_by_level[outer_level] - logs_by_level[inner_level]
-                    )
-                log_times = np.log(times)
-                dominance = [
-                    (v_column - log_times[index])[:, None]
-                    for index in range(num_order)
-                ]
-                full_columns = np.concatenate(columns + dominance, axis=1)
-                value = (times, full_columns)
-                memo["key"] = key
-                memo["value"] = value
-                return value
-
-            def batch_objective(points: np.ndarray) -> np.ndarray:
-                return np.asarray(points, dtype=float)[:, -1]
-
-            def batch_full(points: np.ndarray) -> np.ndarray:
-                return batch_eval(points)[1]
-
-        if batch_objective is not None:
-            problem = ConstrainedProblem(
-                fast_objective,
-                (fast_constraints,),
-                tuple(log_bounds),
-                batch_objective=batch_objective,
-                batch_inequalities=batch_full,
-                single_basin=True,
-            )
-        else:
-            problem = ConstrainedProblem(
-                objective, (constraints,), tuple(log_bounds), single_basin=True
-            )
+        problem = ConstrainedProblem(
+            objective,
+            (constraints,),
+            tuple(log_bounds),
+            batch_objective=batch_objective,
+            batch_inequalities=batch_constraints,
+            single_basin=True,
+        )
         result = minimize_from_starts(problem, starts, self.settings.solver)
 
-        x = np.asarray(result.x, dtype=float)
-        tiles_vector = np.exp(x[:-1])
-        times = level_times(tiles_vector)
-        tiles_arrays = unpack(tiles_vector)
-        tiles_by_level = {
-            level: {index: float(value) for index, value in zip(LOOP_INDICES, array)}
-            for level, array in tiles_arrays.items()
-        }
-        return times, tiles_by_level
+        tiles_vector = np.exp(np.asarray(result.x, dtype=float)[:-1])
+        return round_.level_times(tiles_vector), round_.tiles_by_level(tiles_vector)
 
     # ------------------------------------------------------------------
     def _refine_solve(
         self,
-        compiled: CompiledPermutationCost,
-        levels: Sequence[str],
-        extents: Mapping[str, float],
-        capacities: Mapping[str, float],
-        bandwidths: Mapping[str, float],
-        fixed: Mapping[str, Mapping[str, float]],
-        not_visited: Sequence[str],
+        round_: "_RoundEvaluator",
         objective_level: str,
         dominate: bool = True,
-    ) -> Tuple[float, Dict[str, Dict[str, float]]]:
+    ) -> Dict[str, Dict[str, float]]:
         """One ``ArgMinSolve`` call of Algorithm 1 (line 9) for one level.
 
         Minimizes the bandwidth-scaled volume of ``objective_level`` over the
         tile sizes of all unvisited levels, subject to capacity and nesting
         constraints and to ``objective_level`` dominating the other levels.
-        Returns the achieved cost and the per-level tile sizes (free and
-        fixed).
+        Returns the per-level tile sizes (free and fixed).
 
         This is the freeze-quality half of each round: the epigraph solve
         (:meth:`_bottleneck_solve`) identifies the round's bottleneck level
@@ -975,279 +645,82 @@ class MOptOptimizer:
         almost always infeasible — solving it first just to discard it
         roughly doubled the cost of every final round.
         """
-        free_levels = list(not_visited)
-        level_order = list(levels)
-        extents_array = np.array([extents[i] for i in LOOP_INDICES], dtype=float)
-        fixed_arrays = {
-            level: np.array([values[i] for i in LOOP_INDICES], dtype=float)
-            for level, values in fixed.items()
-        }
-
-        # Bounds: each free level's tile is bounded below by the nearest fixed
-        # inner level (or 1) and above by the nearest fixed outer level (or N).
-        bounds: List[Tuple[float, float]] = []
-        for level in free_levels:
-            idx = level_order.index(level)
-            lower = np.ones(7)
-            for inner_idx in range(idx - 1, -1, -1):
-                if level_order[inner_idx] in fixed_arrays:
-                    lower = fixed_arrays[level_order[inner_idx]]
-                    break
-            upper = extents_array
-            for outer_idx in range(idx + 1, len(level_order)):
-                if level_order[outer_idx] in fixed_arrays:
-                    upper = fixed_arrays[level_order[outer_idx]]
-                    break
-            for position in range(7):
-                low = min(lower[position], upper[position])
-                bounds.append((low, max(low, upper[position])))
-
-        def unpack(x: np.ndarray) -> Dict[str, np.ndarray]:
-            tiles_arrays: Dict[str, np.ndarray] = dict(fixed_arrays)
-            for pos, level in enumerate(free_levels):
-                tiles_arrays[level] = x[pos * 7 : (pos + 1) * 7]
-            return tiles_arrays
-
-        # SLSQP evaluates the objective and the constraint function at the
-        # same points (and at finite-difference perturbations of them); a tiny
-        # memo keyed on the raw variable bytes avoids recomputing the per-level
-        # times twice per point.
-        times_cache: Dict[bytes, Dict[str, float]] = {}
-
-        def level_times(x: np.ndarray) -> Dict[str, float]:
-            key = x.tobytes()
-            cached = times_cache.get(key)
-            if cached is not None:
-                return cached
-            tiles_arrays = unpack(x)
-            times = {
-                level: self._level_time_array(
-                    compiled, level_order, tiles_arrays, extents_array, bandwidths, level
-                )
-                for level in level_order
-            }
-            if len(times_cache) > 4096:
-                times_cache.clear()
-            times_cache[key] = times
-            return times
+        level_order = round_.level_order
+        extents = round_.extents
+        extents_list = round_.extents_list
+        objective_index = level_order.index(objective_level)
+        other_levels = [level for level in level_order if level != objective_level]
+        other_indices = [level_order.index(level) for level in other_levels]
 
         def objective(x: np.ndarray) -> float:
-            return level_times(np.asarray(x, dtype=float))[objective_level]
+            return round_.level_times(np.asarray(x, dtype=float))[objective_level]
 
-        # Single vectorized inequality function: capacity constraints of the
-        # free levels, nesting between adjacent levels that involve a free
-        # level, and dominance of the objective level over every other level.
-        nesting_pairs = [
-            (level_order[idx], level_order[idx + 1])
-            for idx in range(len(level_order) - 1)
-            if level_order[idx] in free_levels or level_order[idx + 1] in free_levels
-        ]
-        other_levels = [level for level in level_order if level != objective_level]
+        # Capacity constraints of the free levels and nesting between
+        # adjacent levels that involve a free level; the hypothesis problem
+        # adds the dominance of the objective level over every other level.
+        def relaxed_values(x: np.ndarray) -> List[float]:
+            flat = x.tolist()
+            tiles = round_.split(flat)
+            values = round_.capacity_slacks(flat)
+            for inner_level, outer_level in round_.nesting_pairs:
+                outer_t, inner_t = tiles[outer_level], tiles[inner_level]
+                values.extend(
+                    (outer_t[j] - inner_t[j]) / extents_list[j] for j in range(7)
+                )
+            return values
 
+        @_memoized
         def constraints(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            tiles_arrays = unpack(x)
-            values: List[float] = []
-            for level in free_levels:
-                cap = capacities[level]
-                values.append((cap - compiled.footprint_array(tiles_arrays[level])) / cap)
-            for inner_level, outer_level in nesting_pairs:
-                diff = (tiles_arrays[outer_level] - tiles_arrays[inner_level]) / extents_array
-                values.extend(diff.tolist())
-            times = level_times(x)
+            values = relaxed_values(x)
+            times = round_.level_times(x)
             obj_time = times[objective_level]
             scale = max(obj_time, 1e-30)
             for level in other_levels:
                 values.append((obj_time - times[level]) / scale)
             return np.array(values)
 
-        batch_objective = batch_full = batch_relaxed = None
-        if self.settings.vectorized:
-            level_order_list = list(level_order)
-            num_order = len(level_order_list)
-            objective_index = level_order_list.index(objective_level)
-            bandwidth_row = np.array(
-                [bandwidths[level] for level in level_order_list], dtype=float
+        def relaxed_constraints(x: np.ndarray) -> np.ndarray:
+            return np.array(relaxed_values(np.asarray(x, dtype=float)))
+
+        # One-slot memo: the FD sweep asks for the objective and the
+        # constraint values of the same point matrix back to back.
+        memo: Dict[str, object] = {}
+
+        def batch_eval(points: np.ndarray):
+            points = np.asarray(points, dtype=float)
+            key = points.tobytes()
+            if memo.get("key") == key:
+                return memo["value"]
+            times, slacks = round_.batch(points)
+            tiles = round_.rows_by_level(points, round_.fixed)
+            relaxed_columns = np.concatenate(
+                [slacks]
+                + [
+                    (tiles[outer_level] - tiles[inner_level]) / extents
+                    for inner_level, outer_level in round_.nesting_pairs
+                ],
+                axis=1,
             )
-            bandwidth_list = bandwidth_row.tolist()
-            extents_list = extents_array.tolist()
-            fixed_floats = {
-                level: array.tolist() for level, array in fixed_arrays.items()
-            }
-            capacity_list = [capacities[level] for level in free_levels]
+            objective_times = times[objective_index]
+            scale = np.maximum(objective_times, 1e-30)
+            dominance = ((objective_times - times[other_indices]) / scale).T
+            full_columns = np.concatenate([relaxed_columns, dominance], axis=1)
+            value = (objective_times, relaxed_columns, full_columns)
+            memo["key"] = key
+            memo["value"] = value
+            return value
 
-            # Fast per-point closures on plain floats: bitwise-identical to
-            # the memoized array closures above but without NumPy-scalar
-            # overhead.  SLSQP's line search calls these thousands of times.
-            float_memo: Dict[bytes, Dict[str, float]] = {}
+        def batch_objective(points: np.ndarray) -> np.ndarray:
+            return batch_eval(points)[0]
 
-            def float_level_times(x: np.ndarray) -> Dict[str, float]:
-                key = x.tobytes()
-                cached = float_memo.get(key)
-                if cached is not None:
-                    return cached
-                flat = x.tolist()
-                tiles_f = dict(fixed_floats)
-                for position, level in enumerate(free_levels):
-                    tiles_f[level] = flat[position * 7 : (position + 1) * 7]
-                times: Dict[str, float] = {}
-                for index, level in enumerate(level_order_list):
-                    outer = (
-                        tiles_f[level_order_list[index + 1]]
-                        if index + 1 < num_order
-                        else extents_list
-                    )
-                    volume = compiled.volume_floats(outer, tiles_f[level])
-                    count = extents_list[0] / outer[0]
-                    for j in range(1, 7):
-                        count *= extents_list[j] / outer[j]
-                    times[level] = volume * count / bandwidth_list[index]
-                if len(float_memo) > 4096:
-                    float_memo.clear()
-                float_memo[key] = times
-                return times
+        def batch_full(points: np.ndarray) -> np.ndarray:
+            return batch_eval(points)[2]
 
-            def fast_objective(x: np.ndarray) -> float:
-                return float_level_times(np.asarray(x, dtype=float))[objective_level]
+        def batch_relaxed(points: np.ndarray) -> np.ndarray:
+            return batch_eval(points)[1]
 
-            constraint_memo: Dict[bytes, np.ndarray] = {}
-
-            def fast_constraints(x: np.ndarray) -> np.ndarray:
-                x = np.asarray(x, dtype=float)
-                key = x.tobytes()
-                cached = constraint_memo.get(key)
-                if cached is not None:
-                    return cached
-                flat = x.tolist()
-                tiles_f = dict(fixed_floats)
-                for position, level in enumerate(free_levels):
-                    tiles_f[level] = flat[position * 7 : (position + 1) * 7]
-                values: List[float] = []
-                for index, level in enumerate(free_levels):
-                    cap = capacity_list[index]
-                    values.append((cap - compiled.footprint_floats(tiles_f[level])) / cap)
-                for inner_level, outer_level in nesting_pairs:
-                    outer_t, inner_t = tiles_f[outer_level], tiles_f[inner_level]
-                    values.extend(
-                        (outer_t[j] - inner_t[j]) / extents_list[j] for j in range(7)
-                    )
-                times = float_level_times(x)
-                obj_time = times[objective_level]
-                scale = max(obj_time, 1e-30)
-                for level in other_levels:
-                    values.append((obj_time - times[level]) / scale)
-                result = np.array(values)
-                if len(constraint_memo) > 4096:
-                    constraint_memo.clear()
-                constraint_memo[key] = result
-                return result
-
-            def fast_relaxed_constraints(x: np.ndarray) -> np.ndarray:
-                x = np.asarray(x, dtype=float)
-                flat = x.tolist()
-                tiles_f = dict(fixed_floats)
-                for position, level in enumerate(free_levels):
-                    tiles_f[level] = flat[position * 7 : (position + 1) * 7]
-                values = []
-                for index, level in enumerate(free_levels):
-                    cap = capacity_list[index]
-                    values.append((cap - compiled.footprint_floats(tiles_f[level])) / cap)
-                for inner_level, outer_level in nesting_pairs:
-                    outer_t, inner_t = tiles_f[outer_level], tiles_f[inner_level]
-                    values.extend(
-                        (outer_t[j] - inner_t[j]) / extents_list[j] for j in range(7)
-                    )
-                return np.array(values)
-
-            # One-slot memo: the FD sweep asks for the objective and the
-            # constraint values of the same point matrix back to back.
-            memo: Dict[str, object] = {}
-            # Broadcast views of the fixed tiles / problem extents per batch
-            # size (almost always the FD sweep's D probes).
-            broadcast_cache: Dict[int, Dict[str, np.ndarray]] = {}
-
-            def batch_eval(points: np.ndarray):
-                points = np.asarray(points, dtype=float)
-                key = points.tobytes()
-                if memo.get("key") == key:
-                    return memo["value"]
-                count_points = points.shape[0]
-                fixed_views = broadcast_cache.get(count_points)
-                if fixed_views is None:
-                    fixed_views = {
-                        level: np.broadcast_to(array, (count_points, 7))
-                        for level, array in fixed_arrays.items()
-                    }
-                    fixed_views["__whole__"] = np.broadcast_to(
-                        extents_array, (count_points, 7)
-                    )
-                    if len(broadcast_cache) > 8:
-                        broadcast_cache.clear()
-                    broadcast_cache[count_points] = fixed_views
-                tiles_by_level = dict(fixed_views)
-                whole = tiles_by_level.pop("__whole__")
-                for position, level in enumerate(free_levels):
-                    tiles_by_level[level] = points[:, position * 7 : (position + 1) * 7]
-                # All (level, point) volumes in one fused sweep of the
-                # row-batched cost model.
-                outer_stack = np.concatenate(
-                    [
-                        tiles_by_level[level_order_list[index + 1]]
-                        if index + 1 < num_order
-                        else whole
-                        for index in range(num_order)
-                    ]
-                )
-                inner_stack = np.concatenate(
-                    [tiles_by_level[level] for level in level_order_list]
-                )
-                volumes = compiled.volume_rows(outer_stack, inner_stack).reshape(
-                    num_order, count_points
-                )
-                counts = np.prod(extents_array / outer_stack, axis=-1).reshape(
-                    num_order, count_points
-                )
-                times = volumes * counts / bandwidth_row[:, None]
-                free_stack = np.concatenate(
-                    [tiles_by_level[level] for level in free_levels]
-                )
-                footprints = compiled.footprint_rows(free_stack).reshape(
-                    len(free_levels), count_points
-                )
-                columns: List[np.ndarray] = []
-                for index, level in enumerate(free_levels):
-                    cap = capacities[level]
-                    columns.append(((cap - footprints[index]) / cap)[:, None])
-                for inner_level, outer_level in nesting_pairs:
-                    columns.append(
-                        (tiles_by_level[outer_level] - tiles_by_level[inner_level])
-                        / extents_array
-                    )
-                relaxed_columns = np.concatenate(columns, axis=1)
-                objective_times = times[objective_index]
-                scale = np.maximum(objective_times, 1e-30)
-                dominance = [
-                    ((objective_times - times[index]) / scale)[:, None]
-                    for index, level in enumerate(level_order_list)
-                    if level != objective_level
-                ]
-                full_columns = np.concatenate([relaxed_columns] + dominance, axis=1)
-                value = (times, relaxed_columns, full_columns)
-                memo["key"] = key
-                memo["value"] = value
-                return value
-
-            def batch_objective(points: np.ndarray) -> np.ndarray:
-                return batch_eval(points)[0][objective_index]
-
-            def batch_full(points: np.ndarray) -> np.ndarray:
-                return batch_eval(points)[2]
-
-            def batch_relaxed(points: np.ndarray) -> np.ndarray:
-                return batch_eval(points)[1]
-
-        lows_arr = np.array([b[0] for b in bounds], dtype=float)
-        highs_arr = np.array([b[1] for b in bounds], dtype=float)
+        lows_arr, highs_arr = round_.lows, round_.highs
+        bounds = tuple(zip(lows_arr.tolist(), highs_arr.tolist()))
         refine_starts = [
             lows_arr + 0.5 * (highs_arr - lows_arr),
             np.sqrt(np.maximum(lows_arr, 1e-12) * np.maximum(highs_arr, 1e-12)),
@@ -1256,72 +729,31 @@ class MOptOptimizer:
 
         result = None
         if dominate:
-            if batch_objective is not None:
-                problem = ConstrainedProblem(
-                    fast_objective,
-                    (fast_constraints,),
-                    tuple(bounds),
-                    batch_objective=batch_objective,
-                    batch_inequalities=batch_full,
-                    polish_all=True,
-                )
-            else:
-                problem = ConstrainedProblem(
-                    objective, (constraints,), tuple(bounds), polish_all=True
-                )
+            problem = ConstrainedProblem(
+                objective,
+                (constraints,),
+                bounds,
+                batch_objective=batch_objective,
+                batch_inequalities=batch_full,
+                polish_all=True,
+            )
             result = minimize_from_starts(problem, refine_starts, self.settings.solver)
         if result is None or not result.feasible:
             # The hypothesis "objective_level dominates all other levels" may
             # simply be unsatisfiable for this permutation (that level can
             # never be the bottleneck).  Re-solve without the dominance
-            # constraints so the returned tiles are still sensible; the
-            # returned cost below (the bottleneck time over *all* levels)
-            # keeps Algorithm 1's level selection honest either way.
-            def relaxed_constraints(x: np.ndarray) -> np.ndarray:
-                x = np.asarray(x, dtype=float)
-                tiles_arrays = unpack(x)
-                values: List[float] = []
-                for level in free_levels:
-                    cap = capacities[level]
-                    values.append(
-                        (cap - compiled.footprint_array(tiles_arrays[level])) / cap
-                    )
-                for inner_level, outer_level in nesting_pairs:
-                    diff = (
-                        tiles_arrays[outer_level] - tiles_arrays[inner_level]
-                    ) / extents_array
-                    values.extend(diff.tolist())
-                return np.array(values)
-
-            if batch_objective is not None:
-                relaxed = ConstrainedProblem(
-                    fast_objective,
-                    (fast_relaxed_constraints,),
-                    tuple(bounds),
-                    batch_objective=batch_objective,
-                    batch_inequalities=batch_relaxed,
-                    polish_all=True,
-                )
-            else:
-                relaxed = ConstrainedProblem(
-                    objective, (relaxed_constraints,), tuple(bounds), polish_all=True
-                )
-            result = minimize_from_starts(
-                relaxed, refine_starts, self.settings.solver
+            # constraints so the returned tiles are still sensible.
+            relaxed = ConstrainedProblem(
+                objective,
+                (relaxed_constraints,),
+                bounds,
+                batch_objective=batch_objective,
+                batch_inequalities=batch_relaxed,
+                polish_all=True,
             )
+            result = minimize_from_starts(relaxed, refine_starts, self.settings.solver)
 
-        times = level_times(np.asarray(result.x, dtype=float))
-        # Algorithm 1 compares hypotheses by the cost of the level assumed to
-        # be most constraining; using the bottleneck over all levels at the
-        # returned solution is equivalent when the dominance constraints hold
-        # and remains meaningful when they had to be relaxed.
-        cost = max(times.values())
-        tiles_arrays = unpack(np.asarray(result.x, dtype=float))
-        tiles_by_level = {
-            level: {index: float(value) for index, value in zip(LOOP_INDICES, array)}
-            for level, array in tiles_arrays.items()
-        }
-        return cost, tiles_by_level
+        return round_.tiles_by_level(np.asarray(result.x, dtype=float))
 
     # ------------------------------------------------------------------
     def _evaluate_candidate(
@@ -1373,6 +805,213 @@ class MOptOptimizer:
             data_time_seconds=cost.bottleneck_time,
             compute_time_seconds=compute_time,
         )
+
+
+def _memoized(function):
+    """Memoize a per-point callable on the raw bytes of its point.
+
+    SLSQP evaluates the constraints at every iterate, and the batched
+    finite-difference sweep asks for the same iterate's base row again.
+    """
+    memo: Dict[bytes, np.ndarray] = {}
+
+    def wrapper(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        cached = memo.get(key)
+        if cached is None:
+            if len(memo) > 4096:
+                memo.clear()
+            cached = memo[key] = function(x)
+        return cached
+
+    return wrapper
+
+
+#: Key of the problem extents, the "tile" above the outermost level.
+_WHOLE = "__whole__"
+
+
+class _RoundEvaluator:
+    """The cost model of one round of Algorithm 1, shared by its two solves.
+
+    A round freezes the levels solved so far and leaves ``not_visited``
+    free.  The free tiles form the decision vector, concatenated in
+    :data:`LOOP_INDICES` order per free level.  This object owns what the
+    epigraph selection solve and the hypothesis refine solve have in
+    common: the free/fixed levels, the tile bounds, and the per-level
+    bandwidth-scaled times and capacity slacks.  They are evaluated per
+    point on plain floats (memoized; SLSQP's line search) and per
+    ``(M, 7 * free)`` tile matrix in one fused ``volume_rows`` /
+    ``footprint_rows`` sweep (the batched finite-difference jacobians).
+    Both forms perform the same IEEE-754 operations in the same order, so
+    they agree bitwise.  Each solve keeps only its own coordinates (log
+    or linear tiles) and constraint assembly.
+    """
+
+    def __init__(
+        self,
+        compiled: CompiledPermutationCost,
+        levels: Sequence[str],
+        extents: Mapping[str, float],
+        capacities: Mapping[str, float],
+        bandwidths: Mapping[str, float],
+        fixed: Mapping[str, Mapping[str, float]],
+        not_visited: Sequence[str],
+    ):
+        self.compiled = compiled
+        self.level_order = list(levels)
+        self.free_levels = list(not_visited)
+        self.extents = np.array([extents[i] for i in LOOP_INDICES], dtype=float)
+        self.extents_list = self.extents.tolist()
+        self.fixed = {
+            level: np.array([values[i] for i in LOOP_INDICES], dtype=float)
+            for level, values in fixed.items()
+        }
+        self._fixed_floats = {
+            level: array.tolist() for level, array in self.fixed.items()
+        }
+        self._bandwidths = np.array(
+            [bandwidths[level] for level in self.level_order], dtype=float
+        )
+        self.bandwidth_list = self._bandwidths.tolist()
+        self._capacity_list = [capacities[level] for level in self.free_levels]
+        self._capacity_column = np.array(self._capacity_list, dtype=float)[:, None]
+        order = self.level_order
+        self._outer = [
+            order[index + 1] if index + 1 < len(order) else _WHOLE
+            for index in range(len(order))
+        ]
+        self.nesting_pairs = [
+            (order[index], order[index + 1])
+            for index in range(len(order) - 1)
+            if order[index] in self.free_levels or order[index + 1] in self.free_levels
+        ]
+
+        # Bounds: each free level's tile is bounded below by the nearest fixed
+        # inner level (or 1) and above by the nearest fixed outer level (or N).
+        self._boxes: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        for level in self.free_levels:
+            index = order.index(level)
+            lower = np.ones(7)
+            for inner in reversed(order[:index]):
+                if inner in self.fixed:
+                    lower = self.fixed[inner]
+                    break
+            upper = self.extents
+            for outer in order[index + 1 :]:
+                if outer in self.fixed:
+                    upper = self.fixed[outer]
+                    break
+            low = np.minimum(lower, upper)
+            self._boxes[level] = (low, np.maximum(low, upper))
+        self.lows = np.concatenate([self._boxes[level][0] for level in self.free_levels])
+        self.highs = np.concatenate(
+            [self._boxes[level][1] for level in self.free_levels]
+        )
+
+        self._times_memo: Dict[bytes, Dict[str, float]] = {}
+        # Broadcast views of the fixed tiles / problem extents per batch
+        # size (almost always the FD sweep's D probes).
+        self._broadcast: Dict[int, Dict[str, np.ndarray]] = {}
+
+    def box(self, level: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Coordinatewise (low, high) tile bounds of any level."""
+        if level in self.fixed:
+            array = self.fixed[level]
+            return array, array
+        return self._boxes[level]
+
+    # -- per point (plain floats) ----------------------------------------
+    def split(self, flat: List[float], fixed: Optional[Mapping] = None) -> Dict:
+        """Per-level values: ``fixed`` (default: the fixed tiles) plus the
+        free levels' slices of the flat decision vector."""
+        by_level = dict(self._fixed_floats if fixed is None else fixed)
+        for position, level in enumerate(self.free_levels):
+            by_level[level] = flat[position * 7 : (position + 1) * 7]
+        return by_level
+
+    def level_times(self, tiles_vector: np.ndarray) -> Dict[str, float]:
+        """Bandwidth-scaled data time of every level at one tile vector."""
+        key = tiles_vector.tobytes()
+        cached = self._times_memo.get(key)
+        if cached is not None:
+            return cached
+        tiles = self.split(tiles_vector.tolist())
+        tiles[_WHOLE] = extents = self.extents_list
+        volume_floats = self.compiled.volume_floats
+        times: Dict[str, float] = {}
+        for level, outer_level, bandwidth in zip(
+            self.level_order, self._outer, self.bandwidth_list
+        ):
+            outer = tiles[outer_level]
+            volume = volume_floats(outer, tiles[level])
+            count = extents[0] / outer[0]
+            for j in range(1, 7):
+                count *= extents[j] / outer[j]
+            times[level] = volume * count / bandwidth
+        if len(self._times_memo) > 4096:
+            self._times_memo.clear()
+        self._times_memo[key] = times
+        return times
+
+    def capacity_slacks(self, flat: List[float]) -> List[float]:
+        """Normalized capacity slack ``(cap - footprint) / cap`` per free level."""
+        footprint = self.compiled.footprint_floats
+        return [
+            (cap - footprint(flat[position * 7 : (position + 1) * 7])) / cap
+            for position, cap in enumerate(self._capacity_list)
+        ]
+
+    def tiles_by_level(self, tiles_vector: np.ndarray) -> Dict[str, Dict[str, float]]:
+        """Tile sizes of every level (fixed and free) as index mappings."""
+        return {
+            level: dict(zip(LOOP_INDICES, values))
+            for level, values in self.split(tiles_vector.tolist()).items()
+        }
+
+    # -- per point matrix (one fused sweep) ------------------------------
+    def rows_by_level(self, free_points: np.ndarray, fixed: Mapping) -> Dict:
+        """Per-level ``(M, 7)`` slices of ``free_points`` plus the ``(7,)``
+        rows of ``fixed`` (broadcast by the arithmetic that uses them)."""
+        by_level = dict(fixed)
+        for position, level in enumerate(self.free_levels):
+            by_level[level] = free_points[:, position * 7 : (position + 1) * 7]
+        return by_level
+
+    def batch(self, tile_points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Level times ``(L, M)`` and capacity slacks ``(M, free)`` at once.
+
+        Row ``m`` equals :meth:`level_times` / :meth:`capacity_slacks` at
+        ``tile_points[m]`` bitwise.
+        """
+        count_points = tile_points.shape[0]
+        views = self._broadcast.get(count_points)
+        if views is None:
+            views = {
+                level: np.broadcast_to(array, (count_points, 7))
+                for level, array in self.fixed.items()
+            }
+            views[_WHOLE] = np.broadcast_to(self.extents, (count_points, 7))
+            if len(self._broadcast) > 8:
+                self._broadcast.clear()
+            self._broadcast[count_points] = views
+        tiles = self.rows_by_level(tile_points, views)
+        outer_stack = np.concatenate([tiles[outer] for outer in self._outer])
+        inner_stack = np.concatenate([tiles[level] for level in self.level_order])
+        num_order = len(self.level_order)
+        volumes = self.compiled.volume_rows(outer_stack, inner_stack).reshape(
+            num_order, count_points
+        )
+        counts = np.prod(self.extents / outer_stack, axis=-1).reshape(
+            num_order, count_points
+        )
+        times = volumes * counts / self._bandwidths[:, None]
+        footprints = self.compiled.footprint_rows(
+            np.concatenate([tiles[level] for level in self.free_levels])
+        ).reshape(len(self.free_levels), count_points)
+        caps = self._capacity_column
+        return times, ((caps - footprints) / caps).T
 
 
 def optimize_conv(

@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+import threading
+from concurrent.futures import BrokenExecutor, CancelledError, ProcessPoolExecutor
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
@@ -101,40 +102,49 @@ REGISTRY.register_collector("solve_pool", pool_stats)
 
 _EXECUTOR: Optional[ProcessPoolExecutor] = None
 _EXECUTOR_SIZE = 0
+# Operator-level threads (a network sweep) share the one pool.
+_EXECUTOR_LOCK = threading.Lock()
 
 
 def _get_executor(workers: int) -> ProcessPoolExecutor:
     global _EXECUTOR, _EXECUTOR_SIZE
-    if _EXECUTOR is None or _EXECUTOR_SIZE < workers:
-        if _EXECUTOR is not None:
-            _EXECUTOR.shutdown(wait=False)
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platforms without fork
-            context = multiprocessing.get_context()
-        _EXECUTOR = ProcessPoolExecutor(
-            max_workers=workers, mp_context=context, initializer=mark_worker
-        )
-        _EXECUTOR_SIZE = workers
-    return _EXECUTOR
+    with _EXECUTOR_LOCK:
+        if _EXECUTOR is None or _EXECUTOR_SIZE < workers:
+            if _EXECUTOR is not None:
+                _EXECUTOR.shutdown(wait=False)
+            try:
+                context = multiprocessing.get_context("fork")
+            except ValueError:  # pragma: no cover - platforms without fork
+                context = multiprocessing.get_context()
+            _EXECUTOR = ProcessPoolExecutor(
+                max_workers=workers, mp_context=context, initializer=mark_worker
+            )
+            _EXECUTOR_SIZE = workers
+        return _EXECUTOR
 
 
 def shutdown_pool() -> None:
     """Tear the pool down (tests / long-lived servers reclaiming workers)."""
     global _EXECUTOR, _EXECUTOR_SIZE
-    if _EXECUTOR is not None:
-        _EXECUTOR.shutdown(wait=True)
-    _EXECUTOR = None
-    _EXECUTOR_SIZE = 0
+    with _EXECUTOR_LOCK:
+        if _EXECUTOR is not None:
+            _EXECUTOR.shutdown(wait=True)
+        _EXECUTOR = None
+        _EXECUTOR_SIZE = 0
 
 
-def _discard_broken_executor() -> None:
-    """Drop a broken executor without waiting on its dead workers."""
+def _discard_broken_executor(executor: ProcessPoolExecutor) -> None:
+    """Drop a broken executor without waiting on its dead workers.
+
+    Only ``executor`` itself is dropped: when several threads saw the
+    same pool break, a replacement one of them already built survives.
+    """
     global _EXECUTOR, _EXECUTOR_SIZE
-    if _EXECUTOR is not None:
-        _EXECUTOR.shutdown(wait=False, cancel_futures=True)
-    _EXECUTOR = None
-    _EXECUTOR_SIZE = 0
+    executor.shutdown(wait=False, cancel_futures=True)
+    with _EXECUTOR_LOCK:
+        if _EXECUTOR is executor:
+            _EXECUTOR = None
+            _EXECUTOR_SIZE = 0
 
 
 def _crash_worker_task() -> None:  # pragma: no cover - runs in the worker
@@ -175,8 +185,10 @@ def run_class_solves(
 
     A broken pool (a worker died) is rebuilt once and only the lost
     solves are re-dispatched; a second break degrades the remainder to
-    serial in-process execution.  Every path runs the identical solve
-    code, so recovery never changes results.
+    serial in-process execution.  A pool that another thread shut down
+    under this batch (it saw the pool break, or grew it) is handled the
+    same way.  Every path runs the identical solve code, so recovery
+    never changes results.
     """
     results: List[Optional[Dict[str, Dict[str, float]]]] = [None] * len(class_names)
     pending = list(range(len(class_names)))
@@ -185,8 +197,8 @@ def run_class_solves(
     while pending:
         broken = False
         lost: List[int] = []
+        executor = _get_executor(workers)
         try:
-            executor = _get_executor(workers)
             if fault_fires("solve_pool.kill_worker"):
                 # Deterministic chaos: one worker dies the hard way
                 # before this batch's real tasks reach it.
@@ -198,20 +210,20 @@ def run_class_solves(
                 )
                 for index in pending
             }
-        except BrokenExecutor:
+        except (BrokenExecutor, RuntimeError):  # RuntimeError: shut down
             broken, lost = True, list(pending)
         else:
             for index, future in futures.items():
                 try:
                     results[index], spans = future.result()
                     obs_trace.ingest(spans)
-                except BrokenExecutor:
+                except (BrokenExecutor, CancelledError):
                     broken = True
                     lost.append(index)
         if not broken:
             break
         pending = lost
-        _discard_broken_executor()
+        _discard_broken_executor(executor)
         if not rebuilt:
             rebuilt = True
             _STATS["pool_rebuilds"] += 1

@@ -39,17 +39,18 @@ class SolverOptions:
     ``multistarts`` counts additional pseudo-random interior starting points
     on top of the deterministic ones; ``maxiter`` bounds each SLSQP run;
     ``fallback_samples`` bounds the derivative-free rescue search.
-    ``polish_starts`` only affects problems carrying batched evaluators
-    (the vectorized optimizer path): every starting point is first pushed
-    toward its basin floor by the batched refiner
+    ``polish_starts`` only affects problems that carry batched evaluators
+    and declare neither ``single_basin`` nor ``polish_all`` — today the
+    batched single-level problems of the exhaustive baseline; the MOpt
+    optimizer's problems never consult it.  Every starting point is first
+    pushed toward its basin floor by the batched refiner
     (:func:`_refine_scores`), and only the ``polish_starts`` best-refined
     starts get a full SLSQP polish.  Kept starts are polished from their
     *original* positions, so screening removes solver runs without
-    altering any.  ``polish_starts=0`` polishes every start, making the
-    vectorized path result-equivalent to the scalar multistart run for
-    run; the default of 2 is what delivers the bulk of the cold-search
-    speedup and preserves the argmin configuration in practice (the
-    refiner, unlike raw start values, is a reliable basin ranker).
+    altering any.  ``polish_starts=0`` polishes every start, reproducing
+    the unscreened multistart run for run; the default of 2 preserves the
+    argmin configuration in practice (the refiner, unlike raw start
+    values, is a reliable basin ranker).
     """
 
     multistarts: int = 3
@@ -90,9 +91,11 @@ class ConstrainedProblem:
     points at once (``(M, D) -> (M,)`` and ``(M, D) -> (M, C)``).  When
     present, the multistart driver screens starting points in one
     vectorized sweep and supplies SLSQP with batched finite-difference
-    jacobians instead of letting scipy difference the scalar callables one
-    coordinate at a time — this is where the vectorized optimizer path gets
-    its speed.  They must agree numerically with the scalar callables.
+    jacobians instead of letting scipy difference the per-point callables
+    one coordinate at a time — every MOpt optimizer problem carries them.
+    They must agree with the per-point callables (bitwise, for the
+    optimizer's problems: the base row of each sweep comes from the
+    per-point callables and the probe rows from the batched ones).
 
     ``single_basin`` declares that the problem has (to solver tolerance) a
     single basin of attraction — e.g. the optimizer's epigraph min-max
@@ -412,9 +415,9 @@ def minimize_from_starts(
     """Constrained minimization polished with SLSQP from explicit starts.
 
     This is the engine behind :func:`minimize_constrained`, exposed so the
-    vectorized optimizer path can supply its own (screened) starting
-    points.  For problems carrying batched evaluators two things change
-    relative to the plain scalar loop:
+    optimizer can supply its own starting points.  For problems carrying
+    batched evaluators two things change relative to the plain per-point
+    loop:
 
     * when ``options.polish_starts`` is positive and smaller than the
       number of starts, all starts are scored in one vectorized sweep and

@@ -102,9 +102,6 @@ def settings_to_dict(settings: OptimizerSettings) -> Dict[str, Any]:
     the per-class solves run (process-pool fan-out), never *what* they
     compute — results are bitwise-identical at any worker count, so it
     must not perturb cache keys or recorded experiment settings.
-    ``dedup_classes`` stays: collapsing pinned-identical classes changes
-    how many solves run, and the flag documents which route produced a
-    recorded result.
     """
     payload = dataclasses.asdict(settings)
     payload.pop("class_workers", None)
@@ -118,8 +115,9 @@ def settings_from_dict(payload: Mapping[str, Any]) -> OptimizerSettings:
     """Rebuild :class:`OptimizerSettings` from :func:`settings_to_dict` output.
 
     Tolerates payloads recorded before (or after) execution-only fields
-    like ``class_workers`` existed: unknown keys are dropped rather than
-    crashing, and missing fields fall back to dataclass defaults.
+    like ``class_workers`` existed, or that still carry retired
+    solve-path switches: unknown keys are dropped rather than crashing,
+    and missing fields fall back to dataclass defaults.
     """
     data = dict(payload)
     data["levels"] = tuple(data["levels"])

@@ -976,12 +976,15 @@ class OptimizationServer:
         cache_hits = self.cache.get_many(list(keys.values()), memory_only=True)
         disk_keys = [key for key, hit in cache_hits.items() if hit is None]
         if disk_keys and self.cache.disk is not None:
-            cache_hits.update(
-                await loop.run_in_executor(
-                    self._pool,
-                    lambda: self.cache.get_many(disk_keys, record_misses=False),
-                )
-            )
+            # Pool threads do not inherit this task's contextvars: ship the
+            # request's ancestry so spans the store opens join its trace.
+            lookup_ctx = current_context()
+
+            def disk_lookup() -> Dict[str, Optional[StrategyResult]]:
+                with activate(lookup_ctx):
+                    return self.cache.get_many(disk_keys, record_misses=False)
+
+            cache_hits.update(await loop.run_in_executor(self._pool, disk_lookup))
         # Cache hits complete inline — no tasks, no executor, no loop
         # round-trips; a fully warm request is a synchronous sweep.
         for shape_key in distinct:

@@ -87,6 +87,26 @@ def _probe_registry():
     strategy_registry._factories.pop("api-probe", None)
 
 
+class _CountingStore:
+    """A disk store that counts the reads reaching it."""
+
+    def __init__(self, root):
+        from repro.engine.cache import DiskResultStore
+
+        self.inner = DiskResultStore(root)
+        self.gets = 0
+
+    def get(self, key):
+        self.gets += 1
+        return self.inner.get(key)
+
+    def put(self, key, payload):
+        self.inner.put(key, payload)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
 def _session(**kwargs):
     kwargs.setdefault("machine", "tiny")
     kwargs.setdefault("strategy", "api-probe")
@@ -223,6 +243,19 @@ class TestSessionSync:
     def test_spec_list_rejects_non_specs(self):
         with pytest.raises(TypeError, match="ConvSpec"):
             _session().optimize([1, 2, 3])
+
+    def test_single_op_looks_the_cache_up_once(self, small_spec, tmp_path):
+        """A cold op is one miss and one disk read, not a get + a
+        get_or_compute (which counted two misses and read the store twice)."""
+        store = _CountingStore(tmp_path / "store")
+        session = _session(cache=ResultCache(path=store))
+        cold = session.optimize(small_spec)
+        assert not cold.cached and store.gets == 1
+        warm = session.optimize(small_spec)
+        assert warm.cached and store.gets == 1  # served from memory
+        stats = session.cache.stats
+        assert stats.lookups == 2 and stats.misses == 1
+        assert _SOLVE_LOG == ["small"]
 
     def test_cache_disabled_session(self, small_spec):
         session = _session(cache=False)

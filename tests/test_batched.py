@@ -1,15 +1,17 @@
-"""Tests for the batched evaluation core and the vectorized solver path.
+"""Tests for the batched evaluation core of the optimizer.
 
-Three layers of guarantees are pinned here:
+Three layers of guarantees are pinned here, none of them host-dependent:
 
 * the batched cost tables agree with the scalar model (to machine
-  precision for the stacked table, bitwise for the row/float evaluators),
-* the vectorized optimizer path reproduces the scalar path (exact
-  per-class equivalence with ``polish_starts=0``; argmin-preserving with
-  the default screened configuration) — the golden comparison of the
-  vectorized-core PR,
+  precision), and the compiled plans' row evaluators agree with their
+  per-point float evaluators *bitwise*, row for row (the solver mixes
+  the two forms in one problem), and with the generic model
+  (``volume_general``/``combined_footprint``) to rounding;
+* the multistart driver returns bitwise the same solution whether a
+  problem carries batched evaluators (batched finite-difference
+  jacobians) or leaves differencing to scipy;
 * solver edge cases (infeasible capacity, 1-extent loops, stride and
-  dilation > 1) behave identically through both paths.
+  dilation > 1) produce valid configurations.
 """
 
 from dataclasses import replace
@@ -30,7 +32,7 @@ from repro.core.cost_model import (
     compiled_cost_for,
     volume_general,
 )
-from repro.core.optimizer import MOptOptimizer, OptimizerSettings, fast_settings
+from repro.core.optimizer import MOptOptimizer, OptimizerSettings
 from repro.core.pruning import all_permutations, pruned_representatives
 from repro.core.solver import (
     ConstrainedProblem,
@@ -114,11 +116,14 @@ class TestBatchedCostTable:
         assert a is b
 
 
-class TestRowAndFloatEvaluators:
-    """The row/float evaluators must be *bitwise* equal to volume_array."""
+STRIDE_DILATION = [(1, 1), (2, 1), (1, 2), (2, 3)]
 
-    @pytest.mark.parametrize("stride,dilation", [(1, 1), (2, 2)])
-    def test_volume_rows_bitwise(self, stride, dilation):
+
+class TestRowAndFloatEvaluators:
+    """Row evaluators == float evaluators bitwise; both == generic model."""
+
+    @pytest.mark.parametrize("stride,dilation", STRIDE_DILATION)
+    def test_volume_rows_equal_volume_floats(self, stride, dilation):
         rng = np.random.default_rng(3)
         for perm in pruned_representatives():
             compiled = compiled_cost_for(tuple(perm), stride=stride, dilation=dilation)
@@ -126,33 +131,39 @@ class TestRowAndFloatEvaluators:
             tiles = np.maximum(problem * rng.uniform(0.1, 1.0, size=(6, 7)), 1.0)
             rows = compiled.volume_rows(problem, tiles)
             for m in range(6):
-                assert rows[m] == compiled.volume_array(problem[m], tiles[m])
+                value = compiled.volume_floats(problem[m].tolist(), tiles[m].tolist())
+                assert rows[m] == value
+                config = TilingConfig(perm, dict(zip(LOOP_INDICES, tiles[m])))
+                assert value == pytest.approx(
+                    volume_general(
+                        dict(zip(LOOP_INDICES, problem[m])),
+                        config,
+                        stride=stride,
+                        dilation=dilation,
+                    ),
+                    rel=1e-12,
+                )
 
-    def test_footprint_rows_bitwise(self):
+    @pytest.mark.parametrize("stride,dilation", STRIDE_DILATION)
+    def test_footprint_rows_equal_footprint_floats(self, stride, dilation):
         rng = np.random.default_rng(4)
-        compiled = compiled_cost_for(tuple(LOOP_INDICES), stride=2, dilation=1)
-        tiles = rng.uniform(1, 50, size=(5, 7))
-        rows = compiled.footprint_rows(tiles)
-        for m in range(5):
-            assert rows[m] == compiled.footprint_array(tiles[m])
-
-    def test_volume_floats_bitwise(self):
-        rng = np.random.default_rng(5)
         for perm in pruned_representatives():
-            compiled = compiled_cost_for(tuple(perm))
-            problem = rng.uniform(4, 100, size=7)
-            tiles = np.maximum(problem * rng.uniform(0.1, 1.0, size=7), 1.0)
-            assert compiled.volume_floats(
-                problem.tolist(), tiles.tolist()
-            ) == compiled.volume_array(problem, tiles)
-            assert compiled.footprint_floats(tiles.tolist()) == compiled.footprint_array(
-                tiles
-            )
+            compiled = compiled_cost_for(tuple(perm), stride=stride, dilation=dilation)
+            tiles = rng.uniform(1, 50, size=(5, 7))
+            rows = compiled.footprint_rows(tiles)
+            for m in range(5):
+                value = compiled.footprint_floats(tiles[m].tolist())
+                assert rows[m] == value
+                assert value == pytest.approx(
+                    combined_footprint(
+                        dict(zip(LOOP_INDICES, tiles[m])),
+                        stride=stride,
+                        dilation=dilation,
+                    ),
+                    rel=1e-12,
+                )
 
 
-# ----------------------------------------------------------------------
-# Golden comparison: vectorized vs. scalar optimizer
-# ----------------------------------------------------------------------
 def _settings(**overrides):
     defaults = dict(
         levels=("L1", "L2"),
@@ -165,107 +176,36 @@ def _settings(**overrides):
     return OptimizerSettings(**defaults)
 
 
-class TestGoldenComparison:
-    """The vectorized-core PR's equivalence contract.
-
-    ``polish_starts=0`` (the exact mode) reproduces the scalar multistart
-    run for run — same classes, same integerized configurations, identical
-    predicted times.  The screened default skips SLSQP runs whose basins
-    the batched refiner rules out; it preserves the argmin on the Table 1
-    sweep and, by the rescue rules, can only ever *improve* on the scalar
-    result when Algorithm 1's greedy level-fixing takes a different
-    (cheaper) path.
-    """
-
-    def test_exact_mode_matches_scalar_per_class(self, tiny_machine, small_spec):
-        """polish_starts=0 reproduces every scalar class solution exactly."""
-        exact = _settings(solver=replace(QUICK, polish_starts=0))
-        scalar = _settings(vectorized=False)
-        vec = MOptOptimizer(tiny_machine, exact).optimize(small_spec)
-        ref = MOptOptimizer(tiny_machine, scalar).optimize(small_spec)
-        by_name = {c.class_name: c for c in vec.candidates}
-        for expected in ref.candidates:
-            got = by_name[expected.class_name]
-            assert got.config == expected.config
-            assert got.predicted_time_seconds == expected.predicted_time_seconds
-
-    def test_exact_mode_matches_on_full_machine(self, i7_machine):
-        """Exact-mode equality holds on the paper's 4-level machine,
-        including pinned variables (batch 1) that trigger scipy's
-        fixed-variable elimination."""
-        spec = ConvSpec("golden-r4", 1, 32, 32, 7, 7, 3, 3, padding=1)
-        base = fast_settings(
-            solver=replace(QUICK, polish_starts=0),
-            permutation_class_names=("inner-w", "inner-s", "inner-wk", "inner-sk"),
-        )
-        vec = MOptOptimizer(i7_machine, base).optimize(spec)
-        ref = MOptOptimizer(i7_machine, replace(base, vectorized=False)).optimize(spec)
-        for got, expected in zip(vec.candidates, ref.candidates):
-            assert got.class_name == expected.class_name
-            assert got.config == expected.config
-            assert got.predicted_time_seconds == expected.predicted_time_seconds
-
-    @pytest.mark.parametrize("spec_fixture", ["small_spec", "strided_spec", "pointwise_spec"])
-    def test_default_mode_preserves_argmin(self, request, tiny_machine, spec_fixture):
-        """The screened default keeps the argmin on the unit-test specs:
-        same best predicted time (1e-6 relative) as the scalar path."""
-        spec = request.getfixturevalue(spec_fixture)
-        vec = MOptOptimizer(tiny_machine, _settings()).optimize(spec)
-        ref = MOptOptimizer(tiny_machine, _settings(vectorized=False)).optimize(spec)
-        assert vec.best.predicted_time_seconds == pytest.approx(
-            ref.best.predicted_time_seconds, rel=1e-6
-        )
-        vec.best.config.validate(spec, integral=True)
-
-    def test_default_mode_quality_band_on_full_machine(self, i7_machine):
-        """Screening may land on a different local optimum of the same
-        model than the scalar multistart (the greedy level-fixing cascade
-        amplifies which basin wins), but the quality must stay within the
-        multistart's own variation band — and any candidate it returns is
-        still a valid, capacity-feasible configuration."""
-        spec = ConvSpec("golden-r4", 1, 32, 32, 7, 7, 3, 3, padding=1)
-        base = fast_settings(
-            solver=QUICK,
-            permutation_class_names=("inner-w", "inner-s", "inner-wk", "inner-sk"),
-        )
-        vec = MOptOptimizer(i7_machine, base).optimize(spec)
-        ref = MOptOptimizer(i7_machine, replace(base, vectorized=False)).optimize(spec)
-        assert vec.best.predicted_time_seconds <= ref.best.predicted_time_seconds * 1.5
-        vec.best.config.validate(spec, integral=True)
-
-
 # ----------------------------------------------------------------------
-# Solver edge cases through both paths
+# Solver edge cases
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("vectorized", [True, False])
 class TestSolverEdgeCases:
-    def test_infeasible_capacity(self, tiny_machine, small_spec, vectorized):
+    def test_infeasible_capacity(self, tiny_machine, small_spec):
         """A capacity below the smallest possible footprint cannot be met;
-        both paths must report the best-effort point as infeasible-safe
-        (clamped into bounds) rather than crash."""
-        settings = _settings(vectorized=vectorized, capacity_fraction=1e-6)
+        the optimizer must report the best-effort point (clamped into
+        bounds) rather than crash."""
+        settings = _settings(capacity_fraction=1e-6)
         result = MOptOptimizer(tiny_machine, settings).optimize(small_spec)
         result.best.config.validate(small_spec, integral=True)
         assert result.best.predicted_time_seconds > 0
 
-    def test_one_extent_loops(self, tiny_machine, pointwise_spec, vectorized):
+    def test_one_extent_loops(self, tiny_machine, pointwise_spec):
         """1x1 kernels (and batch 1) pin several variables to [1, 1]."""
-        settings = _settings(vectorized=vectorized)
-        result = MOptOptimizer(tiny_machine, settings).optimize(pointwise_spec)
+        result = MOptOptimizer(tiny_machine, _settings()).optimize(pointwise_spec)
         result.best.config.validate(pointwise_spec, integral=True)
         for level in result.best.config.levels:
             tiles = result.best.config.tiles(level)
             assert tiles["r"] == 1 and tiles["s"] == 1 and tiles["n"] == 1
 
-    def test_stride_and_dilation(self, tiny_machine, vectorized):
+    def test_stride_and_dilation(self, tiny_machine):
         spec = ConvSpec(
             "dilated", 1, 16, 8, 20, 20, 3, 3, stride=2, dilation=2, padding=2
         )
-        settings = _settings(vectorized=vectorized)
-        result = MOptOptimizer(tiny_machine, settings).optimize(spec)
+        result = MOptOptimizer(tiny_machine, _settings()).optimize(spec)
         result.best.config.validate(spec, integral=True)
         assert result.best.predicted_time_seconds > 0
 
+    @pytest.mark.parametrize("vectorized", [True, False])
     def test_single_level_solve(self, small_spec, vectorized):
         permutation = pruned_representatives()[0]
         config, volume = solve_single_level(
@@ -371,6 +311,44 @@ class TestBatchedMultistartDriver:
             assert b.message == a.message
             assert np.allclose(a.x, b.x)
             assert a.value == pytest.approx(b.value, rel=1e-12)
+
+    @pytest.mark.parametrize("flag", ["polish_all", "single_basin"])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    def test_batched_jacobians_match_scipy_differencing(self, flag, pinned):
+        """Batch evaluators that loop over the problem's own per-point
+        callables change only *how* the jacobians are differenced, so the
+        solution must be bitwise the one scipy's own differencing finds —
+        also when an equal-bound (pinned) variable forces the driver's
+        fixed-variable reduction."""
+
+        def objective(x):
+            return float(
+                x[0] * x[1] * x[2] + 40.0 / x[0] + 90.0 / (x[1] * x[2]) + 5.0 * x[2] / x[0]
+            )
+
+        def constraints(x):
+            return np.array(
+                [(60.0 - x[0] * x[1] - x[1] * x[2]) / 60.0, (x[1] - x[0]) / 10.0]
+            )
+
+        bounds = ((1.0, 20.0), (1.0, 20.0), (2.0, 2.0) if pinned else (1.0, 8.0))
+        lows = np.array([b[0] for b in bounds])
+        highs = np.array([b[1] for b in bounds])
+        starts = [lows + 0.5 * (highs - lows), np.sqrt(lows * highs), highs.copy()]
+        plain = ConstrainedProblem(objective, (constraints,), bounds, **{flag: True})
+        batched = replace(
+            plain,
+            batch_objective=lambda points: np.array([objective(p) for p in points]),
+            batch_inequalities=lambda points: np.array(
+                [constraints(p) for p in points]
+            ),
+        )
+        options = SolverOptions(maxiter=60)
+        expected = minimize_from_starts(plain, starts, options)
+        got = minimize_from_starts(batched, starts, options)
+        assert expected.feasible and expected.success
+        assert got.x.tobytes() == expected.x.tobytes()
+        assert got.value == expected.value
 
     def test_minimize_from_starts_screens(self):
         calls = {"n": 0}

@@ -11,8 +11,10 @@ mechanism may ever change a result:
 * two specs of the same family must reuse one compiled table *and*
   produce bitwise-identical costs to fresh compilation;
 * differing stride/dilation must never share an entry;
-* pooled and serial class solves must agree bitwise, as must the
-  dedup-classes collapse;
+* pooled and serial class solves must agree bitwise, also when another
+  thread shut the shared pool down under a batch, and the pinned-
+  dimension class collapse must hand every member of a group the tiles
+  its own solve would have produced;
 * ``class_workers`` is execution-only, so it must be invisible to cache
   keys and recorded settings, while the loss-free screening rework (new
   refine-solve numerics) must be visible as a ``STRATEGY_VERSION`` bump.
@@ -56,9 +58,7 @@ def _sample_points():
     """A few (problem, tiles) evaluation points over all seven loops."""
     points = []
     for scale, tile in ((16.0, 4.0), (24.0, 3.0), (9.0, 2.5)):
-        problem = {index: scale for index in LOOP_INDICES}
-        tiles = {index: tile for index in LOOP_INDICES}
-        points.append((problem, tiles))
+        points.append(([scale] * len(LOOP_INDICES), [tile] * len(LOOP_INDICES)))
     return points
 
 
@@ -88,7 +88,7 @@ class TestCompileCache:
             cached = cache.get(REP, stride=stride, dilation=dilation)
             fresh = CompiledPermutationCost(REP, stride=stride, dilation=dilation)
             for problem, tiles in _sample_points():
-                assert cached.volume(problem, tiles) == fresh.volume(
+                assert cached.volume_floats(problem, tiles) == fresh.volume_floats(
                     problem, tiles
                 )
 
@@ -205,21 +205,85 @@ class TestSolvePool:
         assert after["pool_solves"] > before["pool_solves"]
         assert _candidate_table(pooled) == _candidate_table(serial)
 
+    def test_pool_shut_down_by_another_thread_is_recovered(
+        self, tiny_machine, monkeypatch
+    ):
+        """Operator threads share one pool, and a thread that saw it break
+        shuts it down under the others' batches: their submits then raise
+        RuntimeError, which must be recovered like a break."""
+        spec = ConvSpec("pooled", 1, 16, 8, 8, 8, 3, 3, padding=1)
+        serial = MOptOptimizer(tiny_machine, _settings()).optimize(spec)
+        get_executor = solve_pool._get_executor
+        handed_out = []
+
+        def shut_down_first(workers):
+            executor = get_executor(workers)
+            if not handed_out:
+                executor.shutdown(wait=True)
+            handed_out.append(executor)
+            return executor
+
+        monkeypatch.setattr(solve_pool, "_get_executor", shut_down_first)
+        try:
+            pooled = MOptOptimizer(
+                tiny_machine, _settings(class_workers=2)
+            ).optimize(spec)
+        finally:
+            solve_pool.shutdown_pool()
+        assert handed_out[1] is not handed_out[0]
+        assert _candidate_table(pooled) == _candidate_table(serial)
+
+    def test_discarding_a_broken_pool_keeps_its_replacement(self):
+        """Two threads that saw the same pool break both discard it; the
+        second discard must not shut down the pool the first one rebuilt."""
+        broken = solve_pool._get_executor(2)
+        solve_pool._discard_broken_executor(broken)
+        replacement = solve_pool._get_executor(2)
+        try:
+            solve_pool._discard_broken_executor(broken)
+            assert solve_pool._get_executor(2) is replacement
+            assert replacement.submit(int, 7).result() == 7
+        finally:
+            solve_pool.shutdown_pool()
+
 
 # ----------------------------------------------------------------------
 # Pinned-dimension class collapse
 # ----------------------------------------------------------------------
 class TestDedupClasses:
-    def test_dedup_on_off_bitwise(self, tiny_machine):
-        # A GEMM-shaped operator pins r/s/h/w, collapsing most classes.
-        spec = ConvSpec("gemm", 8, 16, 8, 1, 1, 1, 1)
-        deduped = MOptOptimizer(
-            tiny_machine, _settings(dedup_classes=True)
-        ).optimize(spec)
-        plain = MOptOptimizer(
-            tiny_machine, _settings(dedup_classes=False)
-        ).optimize(spec)
-        assert _candidate_table(deduped) == _candidate_table(plain)
+    # A GEMM-shaped operator pins r/s/h/w, collapsing most classes.
+    GEMM = ConvSpec("gemm", 8, 16, 8, 1, 1, 1, 1)
+
+    def test_matmul_like_spec_solves_once_per_group(self, tiny_machine, monkeypatch):
+        """The eight classes collapse to three groups on a GEMM: their
+        plans differ only in where n, k and c sit once r/s/h/w are pinned."""
+        solved = []
+        original = MOptOptimizer._solve_class_tiles
+
+        def counting(self, spec, cls, microkernel):
+            solved.append(cls.name)
+            return original(self, spec, cls, microkernel)
+
+        monkeypatch.setattr(MOptOptimizer, "_solve_class_tiles", counting)
+        result = MOptOptimizer(tiny_machine, _settings()).optimize(self.GEMM)
+        assert solved == ["inner-w", "inner-s", "inner-wk"]
+        assert len(result.candidates) == 8
+
+    def test_every_member_gets_its_own_solve_bitwise(self, tiny_machine):
+        from repro.core.microkernel import design_microkernel
+
+        optimizer = MOptOptimizer(tiny_machine, _settings())
+        microkernel = design_microkernel(tiny_machine, self.GEMM)
+        groups = optimizer._collapse_groups(
+            self.GEMM, optimizer._permutation_classes()
+        )
+        assert sorted(len(group) for group in groups) != [1] * 8
+        shared = optimizer._solve_groups(self.GEMM, groups, microkernel)
+        for group, tiles in zip(groups, shared):
+            for cls in group:
+                assert optimizer._solve_class_tiles(
+                    self.GEMM, cls, microkernel
+                ) == tiles, cls.name
 
 
 # ----------------------------------------------------------------------
@@ -239,8 +303,22 @@ class TestCacheTokenPolicy:
         base = _settings()
         payload = settings_to_dict(base)
         assert "class_workers" not in payload
-        assert "dedup_classes" in payload
         assert payload == settings_to_dict(replace(base, class_workers=8))
+
+    def test_settings_has_no_execution_path_knobs(self):
+        from repro.engine.serialization import settings_to_dict
+
+        payload = settings_to_dict(_settings())
+        assert "vectorized" not in payload and "dedup_classes" not in payload
+
+    def test_settings_from_dict_loads_payloads_with_retired_knobs(self):
+        from repro.engine.serialization import settings_from_dict, settings_to_dict
+
+        base = _settings()
+        payload = settings_to_dict(base)
+        # Recorded before the scalar path and the dedup switch were retired.
+        payload.update(vectorized=True, dedup_classes=True)
+        assert settings_from_dict(payload) == base
 
     def test_settings_from_dict_tolerates_execution_only_keys(self):
         from repro.engine.serialization import settings_from_dict, settings_to_dict

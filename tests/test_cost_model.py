@@ -216,15 +216,14 @@ class TestCompiledCostModel:
             compiled = CompiledPermutationCost(permutation)
             config = TilingConfig(permutation, sample_tiles)
             reference = total_data_volume(small_spec, config)
-            assert compiled.volume(problem, sample_tiles) == pytest.approx(reference)
-            assert compiled.volume_array(problem_array, tiles_array) == pytest.approx(reference)
+            assert compiled.volume_floats(
+                problem_array.tolist(), tiles_array.tolist()
+            ) == pytest.approx(reference)
 
-    def test_footprint_array_matches(self, sample_tiles):
-        import numpy as np
-
+    def test_footprint_floats_matches(self, sample_tiles):
         compiled = CompiledPermutationCost(INNER_W_PERM)
-        tiles_array = np.array([float(sample_tiles[i]) for i in LOOP_INDICES])
-        assert compiled.footprint_array(tiles_array) == pytest.approx(
+        tiles = [float(sample_tiles[i]) for i in LOOP_INDICES]
+        assert compiled.footprint_floats(tiles) == pytest.approx(
             combined_footprint(sample_tiles)
         )
 

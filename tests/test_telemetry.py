@@ -47,6 +47,7 @@ from repro.core.tensor_spec import ConvSpec
 from repro.serving import (
     OptimizationServer,
     ServerConfig,
+    ServingClient,
     TCPServingClient,
     start_tcp_server,
 )
@@ -379,6 +380,45 @@ class TestEndToEndTracing:
                 await server.stop()
 
         return scenario()
+
+    def test_disk_lookup_spans_join_the_request_trace(self, machine, tmp_path):
+        """The disk-tier lookup runs on a pool thread; spans a store
+        opens there must carry the request's trace id, not start orphan
+        traces of their own."""
+        from repro.engine.cache import DiskResultStore, ResultCache
+
+        class SpanStore:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def get(self, key):
+                with obs_trace.span("test.store.get"):
+                    return self.inner.get(key)
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        store = SpanStore(DiskResultStore(tmp_path / "store"))
+
+        async def request(cache):
+            async with _server(machine, cache=cache) as server:
+                await ServingClient(server).optimize(_specs(1))
+
+        # Fill the disk tier, then ask again through an empty memory tier:
+        # the second request is answered by the disk lookup alone.
+        run(request(ResultCache(path=store)))
+        obs_trace.enable()
+        obs_trace.drain()
+        try:
+            run(request(ResultCache(path=store)))
+            records = obs_trace.drain()
+        finally:
+            obs_trace.disable()
+        (request_span,) = [r for r in records if r["name"] == "serving.request"]
+        gets = [r for r in records if r["name"] == "test.store.get"]
+        assert gets
+        assert all(r["trace_id"] == request_span["trace_id"] for r in gets)
+        assert not [r for r in records if r["name"] == "serving.solve"]
 
     def test_one_trace_id_client_to_solve_with_tight_children(self, machine):
         obs_trace.enable()
