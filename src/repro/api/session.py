@@ -444,6 +444,12 @@ class Session:
         three are reuse/fan-out mechanisms — they never change results —
         so these counters are observability, not configuration.
 
+        The ``"solver"`` entry counts SLSQP activity in this process:
+        ``slsqp_runs``, the ``gradient_requests`` of the batched driver's
+        runs, and the ``fd_sweeps`` that answered them — fewer sweeps than
+        requests is the lockstep refine polishes sharing sweeps.  Solves
+        in the forked solve-pool workers are not counted here.
+
         The ``"reliability"`` entry folds in the process-wide health
         counters of :mod:`repro.reliability` (``pool_rebuilds``,
         ``serial_fallbacks``, ``cache.quarantined``, ...) plus this
@@ -453,8 +459,8 @@ class Session:
         """
         # Importing the subsystems registers their stat collectors with
         # the unified registry; the payload below is then a pure view
-        # over one `metrics.snapshot()`, its shape unchanged since PR 7.
-        from ..core import batched, cost_model, solve_pool  # noqa: F401
+        # over one `metrics.snapshot()`.
+        from ..core import batched, cost_model, solve_pool, solver  # noqa: F401
         from ..obs import metrics
 
         if self.cache is not None:
@@ -466,6 +472,7 @@ class Session:
             "compile_cache": snap["compile_cache"],
             "batched_table_cache": snap["batched_table_cache"],
             "solve_pool": snap["solve_pool"],
+            "solver": snap["solver"],
             "reliability": {
                 **snap["reliability"],
                 "cache": cache_reliability,

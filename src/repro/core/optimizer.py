@@ -635,7 +635,10 @@ class MOptOptimizer:
         deterministic interior starts only (no seeded random starts): every
         start is polished and the best kept, so the screened and exact
         solver modes coincide bitwise (no lossy top-k start screening on
-        this path) and the result is independent of the solver seed.
+        this path) and the result is independent of the solver seed.  The
+        three polishes run in lockstep on the solver's SLSQP driver, so
+        each step's gradients cost one batched sweep over the probe rows
+        of all three runs (``batch_eval`` below sees the stacked rows).
 
         ``dominate=False`` skips the dominance-constrained solve and goes
         straight to the relaxed problem.  The caller passes it on the final
@@ -663,9 +666,13 @@ class MOptOptimizer:
             tiles = round_.split(flat)
             values = round_.capacity_slacks(flat)
             for inner_level, outer_level in round_.nesting_pairs:
-                outer_t, inner_t = tiles[outer_level], tiles[inner_level]
                 values.extend(
-                    (outer_t[j] - inner_t[j]) / extents_list[j] for j in range(7)
+                    [
+                        (outer - inner) / extent
+                        for outer, inner, extent in zip(
+                            tiles[outer_level], tiles[inner_level], extents_list
+                        )
+                    ]
                 )
             return values
 
@@ -910,6 +917,19 @@ class _RoundEvaluator:
             [self._boxes[level][1] for level in self.free_levels]
         )
 
+        # Levels whose own and outer tiles are both frozen (Reg in round
+        # 2; Reg and L1 in round 3) have the same time at every point.
+        frozen_tiles = dict(self._fixed_floats)
+        frozen_tiles[_WHOLE] = self.extents_list
+        self._time_plan: List[Tuple[str, str, float, Optional[float]]] = []
+        for level, outer_level, bandwidth in zip(
+            self.level_order, self._outer, self.bandwidth_list
+        ):
+            frozen = None
+            if level in frozen_tiles and outer_level in frozen_tiles:
+                frozen = self._level_time(frozen_tiles, level, outer_level, bandwidth)
+            self._time_plan.append((level, outer_level, bandwidth, frozen))
+
         self._times_memo: Dict[bytes, Dict[str, float]] = {}
         # Broadcast views of the fixed tiles / problem extents per batch
         # size (almost always the FD sweep's D probes).
@@ -931,6 +951,17 @@ class _RoundEvaluator:
             by_level[level] = flat[position * 7 : (position + 1) * 7]
         return by_level
 
+    def _level_time(
+        self, tiles: Mapping, level: str, outer_level: str, bandwidth: float
+    ) -> float:
+        outer = tiles[outer_level]
+        extents = self.extents_list
+        volume = self.compiled.volume_floats(outer, tiles[level])
+        count = extents[0] / outer[0]
+        for j in range(1, 7):
+            count *= extents[j] / outer[j]
+        return volume * count / bandwidth
+
     def level_times(self, tiles_vector: np.ndarray) -> Dict[str, float]:
         """Bandwidth-scaled data time of every level at one tile vector."""
         key = tiles_vector.tobytes()
@@ -938,18 +969,14 @@ class _RoundEvaluator:
         if cached is not None:
             return cached
         tiles = self.split(tiles_vector.tolist())
-        tiles[_WHOLE] = extents = self.extents_list
-        volume_floats = self.compiled.volume_floats
+        tiles[_WHOLE] = self.extents_list
         times: Dict[str, float] = {}
-        for level, outer_level, bandwidth in zip(
-            self.level_order, self._outer, self.bandwidth_list
-        ):
-            outer = tiles[outer_level]
-            volume = volume_floats(outer, tiles[level])
-            count = extents[0] / outer[0]
-            for j in range(1, 7):
-                count *= extents[j] / outer[j]
-            times[level] = volume * count / bandwidth
+        for level, outer_level, bandwidth, frozen in self._time_plan:
+            times[level] = (
+                frozen
+                if frozen is not None
+                else self._level_time(tiles, level, outer_level, bandwidth)
+            )
         if len(self._times_memo) > 4096:
             self._times_memo.clear()
         self._times_memo[key] = times

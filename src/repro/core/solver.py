@@ -14,18 +14,29 @@ built on ``scipy.optimize``:
   when SLSQP fails to return a feasible point (the objectives are smooth
   posynomial-like functions, so this is rare and exists for robustness).
 
+Problems that carry batched evaluators (every MOpt optimizer problem) run
+SLSQP on a local driver over scipy's reverse-communication kernel instead
+of ``scipy.optimize.minimize``: the driver feeds the kernel exactly the
+values scipy's own loop would, so every trajectory is bitwise scipy's,
+but each gradient is one batched finite-difference sweep, and the starts
+of a ``polish_all`` problem advance in lockstep so all of their waiting
+gradients share one sweep.
+
 The problems involved are small — at most a few dozen variables — so a
 multi-start local method reliably finds the same optima Ipopt would.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize
+from scipy.optimize._slsqplib import slsqp as _slsqp_kernel
 
+from ..obs.metrics import REGISTRY
 from .capacity import max_feasible_uniform_tile
 from .config import TilingConfig
 from .cost_model import combined_footprint, compiled_cost_for, volume_general
@@ -90,12 +101,17 @@ class ConstrainedProblem:
     ``batch_objective`` / ``batch_inequalities`` optionally evaluate many
     points at once (``(M, D) -> (M,)`` and ``(M, D) -> (M, C)``).  When
     present, the multistart driver screens starting points in one
-    vectorized sweep and supplies SLSQP with batched finite-difference
-    jacobians instead of letting scipy difference the per-point callables
-    one coordinate at a time — every MOpt optimizer problem carries them.
-    They must agree with the per-point callables (bitwise, for the
-    optimizer's problems: the base row of each sweep comes from the
-    per-point callables and the probe rows from the batched ones).
+    vectorized sweep and runs SLSQP on its own driver, where every
+    gradient is one batched finite-difference sweep instead of scipy
+    differencing the per-point callables one coordinate at a time — every
+    MOpt optimizer problem carries them.  A batched problem has either no
+    inequalities or exactly one (vector-valued) inequality callable with a
+    ``batch_inequalities`` counterpart.  The batched evaluators must agree
+    with the per-point callables (bitwise, for the optimizer's problems:
+    the base row of each sweep comes from the per-point callables and the
+    probe rows from the batched ones), and each row of their result must
+    depend on that row's point only: lockstep polishes stack the probe
+    rows of several SLSQP runs into one call.
 
     ``single_basin`` declares that the problem has (to solver tolerance) a
     single basin of attraction — e.g. the optimizer's epigraph min-max
@@ -116,7 +132,11 @@ class ConstrainedProblem:
     polished and the best kept.  Like ``single_basin`` it never consults
     ``SolverOptions.polish_starts`` — screened and exact modes again
     coincide by construction, this time by doing the exact mode's full
-    work on a deliberately small start list.
+    work on a deliberately small start list.  Because every start is
+    polished anyway, a batched ``polish_all`` problem polishes them in
+    lockstep: the runs advance together and each round of gradient
+    requests is one shared finite-difference sweep.  The best result is
+    still picked in start order, so it equals polishing each start alone.
     """
 
     objective: Callable[[np.ndarray], float]
@@ -126,6 +146,24 @@ class ConstrainedProblem:
     batch_inequalities: Optional[Callable[[np.ndarray], np.ndarray]] = None
     single_basin: bool = False
     polish_all: bool = False
+    #: Per-variable bounds as arrays, built once from ``bounds``.
+    lows: np.ndarray = field(init=False, repr=False, compare=False)
+    highs: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.batch_objective is not None and self.inequalities and (
+            self.batch_inequalities is None or len(self.inequalities) != 1
+        ):
+            raise ValueError(
+                "a batched problem needs exactly one inequality callable "
+                "with a batch_inequalities counterpart (or no inequalities)"
+            )
+        object.__setattr__(
+            self, "lows", np.array([b[0] for b in self.bounds], dtype=float)
+        )
+        object.__setattr__(
+            self, "highs", np.array([b[1] for b in self.bounds], dtype=float)
+        )
 
     @property
     def dimension(self) -> int:
@@ -134,16 +172,13 @@ class ConstrainedProblem:
 
     def is_feasible(self, x: np.ndarray, tolerance: float = 1e-6) -> bool:
         """Check bounds and inequality constraints at a point."""
-        for value, (low, high) in zip(x, self.bounds):
-            if value < low - tolerance or value > high + tolerance:
-                return False
+        if np.any(x < self.lows - tolerance) or np.any(x > self.highs + tolerance):
+            return False
         return all(np.min(np.atleast_1d(g(x))) >= -tolerance for g in self.inequalities)
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         """Project a point (or an ``(M, D)`` batch of points) into the bounds."""
-        lows = np.array([b[0] for b in self.bounds])
-        highs = np.array([b[1] for b in self.bounds])
-        return np.minimum(np.maximum(x, lows), highs)
+        return np.minimum(np.maximum(x, self.lows), self.highs)
 
     def evaluate_batch(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Objective values and worst constraint violations at many points.
@@ -176,94 +211,350 @@ class ConstrainedProblem:
         return values, np.maximum(worst, 0.0)
 
 
-def _scaled(problem: ConstrainedProblem, x0: np.ndarray) -> ConstrainedProblem:
-    """Rescale the objective so SLSQP sees O(1) values (helps convergence)."""
-    base = abs(problem.objective(x0))
-    scale = base if base > 0 else 1.0
-
-    def objective(x: np.ndarray) -> float:
-        return problem.objective(x) / scale
-
-    return ConstrainedProblem(objective, problem.inequalities, problem.bounds)
-
-
 #: Relative step of scipy's default '2-point' finite differences.
 _SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 
+#: Errors that end one SLSQP run without aborting the multistart.
+_RUN_ERRORS = (ValueError, OverflowError, FloatingPointError)
 
-def _batched_fd_jacobians(problem: ConstrainedProblem):
-    """Objective/constraint jacobians via one batched forward-difference sweep.
+#: SLSQP's exit modes, worded as ``scipy.optimize.minimize`` reports them.
+_EXIT_MODES = {
+    -1: "Gradient evaluation required (g & a)",
+    0: "Optimization terminated successfully",
+    1: "Function evaluation required (f & c)",
+    2: "More equality constraints than independent variables",
+    3: "More than 3*n iterations in LSQ subproblem",
+    4: "Inequality constraints incompatible",
+    5: "Singular matrix E in LSQ subproblem",
+    6: "Singular matrix C in LSQ subproblem",
+    7: "Rank-deficient equality constraint subproblem HFTI",
+    8: "Positive directional derivative for linesearch",
+    9: "Iteration limit reached",
+}
 
-    Replicates scipy's default ``2-point`` scheme — the ``sqrt(eps) *
-    max(1, |x|)`` step and the one-sided bounds adjustment of
-    ``scipy.optimize._numdiff`` — but evaluates all ``D + 1`` probe points
-    through the problem's batched evaluators in a single call instead of
-    ``D + 1`` Python-level evaluations per gradient.  Columns whose
-    variables are pinned (equal bounds give a zero step) get a zero
-    derivative; scipy leaves them 0/0, which SLSQP ignores for the same
-    reason (the variable cannot move).
+# Solver activity in this process: SLSQP runs, the gradients the driver's
+# runs asked for, and the batched finite-difference sweeps that served
+# them (fewer sweeps than requests means lockstep runs shared sweeps).
+# Serving solves on threads, hence the lock.
+_STATS = {"slsqp_runs": 0, "gradient_requests": 0, "fd_sweeps": 0}
+_STATS_LOCK = threading.Lock()
 
-    Returns ``fd(x) -> (values, cons, dx)`` — the raw sweep — with a small
-    memo so the objective-jacobian and constraint-jacobian callbacks SLSQP
-    invokes at the same iterate share one evaluation.  Variables pinned by
-    equal bounds get a zero step; the resulting 0/0 derivatives are
-    replaced by 0 in the jacobian wrappers.  (scipy's internal
-    differencing leaves them NaN, which its driver happens to tolerate —
-    but the same NaNs in *explicitly supplied* jacobians abort SLSQP with
-    "inequality constraints incompatible", while zeros reproduce the
-    internal-differencing trajectory bit for bit: the pinned variables
-    cannot move either way.)
+
+def _count(runs: int, requests: int = 0, sweeps: int = 0) -> None:
+    with _STATS_LOCK:
+        _STATS["slsqp_runs"] += runs
+        _STATS["gradient_requests"] += requests
+        _STATS["fd_sweeps"] += sweeps
+
+
+def solver_stats() -> Dict[str, int]:
+    """Counters of SLSQP activity in this process (for the stats probe)."""
+    with _STATS_LOCK:
+        return dict(_STATS)
+
+
+REGISTRY.register_collector("solver", solver_stats)
+
+
+def _fd_steps(
+    points: np.ndarray, lows: np.ndarray, highs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Forward-difference steps ``h`` and realized steps ``dx`` per point.
+
+    Replicates the ``2-point`` scheme scipy's SLSQP uses for callables
+    without a jacobian, elementwise over an ``(R, D)`` point matrix: the
+    *absolute* step of its ``eps`` option (``sqrt(machine eps)``,
+    unsigned), the signed relative step ``sqrt(eps) * max(1, |x|)`` only
+    where the absolute one underflows, and the one-sided bounds adjustment
+    of ``scipy.optimize._numdiff``.  Variables pinned by equal bounds get
+    ``dx == 0``.
     """
-    lows = np.array([b[0] for b in problem.bounds], dtype=float)
-    highs = np.array([b[1] for b in problem.bounds], dtype=float)
-    cache: Dict[bytes, Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]] = {}
+    sign = np.where(points >= 0, 1.0, -1.0)
+    h = np.full_like(points, _SQRT_EPS)
+    underflow = (points + h) - points == 0.0
+    if underflow.any():
+        h = np.where(
+            underflow, _SQRT_EPS * sign * np.maximum(1.0, np.abs(points)), h
+        )
+    probe = points + h
+    violated = (probe < lows) | (probe > highs)
+    fitting = np.abs(h) <= np.maximum(points - lows, highs - points)
+    h = np.where(violated & fitting, -h, h)
+    upper, lower = highs - points, points - lows
+    h = np.where((upper >= lower) & ~fitting, upper, h)
+    h = np.where((upper < lower) & ~fitting, -lower, h)
+    return h, (points + h) - points
 
-    def fd(x: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        # SLSQP differences with the *absolute* step of its ``eps`` option
-        # (default sqrt(machine eps), unsigned), falling back to the signed
-        # relative step only where the absolute one underflows.
-        sign = np.where(x >= 0, 1.0, -1.0)
-        h = np.full_like(x, _SQRT_EPS)
-        underflow = (x + h) - x == 0.0
-        if underflow.any():
-            h = np.where(underflow, _SQRT_EPS * sign * np.maximum(1.0, np.abs(x)), h)
-        probe = x + h
-        violated = (probe < lows) | (probe > highs)
-        fitting = np.abs(h) <= np.maximum(x - lows, highs - x)
-        h = np.where(violated & fitting, -h, h)
-        upper, lower = highs - x, x - lows
-        h = np.where((upper >= lower) & ~fitting, upper, h)
-        h = np.where((upper < lower) & ~fitting, -lower, h)
-        dx = (x + h) - x
-        # The base row comes from the scalar callables: SLSQP has already
-        # evaluated (and memoized) the objective/constraints at the current
-        # iterate, and the per-point values are bitwise-equal to the
-        # batched ones by construction — so the sweep only needs the D
-        # probe points.
-        points = x[None, :] + np.diag(h)
-        base_value = float(problem.objective(x))
-        probe_values = np.asarray(problem.batch_objective(points), dtype=float)
-        values = np.concatenate(([base_value], probe_values))
-        cons: Optional[np.ndarray] = None
-        if problem.batch_inequalities is not None:
-            base_cons = np.atleast_1d(
-                np.asarray(problem.inequalities[0](x), dtype=float)
-            )
-            probe_cons = np.atleast_2d(
-                np.asarray(problem.batch_inequalities(points), dtype=float)
-            )
-            cons = np.concatenate((base_cons[None, :], probe_cons))
-        if len(cache) > 64:
-            cache.clear()
-        cache[key] = (values, cons, dx)
-        return values, cons, dx
 
-    return fd
+#: A gradient request: the point whose objective is differenced and the
+#: point whose constraints are (the same object unless clipping moved it).
+_Request = Tuple[np.ndarray, np.ndarray]
+#: Its answer: objective probe values ``(D,)`` and steps ``(D,)``, then
+#: constraint probe values ``(D, C)`` (``None`` without constraints) and
+#: steps ``(D,)``.
+_Sweep = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]
+#: One finished polish: ``(x, success, message)``.
+_Outcome = Tuple[np.ndarray, bool, str]
+
+
+def _fd_sweep(problem: ConstrainedProblem, requests: Sequence[_Request]) -> List[_Sweep]:
+    """Answer many gradient requests with one batched evaluation.
+
+    Every requested point contributes its ``D`` forward-difference probe
+    rows (``x + diag(h)``) to one stacked matrix, which goes through
+    ``batch_objective`` and ``batch_inequalities`` once each.  The base
+    rows are not part of the sweep: the runs already hold the per-point
+    values at their iterates.
+    """
+    points: List[np.ndarray] = []
+    slots: List[Tuple[int, int]] = []
+    for objective_point, constraint_point in requests:
+        row = len(points)
+        points.append(objective_point)
+        if constraint_point is not objective_point:
+            points.append(constraint_point)
+        slots.append((row, len(points) - 1))
+    stacked = np.stack(points)
+    count, dim = stacked.shape
+    h, dx = _fd_steps(stacked, problem.lows, problem.highs)
+    diagonal = np.arange(dim)
+    steps = np.zeros((count, dim, dim))
+    steps[:, diagonal, diagonal] = h
+    probes = (stacked[:, None, :] + steps).reshape(count * dim, dim)
+    values = np.asarray(problem.batch_objective(probes), dtype=float).reshape(
+        count, dim
+    )
+    cons = None
+    if problem.inequalities:
+        cons = np.asarray(problem.batch_inequalities(probes), dtype=float).reshape(
+            count, dim, -1
+        )
+    return [
+        (values[o], dx[o], None if cons is None else cons[c], dx[c])
+        for o, c in slots
+    ]
+
+
+def _slsqp_run(
+    problem: ConstrainedProblem, start: np.ndarray, options: SolverOptions
+) -> Generator[_Request, _Sweep, _Outcome]:
+    """One SLSQP polish of ``start`` on scipy's kernel, as a generator.
+
+    This is the loop of scipy's ``_minimize_slsqp``, fed exactly the values
+    ``scipy.optimize.minimize(method="SLSQP")`` would compute with the
+    batched jacobians supplied as callables: the clipped start, the
+    objective scaled by ``|f(x0)|``, the objective differenced at the
+    iterate and the constraints at its clipped copy, with variables pinned
+    by equal bounds removed from the problem (scipy removes them itself
+    only when it differences, and a kept pinned variable would send SLSQP
+    down a different trajectory).  Pinned columns get a zero derivative.
+
+    Every gradient is a request yielded to the caller, which answers it
+    with a :func:`_fd_sweep` entry — possibly one shared with other runs.
+    Returns ``(x, success, message)`` with ``x`` clipped and expanded to
+    the full dimension.  A problem with every variable pinned raises
+    ``ValueError``, as scipy's loop fails on it.
+    """
+    lows, highs = problem.lows, problem.highs
+    free = lows != highs
+    if not free.any():
+        raise ValueError("every variable is pinned by its bounds")
+    reduce_vars = not free.all()
+    xl, xu = lows[free], highs[free]
+    # The kernel reads a NaN bound as "unbounded" (scipy's marking of
+    # infinite bounds).
+    xl_kernel = np.where(np.isfinite(xl), xl, np.nan)
+    xu_kernel = np.where(np.isfinite(xu), xu, np.nan)
+    pinned_template = np.where(free, 0.0, lows)
+
+    def expand(reduced: np.ndarray) -> np.ndarray:
+        if not reduce_vars:
+            return reduced.copy()
+        full = pinned_template.copy()
+        full[free] = reduced
+        return full
+
+    objective = problem.objective
+    inequality = problem.inequalities[0] if problem.inequalities else None
+
+    def constraints_at(point: np.ndarray) -> np.ndarray:
+        return np.atleast_1d(np.asarray(inequality(point), dtype=float)).ravel()
+
+    x = np.clip(start[free], xl, xu)
+    point = expand(x)
+    evaluated = x.tobytes()
+    value = objective(point)
+    base = abs(value)
+    scale = base if base > 0 else 1.0
+    fx = value / scale
+    cons = constraints_at(point) if inequality is not None else np.zeros(0)
+
+    def gradient():
+        # Objective differenced at the iterate, constraints at its clipped
+        # copy: scipy clips before differencing constraint callables only.
+        clipped = problem.clip(point)
+        if clipped.tobytes() == point.tobytes():
+            clipped, clipped_cons = point, cons
+        else:
+            clipped_cons = constraints_at(clipped) if inequality is not None else cons
+        values, dx, probe_cons, cons_dx = yield (point, clipped)
+        pinned = dx == 0.0
+        scaled = np.concatenate(([float(value)], values)) / scale
+        grad = np.where(
+            pinned, 0.0, (scaled[1:] - scaled[0]) / np.where(pinned, 1.0, dx)
+        )
+        jac = None
+        if probe_cons is not None:
+            pinned = cons_dx == 0.0
+            jac = np.where(
+                pinned[:, None],
+                0.0,
+                (probe_cons - clipped_cons) / np.where(pinned, 1.0, cons_dx)[:, None],
+            ).T
+        if reduce_vars:
+            grad = grad[free]
+            jac = None if jac is None else jac[:, free]
+        return grad, jac
+
+    n, m = x.size, cons.size
+    state = {
+        "acc": options.tolerance,
+        "alpha": 0.0,
+        "f0": 0.0,
+        "gs": 0.0,
+        "h1": 0.0,
+        "h2": 0.0,
+        "h3": 0.0,
+        "h4": 0.0,
+        "t": 0.0,
+        "t0": 0.0,
+        "tol": 10.0 * options.tolerance,
+        "exact": 0,
+        "inconsistent": 0,
+        "reset": 0,
+        "iter": 0,
+        "itermax": int(options.maxiter),
+        "line": 0,
+        "m": m,
+        "meq": 0,
+        "mode": 0,
+        "n": n,
+    }
+    # Workspace sizes of scipy's loop (no equality constraints).
+    buffer_size = n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28
+    if m == 0:
+        buffer_size += 2 * n * (n + 1)
+    buffer = np.zeros(max(buffer_size, 1), dtype=np.float64)
+    indices = np.zeros(max(m + 2 * n + 2, 1), dtype=np.int32)
+    mult = np.zeros(max(1, m + 2 * n + 2), dtype=np.float64)
+    jac_matrix = np.zeros((max(1, m), n), dtype=np.float64, order="F")
+    slack = np.zeros(max(1, m), dtype=np.float64)
+    slack[:m] = cons
+    grad, jac = yield from gradient()
+    if m:
+        jac_matrix[:m, :] = jac
+    while True:
+        _slsqp_kernel(
+            state, fx, grad, jac_matrix, slack, x, mult, xl_kernel, xu_kernel,
+            buffer, indices,
+        )
+        mode = state["mode"]
+        if mode == 1 or (mode == -1 and x.tobytes() != evaluated):
+            point = expand(x)
+            evaluated = x.tobytes()
+            value = objective(point)
+            if inequality is not None:
+                cons = constraints_at(point)
+            if mode == 1:
+                fx = value / scale
+                slack[:m] = cons
+        if mode == -1:
+            grad, jac = yield from gradient()
+            if m:
+                jac_matrix[:m, :] = jac
+        elif mode != 1:
+            break
+    return problem.clip(expand(x)), mode == 0, _EXIT_MODES[mode]
+
+
+def _slsqp_lockstep(
+    problem: ConstrainedProblem,
+    starts: Sequence[np.ndarray],
+    options: SolverOptions,
+) -> List[Optional[_Outcome]]:
+    """Polish every start on the driver, advancing the runs together.
+
+    Whenever the live runs wait on gradients, all of their requests go
+    through one :func:`_fd_sweep`.  Each run's trajectory is exactly its
+    solo trajectory (sweep rows are independent of one another).  A run
+    that raises one of :data:`_RUN_ERRORS` drops only its own start; so
+    does a failing shared sweep, which is retried request by request to
+    find the runs it belongs to.  Returns one ``(x, success, message)``
+    per start, in start order, or ``None`` for a dropped start.
+    """
+    outcomes: List[Optional[_Outcome]] = [None] * len(starts)
+    waiting: Dict[int, Tuple[Generator, _Request]] = {}
+    requests = sweeps = 0
+
+    def advance(index: int, run: Generator, answer: Optional[_Sweep]) -> None:
+        nonlocal requests
+        try:
+            request = run.send(answer)
+        except StopIteration as done:
+            outcomes[index] = done.value
+        except _RUN_ERRORS:
+            pass
+        else:
+            requests += 1
+            waiting[index] = (run, request)
+
+    for index, start in enumerate(starts):
+        advance(index, _slsqp_run(problem, start, options), None)
+    while waiting:
+        batch = list(waiting.items())
+        waiting.clear()
+        answers: List[Optional[_Sweep]] = [None] * len(batch)
+        try:
+            sweeps += 1
+            answers[:] = _fd_sweep(problem, [request for _, (_, request) in batch])
+        except _RUN_ERRORS:
+            if len(batch) > 1:
+                for position, (_, (_, request)) in enumerate(batch):
+                    try:
+                        sweeps += 1
+                        answers[position] = _fd_sweep(problem, [request])[0]
+                    except _RUN_ERRORS:
+                        pass
+        for (index, (run, _)), answer in zip(batch, answers):
+            if answer is None:
+                run.close()
+            else:
+                advance(index, run, answer)
+    _count(len(starts), requests, sweeps)
+    return outcomes
+
+
+def _scipy_polish(
+    problem: ConstrainedProblem, start: np.ndarray, options: SolverOptions
+) -> Optional[_Outcome]:
+    """One SLSQP polish through ``scipy.optimize.minimize`` (no batched
+    evaluators: scipy differences the per-point callables itself)."""
+    _count(1)
+    try:
+        base = abs(problem.objective(start))
+        scale = base if base > 0 else 1.0
+        result = optimize.minimize(
+            lambda x: problem.objective(x) / scale,
+            start,
+            method="SLSQP",
+            bounds=problem.bounds,
+            constraints=[{"type": "ineq", "fun": g} for g in problem.inequalities],
+            options={"maxiter": options.maxiter, "ftol": options.tolerance},
+        )
+    except _RUN_ERRORS:
+        return None
+    x = problem.clip(np.asarray(result.x, dtype=float))
+    return x, bool(result.success), str(result.message)
 
 
 def _penalized_scores(
@@ -302,8 +593,7 @@ def _refine_scores(
     Returns the refined score per start; the starts themselves are not
     modified.
     """
-    lows = np.array([b[0] for b in problem.bounds], dtype=float)
-    highs = np.array([b[1] for b in problem.bounds], dtype=float)
+    lows, highs = problem.lows, problem.highs
     log_lo = np.log(np.maximum(lows, 1e-12))
     log_hi = np.log(np.maximum(highs, 1e-12))
     span = np.maximum(log_hi - log_lo, 0.0)
@@ -351,8 +641,7 @@ def _default_starts(
     problem: ConstrainedProblem, options: SolverOptions
 ) -> List[np.ndarray]:
     """Deterministic + pseudo-random interior starting points."""
-    lows = np.array([b[0] for b in problem.bounds], dtype=float)
-    highs = np.array([b[1] for b in problem.bounds], dtype=float)
+    lows, highs = problem.lows, problem.highs
     starts = [
         lows + 0.5 * (highs - lows),
         np.sqrt(np.maximum(lows, 1e-12) * np.maximum(highs, 1e-12)),  # geometric mid
@@ -377,8 +666,7 @@ def _fallback_search(
     loop, so both paths rescue the same point.
     """
     rng = np.random.default_rng(options.seed + 1)
-    lows = np.array([b[0] for b in problem.bounds], dtype=float)
-    highs = np.array([b[1] for b in problem.bounds], dtype=float)
+    lows, highs = problem.lows, problem.highs
     log_lo = np.log(np.maximum(lows, 1e-9))
     log_hi = np.log(np.maximum(highs, 1e-9))
 
@@ -416,20 +704,28 @@ def minimize_from_starts(
 
     This is the engine behind :func:`minimize_constrained`, exposed so the
     optimizer can supply its own starting points.  For problems carrying
-    batched evaluators two things change relative to the plain per-point
+    batched evaluators three things change relative to the plain per-point
     loop:
 
     * when ``options.polish_starts`` is positive and smaller than the
-      number of starts, all starts are scored in one vectorized sweep and
-      only the most promising ones are polished;
-    * each SLSQP run receives batched finite-difference jacobians for the
-      objective and the (single, vector-valued) inequality callable, so a
-      gradient costs one vectorized evaluation instead of ``D + 1``
-      Python-level ones.
+      number of starts (and the problem declares neither ``single_basin``
+      nor ``polish_all``), all starts are scored in one vectorized sweep
+      and only the most promising ones are polished;
+    * SLSQP runs on the local driver (:func:`_slsqp_run`) over scipy's
+      kernel, with bitwise the trajectory ``scipy.optimize.minimize``
+      would take, where each gradient is one batched finite-difference
+      sweep instead of ``D + 1`` Python-level evaluations;
+    * the starts of a ``polish_all`` problem are polished in lockstep
+      (:func:`_slsqp_lockstep`): whenever runs wait on gradients, all of
+      their probe rows go through one batched call.
 
-    The per-start polish itself — objective scaling, bound clipping,
-    feasibility filtering, best-value selection and the random-search
-    fallback — is the same code for both paths.
+    Problems without batched evaluators go through
+    ``scipy.optimize.minimize`` with scipy's own differencing.  The rest —
+    objective scaling, bound clipping, feasibility filtering, best-value
+    selection in start order (strict ``<``, so ties keep the earlier
+    start) and the random-search fallback — is the same for both paths.
+    A start whose run raises ``ValueError``, ``OverflowError`` or
+    ``FloatingPointError`` is dropped; the others are unaffected.
     """
     options = options or SolverOptions()
     starts = [problem.clip(np.asarray(s, dtype=float)) for s in starts]
@@ -467,133 +763,42 @@ def minimize_from_starts(
         ]
         starts = [starts[i] for i in order[: options.polish_starts]]
 
+    def polish(batch: Sequence[np.ndarray]) -> List[Optional[_Outcome]]:
+        if batched:
+            return _slsqp_lockstep(problem, batch, options)
+        return [_scipy_polish(problem, start, options) for start in batch]
+
     best_x: Optional[np.ndarray] = None
     best_value = float("inf")
     any_success = False
     message = "no feasible solution found"
 
-    jacobian = None
-    constraint_jac = None
-    # When any variable is pinned by equal bounds, scipy's driver removes it
-    # from the problem before SLSQP runs — but only when it has to compute a
-    # finite-difference jacobian itself.  Supplying jacobians would silently
-    # switch SLSQP to the full-dimensional problem and a different
-    # trajectory, so the same reduction is replicated here: SLSQP solves
-    # over the free variables only, and solutions are re-expanded.  It only
-    # applies when *both* jacobians are supplied (single vector-valued
-    # inequality with a batched evaluator): with any jacobian left to
-    # scipy, scipy performs its own reduction — and a local reduction
-    # would hand reduced-dimension vectors to unwrapped constraint
-    # callables.
-    supplies_both_jacobians = (
-        batched
-        and problem.batch_inequalities is not None
-        and len(problem.inequalities) == 1
-    )
-    lows_arr = np.array([b[0] for b in problem.bounds], dtype=float)
-    highs_arr = np.array([b[1] for b in problem.bounds], dtype=float)
-    fixed_mask = lows_arr == highs_arr
-    reduce_vars = supplies_both_jacobians and bool(fixed_mask.any())
-    if reduce_vars:
-        free_mask = ~fixed_mask
-        fixed_values = lows_arr[fixed_mask]
-        slsqp_bounds = tuple(
-            b for b, keep in zip(problem.bounds, free_mask) if keep
-        )
-
-        def expand(reduced: np.ndarray) -> np.ndarray:
-            full = np.empty(len(fixed_mask), dtype=float)
-            full[fixed_mask] = fixed_values
-            full[free_mask] = reduced
-            return full
-
-    else:
-        slsqp_bounds = problem.bounds
-
-        def expand(reduced: np.ndarray) -> np.ndarray:
-            return np.asarray(reduced, dtype=float)
-
-    if batched:
-        fd = _batched_fd_jacobians(problem)
-        if supplies_both_jacobians:
-
-            # scipy's internal constraint differencing clips the iterate into
-            # the bounds before the sweep; mirror it for exact equivalence.
-            def constraint_jac(x, _fd=fd):
-                full = problem.clip(expand(np.asarray(x, dtype=float)))
-                _, cons, dx = _fd(full)
-                pinned = dx == 0.0
-                safe_dx = np.where(pinned, 1.0, dx)
-                jac_full = np.where(
-                    pinned[:, None], 0.0, (cons[1:] - cons[0:1]) / safe_dx[:, None]
-                ).T
-                return jac_full[:, free_mask] if reduce_vars else jac_full
-
-    constraints = [{"type": "ineq", "fun": g} for g in problem.inequalities]
-    if constraint_jac is not None:
-        if reduce_vars:
-            def reduced_inequality(x):
-                return problem.inequalities[0](expand(np.asarray(x, dtype=float)))
-        else:
-            reduced_inequality = problem.inequalities[0]
-        constraints = [
-            {"type": "ineq", "fun": reduced_inequality, "jac": constraint_jac}
-        ]
-    def polish(start: np.ndarray) -> None:
+    def keep_best(outcome: Optional[_Outcome]) -> None:
         nonlocal best_x, best_value, any_success, message
-        scaled = _scaled(problem, start)
-        if reduce_vars:
-            def slsqp_fun(x, _f=scaled.objective):
-                return _f(expand(np.asarray(x, dtype=float)))
-        else:
-            slsqp_fun = scaled.objective
-        slsqp_start = start[free_mask] if reduce_vars else start
-        jacobian = None
-        if batched:
-            base = abs(problem.objective(start))
-            scale = base if base > 0 else 1.0
-
-            # Difference the *scaled* values, exactly as scipy's internal
-            # 2-point scheme differences the scaled objective it is given.
-            def jacobian(x, _fd=fd, _scale=scale):
-                values, _, dx = _fd(expand(np.asarray(x, dtype=float)))
-                scaled_values = values / _scale
-                pinned = dx == 0.0
-                safe_dx = np.where(pinned, 1.0, dx)
-                jac_full = np.where(
-                    pinned, 0.0, (scaled_values[1:] - scaled_values[0]) / safe_dx
-                )
-                return jac_full[free_mask] if reduce_vars else jac_full
-
-        try:
-            result = optimize.minimize(
-                slsqp_fun,
-                slsqp_start,
-                method="SLSQP",
-                jac=jacobian,
-                bounds=slsqp_bounds,
-                constraints=constraints,
-                options={"maxiter": options.maxiter, "ftol": options.tolerance},
-            )
-        except (ValueError, OverflowError, FloatingPointError):  # pragma: no cover
+        if outcome is None:
             return
-        x = problem.clip(expand(np.asarray(result.x, dtype=float)))
+        x, success, run_message = outcome
         if not problem.is_feasible(x, tolerance=1e-5):
             return
         value = problem.objective(x)
-        any_success = any_success or bool(result.success)
+        any_success = any_success or success
         if value < best_value:
             best_value = value
             best_x = x
-            message = str(result.message)
+            message = run_message
 
     polished = 0
-    for start in starts:
-        polish(start)
-        polished += 1
-        if problem.single_basin and best_x is not None:
-            # One basin: the first feasible local minimum is the minimum.
-            break
+    if problem.polish_all:
+        for outcome in polish(starts):
+            keep_best(outcome)
+        polished = len(starts)
+    else:
+        for start in starts:
+            keep_best(polish([start])[0])
+            polished += 1
+            if problem.single_basin and best_x is not None:
+                # One basin: the first feasible local minimum is the minimum.
+                break
 
     # Adaptive rescue for screened-out starts.  (a) If no kept run produced
     # a feasible point, polish the remainder so screening can never flip
@@ -605,7 +810,7 @@ def minimize_from_starts(
     # polishes that cannot meaningfully improve the result.
     for start, score in screened_out:
         if best_x is None or score < float(np.log(max(best_value, 1e-300))) - 0.02:
-            polish(start)
+            keep_best(polish([start])[0])
             polished += 1
 
     if best_x is None:
@@ -615,7 +820,7 @@ def minimize_from_starts(
             message = "fallback projected random search"
         else:
             # Last resort: return the most conservative corner (all lower bounds).
-            best_x = np.array([b[0] for b in problem.bounds], dtype=float)
+            best_x = problem.lows.copy()
             best_value = problem.objective(best_x)
             message = "no feasible point found; returned lower-bound corner"
 

@@ -10,6 +10,9 @@ Three layers of guarantees are pinned here, none of them host-dependent:
 * the multistart driver returns bitwise the same solution whether a
   problem carries batched evaluators (batched finite-difference
   jacobians) or leaves differencing to scipy;
+* the local SLSQP driver over scipy's kernel takes bitwise the trajectory
+  ``scipy.optimize.minimize`` takes with the same jacobians, on the
+  optimizer's real problems, and lockstep polishes equal solo ones;
 * solver edge cases (infeasible capacity, 1-extent loops, stride and
   dilation > 1) produce valid configurations.
 """
@@ -18,6 +21,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import optimize
+
+import repro.core.optimizer as optimizer_module
 
 from repro.core.batched import (
     BatchedCostTable,
@@ -37,12 +43,17 @@ from repro.core.pruning import all_permutations, pruned_representatives
 from repro.core.solver import (
     ConstrainedProblem,
     SolverOptions,
+    _fd_sweep,
+    _slsqp_lockstep,
     minimize_constrained,
     minimize_from_starts,
     solve_single_level,
     solve_single_level_batch,
+    solver_stats,
 )
 from repro.core.tensor_spec import LOOP_INDICES, ConvSpec
+from repro.machine.presets import coffee_lake_i7_9700k
+from repro.workloads.benchmarks import benchmark_by_name
 
 QUICK = SolverOptions(multistarts=0, maxiter=40, fallback_samples=50)
 
@@ -373,3 +384,229 @@ class TestBatchedMultistartDriver:
         assert result.x[0] == pytest.approx(3.0, abs=1e-4)
         assert result.x[1] == pytest.approx(5.0, abs=1e-4)
         assert result.starts_tried == 2
+
+
+# ----------------------------------------------------------------------
+# The local SLSQP driver and lockstep polishes
+# ----------------------------------------------------------------------
+def _stats_delta(before):
+    after = solver_stats()
+    return {key: after[key] - before[key] for key in after}
+
+
+@pytest.fixture(scope="module")
+def r3_problems():
+    """Every solver problem of one permutation class of a cold R3 solve on
+    the i7-9700k (select and refine of each round), with the solver
+    counters the solve moved."""
+    captured = []
+    real = optimizer_module.minimize_from_starts
+
+    def capture(problem, starts, options):
+        captured.append((problem, [np.asarray(s, dtype=float) for s in starts], options))
+        return real(problem, starts, options)
+
+    spec = benchmark_by_name("R3")
+    settings = OptimizerSettings(permutation_class_names=("inner-w",))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer_module, "minimize_from_starts", capture)
+        before = solver_stats()
+        MOptOptimizer(coffee_lake_i7_9700k(), settings).optimize(spec)
+        delta = _stats_delta(before)
+    return captured, delta
+
+
+def _scipy_polish_oracle(problem, start, options):
+    """The old path: ``scipy.optimize.minimize`` over the pinned-reduced
+    problem with the batched jacobians supplied as callables."""
+    free = problem.lows != problem.highs
+
+    def expand(reduced):
+        full = problem.lows.copy()
+        full[free] = reduced
+        return full
+
+    base = abs(problem.objective(start))
+    scale = base if base > 0 else 1.0
+
+    def jacobian(reduced):
+        x = expand(np.asarray(reduced, dtype=float))
+        ((values, dx, _, _),) = _fd_sweep(problem, [(x, x)])
+        scaled = np.concatenate(([float(problem.objective(x))], values)) / scale
+        pinned = dx == 0.0
+        safe = np.where(pinned, 1.0, dx)
+        return np.where(pinned, 0.0, (scaled[1:] - scaled[0]) / safe)[free]
+
+    def constraint_jacobian(reduced):
+        x = problem.clip(expand(np.asarray(reduced, dtype=float)))
+        ((_, _, cons, dx),) = _fd_sweep(problem, [(x, x)])
+        base_cons = np.atleast_1d(problem.inequalities[0](x))
+        pinned = dx == 0.0
+        safe = np.where(pinned, 1.0, dx)
+        return np.where(pinned[:, None], 0.0, (cons - base_cons) / safe[:, None]).T[
+            :, free
+        ]
+
+    result = optimize.minimize(
+        lambda reduced: problem.objective(expand(np.asarray(reduced, dtype=float)))
+        / scale,
+        start[free],
+        method="SLSQP",
+        jac=jacobian,
+        bounds=[b for b, keep in zip(problem.bounds, free) if keep],
+        constraints=[
+            {
+                "type": "ineq",
+                "fun": lambda reduced: problem.inequalities[0](
+                    expand(np.asarray(reduced, dtype=float))
+                ),
+                "jac": constraint_jacobian,
+            }
+        ],
+        options={"maxiter": options.maxiter, "ftol": options.tolerance},
+    )
+    return problem.clip(expand(result.x)), bool(result.success), str(result.message)
+
+
+class TestSlsqpDriver:
+    def test_captured_every_round(self, r3_problems):
+        captured, _ = r3_problems
+        assert any(problem.single_basin for problem, _, _ in captured)
+        assert any(problem.polish_all for problem, _, _ in captured)
+        # R3 is a 1x1 convolution at batch 1: n, r and s are pinned.
+        assert all((p.lows == p.highs).any() for p, _, _ in captured)
+
+    def test_driver_matches_scipy_minimize(self, r3_problems):
+        """The driver feeds scipy's kernel exactly what scipy's own loop
+        does: bitwise the same ``x`` and exit message from every start of
+        every real problem (a scipy release that changes the kernel
+        protocol fails here)."""
+        captured, _ = r3_problems
+        runs = 0
+        for problem, starts, options in captured:
+            for start in starts:
+                start = problem.clip(start)
+                expected = _scipy_polish_oracle(problem, start, options)
+                (got,) = _slsqp_lockstep(problem, [start], options)
+                assert got[0].tobytes() == expected[0].tobytes()
+                assert got[1:] == expected[1:]
+                runs += 1
+        assert runs >= 10
+
+    def test_lockstep_equals_solo_polishes(self, r3_problems):
+        captured, _ = r3_problems
+        refines = [item for item in captured if item[0].polish_all]
+        assert refines
+        for problem, starts, options in refines:
+            lockstep = minimize_from_starts(problem, starts, options)
+            # Neither declaration and no screening: every start is polished
+            # alone, in order, and the best kept by the same rule.
+            solo = minimize_from_starts(
+                replace(problem, polish_all=False),
+                starts,
+                replace(options, polish_starts=0),
+            )
+            assert lockstep.x.tobytes() == solo.x.tobytes()
+            assert lockstep.value == solo.value
+            assert lockstep.message == solo.message
+            assert lockstep.starts_tried == solo.starts_tried == len(starts)
+
+    def test_counters_show_shared_sweeps(self, r3_problems):
+        captured, delta = r3_problems
+        assert delta["slsqp_runs"] > 0
+        assert 0 < delta["fd_sweeps"] < delta["gradient_requests"]
+        problem, starts, options = next(item for item in captured if item[0].single_basin)
+        before = solver_stats()
+        minimize_from_starts(problem, starts, options)
+        select = _stats_delta(before)
+        assert select["slsqp_runs"] >= 1
+        assert select["fd_sweeps"] == select["gradient_requests"] > 0
+
+
+def _bowl_problem(**overrides):
+    """A smooth batched problem whose three starts all polish cleanly."""
+
+    def objective(x):
+        return float((x[0] - 3.0) ** 2 + (x[1] - 5.0) ** 2 + x[0] * x[1] / 10.0)
+
+    def constraints(x):
+        return np.array([(40.0 - x[0] * x[1]) / 40.0])
+
+    fields = dict(
+        batch_objective=lambda points: np.array([objective(p) for p in points]),
+        batch_inequalities=lambda points: np.array([constraints(p) for p in points]),
+        polish_all=True,
+    )
+    fields.update(overrides)
+    return ConstrainedProblem(
+        fields.pop("objective", objective),
+        (constraints,),
+        ((1.0, 10.0), (1.0, 10.0)),
+        **fields,
+    )
+
+
+class TestLockstepFailures:
+    STARTS = [np.array([2.0, 2.0]), np.array([9.0, 1.5]), np.array([5.0, 8.0])]
+    OPTIONS = SolverOptions(maxiter=60)
+
+    @pytest.mark.parametrize("where", ["objective", "sweep"])
+    def test_raising_start_drops_only_itself(self, where):
+        bad = self.STARTS[1]
+        healthy = _bowl_problem()
+
+        def near_bad(point):
+            return bool(np.all(np.abs(np.asarray(point) - bad) < 1e-3))
+
+        if where == "objective":
+
+            def objective(x):
+                if near_bad(x):
+                    raise FloatingPointError("overflow at the bad start")
+                return healthy.objective(x)
+
+            faulty = _bowl_problem(objective=objective)
+        else:
+
+            def batch_objective(points):
+                if any(near_bad(p) for p in points):
+                    raise FloatingPointError("overflow in the shared sweep")
+                return healthy.batch_objective(points)
+
+            faulty = _bowl_problem(batch_objective=batch_objective)
+        expected = minimize_from_starts(
+            healthy, [self.STARTS[0], self.STARTS[2]], self.OPTIONS
+        )
+        got = minimize_from_starts(faulty, self.STARTS, self.OPTIONS)
+        assert expected.feasible
+        assert got.x.tobytes() == expected.x.tobytes()
+        assert got.value == expected.value
+        assert got.message == expected.message
+        assert got.starts_tried == len(self.STARTS)
+
+    def test_every_variable_pinned(self):
+        """Empty reduced bounds: the run is dropped (as scipy's loop fails
+        on it) and the fallback search returns the pinned point."""
+        problem = ConstrainedProblem(
+            lambda x: float(x[0] * x[1]),
+            (lambda x: np.array([1.0 - x[0] / 10.0]),),
+            ((2.0, 2.0), (3.0, 3.0)),
+            batch_objective=lambda points: points[:, 0] * points[:, 1],
+            batch_inequalities=lambda points: (1.0 - points[:, 0] / 10.0)[:, None],
+            polish_all=True,
+        )
+        before = solver_stats()
+        result = minimize_from_starts(problem, [np.array([2.0, 3.0])], self.OPTIONS)
+        assert result.x.tolist() == [2.0, 3.0]
+        assert result.feasible
+        assert result.message == "fallback projected random search"
+        assert _stats_delta(before)["gradient_requests"] == 0
+
+    def test_batched_problem_needs_one_batched_inequality(self):
+        with pytest.raises(ValueError, match="batch_inequalities"):
+            ConstrainedProblem(
+                lambda x: 0.0,
+                (lambda x: np.ones(1),),
+                ((0.0, 1.0),),
+                batch_objective=lambda points: np.zeros(len(points)),
+            )

@@ -363,7 +363,13 @@ class TestServingStatsProbe:
             "compile_cache",
             "batched_table_cache",
             "solve_pool",
+            "solver",
             "reliability",
         }
         for key in ("hits", "misses", "size", "maxsize"):
             assert key in stats["compile_cache"]
+        assert set(stats["solver"]) == {
+            "slsqp_runs",
+            "gradient_requests",
+            "fd_sweeps",
+        }

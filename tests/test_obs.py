@@ -537,7 +537,7 @@ class TestSessionIntegration:
             stats = session.performance_stats()
             assert set(stats) == {
                 "compile_cache", "batched_table_cache",
-                "solve_pool", "reliability",
+                "solve_pool", "solver", "reliability",
             }
             assert stats["reliability"]["cache"] == {
                 "quarantined": 0, "write_errors": 0, "degraded": False,
