@@ -42,7 +42,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..obs.metrics import REGISTRY as _METRICS_REGISTRY
 from .config import TilingConfig
@@ -380,6 +380,124 @@ def matmul_reference_volume(
 
 
 # ----------------------------------------------------------------------
+# Generated evaluators
+# ----------------------------------------------------------------------
+_GENERATED_LOCK = threading.Lock()
+_GENERATED = {"evaluator_compiles": 0}
+
+
+def compile_generated(source: str, name: str):
+    """Compile generated Python source and return the function ``name`` it defines.
+
+    The per-point evaluators of the solver are straight-line code
+    generated from the structure of a plan or a round problem only; the
+    numbers they use are passed to the defined (factory) function and
+    bound as closure constants, so the same source serves every operator,
+    machine and class of that structure.  The text stays readable on the
+    returned function's ``source`` attribute.
+    """
+    namespace: Dict[str, object] = {}
+    exec(compile(source, f"<generated {name}>", "exec"), namespace)
+    function = namespace[name]
+    function.source = source
+    with _GENERATED_LOCK:
+        _GENERATED["evaluator_compiles"] += 1
+    return function
+
+
+def evaluator_compiles() -> int:
+    """Generated evaluator sources compiled in this process."""
+    with _GENERATED_LOCK:
+        return _GENERATED["evaluator_compiles"]
+
+
+def _plan_source(plans, unit_stride: bool, unit_dilation: bool) -> str:
+    """Source of ``make(stride, dilation) -> (volume_floats, footprint_floats)``.
+
+    The generated functions perform exactly the IEEE-754 operations of
+    the row evaluators, in the same order: the running product of ratios
+    ``1.0 * r_a * r_b`` is emitted as ``r_a * r_b`` (``1.0 * x`` is
+    exact), a case-1 factor of 1.0 is dropped the same way, and a unit
+    stride or dilation is not multiplied (``x * 1`` is exact).  ``min`` /
+    ``max`` become the conditional expressions CPython evaluates for them
+    (the first argument wins ties).
+    """
+    names = {position: index for position, index in enumerate(LOOP_INDICES)}
+
+    def times(value: str, factor: str, unit: bool) -> str:
+        return value if unit else f"{value} * {factor}"
+
+    stride_h = times("(t_h - 1)", "stride", unit_stride)
+    stride_w = times("(t_w - 1)", "stride", unit_stride)
+    dil_r = times("(t_r - 1)", "dilation", unit_dilation)
+    dil_s = times("(t_s - 1)", "dilation", unit_dilation)
+    tiles = ", ".join(f"t_{i}" for i in LOOP_INDICES)
+    lines = [
+        "def make(stride, dilation):",
+        "    def volume_floats(problem, tiles):",
+        f"        {', '.join(f'p_{i}' for i in LOOP_INDICES)} = problem",
+        f"        {tiles} = tiles",
+        f"        ext_h = {stride_h} + {dil_r} + 1",
+        f"        ext_w = {stride_w} + {dil_s} + 1",
+    ]
+    ratios = sorted(
+        {position for _, idx, _, _ in plans for position in idx}
+        | {iterator for _, _, partial, iterator in plans if partial}
+    )
+    for position in ratios:
+        index = names[position]
+        lines.append(f"        r_{index} = p_{index} / t_{index}")
+    footprints = {
+        "Out": "t_n * t_k * t_h * t_w",
+        "Ker": "t_k * t_c * t_r * t_s",
+        "In": "t_n * t_c * ext_h * ext_w",
+    }
+    terms = []
+    for tensor, idx, partial, iterator in plans:
+        name = tensor.lower()
+        product = " * ".join(f"r_{names[position]}" for position in idx)
+        lines.append(f"        fp_{name} = {footprints[tensor]}")
+        if partial:
+            index = names[iterator]
+            lines.append(f"        steps = r_{index} - 1.0")
+            lines.append("        steps = 0.0 if 0.0 > steps else steps")
+            if index in ("w", "h"):
+                shift = times(f"t_{index}", "stride", unit_stride)
+            else:
+                shift = times(f"t_{index}", "dilation", unit_dilation)
+            extent = "ext_w" if index in ("w", "s") else "ext_h"
+            lines.append(f"        shift = {shift}")
+            lines.append(f"        shift = shift if shift < {extent} else {extent}")
+            if extent == "ext_w":
+                extra = "t_n * t_c * ext_h * shift * steps"
+            else:
+                extra = "t_n * t_c * shift * ext_w * steps"
+            body = f"({extra} + fp_{name})"
+            value = f"({product}) * {body}" if product else body
+        elif tensor == "Out":
+            factor = repr(OUT_TRAFFIC_FACTOR)
+            value = f"{factor} * ({product})" if product else factor
+            value = f"{value} * fp_{name}"
+        else:
+            value = f"({product}) * fp_{name}" if product else f"fp_{name}"
+        lines.append(f"        v_{name} = {value}")
+        terms.append(f"v_{name}")
+    lines += [
+        f"        return 0.0 + {' + '.join(terms)}",
+        "",
+        "    def footprint_floats(tiles):",
+        f"        {tiles} = tiles",
+        f"        ext_h = {stride_h} + {dil_r} + 1",
+        f"        ext_w = {stride_w} + {dil_s} + 1",
+        f"        return {footprints['Out']} + {footprints['Ker']} + {footprints['In']}",
+        "",
+        "    return volume_floats, footprint_floats",
+        "",
+    ]
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
 # Compiled cost model (fast repeated evaluation inside the solver)
 # ----------------------------------------------------------------------
 class CompiledPermutationCost:
@@ -391,9 +509,13 @@ class CompiledPermutationCost:
     the permutation analysis (reuse positions, case selection) once and then
     evaluates the volume and the combined footprint in two forms, both
     ordered like :data:`LOOP_INDICES`: per point on plain float sequences
-    (``volume_floats``/``footprint_floats``, SLSQP's line search) and per
-    ``(M, 7)`` row matrix (``volume_rows``/``footprint_rows``, the batched
-    finite-difference sweeps).  The two forms perform the same IEEE-754
+    (``volume_floats(problem, tiles)``/``footprint_floats(tiles)``, SLSQP's
+    line search) and per ``(M, 7)`` row matrix
+    (``volume_rows``/``footprint_rows``, the batched finite-difference
+    sweeps).  The per-point pair is generated straight-line Python (see
+    :func:`_plan_source`; the text is on ``volume_floats.source``) with
+    the reuse positions, the partial-reuse case and unit strides resolved
+    at generation time.  The two forms perform the same IEEE-754
     operations in the same order, so they agree bitwise row for row; the
     generic :func:`volume_general` / :func:`combined_footprint` remain the
     independent reference they are tested against.
@@ -433,60 +555,11 @@ class CompiledPermutationCost:
             for tensor, idx, partial, iterator in self._array_plans
         ]
         self._iterator_name = {self._POS[i]: i for i in LOOP_INDICES}
-
-    # -- pure-float interface (per-point evaluations inside SLSQP) ---------
-    def volume_floats(self, problem, tiles) -> float:
-        """Total volume on plain Python float sequences in LOOP_INDICES order.
-
-        No NumPy scalars are materialized, which keeps single-point
-        evaluations (SLSQP's line search) cheap.
-        """
-        p = self._p
-        stride, dilation = self.stride, self.dilation
-        t_n, t_k, t_c = tiles[p["n"]], tiles[p["k"]], tiles[p["c"]]
-        t_r, t_s, t_h, t_w = tiles[p["r"]], tiles[p["s"]], tiles[p["h"]], tiles[p["w"]]
-        ext_h = (t_h - 1) * stride + (t_r - 1) * dilation + 1
-        ext_w = (t_w - 1) * stride + (t_s - 1) * dilation + 1
-        footprints = {
-            "Out": t_n * t_k * t_h * t_w,
-            "Ker": t_k * t_c * t_r * t_s,
-            "In": t_n * t_c * ext_h * ext_w,
-        }
-        total = 0.0
-        for tensor, idx, partial, iterator in self._float_plans:
-            product = 1.0
-            for position in idx:
-                product *= problem[position] / tiles[position]
-            footprint = footprints[tensor]
-            if partial:
-                steps = max(problem[iterator] / tiles[iterator] - 1.0, 0.0)
-                name = self._iterator_name[iterator]
-                if name == "w":
-                    extra = t_n * t_c * ext_h * min(ext_w, t_w * stride) * steps
-                elif name == "s":
-                    extra = t_n * t_c * ext_h * min(ext_w, t_s * dilation) * steps
-                elif name == "h":
-                    extra = t_n * t_c * min(ext_h, t_h * stride) * ext_w * steps
-                else:
-                    extra = t_n * t_c * min(ext_h, t_r * dilation) * ext_w * steps
-                total += product * (extra + footprint)
-            else:
-                factor = OUT_TRAFFIC_FACTOR if tensor == "Out" else 1.0
-                total += factor * product * footprint
-        return total
-
-    def footprint_floats(self, tiles) -> float:
-        """Combined footprint on a plain float sequence (capacity-constraint
-        left-hand side)."""
-        p = self._p
-        stride, dilation = self.stride, self.dilation
-        ext_h = (tiles[p["h"]] - 1) * stride + (tiles[p["r"]] - 1) * dilation + 1
-        ext_w = (tiles[p["w"]] - 1) * stride + (tiles[p["s"]] - 1) * dilation + 1
-        return (
-            tiles[p["n"]] * tiles[p["k"]] * tiles[p["h"]] * tiles[p["w"]]
-            + tiles[p["k"]] * tiles[p["c"]] * tiles[p["r"]] * tiles[p["s"]]
-            + tiles[p["n"]] * tiles[p["c"]] * ext_h * ext_w
+        make = compile_generated(
+            _plan_source(self._float_plans, stride == 1, dilation == 1), "make"
         )
+        self.volume_floats, self.footprint_floats = make(stride, dilation)
+        self.volume_floats.source = self.footprint_floats.source = make.source
 
     # -- row-batched interface (batched finite-difference sweeps) ---------
     def volume_rows(self, problem, tiles):
@@ -651,6 +724,11 @@ class CompileCache:
     stride/dilation combinations now evicts least-recently-used plans at
     ``maxsize`` instead of growing without limit, and the hit/miss/eviction
     counters feed the serving stats probe.
+
+    Beside the plans it keeps the generated round-problem code of the
+    optimizer (:meth:`generated`), keyed by round structure only, under
+    the same lock and bound; :meth:`clear` drops both, so a cleared cache
+    is cold for code generation too.  The counters count plans only.
     """
 
     def __init__(self, maxsize: int = 256):
@@ -658,6 +736,7 @@ class CompileCache:
             raise ValueError("CompileCache maxsize must be positive")
         self.maxsize = int(maxsize)
         self._entries: "OrderedDict[Tuple, CompiledPermutationCost]" = OrderedDict()
+        self._code: "OrderedDict[Tuple, Callable]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -688,6 +767,24 @@ class CompileCache:
                 self._evictions += 1
         return compiled
 
+    def generated(self, key: Tuple, build: Callable[[], Callable]) -> Callable:
+        """The generated code for one structure ``key``, built on first use.
+
+        ``build`` must depend on ``key`` alone (never on the numbers of a
+        request); like :meth:`get` it runs outside the lock.
+        """
+        with self._lock:
+            code = self._code.get(key)
+            if code is not None:
+                self._code.move_to_end(key)
+                return code
+        code = build()
+        with self._lock:
+            code = self._code.setdefault(key, code)
+            while len(self._code) > self.maxsize:
+                self._code.popitem(last=False)
+        return code
+
     def stats(self) -> Dict[str, int]:
         """Hit/miss/size counters (serving stats probe payload)."""
         with self._lock:
@@ -703,6 +800,7 @@ class CompileCache:
         """Drop all entries and reset the counters."""
         with self._lock:
             self._entries.clear()
+            self._code.clear()
             self._hits = self._misses = self._evictions = 0
 
     def __len__(self) -> int:

@@ -48,8 +48,10 @@ from ..obs.trace import span as _span
 from .capacity import level_capacities
 from .config import MultiLevelConfig, TilingConfig
 from .cost_model import (
+    DEFAULT_COMPILE_CACHE,
     CompileCache,
     CompiledPermutationCost,
+    compile_generated,
     compiled_cost_for,
 )
 from .loadbalance import integerize_config
@@ -386,11 +388,21 @@ class MOptOptimizer:
                 for i in LOOP_INDICES
             }
 
+        cache = self.compile_cache
+        if cache is None:
+            cache = DEFAULT_COMPILE_CACHE
         not_visited = [level for level in levels if level not in fixed]
         warm: Optional[Dict[str, Dict[str, float]]] = None
         while not_visited:
             round_ = _RoundEvaluator(
-                compiled, levels, extents, capacities, bandwidths, fixed, not_visited
+                compiled,
+                levels,
+                extents,
+                capacities,
+                bandwidths,
+                fixed,
+                not_visited,
+                cache,
             )
             if len(not_visited) > 1:
                 # Selection solve: the epigraph min-max identifies the
@@ -449,11 +461,9 @@ class MOptOptimizer:
         coordinates), so the solver polishes the best-ranked start only and
         the screened and exact solver modes coincide bitwise.
 
-        The level times, footprints and bounds come from the round's shared
-        evaluator; this solve only maps its log coordinates onto it and
-        assembles the epigraph constraints, per point (SLSQP's line search)
-        and per ``(M, D)`` point matrix (the batched finite-difference
-        sweep).
+        The problem itself (level times, footprints, the log-space nesting
+        and epigraph constraints) comes from the round's shared evaluator;
+        this solve picks the bounds and the starts.
 
         Returns the per-level times at the solution and the per-level tile
         sizes (free and fixed).
@@ -535,7 +545,7 @@ class MOptOptimizer:
             # Round-trip through log space so the scored bottleneck value is
             # exactly the one the solver's constraints see at this start.
             log_tiles = np.log(clipped)
-            tau_start = max(round_.level_times(np.exp(log_tiles)).values())
+            tau_start = max(round_.level_times(np.exp(log_tiles)))
             scored_starts.append((tau_start, order_index, log_tiles))
         scored_starts.sort(key=lambda item: (item[0], item[1]))
 
@@ -556,54 +566,12 @@ class MOptOptimizer:
         # One inequality function: capacity constraints of the free levels,
         # nesting between adjacent levels that involve a free level (linear
         # in log coordinates), and ``v`` dominating every level's log-time.
-        fixed_logs = {level: np.log(array) for level, array in round_.fixed.items()}
-        fixed_log_floats = {level: array.tolist() for level, array in fixed_logs.items()}
-
-        def objective(x: np.ndarray) -> float:
-            return float(np.asarray(x, dtype=float)[-1])
-
-        @_memoized
-        def constraints(x: np.ndarray) -> np.ndarray:
-            y = x[:-1]
-            v = float(x[-1])
-            tiles_vector = np.exp(y)
-            logs = round_.split(y.tolist(), fixed_log_floats)
-            values = round_.capacity_slacks(tiles_vector.tolist())
-            for inner_level, outer_level in round_.nesting_pairs:
-                outer_y, inner_y = logs[outer_level], logs[inner_level]
-                values.extend(outer_y[j] - inner_y[j] for j in range(7))
-            times = round_.level_times(tiles_vector)
-            for level in level_order:
-                values.append(v - float(np.log(times[level])))
-            return np.array(values)
-
-        def batch_objective(points: np.ndarray) -> np.ndarray:
-            return np.asarray(points, dtype=float)[:, -1]
-
-        def batch_constraints(points: np.ndarray) -> np.ndarray:
-            points = np.asarray(points, dtype=float)
-            y_points = points[:, :-1]
-            times, slacks = round_.batch(np.exp(y_points))
-            logs = round_.rows_by_level(y_points, fixed_logs)
-            nesting = [
-                logs[outer_level] - logs[inner_level]
-                for inner_level, outer_level in round_.nesting_pairs
-            ]
-            dominance = points[:, -1:] - np.log(times).T
-            return np.concatenate([slacks] + nesting + [dominance], axis=1)
-
-        problem = ConstrainedProblem(
-            objective,
-            (constraints,),
-            tuple(log_bounds),
-            batch_objective=batch_objective,
-            batch_inequalities=batch_constraints,
-            single_basin=True,
-        )
+        problem = round_.problem("select", log_bounds, single_basin=True)
         result = minimize_from_starts(problem, starts, self.settings.solver)
 
         tiles_vector = np.exp(np.asarray(result.x, dtype=float)[:-1])
-        return round_.level_times(tiles_vector), round_.tiles_by_level(tiles_vector)
+        times = dict(zip(level_order, round_.level_times(tiles_vector)))
+        return times, round_.tiles_by_level(tiles_vector)
 
     # ------------------------------------------------------------------
     def _refine_solve(
@@ -638,7 +606,7 @@ class MOptOptimizer:
         this path) and the result is independent of the solver seed.  The
         three polishes run in lockstep on the solver's SLSQP driver, so
         each step's gradients cost one batched sweep over the probe rows
-        of all three runs (``batch_eval`` below sees the stacked rows).
+        of all three runs.
 
         ``dominate=False`` skips the dominance-constrained solve and goes
         straight to the relaxed problem.  The caller passes it on the final
@@ -648,84 +616,6 @@ class MOptOptimizer:
         almost always infeasible — solving it first just to discard it
         roughly doubled the cost of every final round.
         """
-        level_order = round_.level_order
-        extents = round_.extents
-        extents_list = round_.extents_list
-        objective_index = level_order.index(objective_level)
-        other_levels = [level for level in level_order if level != objective_level]
-        other_indices = [level_order.index(level) for level in other_levels]
-
-        def objective(x: np.ndarray) -> float:
-            return round_.level_times(np.asarray(x, dtype=float))[objective_level]
-
-        # Capacity constraints of the free levels and nesting between
-        # adjacent levels that involve a free level; the hypothesis problem
-        # adds the dominance of the objective level over every other level.
-        def relaxed_values(x: np.ndarray) -> List[float]:
-            flat = x.tolist()
-            tiles = round_.split(flat)
-            values = round_.capacity_slacks(flat)
-            for inner_level, outer_level in round_.nesting_pairs:
-                values.extend(
-                    [
-                        (outer - inner) / extent
-                        for outer, inner, extent in zip(
-                            tiles[outer_level], tiles[inner_level], extents_list
-                        )
-                    ]
-                )
-            return values
-
-        @_memoized
-        def constraints(x: np.ndarray) -> np.ndarray:
-            values = relaxed_values(x)
-            times = round_.level_times(x)
-            obj_time = times[objective_level]
-            scale = max(obj_time, 1e-30)
-            for level in other_levels:
-                values.append((obj_time - times[level]) / scale)
-            return np.array(values)
-
-        def relaxed_constraints(x: np.ndarray) -> np.ndarray:
-            return np.array(relaxed_values(np.asarray(x, dtype=float)))
-
-        # One-slot memo: the FD sweep asks for the objective and the
-        # constraint values of the same point matrix back to back.
-        memo: Dict[str, object] = {}
-
-        def batch_eval(points: np.ndarray):
-            points = np.asarray(points, dtype=float)
-            key = points.tobytes()
-            if memo.get("key") == key:
-                return memo["value"]
-            times, slacks = round_.batch(points)
-            tiles = round_.rows_by_level(points, round_.fixed)
-            relaxed_columns = np.concatenate(
-                [slacks]
-                + [
-                    (tiles[outer_level] - tiles[inner_level]) / extents
-                    for inner_level, outer_level in round_.nesting_pairs
-                ],
-                axis=1,
-            )
-            objective_times = times[objective_index]
-            scale = np.maximum(objective_times, 1e-30)
-            dominance = ((objective_times - times[other_indices]) / scale).T
-            full_columns = np.concatenate([relaxed_columns, dominance], axis=1)
-            value = (objective_times, relaxed_columns, full_columns)
-            memo["key"] = key
-            memo["value"] = value
-            return value
-
-        def batch_objective(points: np.ndarray) -> np.ndarray:
-            return batch_eval(points)[0]
-
-        def batch_full(points: np.ndarray) -> np.ndarray:
-            return batch_eval(points)[2]
-
-        def batch_relaxed(points: np.ndarray) -> np.ndarray:
-            return batch_eval(points)[1]
-
         lows_arr, highs_arr = round_.lows, round_.highs
         bounds = tuple(zip(lows_arr.tolist(), highs_arr.tolist()))
         refine_starts = [
@@ -734,15 +624,13 @@ class MOptOptimizer:
             highs_arr.copy(),
         ]
 
+        # Capacity constraints of the free levels and nesting between
+        # adjacent levels that involve a free level; the hypothesis problem
+        # adds the dominance of the objective level over every other level.
         result = None
         if dominate:
-            problem = ConstrainedProblem(
-                objective,
-                (constraints,),
-                bounds,
-                batch_objective=batch_objective,
-                batch_inequalities=batch_full,
-                polish_all=True,
+            problem = round_.problem(
+                "refine", bounds, objective_level, polish_all=True
             )
             result = minimize_from_starts(problem, refine_starts, self.settings.solver)
         if result is None or not result.feasible:
@@ -750,13 +638,8 @@ class MOptOptimizer:
             # simply be unsatisfiable for this permutation (that level can
             # never be the bottleneck).  Re-solve without the dominance
             # constraints so the returned tiles are still sensible.
-            relaxed = ConstrainedProblem(
-                objective,
-                (relaxed_constraints,),
-                bounds,
-                batch_objective=batch_objective,
-                batch_inequalities=batch_relaxed,
-                polish_all=True,
+            relaxed = round_.problem(
+                "relaxed", bounds, objective_level, polish_all=True
             )
             result = minimize_from_starts(relaxed, refine_starts, self.settings.solver)
 
@@ -814,46 +697,188 @@ class MOptOptimizer:
         )
 
 
-def _memoized(function):
-    """Memoize a per-point callable on the raw bytes of its point.
-
-    SLSQP evaluates the constraints at every iterate, and the batched
-    finite-difference sweep asks for the same iterate's base row again.
-    """
-    memo: Dict[bytes, np.ndarray] = {}
-
-    def wrapper(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        cached = memo.get(key)
-        if cached is None:
-            if len(memo) > 4096:
-                memo.clear()
-            cached = memo[key] = function(x)
-        return cached
-
-    return wrapper
-
-
 #: Key of the problem extents, the "tile" above the outermost level.
 _WHOLE = "__whole__"
 
 
+def _round_source(kind: str, objective: Optional[int], free: Tuple[bool, ...]) -> str:
+    """Source of one round problem's per-point evaluator factory.
+
+    ``free`` marks the free levels of the round in level order, ``kind``
+    is ``"select"`` (the log-space epigraph problem), ``"refine"`` (the
+    hypothesis problem with dominance) or ``"relaxed"`` (without it), and
+    ``objective`` is the hypothesis level's index.  The generated
+    ``make(vol, fp, exp, log, array, c)`` binds the plan's
+    ``volume_floats``/``footprint_floats`` and the round's numbers (the
+    dict ``c``) as closure constants and returns ``(point, times)``:
+    ``point(x) -> (objective, constraints)`` evaluates every level time,
+    capacity slack, nesting and dominance value of the problem in one
+    straight-line body, with the IEEE-754 operations, their order and the
+    NumPy ``exp``/``log`` calls of the row evaluators
+    (:meth:`_RoundEvaluator.batch` and the problem assembly around it),
+    so a point agrees bitwise with its row.  ``times(tiles)`` (select
+    only; else ``None``) returns the level times at a flat tile list.
+    Frozen level times, the counts of levels below a frozen level and the
+    frozen levels' tiles enter as constants.
+    """
+    count = len(free)
+    offsets: Dict[int, int] = {}
+    for index, is_free in enumerate(free):
+        if is_free:
+            offsets[index] = 7 * len(offsets)
+    used: List[str] = []
+
+    def const(name: str) -> str:
+        if name not in used:
+            used.append(name)
+        return name
+
+    def tile_list(index: int) -> str:
+        if index == count:
+            return const("W")
+        return f"A{index}" if free[index] else const(f"F{index}")
+
+    def scalar(index: int, j: int) -> str:
+        return f"a{index}_{j}" if free[index] else const(f"f{index}_{j}")
+
+    select = kind == "select"
+    needed = list(range(count)) if kind != "relaxed" else [objective]
+    unpack = set()  # free levels whose scalars the body reads
+    time_lines: List[str] = []
+    time_of: Dict[int, str] = {}
+    frozen = set()
+    for index in needed:
+        outer_free = index + 1 < count and free[index + 1]
+        if not free[index] and not outer_free:
+            time_of[index] = const(f"T{index}")
+            frozen.add(index)
+            continue
+        if outer_free:
+            unpack.add(index + 1)
+            ratios = [f"{const(f'E{j}')} / a{index + 1}_{j}" for j in range(7)]
+            counted = f"({' * '.join([ratios[0]] + [f'({r})' for r in ratios[1:]])})"
+        else:
+            counted = const(f"C{index}")
+        time_lines.append(
+            f"t{index} = vol({tile_list(index + 1)}, {tile_list(index)})"
+            f" * {counted} / {const(f'B{index}')}"
+        )
+        time_of[index] = f"t{index}"
+
+    values = [
+        f"({const(f'K{index}')} - fp(A{index})) / K{index}"
+        for index in range(count)
+        if free[index]
+    ]
+    for inner in range(count - 1):
+        outer = inner + 1
+        if not (free[inner] or free[outer]):
+            continue
+        for j in range(7):
+            if select:
+                outer_y = f"y{outer}_{j}" if free[outer] else const(f"g{outer}_{j}")
+                inner_y = f"y{inner}_{j}" if free[inner] else const(f"g{inner}_{j}")
+                values.append(f"{outer_y} - {inner_y}")
+            else:
+                for level in (inner, outer):
+                    if free[level]:
+                        unpack.add(level)
+                values.append(
+                    f"({scalar(outer, j)} - {scalar(inner, j)}) / {const(f'E{j}')}"
+                )
+    if select:
+        for index in range(count):
+            if index in frozen:
+                values.append(f"v - {const(f'LT{index}')}")
+            else:
+                values.append(f"v - float(log({time_of[index]}))")
+    elif kind == "refine":
+        values += [
+            f"({time_of[objective]} - {time_of[index]}) / scale"
+            for index in range(count)
+            if index != objective
+        ]
+
+    def tiles_prologue(flat: str) -> List[str]:
+        lines = [
+            f"A{index} = {flat}[{offset}:{offset + 7}]"
+            for index, offset in offsets.items()
+        ]
+        lines += [
+            f"{', '.join(f'a{index}_{j}' for j in range(7))} = A{index}"
+            for index in sorted(unpack)
+        ]
+        return lines
+
+    body: List[str] = []
+    if select:
+        body += ["y = x[:-1]", "v = float(x[-1])", "T = exp(y).tolist()"]
+        body += tiles_prologue("T")
+        body.append("Y = y.tolist()")
+        body += [
+            f"{', '.join(f'y{index}_{j}' for j in range(7))} = Y[{offset}:{offset + 7}]"
+            for index, offset in offsets.items()
+        ]
+        result = "v"
+    else:
+        body += ["X = x.tolist()"] + tiles_prologue("X")
+        result = time_of[objective]
+    body += time_lines
+    if kind == "refine":
+        body.append(f"scale = 1e-30 if 1e-30 > {result} else {result}")
+    body.append(f"return {result}, array([")
+    body += [f"    {value}," for value in values]
+    body.append("])")
+
+    lines = ["def make(vol, fp, exp, log, array, c):"]
+    lines += [f"    {name} = c[{name!r}]" for name in used]
+    lines.append("")
+    lines.append("    def point(x):")
+    lines += [f"        {line}" for line in body]
+    if select:
+        lines += ["", "    def times(T):"]
+        lines += [f"        {line}" for line in tiles_prologue("T") + time_lines]
+        returned = ", ".join(time_of[index] for index in range(count))
+        lines.append(f"        return [{returned}]")
+        lines += ["", "    return point, times", ""]
+    else:
+        lines += ["", "    return point, None", ""]
+    return "\n".join(lines)
+
+
+def _one_slot(point):
+    """Objective and constraint callables sharing one evaluation per point.
+
+    The solver asks for the objective and the constraints of each point
+    back to back; the slot holds the last point's pair.
+    """
+    slot: List[object] = [None, None]
+
+    def evaluate(x: np.ndarray):
+        key = x.tobytes()
+        if key != slot[0]:
+            slot[1] = point(x)
+            slot[0] = key
+        return slot[1]
+
+    return (lambda x: evaluate(x)[0]), (lambda x: evaluate(x)[1])
+
+
 class _RoundEvaluator:
-    """The cost model of one round of Algorithm 1, shared by its two solves.
+    """The cost model of one round of Algorithm 1, shared by its solves.
 
     A round freezes the levels solved so far and leaves ``not_visited``
     free.  The free tiles form the decision vector, concatenated in
     :data:`LOOP_INDICES` order per free level.  This object owns what the
-    epigraph selection solve and the hypothesis refine solve have in
-    common: the free/fixed levels, the tile bounds, and the per-level
-    bandwidth-scaled times and capacity slacks.  They are evaluated per
-    point on plain floats (memoized; SLSQP's line search) and per
-    ``(M, 7 * free)`` tile matrix in one fused ``volume_rows`` /
-    ``footprint_rows`` sweep (the batched finite-difference jacobians).
-    Both forms perform the same IEEE-754 operations in the same order, so
-    they agree bitwise.  Each solve keeps only its own coordinates (log
-    or linear tiles) and constraint assembly.
+    epigraph selection solve and the hypothesis refine solves have in
+    common: the free/fixed levels, the tile bounds, and the problems
+    themselves (:meth:`problem`).  Per point (SLSQP's line search) each
+    problem is one generated function (:func:`_round_source`, cached by
+    round structure in the compile cache); per ``(M, D)`` point matrix
+    (the batched finite-difference sweeps) it is one fused
+    ``volume_rows`` / ``footprint_rows`` sweep (:meth:`batch`) plus the
+    problem's constraint assembly.  Both forms perform the same IEEE-754
+    operations in the same order, so they agree bitwise.
     """
 
     def __init__(
@@ -865,8 +890,10 @@ class _RoundEvaluator:
         bandwidths: Mapping[str, float],
         fixed: Mapping[str, Mapping[str, float]],
         not_visited: Sequence[str],
+        cache: CompileCache,
     ):
         self.compiled = compiled
+        self._cache = cache
         self.level_order = list(levels)
         self.free_levels = list(not_visited)
         self.extents = np.array([extents[i] for i in LOOP_INDICES], dtype=float)
@@ -875,9 +902,7 @@ class _RoundEvaluator:
             level: np.array([values[i] for i in LOOP_INDICES], dtype=float)
             for level, values in fixed.items()
         }
-        self._fixed_floats = {
-            level: array.tolist() for level, array in self.fixed.items()
-        }
+        self._fixed_logs = {level: np.log(array) for level, array in self.fixed.items()}
         self._bandwidths = np.array(
             [bandwidths[level] for level in self.level_order], dtype=float
         )
@@ -885,6 +910,7 @@ class _RoundEvaluator:
         self._capacity_list = [capacities[level] for level in self.free_levels]
         self._capacity_column = np.array(self._capacity_list, dtype=float)[:, None]
         order = self.level_order
+        self._free_mask = tuple(level in self.free_levels for level in order)
         self._outer = [
             order[index + 1] if index + 1 < len(order) else _WHOLE
             for index in range(len(order))
@@ -917,23 +943,41 @@ class _RoundEvaluator:
             [self._boxes[level][1] for level in self.free_levels]
         )
 
-        # Levels whose own and outer tiles are both frozen (Reg in round
-        # 2; Reg and L1 in round 3) have the same time at every point.
-        frozen_tiles = dict(self._fixed_floats)
-        frozen_tiles[_WHOLE] = self.extents_list
-        self._time_plan: List[Tuple[str, str, float, Optional[float]]] = []
-        for level, outer_level, bandwidth in zip(
-            self.level_order, self._outer, self.bandwidth_list
-        ):
-            frozen = None
-            if level in frozen_tiles and outer_level in frozen_tiles:
-                frozen = self._level_time(frozen_tiles, level, outer_level, bandwidth)
-            self._time_plan.append((level, outer_level, bandwidth, frozen))
+        # Levels below a frozen level (or the whole problem) have a
+        # constant tile count; levels that are frozen themselves too have
+        # the same time at every point (Reg in round 2; Reg and L1 in
+        # round 3).
+        self._fixed_floats = {
+            level: array.tolist() for level, array in self.fixed.items()
+        }
+        outer_tiles = dict(self._fixed_floats)
+        outer_tiles[_WHOLE] = self.extents_list
+        self._counts: Dict[int, float] = {}
+        self._frozen_times: Dict[int, float] = {}
+        for index, (level, outer_level) in enumerate(zip(order, self._outer)):
+            outer = outer_tiles.get(outer_level)
+            if outer is None:
+                continue
+            counted = self.extents_list[0] / outer[0]
+            for j in range(1, 7):
+                counted *= self.extents_list[j] / outer[j]
+            self._counts[index] = counted
+            if level in self.fixed:
+                self._frozen_times[index] = (
+                    compiled.volume_floats(outer, self._fixed_floats[level])
+                    * counted
+                    / self.bandwidth_list[index]
+                )
 
-        self._times_memo: Dict[bytes, Dict[str, float]] = {}
         # Broadcast views of the fixed tiles / problem extents per batch
-        # size (almost always the FD sweep's D probes).
+        # size (almost always the FD sweep's probe count).
         self._broadcast: Dict[int, Dict[str, np.ndarray]] = {}
+        # One-slot memo of the refine row assembly: the FD sweep asks for
+        # the objective and the constraint values of one point matrix
+        # back to back.
+        self._rows_memo: Tuple[object, object] = (None, None)
+        self._all_levels = list(range(len(order)))
+        self._instances: Dict[Tuple, Tuple] = {}
 
     def box(self, level: str) -> Tuple[np.ndarray, np.ndarray]:
         """Coordinatewise (low, high) tile bounds of any level."""
@@ -942,59 +986,69 @@ class _RoundEvaluator:
             return array, array
         return self._boxes[level]
 
-    # -- per point (plain floats) ----------------------------------------
-    def split(self, flat: List[float], fixed: Optional[Mapping] = None) -> Dict:
-        """Per-level values: ``fixed`` (default: the fixed tiles) plus the
-        free levels' slices of the flat decision vector."""
-        by_level = dict(self._fixed_floats if fixed is None else fixed)
-        for position, level in enumerate(self.free_levels):
-            by_level[level] = flat[position * 7 : (position + 1) * 7]
-        return by_level
-
-    def _level_time(
-        self, tiles: Mapping, level: str, outer_level: str, bandwidth: float
-    ) -> float:
-        outer = tiles[outer_level]
+    # -- per point (generated code) --------------------------------------
+    def _constants(self) -> Dict[str, object]:
+        """The round's numbers under the names :func:`_round_source` uses."""
         extents = self.extents_list
-        volume = self.compiled.volume_floats(outer, tiles[level])
-        count = extents[0] / outer[0]
-        for j in range(1, 7):
-            count *= extents[j] / outer[j]
-        return volume * count / bandwidth
+        constants: Dict[str, object] = {"W": extents}
+        constants.update((f"E{j}", value) for j, value in enumerate(extents))
+        free_position = 0
+        for index, level in enumerate(self.level_order):
+            constants[f"B{index}"] = self.bandwidth_list[index]
+            if level in self.fixed:
+                tiles = self._fixed_floats[level]
+                logs = self._fixed_logs[level].tolist()
+                constants[f"F{index}"] = tiles
+                for j in range(7):
+                    constants[f"f{index}_{j}"] = tiles[j]
+                    constants[f"g{index}_{j}"] = logs[j]
+            else:
+                constants[f"K{index}"] = self._capacity_list[free_position]
+                free_position += 1
+            if index in self._counts:
+                constants[f"C{index}"] = self._counts[index]
+            if index in self._frozen_times:
+                time = self._frozen_times[index]
+                constants[f"T{index}"] = time
+                constants[f"LT{index}"] = float(np.log(time))
+        return constants
 
-    def level_times(self, tiles_vector: np.ndarray) -> Dict[str, float]:
-        """Bandwidth-scaled data time of every level at one tile vector."""
-        key = tiles_vector.tobytes()
-        cached = self._times_memo.get(key)
-        if cached is not None:
-            return cached
-        tiles = self.split(tiles_vector.tolist())
-        tiles[_WHOLE] = self.extents_list
-        times: Dict[str, float] = {}
-        for level, outer_level, bandwidth, frozen in self._time_plan:
-            times[level] = (
-                frozen
-                if frozen is not None
-                else self._level_time(tiles, level, outer_level, bandwidth)
-            )
-        if len(self._times_memo) > 4096:
-            self._times_memo.clear()
-        self._times_memo[key] = times
-        return times
+    def _generated(self, kind: str, objective: Optional[int] = None):
+        instance = self._instances.get((kind, objective))
+        if instance is not None:
+            return instance
+        key = ("round", kind, objective, self._free_mask)
+        make = self._cache.generated(
+            key,
+            lambda: compile_generated(
+                _round_source(kind, objective, self._free_mask), "make"
+            ),
+        )
+        compiled = self.compiled
+        instance = make(
+            compiled.volume_floats,
+            compiled.footprint_floats,
+            np.exp,
+            np.log,
+            np.array,
+            self._constants(),
+        )
+        self._instances[(kind, objective)] = instance
+        return instance
 
-    def capacity_slacks(self, flat: List[float]) -> List[float]:
-        """Normalized capacity slack ``(cap - footprint) / cap`` per free level."""
-        footprint = self.compiled.footprint_floats
-        return [
-            (cap - footprint(flat[position * 7 : (position + 1) * 7])) / cap
-            for position, cap in enumerate(self._capacity_list)
-        ]
+    def level_times(self, tiles_vector: np.ndarray) -> List[float]:
+        """Bandwidth-scaled data time of every level (level order) at one
+        tile vector."""
+        return self._generated("select")[1](tiles_vector.tolist())
 
     def tiles_by_level(self, tiles_vector: np.ndarray) -> Dict[str, Dict[str, float]]:
         """Tile sizes of every level (fixed and free) as index mappings."""
+        flat = tiles_vector.tolist()
+        by_level = dict(self._fixed_floats)
+        for position, level in enumerate(self.free_levels):
+            by_level[level] = flat[position * 7 : (position + 1) * 7]
         return {
-            level: dict(zip(LOOP_INDICES, values))
-            for level, values in self.split(tiles_vector.tolist()).items()
+            level: dict(zip(LOOP_INDICES, values)) for level, values in by_level.items()
         }
 
     # -- per point matrix (one fused sweep) ------------------------------
@@ -1006,11 +1060,14 @@ class _RoundEvaluator:
             by_level[level] = free_points[:, position * 7 : (position + 1) * 7]
         return by_level
 
-    def batch(self, tile_points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Level times ``(L, M)`` and capacity slacks ``(M, free)`` at once.
+    def batch(
+        self, tile_points: np.ndarray, indices: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Times ``(len(indices), M)`` of the levels at ``indices`` (level
+        order positions) and capacity slacks ``(M, free)`` at once.
 
-        Row ``m`` equals :meth:`level_times` / :meth:`capacity_slacks` at
-        ``tile_points[m]`` bitwise.
+        Row ``m`` equals the generated per-point evaluation at
+        ``tile_points[m]`` bitwise; frozen levels take their constant.
         """
         count_points = tile_points.shape[0]
         views = self._broadcast.get(count_points)
@@ -1024,21 +1081,107 @@ class _RoundEvaluator:
                 self._broadcast.clear()
             self._broadcast[count_points] = views
         tiles = self.rows_by_level(tile_points, views)
-        outer_stack = np.concatenate([tiles[outer] for outer in self._outer])
-        inner_stack = np.concatenate([tiles[level] for level in self.level_order])
-        num_order = len(self.level_order)
+        live = [index for index in indices if index not in self._frozen_times]
+        outer_stack = np.concatenate([tiles[self._outer[index]] for index in live])
+        inner_stack = np.concatenate([tiles[self.level_order[index]] for index in live])
         volumes = self.compiled.volume_rows(outer_stack, inner_stack).reshape(
-            num_order, count_points
+            len(live), count_points
         )
         counts = np.prod(self.extents / outer_stack, axis=-1).reshape(
-            num_order, count_points
+            len(live), count_points
         )
-        times = volumes * counts / self._bandwidths[:, None]
+        times = volumes * counts / self._bandwidths[live, None]
+        if len(live) < len(indices):
+            computed = dict(zip(live, times))
+            times = np.array(
+                [
+                    computed[index]
+                    if index in computed
+                    else np.full(count_points, self._frozen_times[index])
+                    for index in indices
+                ]
+            )
         footprints = self.compiled.footprint_rows(
             np.concatenate([tiles[level] for level in self.free_levels])
         ).reshape(len(self.free_levels), count_points)
         caps = self._capacity_column
         return times, ((caps - footprints) / caps).T
+
+    def _select_rows(self, points: np.ndarray) -> np.ndarray:
+        """Epigraph constraints of an ``(M, D)`` log-space point matrix."""
+        points = np.asarray(points, dtype=float)
+        y_points = points[:, :-1]
+        times, slacks = self.batch(np.exp(y_points), self._all_levels)
+        logs = self.rows_by_level(y_points, self._fixed_logs)
+        nesting = [
+            logs[outer_level] - logs[inner_level]
+            for inner_level, outer_level in self.nesting_pairs
+        ]
+        dominance = points[:, -1:] - np.log(times).T
+        return np.concatenate([slacks] + nesting + [dominance], axis=1)
+
+    def _refine_rows(self, points: np.ndarray, objective: int, relaxed: bool):
+        """Objective times and constraint columns (relaxed, or with the
+        dominance columns) of an ``(M, D)`` point matrix, memoized on the
+        last matrix."""
+        points = np.asarray(points, dtype=float)
+        key = (objective, relaxed, points.tobytes())
+        if self._rows_memo[0] == key:
+            return self._rows_memo[1]
+        times, slacks = self.batch(
+            points, [objective] if relaxed else self._all_levels
+        )
+        tiles = self.rows_by_level(points, self.fixed)
+        columns = [slacks] + [
+            (tiles[outer_level] - tiles[inner_level]) / self.extents
+            for inner_level, outer_level in self.nesting_pairs
+        ]
+        if relaxed:
+            objective_times = times[0]
+        else:
+            objective_times = times[objective]
+            others = [index for index in self._all_levels if index != objective]
+            scale = np.maximum(objective_times, 1e-30)
+            columns.append(((objective_times - times[others]) / scale).T)
+        value = (objective_times, np.concatenate(columns, axis=1))
+        self._rows_memo = (key, value)
+        return value
+
+    def problem(
+        self,
+        kind: str,
+        bounds: Sequence[Tuple[float, float]],
+        objective_level: Optional[str] = None,
+        **declarations,
+    ) -> ConstrainedProblem:
+        """One of the round's problems: ``"select"`` (log-space epigraph,
+        decision vector ``[log(tiles), log(tau)]``), ``"refine"`` (minimize
+        ``objective_level``'s time subject to it dominating) or
+        ``"relaxed"`` (the same without dominance), in linear tiles."""
+        objective = (
+            None if objective_level is None else self.level_order.index(objective_level)
+        )
+        point = self._generated(kind, objective)[0]
+        objective_fn, constraints_fn = _one_slot(point)
+        if kind == "select":
+            batch_objective = lambda points: np.asarray(points, dtype=float)[:, -1]
+            batch_inequalities = self._select_rows
+        else:
+            relaxed = kind == "relaxed"
+            batch_objective = lambda points: self._refine_rows(
+                points, objective, relaxed
+            )[0]
+            batch_inequalities = lambda points: self._refine_rows(
+                points, objective, relaxed
+            )[1]
+        return ConstrainedProblem(
+            objective_fn,
+            (constraints_fn,),
+            tuple(bounds),
+            batch_objective=batch_objective,
+            batch_inequalities=batch_inequalities,
+            **declarations,
+        )
 
 
 def optimize_conv(

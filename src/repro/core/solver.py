@@ -39,7 +39,12 @@ from scipy.optimize._slsqplib import slsqp as _slsqp_kernel
 from ..obs.metrics import REGISTRY
 from .capacity import max_feasible_uniform_tile
 from .config import TilingConfig
-from .cost_model import combined_footprint, compiled_cost_for, volume_general
+from .cost_model import (
+    combined_footprint,
+    compiled_cost_for,
+    evaluator_compiles,
+    volume_general,
+)
 from .tensor_spec import ConvSpec, LOOP_INDICES
 
 
@@ -149,6 +154,10 @@ class ConstrainedProblem:
     #: Per-variable bounds as arrays, built once from ``bounds``.
     lows: np.ndarray = field(init=False, repr=False, compare=False)
     highs: np.ndarray = field(init=False, repr=False, compare=False)
+    #: Indices of the variables not pinned by equal bounds.
+    free: np.ndarray = field(init=False, repr=False, compare=False)
+    #: Whether every free variable's box is wider than two FD steps.
+    wide: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.batch_objective is not None and self.inequalities and (
@@ -163,6 +172,13 @@ class ConstrainedProblem:
         )
         object.__setattr__(
             self, "highs", np.array([b[1] for b in self.bounds], dtype=float)
+        )
+        free = np.nonzero(self.lows != self.highs)[0]
+        object.__setattr__(self, "free", free)
+        object.__setattr__(
+            self,
+            "wide",
+            bool(np.all(self.highs[free] - self.lows[free] > 2.0 * _SQRT_EPS)),
         )
 
     @property
@@ -233,24 +249,29 @@ _EXIT_MODES = {
 }
 
 # Solver activity in this process: SLSQP runs, the gradients the driver's
-# runs asked for, and the batched finite-difference sweeps that served
-# them (fewer sweeps than requests means lockstep runs shared sweeps).
-# Serving solves on threads, hence the lock.
-_STATS = {"slsqp_runs": 0, "gradient_requests": 0, "fd_sweeps": 0}
+# runs asked for, the batched finite-difference sweeps that served them
+# (fewer sweeps than requests means lockstep runs shared sweeps) and the
+# probe rows those sweeps evaluated (one per free variable of each
+# differenced point).  Serving solves on threads, hence the lock.
+_STATS = {"slsqp_runs": 0, "gradient_requests": 0, "fd_sweeps": 0, "probe_rows": 0}
 _STATS_LOCK = threading.Lock()
 
 
-def _count(runs: int, requests: int = 0, sweeps: int = 0) -> None:
+def _count(runs: int = 0, requests: int = 0, sweeps: int = 0, rows: int = 0) -> None:
     with _STATS_LOCK:
         _STATS["slsqp_runs"] += runs
         _STATS["gradient_requests"] += requests
         _STATS["fd_sweeps"] += sweeps
+        _STATS["probe_rows"] += rows
 
 
 def solver_stats() -> Dict[str, int]:
-    """Counters of SLSQP activity in this process (for the stats probe)."""
+    """Counters of SLSQP activity in this process (for the stats probe),
+    with the generated evaluator sources compiled (``evaluator_compiles``)."""
     with _STATS_LOCK:
-        return dict(_STATS)
+        stats = dict(_STATS)
+    stats["evaluator_compiles"] = evaluator_compiles()
+    return stats
 
 
 REGISTRY.register_collector("solver", solver_stats)
@@ -286,58 +307,104 @@ def _fd_steps(
     return h, (points + h) - points
 
 
-#: A gradient request: the point whose objective is differenced and the
-#: point whose constraints are (the same object unless clipping moved it).
-_Request = Tuple[np.ndarray, np.ndarray]
-#: Its answer: objective probe values ``(D,)`` and steps ``(D,)``, then
-#: constraint probe values ``(D, C)`` (``None`` without constraints) and
-#: steps ``(D,)``.
-_Sweep = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]
+#: A gradient request: the point whose objective is differenced, the
+#: point whose constraints are (the same object unless clipping moved
+#: it), the objective value at the first and its scale, and the
+#: constraint values at the second.
+_Request = Tuple[np.ndarray, np.ndarray, float, float, np.ndarray]
+#: Its answer over the free variables: the scaled objective gradient
+#: ``(F,)`` and the constraint jacobian ``(C, F)`` (``None`` without
+#: constraints).
+_Gradient = Tuple[np.ndarray, Optional[np.ndarray]]
 #: One finished polish: ``(x, success, message)``.
 _Outcome = Tuple[np.ndarray, bool, str]
 
 
-def _fd_sweep(problem: ConstrainedProblem, requests: Sequence[_Request]) -> List[_Sweep]:
+def _fd_sweep(
+    problem: ConstrainedProblem, requests: Sequence[_Request]
+) -> List[_Gradient]:
     """Answer many gradient requests with one batched evaluation.
 
-    Every requested point contributes its ``D`` forward-difference probe
-    rows (``x + diag(h)``) to one stacked matrix, which goes through
-    ``batch_objective`` and ``batch_inequalities`` once each.  The base
-    rows are not part of the sweep: the runs already hold the per-point
-    values at their iterates.
+    Every requested point contributes one forward-difference probe row
+    per free variable (a pinned variable's derivative is zero and the
+    driver drops it) to one stacked matrix, which goes through
+    ``batch_objective`` and ``batch_inequalities`` once each; the
+    gradients and jacobians of all requests are then formed together.
+    Untouched coordinates of a probe row are the point's ``x + 0.0``.
+    The base values are not part of the sweep: the runs already hold the
+    per-point values at their iterates.  The steps are
+    :func:`_fd_steps`'s; when no step is lost to rounding and every
+    point lies above its lower bound in a box wider than two steps, they
+    reduce to the absolute step, forward or (where the forward probe
+    would pass the upper bound) backward, which is checked first.
     """
     points: List[np.ndarray] = []
-    slots: List[Tuple[int, int]] = []
-    for objective_point, constraint_point in requests:
-        row = len(points)
+    objective_rows: List[int] = []
+    constraint_rows: List[int] = []
+    for objective_point, constraint_point, _, _, _ in requests:
+        objective_rows.append(len(points))
         points.append(objective_point)
         if constraint_point is not objective_point:
             points.append(constraint_point)
-        slots.append((row, len(points) - 1))
-    stacked = np.stack(points)
-    count, dim = stacked.shape
-    h, dx = _fd_steps(stacked, problem.lows, problem.highs)
-    diagonal = np.arange(dim)
-    steps = np.zeros((count, dim, dim))
-    steps[:, diagonal, diagonal] = h
-    probes = (stacked[:, None, :] + steps).reshape(count * dim, dim)
+        constraint_rows.append(len(points) - 1)
+    stacked = np.array(points)
+    free = problem.free
+    count, width = len(points), free.size
+    at = stacked[:, free]
+    lows, highs = problem.lows[free], problem.highs[free]
+    # In a box wider than two steps the absolute step fits on one side of
+    # the point, so scipy's rule keeps it and only flips its sign where
+    # the forward probe would pass the upper bound.
+    probe = at + _SQRT_EPS
+    dx = probe - at
+    exact = problem.wide and bool((dx != 0.0).all()) and bool((at >= lows).all())
+    if exact:
+        over = probe > highs
+        if over.any():
+            probe = np.where(over, at - _SQRT_EPS, probe)
+            dx = probe - at
+            exact = bool((dx != 0.0).all())
+    if not exact:
+        h, dx = _fd_steps(at, lows, highs)
+        probe = at + h
+    probes = np.repeat((stacked + 0.0)[:, None, :], width, axis=1)
+    probes[:, np.arange(width), free] = probe
+    probes = probes.reshape(count * width, -1)
+    _count(rows=count * width)
+
+    def slopes(differences: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        if exact:
+            return differences / steps
+        zero = steps == 0.0
+        return np.where(zero, 0.0, differences / np.where(zero, 1.0, steps))
+
+    def rows(array: np.ndarray, which: List[int]) -> np.ndarray:
+        return array if count == len(requests) else array[which]
+
     values = np.asarray(problem.batch_objective(probes), dtype=float).reshape(
-        count, dim
+        count, width
     )
-    cons = None
+    scales = np.array([request[3] for request in requests], dtype=float)[:, None]
+    bases = np.array([[request[2]] for request in requests], dtype=float) / scales
+    grads = slopes(
+        rows(values, objective_rows) / scales - bases, rows(dx, objective_rows)
+    )
+    jacobians: Sequence[Optional[np.ndarray]] = [None] * len(requests)
     if problem.inequalities:
         cons = np.asarray(problem.batch_inequalities(probes), dtype=float).reshape(
-            count, dim, -1
+            count, width, -1
         )
-    return [
-        (values[o], dx[o], None if cons is None else cons[c], dx[c])
-        for o, c in slots
-    ]
+        base_cons = np.array([request[4] for request in requests])[:, None, :]
+        steps = rows(dx, constraint_rows)[:, :, None]
+        jacobians = slopes(rows(cons, constraint_rows) - base_cons, steps).transpose(
+            0, 2, 1
+        )
+    return list(zip(grads, jacobians))
 
 
 def _slsqp_run(
     problem: ConstrainedProblem, start: np.ndarray, options: SolverOptions
-) -> Generator[_Request, _Sweep, _Outcome]:
+) -> Generator[_Request, _Gradient, _Outcome]:
     """One SLSQP polish of ``start`` on scipy's kernel, as a generator.
 
     This is the loop of scipy's ``_minimize_slsqp``, fed exactly the values
@@ -347,7 +414,7 @@ def _slsqp_run(
     iterate and the constraints at its clipped copy, with variables pinned
     by equal bounds removed from the problem (scipy removes them itself
     only when it differences, and a kept pinned variable would send SLSQP
-    down a different trajectory).  Pinned columns get a zero derivative.
+    down a different trajectory).
 
     Every gradient is a request yielded to the caller, which answers it
     with a :func:`_fd_sweep` entry — possibly one shared with other runs.
@@ -356,16 +423,17 @@ def _slsqp_run(
     ``ValueError``, as scipy's loop fails on it.
     """
     lows, highs = problem.lows, problem.highs
-    free = lows != highs
-    if not free.any():
+    free = problem.free
+    if not free.size:
         raise ValueError("every variable is pinned by its bounds")
-    reduce_vars = not free.all()
+    reduce_vars = free.size < lows.size
     xl, xu = lows[free], highs[free]
     # The kernel reads a NaN bound as "unbounded" (scipy's marking of
     # infinite bounds).
     xl_kernel = np.where(np.isfinite(xl), xl, np.nan)
     xu_kernel = np.where(np.isfinite(xu), xu, np.nan)
-    pinned_template = np.where(free, 0.0, lows)
+    pinned_template = lows.copy()
+    pinned_template[free] = 0.0
 
     def expand(reduced: np.ndarray) -> np.ndarray:
         if not reduce_vars:
@@ -397,24 +465,7 @@ def _slsqp_run(
             clipped, clipped_cons = point, cons
         else:
             clipped_cons = constraints_at(clipped) if inequality is not None else cons
-        values, dx, probe_cons, cons_dx = yield (point, clipped)
-        pinned = dx == 0.0
-        scaled = np.concatenate(([float(value)], values)) / scale
-        grad = np.where(
-            pinned, 0.0, (scaled[1:] - scaled[0]) / np.where(pinned, 1.0, dx)
-        )
-        jac = None
-        if probe_cons is not None:
-            pinned = cons_dx == 0.0
-            jac = np.where(
-                pinned[:, None],
-                0.0,
-                (probe_cons - clipped_cons) / np.where(pinned, 1.0, cons_dx)[:, None],
-            ).T
-        if reduce_vars:
-            grad = grad[free]
-            jac = None if jac is None else jac[:, free]
-        return grad, jac
+        return (yield (point, clipped, value, scale, clipped_cons))
 
     n, m = x.size, cons.size
     state = {
@@ -496,7 +547,7 @@ def _slsqp_lockstep(
     waiting: Dict[int, Tuple[Generator, _Request]] = {}
     requests = sweeps = 0
 
-    def advance(index: int, run: Generator, answer: Optional[_Sweep]) -> None:
+    def advance(index: int, run: Generator, answer: Optional[_Gradient]) -> None:
         nonlocal requests
         try:
             request = run.send(answer)
@@ -513,7 +564,7 @@ def _slsqp_lockstep(
     while waiting:
         batch = list(waiting.items())
         waiting.clear()
-        answers: List[Optional[_Sweep]] = [None] * len(batch)
+        answers: List[Optional[_Gradient]] = [None] * len(batch)
         try:
             sweeps += 1
             answers[:] = _fd_sweep(problem, [request for _, (_, request) in batch])
@@ -530,7 +581,7 @@ def _slsqp_lockstep(
                 run.close()
             else:
                 advance(index, run, answer)
-    _count(len(starts), requests, sweeps)
+    _count(runs=len(starts), requests=requests, sweeps=sweeps)
     return outcomes
 
 
@@ -539,7 +590,7 @@ def _scipy_polish(
 ) -> Optional[_Outcome]:
     """One SLSQP polish through ``scipy.optimize.minimize`` (no batched
     evaluators: scipy differences the per-point callables itself)."""
-    _count(1)
+    _count(runs=1)
     try:
         base = abs(problem.objective(start))
         scale = base if base > 0 else 1.0
@@ -597,7 +648,7 @@ def _refine_scores(
     log_lo = np.log(np.maximum(lows, 1e-12))
     log_hi = np.log(np.maximum(highs, 1e-12))
     span = np.maximum(log_hi - log_lo, 0.0)
-    free = np.nonzero(lows != highs)[0]  # pinned variables cannot move
+    free = problem.free  # pinned variables cannot move
     if free.size == 0:
         return _penalized_scores(problem, np.stack(starts))
 

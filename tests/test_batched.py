@@ -4,15 +4,18 @@ Three layers of guarantees are pinned here, none of them host-dependent:
 
 * the batched cost tables agree with the scalar model (to machine
   precision), and the compiled plans' row evaluators agree with their
-  per-point float evaluators *bitwise*, row for row (the solver mixes
-  the two forms in one problem), and with the generic model
-  (``volume_general``/``combined_footprint``) to rounding;
+  generated per-point float evaluators *bitwise*, row for row (the
+  solver mixes the two forms in one problem), and with the generic model
+  (``volume_general``/``combined_footprint``) to rounding; so do the
+  generated per-point round problems with their batched rows, wherever
+  the solver evaluates them;
 * the multistart driver returns bitwise the same solution whether a
   problem carries batched evaluators (batched finite-difference
   jacobians) or leaves differencing to scipy;
 * the local SLSQP driver over scipy's kernel takes bitwise the trajectory
-  ``scipy.optimize.minimize`` takes with the same jacobians, on the
-  optimizer's real problems, and lockstep polishes equal solo ones;
+  ``scipy.optimize.minimize`` takes when it differences the per-point
+  callables itself, on the optimizer's real problems, and lockstep
+  polishes equal solo ones;
 * solver edge cases (infeasible capacity, 1-extent loops, stride and
   dilation > 1) produce valid configurations.
 """
@@ -21,6 +24,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 import repro.core.optimizer as optimizer_module
@@ -34,16 +39,22 @@ from repro.core.batched import (
 )
 from repro.core.config import TilingConfig
 from repro.core.cost_model import (
+    CompileCache,
     combined_footprint,
     compiled_cost_for,
+    evaluator_compiles,
     volume_general,
 )
-from repro.core.optimizer import MOptOptimizer, OptimizerSettings
+from repro.core.optimizer import (
+    MOptOptimizer,
+    OptimizerSettings,
+    _RoundEvaluator,
+    fast_settings,
+)
 from repro.core.pruning import all_permutations, pruned_representatives
 from repro.core.solver import (
     ConstrainedProblem,
     SolverOptions,
-    _fd_sweep,
     _slsqp_lockstep,
     minimize_constrained,
     minimize_from_starts,
@@ -173,6 +184,59 @@ class TestRowAndFloatEvaluators:
                     ),
                     rel=1e-12,
                 )
+
+
+@st.composite
+def _plan_points(draw):
+    """Problem extents (extent-1 loops included) and tiles inside them:
+    at 1, at the extent, or anywhere in between."""
+    problem = [float(draw(st.integers(1, 64))) for _ in LOOP_INDICES]
+    tiles = []
+    for extent in problem:
+        where = draw(st.sampled_from(("one", "bound", "inside")))
+        if where == "one":
+            tiles.append(1.0)
+        elif where == "bound":
+            tiles.append(extent)
+        else:
+            tiles.append(draw(st.floats(1.0, extent)))
+    return problem, tiles
+
+
+class TestGeneratedPlanEvaluators:
+    """The generated per-point plan functions equal the row evaluators
+    bitwise and the generic model to rounding, on every pruned class."""
+
+    @pytest.mark.parametrize("stride,dilation", STRIDE_DILATION)
+    @settings(max_examples=40, deadline=None)
+    @given(point=_plan_points())
+    def test_generated_floats_equal_rows(self, stride, dilation, point):
+        problem, tiles = point
+        for perm in pruned_representatives():
+            compiled = compiled_cost_for(tuple(perm), stride=stride, dilation=dilation)
+            value = compiled.volume_floats(problem, tiles)
+            row = compiled.volume_rows(np.array([problem]), np.array([tiles]))[0]
+            assert value == row
+            config = TilingConfig(perm, dict(zip(LOOP_INDICES, tiles)))
+            expected = volume_general(
+                dict(zip(LOOP_INDICES, problem)),
+                config,
+                stride=stride,
+                dilation=dilation,
+            )
+            assert value == pytest.approx(expected, rel=1e-12)
+            footprint = compiled.footprint_floats(tiles)
+            assert footprint == compiled.footprint_rows(np.array([tiles]))[0]
+
+    def test_source_is_kept_and_unit_strides_are_not_multiplied(self):
+        perm = tuple(pruned_representatives()[0])
+        unit = compiled_cost_for(perm).volume_floats.source
+        strided = compiled_cost_for(perm, stride=2, dilation=3).volume_floats.source
+        assert "def volume_floats(problem, tiles):" in unit
+        assert "stride" not in unit.split("def volume_floats", 1)[1]
+        assert "* stride" in strided and "* dilation" in strided
+        # Numbers are closure constants: the source names them only.
+        assert "2)" not in strided and "3)" not in strided
 
 
 def _settings(**overrides):
@@ -399,73 +463,31 @@ def r3_problems():
     """Every solver problem of one permutation class of a cold R3 solve on
     the i7-9700k (select and refine of each round), with the solver
     counters the solve moved."""
-    captured = []
-    real = optimizer_module.minimize_from_starts
-
-    def capture(problem, starts, options):
-        captured.append((problem, [np.asarray(s, dtype=float) for s in starts], options))
-        return real(problem, starts, options)
-
-    spec = benchmark_by_name("R3")
+    before = solver_stats()
     settings = OptimizerSettings(permutation_class_names=("inner-w",))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(optimizer_module, "minimize_from_starts", capture)
-        before = solver_stats()
-        MOptOptimizer(coffee_lake_i7_9700k(), settings).optimize(spec)
-        delta = _stats_delta(before)
-    return captured, delta
+    captured = _round_problems(benchmark_by_name("R3"), settings)
+    delta = _stats_delta(before)
+    return [(problem, starts, options) for _, problem, starts, options in captured], delta
 
 
 def _scipy_polish_oracle(problem, start, options):
-    """The old path: ``scipy.optimize.minimize`` over the pinned-reduced
-    problem with the batched jacobians supplied as callables."""
-    free = problem.lows != problem.highs
-
-    def expand(reduced):
-        full = problem.lows.copy()
-        full[free] = reduced
-        return full
-
+    """``scipy.optimize.minimize`` differencing the problem's per-point
+    callables itself, with the driver's objective scaling: independent of
+    the driver, its batched sweeps and the batched evaluators (scipy also
+    removes the variables pinned by equal bounds itself when it
+    differences)."""
     base = abs(problem.objective(start))
     scale = base if base > 0 else 1.0
-
-    def jacobian(reduced):
-        x = expand(np.asarray(reduced, dtype=float))
-        ((values, dx, _, _),) = _fd_sweep(problem, [(x, x)])
-        scaled = np.concatenate(([float(problem.objective(x))], values)) / scale
-        pinned = dx == 0.0
-        safe = np.where(pinned, 1.0, dx)
-        return np.where(pinned, 0.0, (scaled[1:] - scaled[0]) / safe)[free]
-
-    def constraint_jacobian(reduced):
-        x = problem.clip(expand(np.asarray(reduced, dtype=float)))
-        ((_, _, cons, dx),) = _fd_sweep(problem, [(x, x)])
-        base_cons = np.atleast_1d(problem.inequalities[0](x))
-        pinned = dx == 0.0
-        safe = np.where(pinned, 1.0, dx)
-        return np.where(pinned[:, None], 0.0, (cons - base_cons) / safe[:, None]).T[
-            :, free
-        ]
-
     result = optimize.minimize(
-        lambda reduced: problem.objective(expand(np.asarray(reduced, dtype=float)))
-        / scale,
-        start[free],
+        lambda x: problem.objective(x) / scale,
+        start,
         method="SLSQP",
-        jac=jacobian,
-        bounds=[b for b, keep in zip(problem.bounds, free) if keep],
-        constraints=[
-            {
-                "type": "ineq",
-                "fun": lambda reduced: problem.inequalities[0](
-                    expand(np.asarray(reduced, dtype=float))
-                ),
-                "jac": constraint_jacobian,
-            }
-        ],
+        bounds=problem.bounds,
+        constraints=[{"type": "ineq", "fun": problem.inequalities[0]}],
         options={"maxiter": options.maxiter, "ftol": options.tolerance},
     )
-    return problem.clip(expand(result.x)), bool(result.success), str(result.message)
+    x = problem.clip(np.asarray(result.x, dtype=float))
+    return x, bool(result.success), str(result.message)
 
 
 class TestSlsqpDriver:
@@ -480,8 +502,11 @@ class TestSlsqpDriver:
         """The driver feeds scipy's kernel exactly what scipy's own loop
         does: bitwise the same ``x`` and exit message from every start of
         every real problem (a scipy release that changes the kernel
-        protocol fails here)."""
+        protocol fails here).  scipy differences the per-point callables
+        itself, so neither the driver's sweeps nor the batched evaluators
+        take part in the oracle."""
         captured, _ = r3_problems
+        assert len(captured) == 5
         runs = 0
         for problem, starts, options in captured:
             for start in starts:
@@ -521,6 +546,142 @@ class TestSlsqpDriver:
         select = _stats_delta(before)
         assert select["slsqp_runs"] >= 1
         assert select["fd_sweeps"] == select["gradient_requests"] > 0
+
+
+class TestProbeRows:
+    def test_cold_r3_probes_only_free_coordinates(self, r3_problems):
+        """One probe row per free variable of every gradient request: the
+        pinned coordinates of R3 (n, r, s) are never differenced."""
+        captured, delta = r3_problems
+        assert any(problem.free.size < problem.dimension for problem, _, _ in captured)
+        expected = replayed = 0
+        for problem, starts, options in captured:
+            before = solver_stats()
+            minimize_from_starts(problem, starts, options)
+            replay = _stats_delta(before)
+            expected += replay["gradient_requests"] * problem.free.size
+            replayed += replay["probe_rows"]
+        assert delta["probe_rows"] == replayed == expected > 0
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _round_problems(spec, settings):
+    """``(kind, problem, starts, options)`` of every round problem of one
+    cold solve, in solve order."""
+    kinds = {}
+    captured = []
+    real_problem = _RoundEvaluator.problem
+    real_minimize = optimizer_module.minimize_from_starts
+
+    def problem(self, kind, *args, **kwargs):
+        built = real_problem(self, kind, *args, **kwargs)
+        kinds[id(built)] = kind
+        return built
+
+    def capture(problem, starts, options):
+        starts = [np.asarray(s, dtype=float) for s in starts]
+        captured.append((kinds[id(problem)], problem, starts, options))
+        return real_minimize(problem, starts, options)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_RoundEvaluator, "problem", problem)
+        patch.setattr(optimizer_module, "minimize_from_starts", capture)
+        MOptOptimizer(coffee_lake_i7_9700k(), settings).optimize(spec)
+    return captured
+
+
+def _visited(problem, starts, options):
+    """The clipped starts, every point the driver evaluated per point
+    (iterates and line-search points) and every probe matrix of its FD
+    sweeps, replaying one solve."""
+    points = [problem.clip(start) for start in starts]
+    matrices = []
+
+    def objective(x):
+        points.append(np.array(x, dtype=float))
+        return problem.objective(x)
+
+    def batch_objective(rows):
+        matrices.append(np.array(rows, dtype=float))
+        return problem.batch_objective(rows)
+
+    recording = replace(problem, objective=objective, batch_objective=batch_objective)
+    minimize_from_starts(recording, starts, options)
+    return points, matrices
+
+
+class TestGeneratedRoundProblems:
+    """Each round problem's generated ``point(x)`` equals its batched row
+    bitwise wherever the solver looks: at the starts, at every per-point
+    evaluation and at every finite-difference probe."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "R3",
+            pytest.param("R4", marks=pytest.mark.slow),
+            pytest.param("R11", marks=pytest.mark.slow),
+        ],
+    )
+    def test_point_equals_batched_row(self, name):
+        spec = benchmark_by_name(name).with_batch(8)
+        captured = _round_problems(spec, fast_settings(parallel=True))
+        assert {kind for kind, _, _, _ in captured} == {"select", "refine", "relaxed"}
+        checked = 0
+        for _, problem, starts, options in captured:
+            points, matrices = _visited(problem, starts, options)
+            for x in points:
+                row = x[None, :]
+                assert _bits(problem.objective(x)) == _bits(problem.batch_objective(row)[0])
+                assert _bits(problem.inequalities[0](x)) == _bits(
+                    problem.batch_inequalities(row)[0]
+                )
+            for rows in matrices:
+                values = problem.batch_objective(rows)
+                cons = problem.batch_inequalities(rows)
+                for m, x in enumerate(rows):
+                    assert _bits(problem.objective(x)) == _bits(values[m])
+                    assert _bits(problem.inequalities[0](x)) == _bits(cons[m])
+                    checked += 1
+        assert checked > 1000
+
+    def test_same_round_structure_compiles_no_new_code(self, tiny_machine):
+        """Round code depends on the round's structure only: another class
+        on another machine with the same free levels reuses it."""
+        cache = CompileCache()
+        spec = ConvSpec("c", 2, 16, 8, 12, 12, 3, 3, padding=1)
+        levels = ["L1", "L2", "L3"]
+        extents = {i: float(e) for i, e in spec.loop_extents.items()}
+        reg = {i: 1.0 for i in LOOP_INDICES}
+        other = tiny_machine.with_cache("L2", capacity_bytes=64 * 1024)
+        rounds = []
+        for perm, machine in zip(pruned_representatives()[:2], (tiny_machine, other)):
+            compiled = compiled_cost_for(tuple(perm), cache=cache)
+            optimizer = MOptOptimizer(machine, OptimizerSettings(levels=tuple(levels)))
+            rounds.append(
+                _RoundEvaluator(
+                    compiled,
+                    ["Reg"] + levels,
+                    extents,
+                    optimizer._capacities() | {"Reg": 1e9},
+                    optimizer._bandwidths() | {"Reg": 1e12},
+                    {"Reg": reg},
+                    levels,
+                    cache,
+                )
+            )
+        compiles = []
+        for round_ in rounds:
+            before = evaluator_compiles()
+            bounds = list(zip(round_.lows.tolist(), round_.highs.tolist()))
+            round_.problem("select", bounds + [(-30.0, 0.0)], single_basin=True)
+            round_.problem("refine", bounds, "L2", polish_all=True)
+            round_.problem("relaxed", bounds, "L2", polish_all=True)
+            compiles.append(evaluator_compiles() - before)
+        assert compiles == [3, 0]
 
 
 def _bowl_problem(**overrides):

@@ -31,6 +31,7 @@ from repro.core.cost_model import (
     CompileCache,
     CompiledPermutationCost,
     compiled_cost_for,
+    evaluator_compiles,
 )
 from repro.core.optimizer import MOptOptimizer, OptimizerSettings
 from repro.core.pruning import pruned_representatives
@@ -122,6 +123,23 @@ class TestCompileCache:
         assert len(cache) == 0
         assert stats["hits"] == stats["misses"] == stats["evictions"] == 0
 
+    def test_generated_code_is_built_once_and_dropped_by_clear(self):
+        cache = CompileCache()
+        builds = []
+
+        def build():
+            builds.append(len(builds))
+            return lambda: None
+
+        first = cache.generated(("round", "select"), build)
+        assert cache.generated(("round", "select"), build) is first
+        assert builds == [0]
+        # Round code is not a plan: the plan counters do not move.
+        assert cache.stats()["hits"] == cache.stats()["misses"] == 0
+        cache.clear()
+        assert cache.generated(("round", "select"), build) is not first
+        assert builds == [0, 1]
+
     def test_maxsize_must_be_positive(self):
         with pytest.raises(ValueError):
             CompileCache(maxsize=0)
@@ -163,6 +181,22 @@ class TestShapeFamilySharing:
                 tiny_machine, _settings(), compile_cache=CompileCache()
             ).optimize(spec)
             assert _candidate_table(result) == _candidate_table(fresh)
+
+    def test_warm_cache_compiles_no_evaluators(self, tiny_machine):
+        """Plans and round code are both cached: a repeated solve on a warm
+        compile cache generates no code, a cleared one does again."""
+        spec = ConvSpec("warm", 1, 16, 8, 10, 10, 3, 3, padding=1)
+        shared = CompileCache()
+        optimizer = MOptOptimizer(tiny_machine, _settings(), compile_cache=shared)
+        before = evaluator_compiles()
+        first = optimizer.optimize(spec)
+        cold = evaluator_compiles() - before
+        second = optimizer.optimize(spec)
+        assert evaluator_compiles() - before == cold > 0
+        assert _candidate_table(first) == _candidate_table(second)
+        shared.clear()
+        optimizer.optimize(spec)
+        assert evaluator_compiles() - before == 2 * cold
 
     def test_differing_family_compiles_new_entries(self, tiny_machine):
         plain = ConvSpec("plain", 1, 16, 8, 10, 10, 3, 3, padding=1)
@@ -372,4 +406,6 @@ class TestServingStatsProbe:
             "slsqp_runs",
             "gradient_requests",
             "fd_sweeps",
+            "probe_rows",
+            "evaluator_compiles",
         }
