@@ -11,8 +11,10 @@ integerized tile configuration and the predicted time as ``float.hex``
   (``tests/test_differential.py``) on the tiny test machine.
 
 Answers depend on the thread count of scipy's bundled OpenBLAS (SLSQP's
-linear algebra), so the script pins ``OPENBLAS_NUM_THREADS=1`` unless the
-caller set it.  Usage::
+linear algebra).  The solver pins that library to one thread at its first
+solve where scipy exposes the call (the header's ``blas_threads_pinned``
+records whether it did); for checkouts that predate the pin the script
+also sets ``OPENBLAS_NUM_THREADS=1`` unless the caller set it.  Usage::
 
     PYTHONPATH=src python benchmarks/answer_digest.py --out head.json
     python benchmarks/answer_digest.py --compare base.json head.json
@@ -54,6 +56,7 @@ def _candidates(result) -> Dict[str, Any]:
 
 def digest() -> Dict[str, Any]:
     """Per-operator, per-class answers of the fixed operator set."""
+    from repro.core import solver
     from repro.core.optimizer import MOptOptimizer, fast_settings
     from repro.engine.cache import STRATEGY_VERSION
     from repro.machine.presets import coffee_lake_i7_9700k, tiny_test_machine
@@ -72,7 +75,13 @@ def digest() -> Dict[str, Any]:
     for seed in DIFFERENTIAL_SEEDS:
         spec = random_operator_spec(seed)
         answers[f"differential/{spec.name}"] = _candidates(tiny.optimize(spec))
-    return {"strategy_version": STRATEGY_VERSION, "answers": answers}
+    # Checkouts that predate the pin do not report it.
+    pinned = solver.solver_stats().get("blas_threads_pinned", False)
+    return {
+        "strategy_version": STRATEGY_VERSION,
+        "blas_threads_pinned": pinned,
+        "answers": answers,
+    }
 
 
 def compare(base: Dict[str, Any], head: Dict[str, Any]) -> int:

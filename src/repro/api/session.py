@@ -445,10 +445,12 @@ class Session:
         so these counters are observability, not configuration.
 
         The ``"solver"`` entry counts SLSQP activity in this process:
-        ``slsqp_runs``, the ``gradient_requests`` of the batched driver's
-        runs, and the ``fd_sweeps`` that answered them — fewer sweeps than
-        requests is the lockstep refine polishes sharing sweeps.  Solves
-        in the forked solve-pool workers are not counted here.
+        ``slsqp_runs``, the ``gradient_requests`` of the driver's runs,
+        the finite-difference ``probe_rows`` that answered them and the
+        ``evaluator_compiles`` of generated code; ``blas_threads_pinned``
+        says whether scipy's OpenBLAS was pinned to one thread (``None``
+        before the first solve).  Solves in the forked solve-pool
+        workers are not counted here.
 
         The ``"reliability"`` entry folds in the process-wide health
         counters of :mod:`repro.reliability` (``pool_rebuilds``,

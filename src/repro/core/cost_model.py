@@ -509,15 +509,15 @@ class CompiledPermutationCost:
     the permutation analysis (reuse positions, case selection) once and then
     evaluates the volume and the combined footprint in two forms, both
     ordered like :data:`LOOP_INDICES`: per point on plain float sequences
-    (``volume_floats(problem, tiles)``/``footprint_floats(tiles)``, SLSQP's
-    line search) and per ``(M, 7)`` row matrix
-    (``volume_rows``/``footprint_rows``, the batched finite-difference
-    sweeps).  The per-point pair is generated straight-line Python (see
-    :func:`_plan_source`; the text is on ``volume_floats.source``) with
-    the reuse positions, the partial-reuse case and unit strides resolved
-    at generation time.  The two forms perform the same IEEE-754
-    operations in the same order, so they agree bitwise row for row; the
-    generic :func:`volume_general` / :func:`combined_footprint` remain the
+    (``volume_floats(problem, tiles)``/``footprint_floats(tiles)``, the
+    MOpt round problems and their sparse jacobians) and per ``(M, 7)``
+    row matrix (``volume_rows``/``footprint_rows``, the single-level
+    baseline problems' batched finite-difference sweeps).  The per-point
+    pair is generated straight-line Python (see :func:`_plan_source`; the
+    text is on ``volume_floats.source``) with the reuse positions, the
+    partial-reuse case and unit strides resolved at generation time.  The
+    two forms perform the same IEEE-754 operations in the same order, so
+    they agree bitwise row for row; the generic :func:`volume_general` / :func:`combined_footprint` remain the
     independent reference they are tested against.
     """
 

@@ -39,6 +39,7 @@ modeled configurations) can be reproduced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -701,8 +702,10 @@ class MOptOptimizer:
 _WHOLE = "__whole__"
 
 
-def _round_source(kind: str, objective: Optional[int], free: Tuple[bool, ...]) -> str:
-    """Source of one round problem's per-point evaluator factory.
+def _round_source(
+    kind: str, objective: Optional[int], free: Tuple[bool, ...]
+) -> Tuple[str, Tuple[Tuple[bool, Tuple[int, ...]], ...]]:
+    """Source of one round problem's evaluator factory, and its layout.
 
     ``free`` marks the free levels of the round in level order, ``kind``
     is ``"select"`` (the log-space epigraph problem), ``"refine"`` (the
@@ -710,94 +713,118 @@ def _round_source(kind: str, objective: Optional[int], free: Tuple[bool, ...]) -
     ``objective`` is the hypothesis level's index.  The generated
     ``make(vol, fp, exp, log, array, c)`` binds the plan's
     ``volume_floats``/``footprint_floats`` and the round's numbers (the
-    dict ``c``) as closure constants and returns ``(point, times)``:
-    ``point(x) -> (objective, constraints)`` evaluates every level time,
-    capacity slack, nesting and dominance value of the problem in one
-    straight-line body, with the IEEE-754 operations, their order and the
-    NumPy ``exp``/``log`` calls of the row evaluators
-    (:meth:`_RoundEvaluator.batch` and the problem assembly around it),
-    so a point agrees bitwise with its row.  ``times(tiles)`` (select
-    only; else ``None``) returns the level times at a flat tile list.
-    Frozen level times, the counts of levels below a frozen level and the
-    frozen levels' tiles enter as constants.
+    dict ``c``) as closure constants and returns ``(point, times,
+    jacobian)``:
+
+    * ``point(x) -> (objective, constraints)`` evaluates every level time,
+      capacity slack, nesting and dominance value of the problem in one
+      straight-line body (select calls NumPy's ``exp`` on the log-tile
+      array and ``log`` per level time).
+    * ``times(tiles)`` (select only; else ``None``) returns the level
+      times at a flat tile list.
+    * ``jacobian(x, probe, u)`` evaluates the finite-difference probes of
+      ``x``: for each coordinate ``d`` with ``u[d]`` true, in order, the
+      point ``x + 0.0`` with coordinate ``d`` set to the next value of
+      ``probe``.  It recomputes only the values that coordinate reaches.
+      Probing tile ``j`` of free level ``p`` moves the times of ``p`` and
+      of ``p - 1`` (whose tile count ``p``'s tiles set), the capacity
+      slack of ``p``, the nesting values of loop ``j`` on either side of
+      ``p`` and the dominance values of the moved times -- all of them,
+      with the objective, when the objective's time moved.  Select's
+      ``v`` coordinate moves the objective and every dominance value.
+      It returns the moved values of all probes in one flat list.
+
+    The layout gives, per coordinate ``d``, ``(moves_objective, rows)``:
+    the values ``jacobian`` returns for it, in order -- the objective if
+    it moves, then the constraint rows ``rows``.  ``jacobian`` performs
+    the IEEE-754 operations of ``point``, in its order, so a recomputed
+    value equals ``point`` at the probe bitwise, and every value it skips
+    equals the value at ``x``.  Frozen level times, the counts of levels
+    below a frozen level and the frozen levels' tiles enter as constants.
     """
     count = len(free)
+    select = kind == "select"
     offsets: Dict[int, int] = {}
     for index, is_free in enumerate(free):
         if is_free:
             offsets[index] = 7 * len(offsets)
     used: List[str] = []
+    unpack = set()  # free levels whose scalars a body reads
 
     def const(name: str) -> str:
         if name not in used:
             used.append(name)
         return name
 
-    def tile_list(index: int) -> str:
+    # The probes of free level ``probed`` replace its tile list by ``P``.
+    def tile_list(index: int, probed: Optional[int] = None) -> str:
         if index == count:
             return const("W")
+        if index == probed:
+            return "P"
         return f"A{index}" if free[index] else const(f"F{index}")
 
     def scalar(index: int, j: int) -> str:
-        return f"a{index}_{j}" if free[index] else const(f"f{index}_{j}")
+        if free[index]:
+            unpack.add(index)
+            return f"a{index}_{j}"
+        return const(f"f{index}_{j}")
 
-    select = kind == "select"
-    needed = list(range(count)) if kind != "relaxed" else [objective]
-    unpack = set()  # free levels whose scalars the body reads
-    time_lines: List[str] = []
-    time_of: Dict[int, str] = {}
-    frozen = set()
-    for index in needed:
-        outer_free = index + 1 < count and free[index + 1]
-        if not free[index] and not outer_free:
-            time_of[index] = const(f"T{index}")
-            frozen.add(index)
-            continue
-        if outer_free:
-            unpack.add(index + 1)
-            ratios = [f"{const(f'E{j}')} / a{index + 1}_{j}" for j in range(7)]
-            counted = f"({' * '.join([ratios[0]] + [f'({r})' for r in ratios[1:]])})"
-        else:
-            counted = const(f"C{index}")
-        time_lines.append(
-            f"t{index} = vol({tile_list(index + 1)}, {tile_list(index)})"
-            f" * {counted} / {const(f'B{index}')}"
+    def log_scalar(index: int, j: int) -> str:
+        return f"y{index}_{j}" if free[index] else const(f"g{index}_{j}")
+
+    def counted(index: int) -> str:
+        if not (index + 1 < count and free[index + 1]):
+            return const(f"C{index}")
+        ratios = [f"{const(f'E{j}')} / {scalar(index + 1, j)}" for j in range(7)]
+        return f"({' * '.join([ratios[0]] + [f'({r})' for r in ratios[1:]])})"
+
+    def level_time(index: int, counts: str, probed: Optional[int] = None) -> str:
+        return (
+            f"vol({tile_list(index + 1, probed)}, {tile_list(index, probed)})"
+            f" * {counts} / {const(f'B{index}')}"
         )
-        time_of[index] = f"t{index}"
 
-    values = [
-        f"({const(f'K{index}')} - fp(A{index})) / K{index}"
-        for index in range(count)
-        if free[index]
+    needed = list(range(count)) if kind != "relaxed" else [objective]
+    frozen = {
+        index
+        for index in needed
+        if not free[index] and not (index + 1 < count and free[index + 1])
+    }
+    time_of: Dict[int, str] = {
+        index: const(f"T{index}") if index in frozen else f"t{index}"
+        for index in needed
+    }
+
+    # Constraint rows: capacity slacks of the free levels, nesting of each
+    # adjacent pair that involves a free level, then dominance.
+    rows: List[Tuple] = [("capacity", index) for index in range(count) if free[index]]
+    rows += [
+        ("nesting", inner, j)
+        for inner in range(count - 1)
+        if free[inner] or free[inner + 1]
+        for j in range(7)
     ]
-    for inner in range(count - 1):
-        outer = inner + 1
-        if not (free[inner] or free[outer]):
-            continue
-        for j in range(7):
-            if select:
-                outer_y = f"y{outer}_{j}" if free[outer] else const(f"g{outer}_{j}")
-                inner_y = f"y{inner}_{j}" if free[inner] else const(f"g{inner}_{j}")
-                values.append(f"{outer_y} - {inner_y}")
-            else:
-                for level in (inner, outer):
-                    if free[level]:
-                        unpack.add(level)
-                values.append(
-                    f"({scalar(outer, j)} - {scalar(inner, j)}) / {const(f'E{j}')}"
-                )
     if select:
-        for index in range(count):
-            if index in frozen:
-                values.append(f"v - {const(f'LT{index}')}")
-            else:
-                values.append(f"v - float(log({time_of[index]}))")
+        rows += [("dominance", index) for index in range(count)]
     elif kind == "refine":
-        values += [
-            f"({time_of[objective]} - {time_of[index]}) / scale"
-            for index in range(count)
-            if index != objective
-        ]
+        rows += [("dominance", index) for index in range(count) if index != objective]
+
+    def value(row: Tuple, times=time_of, v="v", scale="scale") -> str:
+        if row[0] == "capacity":
+            capacity = const(f"K{row[1]}")
+            return f"({capacity} - fp({tile_list(row[1])})) / {capacity}"
+        if row[0] == "nesting":
+            _, inner, j = row
+            if select:
+                return f"{log_scalar(inner + 1, j)} - {log_scalar(inner, j)}"
+            return f"({scalar(inner + 1, j)} - {scalar(inner, j)}) / {const(f'E{j}')}"
+        index = row[1]
+        if not select:
+            return f"({times[objective]} - {times[index]}) / {scale}"
+        if index in frozen:
+            return f"{v} - {const(f'LT{index}')}"
+        return f"{v} - float(log({times[index]}))"
 
     def tiles_prologue(flat: str) -> List[str]:
         lines = [
@@ -810,15 +837,26 @@ def _round_source(kind: str, objective: Optional[int], free: Tuple[bool, ...]) -
         ]
         return lines
 
+    def logs_prologue(flat: str) -> List[str]:
+        return [
+            f"{', '.join(f'y{index}_{j}' for j in range(7))}"
+            f" = {flat}[{offset}:{offset + 7}]"
+            for index, offset in offsets.items()
+        ]
+
+    # point(x): every value at one point.
+    time_lines = [
+        f"t{index} = {level_time(index, counted(index))}"
+        for index in needed
+        if index not in frozen
+    ]
+    values = [value(row) for row in rows]
     body: List[str] = []
     if select:
         body += ["y = x[:-1]", "v = float(x[-1])", "T = exp(y).tolist()"]
         body += tiles_prologue("T")
         body.append("Y = y.tolist()")
-        body += [
-            f"{', '.join(f'y{index}_{j}' for j in range(7))} = Y[{offset}:{offset + 7}]"
-            for index, offset in offsets.items()
-        ]
+        body += logs_prologue("Y")
         result = "v"
     else:
         body += ["X = x.tolist()"] + tiles_prologue("X")
@@ -827,23 +865,133 @@ def _round_source(kind: str, objective: Optional[int], free: Tuple[bool, ...]) -
     if kind == "refine":
         body.append(f"scale = 1e-30 if 1e-30 > {result} else {result}")
     body.append(f"return {result}, array([")
-    body += [f"    {value}," for value in values]
+    body += [f"    {entry}," for entry in values]
     body.append("])")
+    times_body = tiles_prologue("T") + time_lines
 
+    # jacobian(x, probe, u): what each probe moves, one loop over the
+    # seven tiles per free level (the probed tile ``q``, or its log ``r``,
+    # at ``j``).  The base point is the probes' ``x + 0.0``.  A level's
+    # tile count comes from its outer level: a probe of that outer level
+    # recomputes it (``count``), every other probe reads the base ``n``.
+    def item(index: int, probed: int) -> str:
+        if index == probed:
+            return "r" if select else "q"
+        if not select:
+            return f"{tile_list(index)}[j]"
+        return f"Y{index}[j]" if free[index] else f"{const(f'G{index}')}[j]"
+
+    unpack.clear()
+    jac: List[str] = ["X = (x + 0.0).tolist()", "R = iter(probe.tolist())"]
+    last = 7 * len(offsets)  # select's log(tau) coordinate
+    if select:
+        tiles = f"probe[:-1] if u[{last}] else probe"
+        jac += ["T = exp(x[:-1]).tolist()", f"Q = iter(exp({tiles}).tolist())"]
+        jac += ["v = X[-1]"] + tiles_prologue("T")
+        jac += [
+            f"Y{index} = X[{offset}:{offset + 7}]" for index, offset in offsets.items()
+        ]
+    else:
+        jac += tiles_prologue("X")
+    base_counts: Dict[int, str] = {}
+    for index in needed:
+        if index in frozen:
+            continue
+        if index + 1 < count and free[index + 1]:
+            jac.append(f"n{index} = count(A{index + 1})")
+            base_counts[index] = f"n{index}"
+        else:
+            base_counts[index] = const(f"C{index}")
+    if kind != "relaxed":
+        jac += [
+            f"t{index} = {level_time(index, base_counts[index])}"
+            for index in needed
+            if index not in frozen
+        ]
+    if kind == "refine":
+        jac.append(f"scale = 1e-30 if 1e-30 > {result} else {result}")
+    jac.append("V = []")
+    layout: List[Tuple[bool, Tuple[int, ...]]] = []
+    for probed, offset in offsets.items():
+        moved: Dict[int, str] = {}
+        block = [f"q = next({'Q' if select else 'R'})", f"P = A{probed}[:]", "P[j] = q"]
+        if select:
+            block.insert(1, "r = next(R)")
+        if probed in needed:
+            moved[probed] = "tp"
+            block.append(f"tp = {level_time(probed, base_counts[probed], probed)}")
+        if probed >= 1 and probed - 1 in needed:
+            moved[probed - 1] = "tm"
+            block.append(f"tm = {level_time(probed - 1, 'count(P)', probed)}")
+        times = {**time_of, **moved}
+        moves_objective = not select and objective in moved
+        scale = "scale"
+        entries = []
+        if moves_objective:
+            moved_objective = times[objective]
+            entries.append(moved_objective)
+            if kind == "refine":
+                block.append(
+                    f"sc = 1e-30 if 1e-30 > {moved_objective} else {moved_objective}"
+                )
+                scale = "sc"
+        capacity = const(f"K{probed}")
+        entries.append(f"({capacity} - fp(P)) / {capacity}")
+        touched = {j: [rows.index(("capacity", probed))] for j in range(7)}
+        for inner in (probed - 1, probed):
+            if 0 <= inner < count - 1:
+                outer_item = item(inner + 1, probed)
+                inner_item = item(inner, probed)
+                if select:
+                    entries.append(f"{outer_item} - {inner_item}")
+                else:
+                    entries.append(f"({outer_item} - {inner_item}) / {const('W')}[j]")
+                for j in range(7):
+                    touched[j].append(rows.index(("nesting", inner, j)))
+        for position, row in enumerate(rows):
+            if row[0] == "dominance" and (row[1] in moved or moves_objective):
+                entries.append(value(row, times, scale=scale))
+                for j in range(7):
+                    touched[j].append(position)
+        block.append(f"V += ({', '.join(entries)},)")
+        jac.append("for j in range(7):")
+        jac.append(f"    if u[{offset} + j]:")
+        jac += [f"        {line}" for line in block]
+        layout += [(moves_objective, tuple(touched[j])) for j in range(7)]
+    if select:
+        entries = ["w"] + [value(row, v="w") for row in rows if row[0] == "dominance"]
+        jac.append(f"if u[{last}]:")
+        jac.append("    w = next(R)")
+        jac.append(f"    V += ({', '.join(entries)},)")
+        layout.append(
+            (True, tuple(p for p, row in enumerate(rows) if row[0] == "dominance"))
+        )
+    jac.append("return V")
+    helpers: List[str] = []
+    if any("count(" in line for line in jac):
+        # The tile count of the level inside tiles T, as ``point`` forms it.
+        ratios = [f"{const(f'E{j}')} / b{j}" for j in range(7)]
+        product = " * ".join([ratios[0]] + [f"({r})" for r in ratios[1:]])
+        helpers = [
+            "",
+            "    def count(T):",
+            f"        {', '.join(f'b{j}' for j in range(7))} = T",
+            f"        return {product}",
+        ]
+
+    functions = [("point", "x", body)]
+    if select:
+        returned = ", ".join(time_of[index] for index in range(count))
+        functions.append(("times", "T", times_body + [f"return [{returned}]"]))
+    functions.append(("jacobian", "x, probe, u", jac))
     lines = ["def make(vol, fp, exp, log, array, c):"]
     lines += [f"    {name} = c[{name!r}]" for name in used]
-    lines.append("")
-    lines.append("    def point(x):")
-    lines += [f"        {line}" for line in body]
-    if select:
-        lines += ["", "    def times(T):"]
-        lines += [f"        {line}" for line in tiles_prologue("T") + time_lines]
-        returned = ", ".join(time_of[index] for index in range(count))
-        lines.append(f"        return [{returned}]")
-        lines += ["", "    return point, times", ""]
-    else:
-        lines += ["", "    return point, None", ""]
-    return "\n".join(lines)
+    lines += helpers
+    for name, args, function_body in functions:
+        lines += ["", f"    def {name}({args}):"]
+        lines += [f"        {line}" for line in function_body]
+    lines += ["", f"    return point, {'times' if select else 'None'}, jacobian", ""]
+    return "\n".join(lines), tuple(layout)
 
 
 def _one_slot(point):
@@ -864,6 +1012,38 @@ def _one_slot(point):
     return (lambda x: evaluate(x)[0]), (lambda x: evaluate(x)[1])
 
 
+def _sparse_probes(jacobian, layout, free: np.ndarray):
+    """A problem's ``probes`` from its generated ``jacobian`` and ``layout``
+    (see :func:`_round_source`) for the free coordinates ``free``.
+
+    Every value a probe does not move is its base value: the probes start
+    from the base objective and constraints and only the moved entries
+    are replaced, so the solver's difference of an unmoved entry is
+    ``(c - c) / dx`` -- a zero signed like the step, as differencing a
+    full evaluation of the probe gives, never a literal ``0.0``.
+    """
+    flags = [False] * len(layout)
+    columns: List[int] = []
+    entries: List[int] = []  # 0 is the objective, 1 + r constraint row r
+    for column, coordinate in enumerate(free.tolist()):
+        flags[coordinate] = True
+        moves_objective, rows = layout[coordinate]
+        moved = ([0] if moves_objective else []) + [1 + row for row in rows]
+        columns += [column] * len(moved)
+        entries += moved
+    flags = tuple(flags)
+    width = free.size
+    moved_at = (np.array(columns, dtype=np.intp), np.array(entries, dtype=np.intp))
+
+    def probes(x, probe, value, constraints):
+        base = np.concatenate(((value,), constraints))
+        table = np.repeat(base[None, :], width, axis=0)
+        table[moved_at] = jacobian(x, probe, flags)
+        return table[:, 0], table[:, 1:]
+
+    return probes
+
+
 class _RoundEvaluator:
     """The cost model of one round of Algorithm 1, shared by its solves.
 
@@ -872,13 +1052,11 @@ class _RoundEvaluator:
     :data:`LOOP_INDICES` order per free level.  This object owns what the
     epigraph selection solve and the hypothesis refine solves have in
     common: the free/fixed levels, the tile bounds, and the problems
-    themselves (:meth:`problem`).  Per point (SLSQP's line search) each
-    problem is one generated function (:func:`_round_source`, cached by
-    round structure in the compile cache); per ``(M, D)`` point matrix
-    (the batched finite-difference sweeps) it is one fused
-    ``volume_rows`` / ``footprint_rows`` sweep (:meth:`batch`) plus the
-    problem's constraint assembly.  Both forms perform the same IEEE-754
-    operations in the same order, so they agree bitwise.
+    themselves (:meth:`problem`).  Each problem is generated code
+    (:func:`_round_source`, cached by round structure in the compile
+    cache): one function per point (SLSQP's line search) and one that
+    recomputes, per finite-difference probe of a point, only the values
+    the probed coordinate reaches (the gradients).
     """
 
     def __init__(
@@ -903,22 +1081,13 @@ class _RoundEvaluator:
             for level, values in fixed.items()
         }
         self._fixed_logs = {level: np.log(array) for level, array in self.fixed.items()}
-        self._bandwidths = np.array(
-            [bandwidths[level] for level in self.level_order], dtype=float
-        )
-        self.bandwidth_list = self._bandwidths.tolist()
+        self.bandwidth_list = [float(bandwidths[level]) for level in self.level_order]
         self._capacity_list = [capacities[level] for level in self.free_levels]
-        self._capacity_column = np.array(self._capacity_list, dtype=float)[:, None]
         order = self.level_order
         self._free_mask = tuple(level in self.free_levels for level in order)
         self._outer = [
             order[index + 1] if index + 1 < len(order) else _WHOLE
             for index in range(len(order))
-        ]
-        self.nesting_pairs = [
-            (order[index], order[index + 1])
-            for index in range(len(order) - 1)
-            if order[index] in self.free_levels or order[index + 1] in self.free_levels
         ]
 
         # Bounds: each free level's tile is bounded below by the nearest fixed
@@ -969,14 +1138,6 @@ class _RoundEvaluator:
                     / self.bandwidth_list[index]
                 )
 
-        # Broadcast views of the fixed tiles / problem extents per batch
-        # size (almost always the FD sweep's probe count).
-        self._broadcast: Dict[int, Dict[str, np.ndarray]] = {}
-        # One-slot memo of the refine row assembly: the FD sweep asks for
-        # the objective and the constraint values of one point matrix
-        # back to back.
-        self._rows_memo: Tuple[object, object] = (None, None)
-        self._all_levels = list(range(len(order)))
         self._instances: Dict[Tuple, Tuple] = {}
 
     def box(self, level: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -999,6 +1160,7 @@ class _RoundEvaluator:
                 tiles = self._fixed_floats[level]
                 logs = self._fixed_logs[level].tolist()
                 constants[f"F{index}"] = tiles
+                constants[f"G{index}"] = logs
                 for j in range(7):
                     constants[f"f{index}_{j}"] = tiles[j]
                     constants[f"g{index}_{j}"] = logs[j]
@@ -1018,12 +1180,12 @@ class _RoundEvaluator:
         if instance is not None:
             return instance
         key = ("round", kind, objective, self._free_mask)
-        make = self._cache.generated(
-            key,
-            lambda: compile_generated(
-                _round_source(kind, objective, self._free_mask), "make"
-            ),
-        )
+
+        def build():
+            source, layout = _round_source(kind, objective, self._free_mask)
+            return compile_generated(source, "make"), layout
+
+        make, layout = self._cache.generated(key, build)
         compiled = self.compiled
         instance = make(
             compiled.volume_floats,
@@ -1032,7 +1194,7 @@ class _RoundEvaluator:
             np.log,
             np.array,
             self._constants(),
-        )
+        ) + (layout,)
         self._instances[(kind, objective)] = instance
         return instance
 
@@ -1051,102 +1213,6 @@ class _RoundEvaluator:
             level: dict(zip(LOOP_INDICES, values)) for level, values in by_level.items()
         }
 
-    # -- per point matrix (one fused sweep) ------------------------------
-    def rows_by_level(self, free_points: np.ndarray, fixed: Mapping) -> Dict:
-        """Per-level ``(M, 7)`` slices of ``free_points`` plus the ``(7,)``
-        rows of ``fixed`` (broadcast by the arithmetic that uses them)."""
-        by_level = dict(fixed)
-        for position, level in enumerate(self.free_levels):
-            by_level[level] = free_points[:, position * 7 : (position + 1) * 7]
-        return by_level
-
-    def batch(
-        self, tile_points: np.ndarray, indices: Sequence[int]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Times ``(len(indices), M)`` of the levels at ``indices`` (level
-        order positions) and capacity slacks ``(M, free)`` at once.
-
-        Row ``m`` equals the generated per-point evaluation at
-        ``tile_points[m]`` bitwise; frozen levels take their constant.
-        """
-        count_points = tile_points.shape[0]
-        views = self._broadcast.get(count_points)
-        if views is None:
-            views = {
-                level: np.broadcast_to(array, (count_points, 7))
-                for level, array in self.fixed.items()
-            }
-            views[_WHOLE] = np.broadcast_to(self.extents, (count_points, 7))
-            if len(self._broadcast) > 8:
-                self._broadcast.clear()
-            self._broadcast[count_points] = views
-        tiles = self.rows_by_level(tile_points, views)
-        live = [index for index in indices if index not in self._frozen_times]
-        outer_stack = np.concatenate([tiles[self._outer[index]] for index in live])
-        inner_stack = np.concatenate([tiles[self.level_order[index]] for index in live])
-        volumes = self.compiled.volume_rows(outer_stack, inner_stack).reshape(
-            len(live), count_points
-        )
-        counts = np.prod(self.extents / outer_stack, axis=-1).reshape(
-            len(live), count_points
-        )
-        times = volumes * counts / self._bandwidths[live, None]
-        if len(live) < len(indices):
-            computed = dict(zip(live, times))
-            times = np.array(
-                [
-                    computed[index]
-                    if index in computed
-                    else np.full(count_points, self._frozen_times[index])
-                    for index in indices
-                ]
-            )
-        footprints = self.compiled.footprint_rows(
-            np.concatenate([tiles[level] for level in self.free_levels])
-        ).reshape(len(self.free_levels), count_points)
-        caps = self._capacity_column
-        return times, ((caps - footprints) / caps).T
-
-    def _select_rows(self, points: np.ndarray) -> np.ndarray:
-        """Epigraph constraints of an ``(M, D)`` log-space point matrix."""
-        points = np.asarray(points, dtype=float)
-        y_points = points[:, :-1]
-        times, slacks = self.batch(np.exp(y_points), self._all_levels)
-        logs = self.rows_by_level(y_points, self._fixed_logs)
-        nesting = [
-            logs[outer_level] - logs[inner_level]
-            for inner_level, outer_level in self.nesting_pairs
-        ]
-        dominance = points[:, -1:] - np.log(times).T
-        return np.concatenate([slacks] + nesting + [dominance], axis=1)
-
-    def _refine_rows(self, points: np.ndarray, objective: int, relaxed: bool):
-        """Objective times and constraint columns (relaxed, or with the
-        dominance columns) of an ``(M, D)`` point matrix, memoized on the
-        last matrix."""
-        points = np.asarray(points, dtype=float)
-        key = (objective, relaxed, points.tobytes())
-        if self._rows_memo[0] == key:
-            return self._rows_memo[1]
-        times, slacks = self.batch(
-            points, [objective] if relaxed else self._all_levels
-        )
-        tiles = self.rows_by_level(points, self.fixed)
-        columns = [slacks] + [
-            (tiles[outer_level] - tiles[inner_level]) / self.extents
-            for inner_level, outer_level in self.nesting_pairs
-        ]
-        if relaxed:
-            objective_times = times[0]
-        else:
-            objective_times = times[objective]
-            others = [index for index in self._all_levels if index != objective]
-            scale = np.maximum(objective_times, 1e-30)
-            columns.append(((objective_times - times[others]) / scale).T)
-        value = (objective_times, np.concatenate(columns, axis=1))
-        self._rows_memo = (key, value)
-        return value
-
     def problem(
         self,
         kind: str,
@@ -1161,27 +1227,12 @@ class _RoundEvaluator:
         objective = (
             None if objective_level is None else self.level_order.index(objective_level)
         )
-        point = self._generated(kind, objective)[0]
+        point, _, jacobian, layout = self._generated(kind, objective)
         objective_fn, constraints_fn = _one_slot(point)
-        if kind == "select":
-            batch_objective = lambda points: np.asarray(points, dtype=float)[:, -1]
-            batch_inequalities = self._select_rows
-        else:
-            relaxed = kind == "relaxed"
-            batch_objective = lambda points: self._refine_rows(
-                points, objective, relaxed
-            )[0]
-            batch_inequalities = lambda points: self._refine_rows(
-                points, objective, relaxed
-            )[1]
-        return ConstrainedProblem(
-            objective_fn,
-            (constraints_fn,),
-            tuple(bounds),
-            batch_objective=batch_objective,
-            batch_inequalities=batch_inequalities,
-            **declarations,
+        problem = ConstrainedProblem(
+            objective_fn, (constraints_fn,), tuple(bounds), **declarations
         )
+        return replace(problem, probes=_sparse_probes(jacobian, layout, problem.free))
 
 
 def optimize_conv(

@@ -14,13 +14,14 @@ built on ``scipy.optimize``:
   when SLSQP fails to return a feasible point (the objectives are smooth
   posynomial-like functions, so this is rare and exists for robustness).
 
-Problems that carry batched evaluators (every MOpt optimizer problem) run
-SLSQP on a local driver over scipy's reverse-communication kernel instead
-of ``scipy.optimize.minimize``: the driver feeds the kernel exactly the
-values scipy's own loop would, so every trajectory is bitwise scipy's,
-but each gradient is one batched finite-difference sweep, and the starts
-of a ``polish_all`` problem advance in lockstep so all of their waiting
-gradients share one sweep.
+Problems that carry sparse probes (every MOpt optimizer problem) or
+batched evaluators run SLSQP on a local driver over scipy's
+reverse-communication kernel instead of ``scipy.optimize.minimize``: the
+driver feeds the kernel exactly the values scipy's own loop would, so
+every trajectory is bitwise scipy's, but each gradient is one
+finite-difference evaluation of all probes of the point at once -- for
+the MOpt problems, generated code that recomputes per probe only what
+the probed coordinate reaches.
 
 The problems involved are small — at most a few dozen variables — so a
 multi-start local method reliably finds the same optima Ipopt would.
@@ -28,11 +29,15 @@ multi-start local method reliably finds the same optima Ipopt would.
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from functools import partial
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy
 from scipy import optimize
 from scipy.optimize._slsqplib import slsqp as _slsqp_kernel
 
@@ -108,15 +113,21 @@ class ConstrainedProblem:
     present, the multistart driver screens starting points in one
     vectorized sweep and runs SLSQP on its own driver, where every
     gradient is one batched finite-difference sweep instead of scipy
-    differencing the per-point callables one coordinate at a time — every
-    MOpt optimizer problem carries them.  A batched problem has either no
-    inequalities or exactly one (vector-valued) inequality callable with a
-    ``batch_inequalities`` counterpart.  The batched evaluators must agree
-    with the per-point callables (bitwise, for the optimizer's problems:
-    the base row of each sweep comes from the per-point callables and the
-    probe rows from the batched ones), and each row of their result must
-    depend on that row's point only: lockstep polishes stack the probe
-    rows of several SLSQP runs into one call.
+    differencing the per-point callables one coordinate at a time.  The
+    batched evaluators must agree with the per-point callables (the base
+    value of each difference comes from the per-point callables and the
+    probe values from the batched ones).
+
+    ``probes`` is the sparse alternative the MOpt optimizer's problems
+    carry: ``probes(x, probe, value, constraints)`` returns the objective
+    values ``(F,)`` and constraint values ``(F, C)`` at the F
+    finite-difference probes of ``x`` -- its ``x + 0.0`` with free
+    variable ``free[k]`` set to ``probe[k]`` -- where an entry the probed
+    variable cannot move may be given as its base value (``value`` or
+    ``constraints``, the values at ``x``).  The driver then runs SLSQP
+    on it like on a batched problem.  A problem with either has no
+    inequalities or exactly one (vector-valued) inequality callable, with
+    a ``batch_inequalities`` counterpart when it is batched.
 
     ``single_basin`` declares that the problem has (to solver tolerance) a
     single basin of attraction — e.g. the optimizer's epigraph min-max
@@ -137,11 +148,7 @@ class ConstrainedProblem:
     polished and the best kept.  Like ``single_basin`` it never consults
     ``SolverOptions.polish_starts`` — screened and exact modes again
     coincide by construction, this time by doing the exact mode's full
-    work on a deliberately small start list.  Because every start is
-    polished anyway, a batched ``polish_all`` problem polishes them in
-    lockstep: the runs advance together and each round of gradient
-    requests is one shared finite-difference sweep.  The best result is
-    still picked in start order, so it equals polishing each start alone.
+    work on a deliberately small start list.
     """
 
     objective: Callable[[np.ndarray], float]
@@ -149,19 +156,23 @@ class ConstrainedProblem:
     bounds: Tuple[Tuple[float, float], ...]
     batch_objective: Optional[Callable[[np.ndarray], np.ndarray]] = None
     batch_inequalities: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    probes: Optional[Callable[..., Tuple[np.ndarray, np.ndarray]]] = None
     single_basin: bool = False
     polish_all: bool = False
     #: Per-variable bounds as arrays, built once from ``bounds``.
     lows: np.ndarray = field(init=False, repr=False, compare=False)
     highs: np.ndarray = field(init=False, repr=False, compare=False)
-    #: Indices of the variables not pinned by equal bounds.
+    #: Indices of the variables not pinned by equal bounds, and their bounds.
     free: np.ndarray = field(init=False, repr=False, compare=False)
+    free_lows: np.ndarray = field(init=False, repr=False, compare=False)
+    free_highs: np.ndarray = field(init=False, repr=False, compare=False)
     #: Whether every free variable's box is wider than two FD steps.
     wide: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.batch_objective is not None and self.inequalities and (
-            self.batch_inequalities is None or len(self.inequalities) != 1
+        batched = self.batch_objective is not None
+        if (batched or self.probes is not None) and self.inequalities and (
+            len(self.inequalities) != 1 or (batched and self.batch_inequalities is None)
         ):
             raise ValueError(
                 "a batched problem needs exactly one inequality callable "
@@ -175,6 +186,8 @@ class ConstrainedProblem:
         )
         free = np.nonzero(self.lows != self.highs)[0]
         object.__setattr__(self, "free", free)
+        object.__setattr__(self, "free_lows", self.lows[free])
+        object.__setattr__(self, "free_highs", self.highs[free])
         object.__setattr__(
             self,
             "wide",
@@ -249,32 +262,73 @@ _EXIT_MODES = {
 }
 
 # Solver activity in this process: SLSQP runs, the gradients the driver's
-# runs asked for, the batched finite-difference sweeps that served them
-# (fewer sweeps than requests means lockstep runs shared sweeps) and the
-# probe rows those sweeps evaluated (one per free variable of each
-# differenced point).  Serving solves on threads, hence the lock.
-_STATS = {"slsqp_runs": 0, "gradient_requests": 0, "fd_sweeps": 0, "probe_rows": 0}
+# runs asked for and the finite-difference probe points that answered
+# them (one per free variable of each differenced point).  Serving solves
+# on threads, hence the lock.
+_STATS = {"slsqp_runs": 0, "gradient_requests": 0, "probe_rows": 0}
 _STATS_LOCK = threading.Lock()
 
 
-def _count(runs: int = 0, requests: int = 0, sweeps: int = 0, rows: int = 0) -> None:
+def _count(runs: int = 0, requests: int = 0, rows: int = 0) -> None:
     with _STATS_LOCK:
         _STATS["slsqp_runs"] += runs
         _STATS["gradient_requests"] += requests
-        _STATS["fd_sweeps"] += sweeps
         _STATS["probe_rows"] += rows
 
 
-def solver_stats() -> Dict[str, int]:
+def solver_stats() -> Dict[str, object]:
     """Counters of SLSQP activity in this process (for the stats probe),
-    with the generated evaluator sources compiled (``evaluator_compiles``)."""
+    with the generated evaluator sources compiled (``evaluator_compiles``)
+    and whether scipy's OpenBLAS runs on one thread
+    (``blas_threads_pinned``, see :func:`pin_blas_threads`)."""
     with _STATS_LOCK:
-        stats = dict(_STATS)
+        stats: Dict[str, object] = dict(_STATS)
     stats["evaluator_compiles"] = evaluator_compiles()
+    stats["blas_threads_pinned"] = _BLAS_PIN["pinned"]
     return stats
 
 
 REGISTRY.register_collector("solver", solver_stats)
+
+
+#: Outcome of :func:`pin_blas_threads`, decided once per process.
+_BLAS_PIN: Dict[str, Optional[bool]] = {"pinned": None}
+_BLAS_PIN_LOCK = threading.Lock()
+
+
+def _scipy_openblas() -> Optional[ctypes.CDLL]:
+    """scipy's bundled OpenBLAS (``scipy.libs/libscipy_openblas-*.so``),
+    or ``None`` when this scipy build does not bundle it."""
+    libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            return ctypes.CDLL(str(path))
+        except OSError:
+            continue
+    return None
+
+
+def pin_blas_threads() -> bool:
+    """Run scipy's OpenBLAS on one thread for the rest of the process.
+
+    SLSQP's linear algebra runs on that library, and its rounding depends
+    on its thread count, so without the pin the answers would depend on
+    the host's core count (and on ``OPENBLAS_NUM_THREADS``).  The first
+    call probes the library for ``scipy_openblas_set_num_threads`` and
+    calls it with 1; later calls return the recorded outcome.  Returns
+    ``False`` when the library or the symbol is missing (the answers then
+    follow the environment) -- it never raises for that.
+    """
+    with _BLAS_PIN_LOCK:
+        if _BLAS_PIN["pinned"] is None:
+            library = _scipy_openblas()
+            setter = getattr(library, "scipy_openblas_set_num_threads", None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+            _BLAS_PIN["pinned"] = setter is not None
+        return bool(_BLAS_PIN["pinned"])
 
 
 def _fd_steps(
@@ -320,108 +374,111 @@ _Gradient = Tuple[np.ndarray, Optional[np.ndarray]]
 _Outcome = Tuple[np.ndarray, bool, str]
 
 
-def _fd_sweep(
-    problem: ConstrainedProblem, requests: Sequence[_Request]
-) -> List[_Gradient]:
-    """Answer many gradient requests with one batched evaluation.
+def _fd_probe(
+    problem: ConstrainedProblem, point: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """Probe values and realized steps of the free variables of ``point``.
 
-    Every requested point contributes one forward-difference probe row
-    per free variable (a pinned variable's derivative is zero and the
-    driver drops it) to one stacked matrix, which goes through
-    ``batch_objective`` and ``batch_inequalities`` once each; the
-    gradients and jacobians of all requests are then formed together.
-    Untouched coordinates of a probe row are the point's ``x + 0.0``.
-    The base values are not part of the sweep: the runs already hold the
-    per-point values at their iterates.  The steps are
-    :func:`_fd_steps`'s; when no step is lost to rounding and every
-    point lies above its lower bound in a box wider than two steps, they
-    reduce to the absolute step, forward or (where the forward probe
-    would pass the upper bound) backward, which is checked first.
+    The steps are :func:`_fd_steps`'s.  When no step is lost to rounding
+    and the point lies above its lower bound in a box wider than two
+    steps, they reduce to the absolute step, forward or (where the
+    forward probe would pass the upper bound) backward, which is checked
+    first.  The flag says whether that fast path held (then no step is
+    zero).
     """
-    points: List[np.ndarray] = []
-    objective_rows: List[int] = []
-    constraint_rows: List[int] = []
-    for objective_point, constraint_point, _, _, _ in requests:
-        objective_rows.append(len(points))
-        points.append(objective_point)
-        if constraint_point is not objective_point:
-            points.append(constraint_point)
-        constraint_rows.append(len(points) - 1)
-    stacked = np.array(points)
-    free = problem.free
-    count, width = len(points), free.size
-    at = stacked[:, free]
-    lows, highs = problem.lows[free], problem.highs[free]
-    # In a box wider than two steps the absolute step fits on one side of
-    # the point, so scipy's rule keeps it and only flips its sign where
-    # the forward probe would pass the upper bound.
+    at = point[problem.free]
+    lows, highs = problem.free_lows, problem.free_highs
     probe = at + _SQRT_EPS
     dx = probe - at
-    exact = problem.wide and bool((dx != 0.0).all()) and bool((at >= lows).all())
-    if exact:
+    if problem.wide and dx.all() and (at >= lows).all():
         over = probe > highs
-        if over.any():
-            probe = np.where(over, at - _SQRT_EPS, probe)
-            dx = probe - at
-            exact = bool((dx != 0.0).all())
-    if not exact:
-        h, dx = _fd_steps(at, lows, highs)
-        probe = at + h
-    probes = np.repeat((stacked + 0.0)[:, None, :], width, axis=1)
-    probes[:, np.arange(width), free] = probe
-    probes = probes.reshape(count * width, -1)
-    _count(rows=count * width)
+        if not over.any():
+            return probe, dx, True
+        probe = np.where(over, at - _SQRT_EPS, probe)
+        dx = probe - at
+        if dx.all():
+            return probe, dx, True
+    h, dx = _fd_steps(at, lows, highs)
+    return at + h, dx, False
 
-    def slopes(differences: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        if exact:
-            return differences / steps
-        zero = steps == 0.0
-        return np.where(zero, 0.0, differences / np.where(zero, 1.0, steps))
 
-    def rows(array: np.ndarray, which: List[int]) -> np.ndarray:
-        return array if count == len(requests) else array[which]
+def _fd_sweep(
+    problem: ConstrainedProblem,
+    point: np.ndarray,
+    probe: np.ndarray,
+    value: float,
+    constraints: Optional[np.ndarray],
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The ``probes`` of a problem with batched evaluators: one sweep of
+    probe rows, one per free variable (the point's ``x + 0.0`` with that
+    variable set to its probe value), through each batched evaluator."""
+    free = problem.free
+    rows = np.repeat((point + 0.0)[None, :], free.size, axis=0)
+    rows[np.arange(free.size), free] = probe
+    values = np.asarray(problem.batch_objective(rows), dtype=float)
+    if not problem.inequalities:
+        return values, None
+    return values, np.asarray(problem.batch_inequalities(rows), dtype=float)
 
-    values = np.asarray(problem.batch_objective(probes), dtype=float).reshape(
-        count, width
-    )
-    scales = np.array([request[3] for request in requests], dtype=float)[:, None]
-    bases = np.array([[request[2]] for request in requests], dtype=float) / scales
-    grads = slopes(
-        rows(values, objective_rows) / scales - bases, rows(dx, objective_rows)
-    )
-    jacobians: Sequence[Optional[np.ndarray]] = [None] * len(requests)
-    if problem.inequalities:
-        cons = np.asarray(problem.batch_inequalities(probes), dtype=float).reshape(
-            count, width, -1
-        )
-        base_cons = np.array([request[4] for request in requests])[:, None, :]
-        steps = rows(dx, constraint_rows)[:, :, None]
-        jacobians = slopes(rows(cons, constraint_rows) - base_cons, steps).transpose(
-            0, 2, 1
-        )
-    return list(zip(grads, jacobians))
+
+def _fd_gradient(problem: ConstrainedProblem, request: _Request) -> _Gradient:
+    """Answer one gradient request by forward differences over the free
+    variables (a pinned variable's derivative is zero and the driver
+    drops it).
+
+    The objective is differenced at the point and the constraints at its
+    clipped copy; the probe values come from the problem's ``probes``
+    (the generated sparse evaluation of the MOpt problems) or else from
+    its batched evaluators.  Each derivative is the probe value minus the
+    base value over the realized step, so an entry the probed coordinate
+    cannot reach is ``(c - c) / dx``: a signed zero, as differencing a
+    full evaluation gives.
+    """
+    point, clipped, value, scale, cons = request
+    probes = problem.probes or partial(_fd_sweep, problem)
+    probe, dx, exact = _fd_probe(problem, point)
+    values, probe_cons = probes(point, probe, value, cons)
+    rows = dx.size
+    grad = _slopes(values / scale - value / scale, dx, exact)
+    if not problem.inequalities:
+        _count(requests=1, rows=rows)
+        return grad, None
+    if clipped is not point:
+        probe, dx, exact = _fd_probe(problem, clipped)
+        _, probe_cons = probes(clipped, probe, value, cons)
+        rows += dx.size
+    _count(requests=1, rows=rows)
+    return grad, _slopes(probe_cons - cons, dx[:, None], exact).T
+
+
+def _slopes(differences: np.ndarray, steps: np.ndarray, exact: bool) -> np.ndarray:
+    """Differences over steps; a zero step (only off the fast path) has
+    slope 0."""
+    if exact:
+        return differences / steps
+    zero = steps == 0.0
+    return np.where(zero, 0.0, differences / np.where(zero, 1.0, steps))
 
 
 def _slsqp_run(
     problem: ConstrainedProblem, start: np.ndarray, options: SolverOptions
-) -> Generator[_Request, _Gradient, _Outcome]:
-    """One SLSQP polish of ``start`` on scipy's kernel, as a generator.
+) -> _Outcome:
+    """One SLSQP polish of ``start`` on scipy's kernel.
 
     This is the loop of scipy's ``_minimize_slsqp``, fed exactly the values
     ``scipy.optimize.minimize(method="SLSQP")`` would compute with the
-    batched jacobians supplied as callables: the clipped start, the
-    objective scaled by ``|f(x0)|``, the objective differenced at the
-    iterate and the constraints at its clipped copy, with variables pinned
-    by equal bounds removed from the problem (scipy removes them itself
-    only when it differences, and a kept pinned variable would send SLSQP
-    down a different trajectory).
+    finite-difference jacobians of :func:`_fd_gradient` supplied as
+    callables: the clipped start, the objective scaled by ``|f(x0)|``, the
+    objective differenced at the iterate and the constraints at its
+    clipped copy, with variables pinned by equal bounds removed from the
+    problem (scipy removes them itself only when it differences, and a
+    kept pinned variable would send SLSQP down a different trajectory).
 
-    Every gradient is a request yielded to the caller, which answers it
-    with a :func:`_fd_sweep` entry — possibly one shared with other runs.
     Returns ``(x, success, message)`` with ``x`` clipped and expanded to
     the full dimension.  A problem with every variable pinned raises
     ``ValueError``, as scipy's loop fails on it.
     """
+    _count(runs=1)
     lows, highs = problem.lows, problem.highs
     free = problem.free
     if not free.size:
@@ -446,7 +503,7 @@ def _slsqp_run(
     inequality = problem.inequalities[0] if problem.inequalities else None
 
     def constraints_at(point: np.ndarray) -> np.ndarray:
-        return np.atleast_1d(np.asarray(inequality(point), dtype=float)).ravel()
+        return np.asarray(inequality(point), dtype=float).reshape(-1)
 
     x = np.clip(start[free], xl, xu)
     point = expand(x)
@@ -457,7 +514,7 @@ def _slsqp_run(
     fx = value / scale
     cons = constraints_at(point) if inequality is not None else np.zeros(0)
 
-    def gradient():
+    def gradient() -> _Gradient:
         # Objective differenced at the iterate, constraints at its clipped
         # copy: scipy clips before differencing constraint callables only.
         clipped = problem.clip(point)
@@ -465,7 +522,7 @@ def _slsqp_run(
             clipped, clipped_cons = point, cons
         else:
             clipped_cons = constraints_at(clipped) if inequality is not None else cons
-        return (yield (point, clipped, value, scale, clipped_cons))
+        return _fd_gradient(problem, (point, clipped, value, scale, clipped_cons))
 
     n, m = x.size, cons.size
     state = {
@@ -501,7 +558,7 @@ def _slsqp_run(
     jac_matrix = np.zeros((max(1, m), n), dtype=np.float64, order="F")
     slack = np.zeros(max(1, m), dtype=np.float64)
     slack[:m] = cons
-    grad, jac = yield from gradient()
+    grad, jac = gradient()
     if m:
         jac_matrix[:m, :] = jac
     while True:
@@ -520,69 +577,12 @@ def _slsqp_run(
                 fx = value / scale
                 slack[:m] = cons
         if mode == -1:
-            grad, jac = yield from gradient()
+            grad, jac = gradient()
             if m:
                 jac_matrix[:m, :] = jac
         elif mode != 1:
             break
     return problem.clip(expand(x)), mode == 0, _EXIT_MODES[mode]
-
-
-def _slsqp_lockstep(
-    problem: ConstrainedProblem,
-    starts: Sequence[np.ndarray],
-    options: SolverOptions,
-) -> List[Optional[_Outcome]]:
-    """Polish every start on the driver, advancing the runs together.
-
-    Whenever the live runs wait on gradients, all of their requests go
-    through one :func:`_fd_sweep`.  Each run's trajectory is exactly its
-    solo trajectory (sweep rows are independent of one another).  A run
-    that raises one of :data:`_RUN_ERRORS` drops only its own start; so
-    does a failing shared sweep, which is retried request by request to
-    find the runs it belongs to.  Returns one ``(x, success, message)``
-    per start, in start order, or ``None`` for a dropped start.
-    """
-    outcomes: List[Optional[_Outcome]] = [None] * len(starts)
-    waiting: Dict[int, Tuple[Generator, _Request]] = {}
-    requests = sweeps = 0
-
-    def advance(index: int, run: Generator, answer: Optional[_Gradient]) -> None:
-        nonlocal requests
-        try:
-            request = run.send(answer)
-        except StopIteration as done:
-            outcomes[index] = done.value
-        except _RUN_ERRORS:
-            pass
-        else:
-            requests += 1
-            waiting[index] = (run, request)
-
-    for index, start in enumerate(starts):
-        advance(index, _slsqp_run(problem, start, options), None)
-    while waiting:
-        batch = list(waiting.items())
-        waiting.clear()
-        answers: List[Optional[_Gradient]] = [None] * len(batch)
-        try:
-            sweeps += 1
-            answers[:] = _fd_sweep(problem, [request for _, (_, request) in batch])
-        except _RUN_ERRORS:
-            if len(batch) > 1:
-                for position, (_, (_, request)) in enumerate(batch):
-                    try:
-                        sweeps += 1
-                        answers[position] = _fd_sweep(problem, [request])[0]
-                    except _RUN_ERRORS:
-                        pass
-        for (index, (run, _)), answer in zip(batch, answers):
-            if answer is None:
-                run.close()
-            else:
-                advance(index, run, answer)
-    _count(runs=len(starts), requests=requests, sweeps=sweeps)
-    return outcomes
 
 
 def _scipy_polish(
@@ -754,24 +754,23 @@ def minimize_from_starts(
     """Constrained minimization polished with SLSQP from explicit starts.
 
     This is the engine behind :func:`minimize_constrained`, exposed so the
-    optimizer can supply its own starting points.  For problems carrying
-    batched evaluators three things change relative to the plain per-point
-    loop:
+    optimizer can supply its own starting points.  Relative to the plain
+    per-point loop:
 
-    * when ``options.polish_starts`` is positive and smaller than the
-      number of starts (and the problem declares neither ``single_basin``
-      nor ``polish_all``), all starts are scored in one vectorized sweep
-      and only the most promising ones are polished;
-    * SLSQP runs on the local driver (:func:`_slsqp_run`) over scipy's
+    * for problems carrying batched evaluators, when
+      ``options.polish_starts`` is positive and smaller than the number of
+      starts (and the problem declares neither ``single_basin`` nor
+      ``polish_all``), all starts are scored in one vectorized sweep and
+      only the most promising ones are polished;
+    * for problems carrying batched evaluators or sparse ``probes``,
+      SLSQP runs on the local driver (:func:`_slsqp_run`) over scipy's
       kernel, with bitwise the trajectory ``scipy.optimize.minimize``
-      would take, where each gradient is one batched finite-difference
-      sweep instead of ``D + 1`` Python-level evaluations;
-    * the starts of a ``polish_all`` problem are polished in lockstep
-      (:func:`_slsqp_lockstep`): whenever runs wait on gradients, all of
-      their probe rows go through one batched call.
+      would take, where each gradient is one finite-difference evaluation
+      of all probes (:func:`_fd_gradient`) instead of ``D + 1``
+      Python-level evaluations.
 
-    Problems without batched evaluators go through
-    ``scipy.optimize.minimize`` with scipy's own differencing.  The rest —
+    Other problems go through ``scipy.optimize.minimize`` with scipy's
+    own differencing.  The rest —
     objective scaling, bound clipping, feasibility filtering, best-value
     selection in start order (strict ``<``, so ties keep the earlier
     start) and the random-search fallback — is the same for both paths.
@@ -779,6 +778,7 @@ def minimize_from_starts(
     ``FloatingPointError`` is dropped; the others are unaffected.
     """
     options = options or SolverOptions()
+    pin_blas_threads()
     starts = [problem.clip(np.asarray(s, dtype=float)) for s in starts]
     # Clipping collapses starts that differ only outside the box (or only
     # in pinned coordinates) onto the same point; polishing a duplicate
@@ -794,6 +794,7 @@ def minimize_from_starts(
             deduped.append(candidate)
     starts = deduped
     batched = problem.batch_objective is not None
+    driven = batched or problem.probes is not None
     # Screening: rank basins by the batched refiner, polish only the most
     # promising starts up front, and keep the rest as rescue candidates.
     # Kept starts are polished from their *original* positions, so a kept
@@ -814,10 +815,13 @@ def minimize_from_starts(
         ]
         starts = [starts[i] for i in order[: options.polish_starts]]
 
-    def polish(batch: Sequence[np.ndarray]) -> List[Optional[_Outcome]]:
-        if batched:
-            return _slsqp_lockstep(problem, batch, options)
-        return [_scipy_polish(problem, start, options) for start in batch]
+    def polish(start: np.ndarray) -> Optional[_Outcome]:
+        if not driven:
+            return _scipy_polish(problem, start, options)
+        try:
+            return _slsqp_run(problem, start, options)
+        except _RUN_ERRORS:
+            return None
 
     best_x: Optional[np.ndarray] = None
     best_value = float("inf")
@@ -839,17 +843,12 @@ def minimize_from_starts(
             message = run_message
 
     polished = 0
-    if problem.polish_all:
-        for outcome in polish(starts):
-            keep_best(outcome)
-        polished = len(starts)
-    else:
-        for start in starts:
-            keep_best(polish([start])[0])
-            polished += 1
-            if problem.single_basin and best_x is not None:
-                # One basin: the first feasible local minimum is the minimum.
-                break
+    for start in starts:
+        keep_best(polish(start))
+        polished += 1
+        if problem.single_basin and not problem.polish_all and best_x is not None:
+            # One basin: the first feasible local minimum is the minimum.
+            break
 
     # Adaptive rescue for screened-out starts.  (a) If no kept run produced
     # a feasible point, polish the remainder so screening can never flip
@@ -861,7 +860,7 @@ def minimize_from_starts(
     # polishes that cannot meaningfully improve the result.
     for start, score in screened_out:
         if best_x is None or score < float(np.log(max(best_value, 1e-300))) - 0.02:
-            keep_best(polish([start])[0])
+            keep_best(polish(start))
             polished += 1
 
     if best_x is None:

@@ -6,16 +6,16 @@ Three layers of guarantees are pinned here, none of them host-dependent:
   precision), and the compiled plans' row evaluators agree with their
   generated per-point float evaluators *bitwise*, row for row (the
   solver mixes the two forms in one problem), and with the generic model
-  (``volume_general``/``combined_footprint``) to rounding; so do the
-  generated per-point round problems with their batched rows, wherever
-  the solver evaluates them;
+  (``volume_general``/``combined_footprint``) to rounding; the generated
+  sparse jacobians of the round problems equal differencing their
+  per-point evaluators one coordinate at a time, at every gradient the
+  solver asks for;
 * the multistart driver returns bitwise the same solution whether a
   problem carries batched evaluators (batched finite-difference
   jacobians) or leaves differencing to scipy;
 * the local SLSQP driver over scipy's kernel takes bitwise the trajectory
   ``scipy.optimize.minimize`` takes when it differences the per-point
-  callables itself, on the optimizer's real problems, and lockstep
-  polishes equal solo ones;
+  callables itself, on the optimizer's real problems;
 * solver edge cases (infeasible capacity, 1-extent loops, stride and
   dilation > 1) produce valid configurations.
 """
@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 import repro.core.optimizer as optimizer_module
+import repro.core.solver as solver_module
 
 from repro.core.batched import (
     BatchedCostTable,
@@ -55,7 +56,9 @@ from repro.core.pruning import all_permutations, pruned_representatives
 from repro.core.solver import (
     ConstrainedProblem,
     SolverOptions,
-    _slsqp_lockstep,
+    _fd_gradient,
+    _fd_probe,
+    _slsqp_run,
     minimize_constrained,
     minimize_from_starts,
     solve_single_level,
@@ -451,11 +454,13 @@ class TestBatchedMultistartDriver:
 
 
 # ----------------------------------------------------------------------
-# The local SLSQP driver and lockstep polishes
+# The local SLSQP driver
 # ----------------------------------------------------------------------
 def _stats_delta(before):
     after = solver_stats()
-    return {key: after[key] - before[key] for key in after}
+    return {
+        key: after[key] - before[key] for key in after if key != "blas_threads_pinned"
+    }
 
 
 @pytest.fixture(scope="module")
@@ -503,8 +508,8 @@ class TestSlsqpDriver:
         does: bitwise the same ``x`` and exit message from every start of
         every real problem (a scipy release that changes the kernel
         protocol fails here).  scipy differences the per-point callables
-        itself, so neither the driver's sweeps nor the batched evaluators
-        take part in the oracle."""
+        itself, so neither the driver's differencing nor the generated
+        jacobians take part in the oracle."""
         captured, _ = r3_problems
         assert len(captured) == 5
         runs = 0
@@ -512,18 +517,18 @@ class TestSlsqpDriver:
             for start in starts:
                 start = problem.clip(start)
                 expected = _scipy_polish_oracle(problem, start, options)
-                (got,) = _slsqp_lockstep(problem, [start], options)
+                got = _slsqp_run(problem, start, options)
                 assert got[0].tobytes() == expected[0].tobytes()
                 assert got[1:] == expected[1:]
                 runs += 1
         assert runs >= 10
 
-    def test_lockstep_equals_solo_polishes(self, r3_problems):
+    def test_polish_all_equals_solo_polishes(self, r3_problems):
         captured, _ = r3_problems
         refines = [item for item in captured if item[0].polish_all]
         assert refines
         for problem, starts, options in refines:
-            lockstep = minimize_from_starts(problem, starts, options)
+            every = minimize_from_starts(problem, starts, options)
             # Neither declaration and no screening: every start is polished
             # alone, in order, and the best kept by the same rule.
             solo = minimize_from_starts(
@@ -531,21 +536,21 @@ class TestSlsqpDriver:
                 starts,
                 replace(options, polish_starts=0),
             )
-            assert lockstep.x.tobytes() == solo.x.tobytes()
-            assert lockstep.value == solo.value
-            assert lockstep.message == solo.message
-            assert lockstep.starts_tried == solo.starts_tried == len(starts)
+            assert every.x.tobytes() == solo.x.tobytes()
+            assert every.value == solo.value
+            assert every.message == solo.message
+            assert every.starts_tried == solo.starts_tried == len(starts)
 
-    def test_counters_show_shared_sweeps(self, r3_problems):
+    def test_counters_count_runs_and_requests(self, r3_problems):
         captured, delta = r3_problems
         assert delta["slsqp_runs"] > 0
-        assert 0 < delta["fd_sweeps"] < delta["gradient_requests"]
+        assert delta["gradient_requests"] > delta["slsqp_runs"]
         problem, starts, options = next(item for item in captured if item[0].single_basin)
         before = solver_stats()
         minimize_from_starts(problem, starts, options)
         select = _stats_delta(before)
         assert select["slsqp_runs"] >= 1
-        assert select["fd_sweeps"] == select["gradient_requests"] > 0
+        assert select["gradient_requests"] > 0
 
 
 class TestProbeRows:
@@ -593,30 +598,63 @@ def _round_problems(spec, settings):
     return captured
 
 
-def _visited(problem, starts, options):
-    """The clipped starts, every point the driver evaluated per point
-    (iterates and line-search points) and every probe matrix of its FD
-    sweeps, replaying one solve."""
-    points = [problem.clip(start) for start in starts]
-    matrices = []
+def _requests(problem, starts, options):
+    """Every gradient request the driver makes, replaying one solve."""
+    requests = []
 
-    def objective(x):
-        points.append(np.array(x, dtype=float))
-        return problem.objective(x)
+    def record(problem, request):
+        requests.append(request)
+        return _fd_gradient(problem, request)
 
-    def batch_objective(rows):
-        matrices.append(np.array(rows, dtype=float))
-        return problem.batch_objective(rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_module, "_fd_gradient", record)
+        minimize_from_starts(problem, starts, options)
+    return requests
 
-    recording = replace(problem, objective=objective, batch_objective=batch_objective)
-    minimize_from_starts(recording, starts, options)
-    return points, matrices
+
+def _dense_gradient(problem, request):
+    """Forward differences of the per-point callables, one free coordinate
+    at a time: the probe point is the point's ``x + 0.0`` with that
+    coordinate set to the driver's probe value (its step rule).  The
+    objective is differenced at the point and the constraints at its
+    clipped copy, as the driver does."""
+    point, clipped, value, scale, cons = request
+    free = problem.free
+
+    def columns(at, evaluate, base):
+        probe, dx, _ = _fd_probe(problem, at)
+        slopes = []
+        for k, coordinate in enumerate(free):
+            row = at + 0.0
+            row[coordinate] = probe[k]
+            difference = np.asarray(evaluate(row) - base, dtype=float)
+            zero = np.zeros_like(difference)
+            slopes.append(difference / dx[k] if dx[k] != 0.0 else zero)
+        return np.array(slopes)
+
+    grad = columns(point, lambda row: problem.objective(row) / scale, value / scale)
+    jac = columns(
+        clipped, lambda row: np.asarray(problem.inequalities[0](row), dtype=float), cons
+    )
+    return grad, jac.T
+
+
+def _request_at(problem, point):
+    """The request the driver makes at ``point`` (see ``_slsqp_run``)."""
+    value = problem.objective(point)
+    scale = abs(value) if value != 0 else 1.0
+    clipped = problem.clip(point)
+    if clipped.tobytes() == point.tobytes():
+        clipped = point
+    cons = np.asarray(problem.inequalities[0](clipped), dtype=float)
+    return point, clipped, value, scale, cons
 
 
 class TestGeneratedRoundProblems:
-    """Each round problem's generated ``point(x)`` equals its batched row
-    bitwise wherever the solver looks: at the starts, at every per-point
-    evaluation and at every finite-difference probe."""
+    """Each round problem's generated sparse jacobian equals differencing
+    its per-point evaluator one free coordinate at a time, bitwise, at
+    every gradient request of a cold solve; round code is shared by
+    structure."""
 
     @pytest.mark.parametrize(
         "name",
@@ -626,27 +664,53 @@ class TestGeneratedRoundProblems:
             pytest.param("R11", marks=pytest.mark.slow),
         ],
     )
-    def test_point_equals_batched_row(self, name):
+    def test_jacobian_equals_dense_differencing(self, name):
         spec = benchmark_by_name(name).with_batch(8)
         captured = _round_problems(spec, fast_settings(parallel=True))
         assert {kind for kind, _, _, _ in captured} == {"select", "refine", "relaxed"}
         checked = 0
-        for _, problem, starts, options in captured:
-            points, matrices = _visited(problem, starts, options)
-            for x in points:
-                row = x[None, :]
-                assert _bits(problem.objective(x)) == _bits(problem.batch_objective(row)[0])
-                assert _bits(problem.inequalities[0](x)) == _bits(
-                    problem.batch_inequalities(row)[0]
-                )
-            for rows in matrices:
-                values = problem.batch_objective(rows)
-                cons = problem.batch_inequalities(rows)
-                for m, x in enumerate(rows):
-                    assert _bits(problem.objective(x)) == _bits(values[m])
-                    assert _bits(problem.inequalities[0](x)) == _bits(cons[m])
-                    checked += 1
-        assert checked > 1000
+        for kind, problem, starts, options in captured:
+            assert problem.probes is not None and problem.batch_objective is None
+            for request in _requests(problem, starts, options):
+                grad, jac = _fd_gradient(problem, request)
+                expected_grad, expected_jac = _dense_gradient(problem, request)
+                assert _bits(grad) == _bits(expected_grad), kind
+                assert _bits(jac) == _bits(expected_jac), kind
+                checked += 1
+        assert checked > 100
+
+    def test_fallback_steps_and_clipped_constraint_point(self):
+        """Off the forward-step path: at a point on its upper bound the
+        probes step backward (so unreachable entries are -0.0) -- through
+        ``_fd_steps`` where a box is narrower than two steps -- and at a
+        point below its lower bound the steps come from ``_fd_steps`` and
+        the constraints are differenced at the clipped copy."""
+        spec = benchmark_by_name("R3").with_batch(8)
+        captured = _round_problems(spec, fast_settings(parallel=True))
+        kinds, paths = set(), set()
+        for kind, problem, starts, _ in captured:
+            start = problem.clip(starts[0])
+            at_upper = start.copy()
+            at_upper[problem.free] = problem.free_highs
+            below = start.copy()
+            below[problem.free[0]] = problem.lows[problem.free[0]] - 0.25
+            for where, point in (("upper", at_upper), ("below", below)):
+                request = _request_at(problem, point)
+                _, dx, exact = _fd_probe(problem, point)
+                paths.add((where, exact))
+                grad, jac = _fd_gradient(problem, request)
+                expected_grad, expected_jac = _dense_gradient(problem, request)
+                assert _bits(grad) == _bits(expected_grad)
+                assert _bits(jac) == _bits(expected_jac)
+                if where == "upper":
+                    assert exact == problem.wide and (dx <= 0).all()
+                    # Entries the probes cannot reach are (c - c) / dx < 0.
+                    assert np.signbit(jac[jac == 0.0]).any()
+                else:
+                    assert not exact and request[1] is not point
+            kinds.add(kind)
+        assert kinds == {"select", "refine", "relaxed"}
+        assert paths == {("upper", True), ("upper", False), ("below", False)}
 
     def test_same_round_structure_compiles_no_new_code(self, tiny_machine):
         """Round code depends on the round's structure only: another class

@@ -198,6 +198,23 @@ class TestShapeFamilySharing:
         optimizer.optimize(spec)
         assert evaluator_compiles() - before == 2 * cold
 
+    def test_cold_r3_compiles_one_source_per_plan_and_round(self):
+        """The sparse jacobian lives in its round's generated source: a
+        cold R3 solve (default ``mopt`` settings) compiles as many
+        evaluator sources as plans plus round structures, 19."""
+        from repro.core.optimizer import fast_settings
+        from repro.machine.presets import coffee_lake_i7_9700k
+        from repro.workloads.benchmarks import benchmark_by_name
+
+        optimizer = MOptOptimizer(
+            coffee_lake_i7_9700k(),
+            fast_settings(parallel=True),
+            compile_cache=CompileCache(),
+        )
+        before = evaluator_compiles()
+        optimizer.optimize(benchmark_by_name("R3"))
+        assert evaluator_compiles() - before == 19
+
     def test_differing_family_compiles_new_entries(self, tiny_machine):
         plain = ConvSpec("plain", 1, 16, 8, 10, 10, 3, 3, padding=1)
         strided = replace(plain, name="strided", stride=2)
@@ -405,7 +422,7 @@ class TestServingStatsProbe:
         assert set(stats["solver"]) == {
             "slsqp_runs",
             "gradient_requests",
-            "fd_sweeps",
             "probe_rows",
             "evaluator_compiles",
+            "blas_threads_pinned",
         }

@@ -1,7 +1,15 @@
 """Tests for the constrained nonlinear solver (repro.core.solver)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro.core.solver as solver_module
 
 from repro.core.capacity import max_feasible_uniform_tile
 from repro.core.cost_model import combined_footprint, total_data_volume
@@ -11,8 +19,10 @@ from repro.core.solver import (
     ConstrainedProblem,
     SolverOptions,
     minimize_constrained,
+    pin_blas_threads,
     solve_best_single_level,
     solve_single_level,
+    solver_stats,
 )
 from repro.core.tensor_spec import LOOP_INDICES
 
@@ -130,3 +140,72 @@ class TestStartingPoint:
         tiles = max_feasible_uniform_tile(small_spec, 1e12)
         for index in LOOP_INDICES:
             assert tiles[index] == small_spec.loop_extents[index]
+
+
+# ----------------------------------------------------------------------
+# scipy's OpenBLAS runs on one thread
+# ----------------------------------------------------------------------
+_SOLVE_R11 = """
+import json
+from repro.core.optimizer import MOptOptimizer, fast_settings
+from repro.core.solver import solver_stats
+from repro.machine.presets import coffee_lake_i7_9700k
+from repro.workloads.benchmarks import benchmark_by_name
+result = MOptOptimizer(coffee_lake_i7_9700k(), fast_settings(parallel=True)).optimize(
+    benchmark_by_name("R11")
+)
+print(json.dumps({
+    "answers": [
+        [c.class_name, float(c.predicted_time_seconds).hex(),
+         [[float(v).hex() for v in c.config.tiles(level).values()]
+          for level in c.config.levels]]
+        for c in result.candidates
+    ],
+    "pinned": solver_stats()["blas_threads_pinned"],
+}))
+"""
+
+
+def _solve_r11(threads):
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _SOLVE_R11],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+class TestBlasThreadPin:
+    def test_unset_thread_count_gives_the_one_thread_answers(self):
+        """With ``OPENBLAS_NUM_THREADS`` unset (so OpenBLAS would use every
+        core) a solve pins scipy's BLAS to one thread and reproduces the
+        ``OPENBLAS_NUM_THREADS=1`` answers bitwise."""
+        unset = _solve_r11(None)
+        one = _solve_r11("1")
+        assert unset["pinned"] is True
+        assert unset["answers"] == one["answers"]
+
+    def test_missing_symbol_reports_false_without_raising(self, monkeypatch):
+        monkeypatch.setitem(solver_module._BLAS_PIN, "pinned", None)
+        monkeypatch.setattr(solver_module, "_scipy_openblas", lambda: object())
+        assert pin_blas_threads() is False
+        assert solver_stats()["blas_threads_pinned"] is False
+        monkeypatch.setitem(solver_module._BLAS_PIN, "pinned", None)
+        monkeypatch.setattr(solver_module, "_scipy_openblas", lambda: None)
+        assert pin_blas_threads() is False
+
+    def test_pin_is_decided_once(self, monkeypatch):
+        pinned = pin_blas_threads()
+        monkeypatch.setattr(solver_module, "_scipy_openblas", lambda: None)
+        assert pin_blas_threads() is pinned
