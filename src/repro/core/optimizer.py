@@ -604,10 +604,7 @@ class MOptOptimizer:
         deterministic interior starts only (no seeded random starts): every
         start is polished and the best kept, so the screened and exact
         solver modes coincide bitwise (no lossy top-k start screening on
-        this path) and the result is independent of the solver seed.  The
-        three polishes run in lockstep on the solver's SLSQP driver, so
-        each step's gradients cost one batched sweep over the probe rows
-        of all three runs.
+        this path) and the result is independent of the solver seed.
 
         ``dominate=False`` skips the dominance-constrained solve and goes
         straight to the relaxed problem.  The caller passes it on the final

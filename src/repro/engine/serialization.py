@@ -48,11 +48,19 @@ def stable_hash(payload: Any) -> str:
 # ----------------------------------------------------------------------
 # ConvSpec
 # ----------------------------------------------------------------------
+_SPEC_FIELDS = tuple(f.name for f in dataclasses.fields(ConvSpec))
+
+
 def spec_to_dict(spec: ConvSpec, *, include_name: bool = True) -> Dict[str, Any]:
-    """Plain-dict form of a :class:`ConvSpec` (JSON-able, order-stable)."""
-    payload = dataclasses.asdict(spec)
+    """Plain-dict form of a :class:`ConvSpec` (JSON-able, order-stable).
+
+    Equal to ``dataclasses.asdict(spec)``, which deep-copies every field
+    the slow way; the fields are all ``int``/``str``, so reading them in
+    declaration order builds the same dict.
+    """
+    payload = {name: getattr(spec, name) for name in _SPEC_FIELDS}
     if not include_name:
-        payload.pop("name")
+        del payload["name"]
     return payload
 
 

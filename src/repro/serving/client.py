@@ -350,40 +350,58 @@ class TCPServingClient:
     async def _roundtrip(
         self, request: OptimizeRequest, on_event: Optional[EventCallback]
     ) -> Tuple[Optional[OptimizeResponse], Optional[ServingEvent]]:
-        """Send one request; return (response, terminal rejection/None)."""
+        """Send one request; return (response, terminal rejection/None).
+
+        One ``asyncio.timeout`` window covers the whole exchange and is
+        pushed ``timeout_s`` ahead before every wait: the write-drain and
+        each wait for an event.  Events already queued are taken without
+        waiting.
+        """
         queue: "asyncio.Queue" = asyncio.Queue()
         self._streams[request.request_id] = queue
+        loop = asyncio.get_running_loop()
+        timeout_s = self.timeout_s
+        draining = True
         try:
-            self._writer.write(encode_message(request.to_dict()))
-            try:
-                await asyncio.wait_for(self._writer.drain(), self.timeout_s)
-            except asyncio.TimeoutError:
+            async with asyncio.timeout(None) as window:
+                self._writer.write(encode_message(request.to_dict()))
+                if timeout_s is not None:
+                    window.reschedule(loop.time() + timeout_s)
+                await self._writer.drain()
+                draining = False
+                while True:
+                    if queue.empty():
+                        if timeout_s is not None:
+                            window.reschedule(loop.time() + timeout_s)
+                        event = await queue.get()
+                    else:
+                        event = queue.get_nowait()
+                    if isinstance(event, BaseException):
+                        raise event
+                    if on_event is not None:
+                        on_event(event)
+                    if isinstance(event, CompletedEvent):
+                        return event.response, None
+                    if isinstance(event, RejectedEvent):
+                        return None, event
+                    if isinstance(event, ExpiredEvent):
+                        raise DeadlineExpiredError(
+                            f"request {request.request_id} expired after "
+                            f"{event.waited_s * 1e3:.1f} ms"
+                        )
+                    if isinstance(event, FailedEvent):
+                        raise RequestFailedError(event.error)
+        except TimeoutError:
+            if not window.expired():
+                raise
+            if draining:
                 raise ServingTimeoutError(
-                    f"write stalled past {self.timeout_s:.1f}s"
+                    f"write stalled past {timeout_s:.1f}s"
                 ) from None
-            while True:
-                try:
-                    event = await asyncio.wait_for(queue.get(), self.timeout_s)
-                except asyncio.TimeoutError:
-                    raise ServingTimeoutError(
-                        f"no event from server within {self.timeout_s:.1f}s "
-                        f"for request {request.request_id}"
-                    ) from None
-                if isinstance(event, BaseException):
-                    raise event
-                if on_event is not None:
-                    on_event(event)
-                if isinstance(event, CompletedEvent):
-                    return event.response, None
-                if isinstance(event, RejectedEvent):
-                    return None, event
-                if isinstance(event, ExpiredEvent):
-                    raise DeadlineExpiredError(
-                        f"request {request.request_id} expired after "
-                        f"{event.waited_s * 1e3:.1f} ms"
-                    )
-                if isinstance(event, FailedEvent):
-                    raise RequestFailedError(event.error)
+            raise ServingTimeoutError(
+                f"no event from server within {timeout_s:.1f}s "
+                f"for request {request.request_id}"
+            ) from None
         finally:
             self._streams.pop(request.request_id, None)
 

@@ -377,9 +377,14 @@ def event_from_dict(payload: Mapping[str, Any]) -> ServingEvent:
     raise ValueError(f"unknown event type {kind!r}")
 
 
+#: ``json.dumps(payload, sort_keys=True)`` builds this encoder anew on
+#: every call; one shared instance encodes the same bytes.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def encode_message(payload: Mapping[str, Any]) -> bytes:
     """One JSON-lines frame (UTF-8, newline terminated)."""
-    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    return (_ENCODER.encode(payload) + "\n").encode("utf-8")
 
 
 def decode_message(line: bytes) -> Dict[str, Any]:

@@ -63,7 +63,7 @@ from ..core.batched import table_cache_stats  # noqa: F401 — collector import
 from ..core.cost_model import DEFAULT_COMPILE_CACHE  # noqa: F401 — collector import
 from ..core.tensor_spec import ConvSpec
 from ..engine.cache import ResultCache, resolve_cache
-from ..engine.network import build_network_result, dedup_specs, resolve_network
+from ..engine.network import build_network_result, resolve_network
 from ..engine.serialization import spec_shape_key
 from ..engine.strategy import SearchStrategy, StrategyResult, get_strategy
 from ..machine.spec import MachineSpec
@@ -196,14 +196,20 @@ class RequestHandle:
         self.expires_at: Optional[float] = None
         self._events: "asyncio.Queue[ServingEvent]" = asyncio.Queue()
         self._future: "asyncio.Future[OptimizeResponse]" = loop.create_future()
-        # Set by OptimizationServer.cancel(): a mid-flight worker races
-        # this against its solve and releases the slot when it fires.
-        self._cancel_event = asyncio.Event()
+        # Resolved by OptimizationServer.cancel() and the watchdog: a
+        # mid-flight worker races it against its solve and releases the
+        # slot when it resolves.  A plain future, so the race needs no
+        # waiter task of its own.
+        self._cancelled: "asyncio.Future[None]" = loop.create_future()
 
     @property
     def cancelled(self) -> bool:
         """Whether the request was cancelled (client abandoned it)."""
-        return self._cancel_event.is_set()
+        return self._cancelled.done()
+
+    def _signal_cancel(self) -> None:
+        if not self._cancelled.done():
+            self._cancelled.set_result(None)
 
     @property
     def request_id(self) -> str:
@@ -236,6 +242,57 @@ class RequestHandle:
             yield event
             if event.terminal:
                 return
+
+    async def event_batches(self) -> AsyncIterator[List[ServingEvent]]:
+        """Stream this request's events, every event already queued at once.
+
+        Each batch holds at least one event; the last batch ends with the
+        terminal event.  A transport writes a batch with one write.
+        """
+        queue = self._events
+        while True:
+            batch = [await queue.get()]
+            while not batch[-1].terminal and not queue.empty():
+                batch.append(queue.get_nowait())
+            yield batch
+            if batch[-1].terminal:
+                return
+
+
+def _layers_by_shape(specs: List[ConvSpec]) -> Dict[str, List[Tuple[int, ConvSpec]]]:
+    """``(index, spec)`` of every layer, grouped by shape key.
+
+    Each shape's result is emitted once per layer that shares it; the
+    first layer of each group is the shape's distinct operator.
+    """
+    layers: Dict[str, List[Tuple[int, ConvSpec]]] = {}
+    for index, spec in enumerate(specs):
+        layers.setdefault(spec_shape_key(spec), []).append((index, spec))
+    return layers
+
+
+def _emit_layers(
+    handle: RequestHandle,
+    layers: List[Tuple[int, ConvSpec]],
+    result: StrategyResult,
+    cached: bool,
+    coalesced: bool,
+) -> None:
+    """One :class:`OperatorEvent` per layer of one solved shape."""
+    total = len(handle.specs)
+    for index, spec in layers:
+        handle._emit(
+            OperatorEvent(
+                request_id=handle.request_id,
+                operator=spec.name,
+                index=index,
+                total=total,
+                gflops=result.gflops,
+                time_seconds=result.time_seconds,
+                cached=cached,
+                coalesced=coalesced,
+            )
+        )
 
 
 class OptimizationServer:
@@ -622,7 +679,7 @@ class OptimizationServer:
             FailedEvent(request_id=handle.request_id, error=str(error))
         )
         handle._fail(error)
-        handle._cancel_event.set()  # frees a worker mid-flight
+        handle._signal_cancel()  # frees a worker mid-flight
         return True
 
     # ------------------------------------------------------------------
@@ -684,7 +741,7 @@ class OptimizationServer:
         )
         # Release the worker if it is still racing solve vs. cancel; the
         # handle is already out of _handles so the worker stays quiet.
-        handle._cancel_event.set()
+        handle._signal_cancel()
 
     def _expire_queued(self, handle: RequestHandle, overstay: float) -> None:
         """Queue callback: a request's deadline passed while it waited."""
@@ -736,7 +793,8 @@ class OptimizationServer:
         service_start = time.perf_counter()
         strategy = handle.strategy
         network_name, specs = handle.network_name, handle.specs
-        distinct = dedup_specs(specs)
+        layers = _layers_by_shape(specs)
+        distinct = {shape_key: group[0][1] for shape_key, group in layers.items()}
         keys = {
             shape_key: self._cache_key(shape_key, spec, strategy)
             for shape_key, spec in distinct.items()
@@ -753,75 +811,91 @@ class OptimizationServer:
                 remaining = expires_at - time.monotonic()
                 if remaining <= 0:
                     raise asyncio.TimeoutError
-            # The primary solve runs under the tighter of the deadline
-            # and the per-request solve budget; overrunning the budget
-            # degrades to the fallback strategy instead of expiring.
-            budget = self.config.solve_timeout_s
-            budget_bound = (
-                budget is not None
-                and self._fallback_strategy is not None
-                and strategy.name != self._fallback_strategy.name
-                and (remaining is None or budget < remaining)
-            )
-            timeout = budget if budget_bound else remaining
-            solve = asyncio.ensure_future(
-                self._solve_distinct(handle, strategy, specs, distinct, keys)
-            )
-            watch_cancel = asyncio.ensure_future(handle._cancel_event.wait())
-            try:
-                done, _ = await asyncio.wait(
-                    {solve, watch_cancel},
-                    timeout=timeout,
-                    return_when=asyncio.FIRST_COMPLETED,
+            # The coalesce phase opens with a pass over the memory tier
+            # (no IO).  A request it answers completely finishes right
+            # here: no solve task, no wait.
+            coalesce_start = time.perf_counter()
+            cache_hits = self.cache.get_many(list(keys.values()), memory_only=True)
+            if all(hit is not None for hit in cache_hits.values()):
+                solved, cached_keys, _ = self._sweep_hits(
+                    handle, distinct, keys, cache_hits, layers, coalesce_start
                 )
-                if solve not in done and watch_cancel not in done and budget_bound:
-                    # The primary blew its solve budget: abandon the wait
-                    # (its pool solves keep running and still warm the
-                    # shared cache) and answer with the cheaper fallback
-                    # within whatever deadline budget remains.
-                    solve.cancel()
-                    await asyncio.gather(solve, return_exceptions=True)
-                    degraded = True
-                    self.stats.degraded += 1
-                    health.incr("serving.degraded")
-                    assert self._fallback_strategy is not None
-                    strategy = self._fallback_strategy
-                    fallback_keys = {
-                        shape_key: self._cache_key(shape_key, spec, strategy)
-                        for shape_key, spec in distinct.items()
-                    }
-                    if expires_at is not None:
-                        remaining = expires_at - time.monotonic()
-                        if remaining <= 0:
-                            raise asyncio.TimeoutError
-                    solve = asyncio.ensure_future(
-                        self._solve_distinct(
-                            handle, strategy, specs, distinct, fallback_keys
-                        )
+            else:
+                # The primary solve runs under the tighter of the deadline
+                # and the per-request solve budget; overrunning the budget
+                # degrades to the fallback strategy instead of expiring.
+                budget = self.config.solve_timeout_s
+                budget_bound = (
+                    budget is not None
+                    and self._fallback_strategy is not None
+                    and strategy.name != self._fallback_strategy.name
+                    and (remaining is None or budget < remaining)
+                )
+                timeout = budget if budget_bound else remaining
+                solve = asyncio.ensure_future(
+                    self._solve_misses(
+                        handle, strategy, distinct, keys, cache_hits, layers,
+                        coalesce_start,
                     )
+                )
+                cancelled = handle._cancelled
+                try:
                     done, _ = await asyncio.wait(
-                        {solve, watch_cancel},
-                        timeout=remaining,
+                        {solve, cancelled},
+                        timeout=timeout,
                         return_when=asyncio.FIRST_COMPLETED,
                     )
-                if solve not in done:
-                    # Deadline or client cancellation won the race: stop
-                    # waiting and release this worker.  Underlying pool
-                    # solves keep running (they may feed coalesced
-                    # siblings) and still land in the shared cache.
+                    if solve not in done and cancelled not in done and budget_bound:
+                        # The primary blew its solve budget: abandon the
+                        # wait (its pool solves keep running and still warm
+                        # the shared cache) and answer with the cheaper
+                        # fallback within whatever deadline budget remains.
+                        solve.cancel()
+                        await asyncio.gather(solve, return_exceptions=True)
+                        degraded = True
+                        self.stats.degraded += 1
+                        health.incr("serving.degraded")
+                        assert self._fallback_strategy is not None
+                        strategy = self._fallback_strategy
+                        fallback_keys = {
+                            shape_key: self._cache_key(shape_key, spec, strategy)
+                            for shape_key, spec in distinct.items()
+                        }
+                        if expires_at is not None:
+                            remaining = expires_at - time.monotonic()
+                            if remaining <= 0:
+                                raise asyncio.TimeoutError
+                        coalesce_start = time.perf_counter()
+                        solve = asyncio.ensure_future(
+                            self._solve_misses(
+                                handle, strategy, distinct, fallback_keys,
+                                self.cache.get_many(
+                                    list(fallback_keys.values()), memory_only=True
+                                ),
+                                layers, coalesce_start,
+                            )
+                        )
+                        done, _ = await asyncio.wait(
+                            {solve, cancelled},
+                            timeout=remaining,
+                            return_when=asyncio.FIRST_COMPLETED,
+                        )
+                    if solve not in done:
+                        # Deadline or client cancellation won the race: stop
+                        # waiting and release this worker.  Underlying pool
+                        # solves keep running (they may feed coalesced
+                        # siblings) and still land in the shared cache.
+                        solve.cancel()
+                        await asyncio.gather(solve, return_exceptions=True)
+                        if cancelled in done:
+                            return  # cancel()/watchdog already finished it
+                        raise asyncio.TimeoutError
+                    solved, cached_keys, coalesced_ops = solve.result()
+                except asyncio.CancelledError:
+                    # Worker cancelled (server stopping): don't orphan the
+                    # solve task, as wait_for used to guarantee.
                     solve.cancel()
-                    await asyncio.gather(solve, return_exceptions=True)
-                    if watch_cancel in done:
-                        return  # cancel()/watchdog already finished it
-                    raise asyncio.TimeoutError
-                solved, cached_keys, coalesced_ops = solve.result()
-            except asyncio.CancelledError:
-                # Worker cancelled (server stopping): don't orphan the
-                # solve task, as wait_for used to guarantee.
-                solve.cancel()
-                raise
-            finally:
-                watch_cancel.cancel()
+                    raise
         except asyncio.TimeoutError:
             if self._handles.pop(id(handle), None) is None:
                 return  # the watchdog (or cancel) beat us to the expiry
@@ -917,63 +991,68 @@ class OptimizationServer:
     # ------------------------------------------------------------------
     # solving
     # ------------------------------------------------------------------
-    async def _solve_distinct(
+    def _sweep_hits(
+        self,
+        handle: RequestHandle,
+        distinct: Mapping[str, ConvSpec],
+        keys: Mapping[str, str],
+        cache_hits: Mapping[str, Optional[StrategyResult]],
+        layers: Mapping[str, List[Tuple[int, ConvSpec]]],
+        coalesce_start: float,
+    ) -> Tuple[Dict[str, StrategyResult], set, List[str]]:
+        """Close the coalesce phase: emit the hits, return what is left.
+
+        Walks the distinct shapes in order, emitting one cached
+        :class:`OperatorEvent` per layer of every shape ``cache_hits``
+        answers, and records the ``serving.coalesce`` span from
+        ``coalesce_start`` (through the cheaper ``record_span``: the
+        region opens no child spans that would need the ancestry).
+        Returns ``(shape_key -> result, cached shape keys, missed shape
+        keys)``.
+        """
+        solved: Dict[str, StrategyResult] = {}
+        cached_keys: set = set()
+        misses: List[str] = []
+        for shape_key in distinct:
+            hit = cache_hits.get(keys[shape_key])
+            if hit is not None:
+                self.stats.operators_cached += len(layers[shape_key])
+                solved[shape_key] = hit
+                cached_keys.add(shape_key)
+                _emit_layers(handle, layers[shape_key], hit, True, False)
+            else:
+                misses.append(shape_key)
+        record_span(
+            "serving.coalesce",
+            time.perf_counter() - coalesce_start,
+            trace_id=handle.trace_id,
+            parent_id=handle.request_span_id,
+            request_id=handle.request_id,
+            distinct=len(distinct),
+        )
+        return solved, cached_keys, misses
+
+    async def _solve_misses(
         self,
         handle: RequestHandle,
         strategy: SearchStrategy,
-        specs: List[ConvSpec],
         distinct: Mapping[str, ConvSpec],
         keys: Mapping[str, str],
+        cache_hits: Dict[str, Optional[StrategyResult]],
+        layers: Mapping[str, List[Tuple[int, ConvSpec]]],
+        coalesce_start: float,
     ) -> Tuple[Dict[str, StrategyResult], set, int]:
-        """Solve every distinct shape, streaming per-layer progress events.
+        """Finish a request the memory tier did not answer completely.
 
-        Returns ``(shape_key -> result, cached shape keys, coalesced
-        operator count)``.  All distinct shapes are launched at once:
-        batched cache lookups first, then one single-flight solve per
-        miss on the shared thread pool.
+        ``cache_hits`` is the memory-tier pass of every distinct key
+        (``None`` where it missed).  The misses go to the disk tier in one
+        thread-pool trip, then every shape still missing is solved at
+        once, one single-flight solve each on the shared thread pool,
+        streaming per-layer progress events.  Returns ``(shape_key ->
+        result, cached shape keys, coalesced operator count)``.
         """
         loop = asyncio.get_running_loop()
         assert self._pool is not None
-
-        solved: Dict[str, StrategyResult] = {}
-        cached_keys: set = set()
-        coalesced_ops = 0
-        misses: List[str] = []
-        # Layers grouped by shape so each shape's completion can emit one
-        # event per layer that shares it.
-        layers_by_shape: Dict[str, List[Tuple[int, ConvSpec]]] = {}
-        for index, spec in enumerate(specs):
-            layers_by_shape.setdefault(spec_shape_key(spec), []).append(
-                (index, spec)
-            )
-        total = len(specs)
-
-        def emit_layers(shape_key: str, result: StrategyResult, cached: bool, coalesced: bool) -> None:
-            for index, spec in layers_by_shape[shape_key]:
-                handle._emit(
-                    OperatorEvent(
-                        request_id=handle.request_id,
-                        operator=spec.name,
-                        index=index,
-                        total=total,
-                        gflops=result.gflops,
-                        time_seconds=result.time_seconds,
-                        cached=cached,
-                        coalesced=coalesced,
-                    )
-                )
-
-        # The coalesce phase: resolve every distinct shape against the
-        # cache tiers and partition into inline hits vs. misses.  Timed
-        # explicitly and recorded via the cheaper ``record_span`` (no
-        # contextvar juggling) — this is the warm-request hot path, and
-        # the region opens no child spans that would need the ancestry.
-        coalesce_start = time.perf_counter()
-        # Batched lookup for every distinct key: a synchronous pass
-        # over the memory tier first (no IO — this is what keeps warm
-        # requests in the low-millisecond range), then one
-        # thread-pool trip to the disk tier for whatever is left.
-        cache_hits = self.cache.get_many(list(keys.values()), memory_only=True)
         disk_keys = [key for key, hit in cache_hits.items() if hit is None]
         if disk_keys and self.cache.disk is not None:
             # Pool threads do not inherit this task's contextvars: ship the
@@ -985,25 +1064,10 @@ class OptimizationServer:
                     return self.cache.get_many(disk_keys, record_misses=False)
 
             cache_hits.update(await loop.run_in_executor(self._pool, disk_lookup))
-        # Cache hits complete inline — no tasks, no executor, no loop
-        # round-trips; a fully warm request is a synchronous sweep.
-        for shape_key in distinct:
-            hit = cache_hits.get(keys[shape_key])
-            if hit is not None:
-                self.stats.operators_cached += len(layers_by_shape[shape_key])
-                solved[shape_key] = hit
-                cached_keys.add(shape_key)
-                emit_layers(shape_key, hit, True, False)
-            else:
-                misses.append(shape_key)
-        record_span(
-            "serving.coalesce",
-            time.perf_counter() - coalesce_start,
-            trace_id=handle.trace_id,
-            parent_id=handle.request_span_id,
-            request_id=handle.request_id,
-            distinct=len(distinct),
+        solved, cached_keys, misses = self._sweep_hits(
+            handle, distinct, keys, cache_hits, layers, coalesce_start
         )
+        coalesced_ops = 0
         if not misses:
             return solved, cached_keys, coalesced_ops
 
@@ -1018,7 +1082,7 @@ class OptimizationServer:
                 cache_key = keys[shape_key]
                 was_inflight = self._singleflight.is_inflight(cache_key)
                 if was_inflight:
-                    self.stats.operators_coalesced += len(layers_by_shape[shape_key])
+                    self.stats.operators_coalesced += len(layers[shape_key])
 
                 def compute() -> StrategyResult:
                     with self._solve_lock:
@@ -1049,8 +1113,8 @@ class OptimizationServer:
                     shape_key, result, coalesced = await finished
                     solved[shape_key] = result
                     if coalesced:
-                        coalesced_ops += len(layers_by_shape[shape_key])
-                    emit_layers(shape_key, result, False, coalesced)
+                        coalesced_ops += len(layers[shape_key])
+                    _emit_layers(handle, layers[shape_key], result, False, coalesced)
             except BaseException:
                 for task in tasks:
                     task.cancel()
@@ -1169,8 +1233,14 @@ async def _serve_request_inner(
             FailedEvent(request_id=request.request_id, error=str(error))
         )
         return
-    async for event in handle.events():
-        await send(event)
+    # Every event already queued goes out in one write and one drain;
+    # each stays its own JSON line.
+    async for batch in handle.event_batches():
+        async with write_lock:
+            writer.write(
+                b"".join(encode_message(event_to_dict(event)) for event in batch)
+            )
+            await writer.drain()
 
 
 async def _serve_stats(

@@ -771,7 +771,7 @@ def _bowl_problem(**overrides):
     )
 
 
-class TestLockstepFailures:
+class TestMultiStartFailures:
     STARTS = [np.array([2.0, 2.0]), np.array([9.0, 1.5]), np.array([5.0, 8.0])]
     OPTIONS = SolverOptions(maxiter=60)
 

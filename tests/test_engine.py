@@ -7,6 +7,7 @@ parallel fan-out equivalence with the serial path, and the memoization
 satellites in :mod:`repro.core`.
 """
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -36,8 +37,10 @@ from repro.engine import (
     spec_to_dict,
     strategy_registry,
 )
-from repro.engine.cache import DiskResultStore
-from repro.machine.presets import tiny_test_machine
+from repro.engine.cache import CACHE_FORMAT_VERSION, STRATEGY_VERSION, DiskResultStore
+from repro.engine.serialization import machine_to_dict, stable_hash
+from repro.machine.presets import get_machine, tiny_test_machine
+from repro.workloads.benchmarks import all_benchmarks
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +141,42 @@ class TestSerialization:
     def test_spec_roundtrip(self):
         spec = _spec("Rt", in_channels=12)
         assert spec_from_dict(spec_to_dict(spec)) == spec
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_spec_to_dict_equals_asdict_for_table1(self, batch):
+        specs = all_benchmarks(batch=batch)
+        assert len(specs) == 32
+        for spec in specs:
+            expected = dataclasses.asdict(spec)
+            payload = spec_to_dict(spec)
+            assert payload == expected
+            assert list(payload) == list(expected)  # same field order
+            del expected["name"]
+            assert spec_to_dict(spec, include_name=False) == expected
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_cache_keys_unchanged_for_table1(self, batch):
+        """Keys equal the ones ``dataclasses.asdict`` specs gave: stores stay warm."""
+        machine = get_machine("i7-9700k")
+        strategy = get_strategy("mopt", measure=False)
+        cache = ResultCache()
+        for spec in all_benchmarks(batch=batch):
+            nameless = dataclasses.asdict(spec)
+            del nameless["name"]
+            expected = stable_hash(
+                {
+                    "version": CACHE_FORMAT_VERSION,
+                    "strategy_version": STRATEGY_VERSION,
+                    "spec": nameless,
+                    "machine": machine_to_dict(machine),
+                    "strategy": {
+                        "name": strategy.name,
+                        "options": dict(strategy.cache_token()),
+                    },
+                }
+            )
+            assert cache.key_for(spec, machine, strategy) == expected
+            assert spec_shape_key(spec) == stable_hash(nameless)
 
     def test_shape_key_ignores_name(self):
         assert spec_shape_key(_spec("A")) == spec_shape_key(_spec("B"))

@@ -16,6 +16,8 @@ saturation) is deterministic and fast.
 """
 
 import asyncio
+import dataclasses
+import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -168,7 +170,12 @@ class TestProtocol:
             FailedEvent(request_id="r1", error="boom"),
         ]
         for event in events:
-            rebuilt = event_from_dict(decode_message(encode_message(event_to_dict(event))))
+            payload = event_to_dict(event)
+            # The frame bytes are those of json.dumps with sorted keys.
+            assert encode_message(payload) == (
+                json.dumps(payload, sort_keys=True) + "\n"
+            ).encode("utf-8")
+            rebuilt = event_from_dict(decode_message(encode_message(payload)))
             assert rebuilt == event
 
     def test_terminal_flags(self):
@@ -703,6 +710,243 @@ class TestTCPTransport:
         response = run(scenario())
         assert response.network == "custom"
         assert response.operators[0].name == "small"
+
+
+    def test_client_timeout_applies_per_event(self):
+        """Events each within ``timeout_s``, together well past it, complete."""
+        gap_s, timeout_s, operators = 0.1, 0.5, 8
+
+        async def stub(reader, writer):
+            request_id = decode_message(await reader.readline())["request_id"]
+            events = [AcceptedEvent(request_id=request_id, queue_depth=0)]
+            events += [
+                OperatorEvent(
+                    request_id=request_id, operator=f"op{index}", index=index,
+                    total=operators, gflops=2.0, time_seconds=0.1,
+                    cached=True, coalesced=False,
+                )
+                for index in range(operators)
+            ]
+            response = OptimizeResponse(
+                request_id=request_id, network="custom", strategy="probe",
+                machine="tiny", num_operators=operators,
+                distinct_operators=operators, cache_hits=operators,
+                coalesced=0, total_time_seconds=0.8, total_gflops=2.0,
+                queued_s=0.0, service_s=0.9, operators=(),
+            )
+            events.append(CompletedEvent(request_id=request_id, response=response))
+            for index, event in enumerate(events):
+                if index:
+                    await asyncio.sleep(gap_s)
+                writer.write(encode_message(event_to_dict(event)))
+                await writer.drain()
+            await reader.read()  # until the client hangs up
+            writer.close()
+
+        async def scenario():
+            tcp = await asyncio.start_server(stub, "127.0.0.1", 0)
+            port = tcp.sockets[0].getsockname()[1]
+            seen = []
+            try:
+                async with await TCPServingClient.connect(
+                    "127.0.0.1", port, timeout_s=timeout_s
+                ) as client:
+                    begin = time.perf_counter()
+                    response = await client.optimize("resnet18", on_event=seen.append)
+                    elapsed = time.perf_counter() - begin
+            finally:
+                tcp.close()
+                await tcp.wait_closed()
+            return response, seen, elapsed
+
+        response, seen, elapsed = run(scenario())
+        assert elapsed > timeout_s
+        assert response.num_operators == operators
+        assert len(collect_operator_events(seen)) == operators
+
+
+# ----------------------------------------------------------------------
+# Wire format and the per-request task budget
+# ----------------------------------------------------------------------
+_TERMINAL_TYPES = {"completed", "rejected", "expired", "failed"}
+
+
+async def _exchange(reader, writer, requests):
+    """Send ``requests`` in one write; the raw reply lines until each is terminal."""
+    writer.write(b"".join(encode_message(r.to_dict()) for r in requests))
+    await writer.drain()
+    lines, open_requests = [], len(requests)
+    # A timeout context, not wait_for: wait_for would start tasks of its
+    # own on the loop whose tasks TestTaskBudget counts.
+    async with asyncio.timeout(10.0):
+        while open_requests:
+            line = await reader.readline()
+            assert line, "server closed the connection mid-stream"
+            lines.append(line)
+            if decode_message(line)["type"] in _TERMINAL_TYPES:
+                open_requests -= 1
+    return lines
+
+
+def _check_stream(lines, layers, *, cached):
+    """One request's lines: Accepted, one Operator per layer, Completed."""
+    events = [event_from_dict(decode_message(line)) for line in lines]
+    assert isinstance(events[0], AcceptedEvent)
+    assert isinstance(events[-1], CompletedEvent)
+    operators = events[1:-1]
+    assert all(isinstance(event, OperatorEvent) for event in operators)
+    assert sorted(event.index for event in operators) == list(range(layers))
+    assert all(event.cached is cached for event in operators)
+
+
+def _variants(spec, count):
+    return [
+        dataclasses.replace(spec, name=f"v{index}", out_channels=8 * (index + 1))
+        for index in range(count)
+    ]
+
+
+class TestWireFormat:
+    def test_warm_and_solving_requests_send_one_line_per_event(
+        self, machine, small_spec, pointwise_spec
+    ):
+        async def scenario():
+            async with _server(machine, delay_s=0.01) as server:
+                tcp = await start_tcp_server(server, "127.0.0.1", 0)
+                port = tcp.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                network = (small_spec, pointwise_spec, small_spec)
+                solving = await _exchange(reader, writer, [OptimizeRequest(network)])
+                warm = await _exchange(reader, writer, [OptimizeRequest(network)])
+                writer.close()
+                await writer.wait_closed()
+                tcp.close()
+                await tcp.wait_closed()
+                return solving, warm
+
+        solving, warm = run(scenario())
+        for lines, cached in ((solving, False), (warm, True)):
+            # Each line is exactly the frame of the event it decodes to.
+            for line in lines:
+                event = event_from_dict(decode_message(line))
+                assert line == encode_message(event_to_dict(event))
+            _check_stream(lines, 3, cached=cached)
+
+    def test_eight_inflight_requests_never_interleave_frames(
+        self, machine, small_spec
+    ):
+        warm_specs = _variants(small_spec, 3)
+        cold_specs = _variants(dataclasses.replace(small_spec, in_channels=8), 4)
+        requests = [
+            OptimizeRequest((warm_specs[index % 3], cold_specs[index % 4]))
+            if index % 2
+            else OptimizeRequest(tuple(warm_specs[: 1 + index % 3]))
+            for index in range(8)
+        ]
+
+        async def scenario():
+            async with _server(machine, delay_s=0.01) as server:
+                tcp = await start_tcp_server(server, "127.0.0.1", 0)
+                port = tcp.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                await _exchange(reader, writer, [OptimizeRequest(tuple(warm_specs))])
+                lines = await _exchange(reader, writer, requests)
+                writer.close()
+                await writer.wait_closed()
+                tcp.close()
+                await tcp.wait_closed()
+                return lines
+
+        lines = run(scenario())
+        by_request = {request.request_id: [] for request in requests}
+        for line in lines:
+            # A byte of another frame inside this one would break the
+            # decode or the byte-equal re-encoding.
+            event = event_from_dict(decode_message(line))
+            assert line == encode_message(event_to_dict(event))
+            by_request[event.request_id].append(line)
+        for index, request in enumerate(requests):
+            stream = by_request[request.request_id]
+            if index % 2:
+                events = [event_from_dict(decode_message(line)) for line in stream]
+                assert isinstance(events[0], AcceptedEvent)
+                assert isinstance(events[-1], CompletedEvent)
+                assert len(collect_operator_events(events)) == 2
+            else:
+                _check_stream(stream, 1 + index % 3, cached=True)
+
+
+class TestTaskBudget:
+    """Tasks the server loop starts per request, counted by a task factory."""
+
+    @staticmethod
+    async def _count_tasks(machine, rounds):
+        """Serve ``rounds`` (lists of requests) over one connection in turn.
+
+        Returns, per round, the qualified names of the coroutines the
+        loop started tasks for while that round was served.
+        """
+        loop = asyncio.get_running_loop()
+        started = []
+
+        def factory(loop, coro, **kwargs):
+            started.append(coro.__qualname__)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        loop.set_task_factory(factory)
+        try:
+            async with _server(machine) as server:
+                tcp = await start_tcp_server(server, "127.0.0.1", 0)
+                port = tcp.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                per_round = []
+                for requests in rounds:
+                    await asyncio.sleep(0)  # connection set-up tasks first
+                    del started[:]
+                    await _exchange(reader, writer, requests)
+                    per_round.append(list(started))
+                writer.close()
+                await writer.wait_closed()
+                tcp.close()
+                await tcp.wait_closed()
+                return per_round
+        finally:
+            loop.set_task_factory(None)
+
+    def test_all_hit_request_starts_only_its_serve_task(
+        self, machine, small_spec, pointwise_spec, strided_spec
+    ):
+        network = (small_spec, pointwise_spec)
+        cold, warm, miss = run(
+            self._count_tasks(
+                machine,
+                [
+                    [OptimizeRequest(network)],
+                    [OptimizeRequest(network)],
+                    [OptimizeRequest((small_spec, strided_spec))],
+                ],
+            )
+        )
+        assert warm == ["_serve_request"]
+        # A request with a miss still solves in a task of its own.
+        for tasks in (cold, miss):
+            assert tasks[0] == "_serve_request"
+            assert any(name.endswith("._solve_misses") for name in tasks)
+
+    def test_cancel_signal_stays_unset_after_completion(
+        self, machine, small_spec, pointwise_spec
+    ):
+        async def scenario():
+            async with _server(machine) as server:
+                handles = []
+                for _ in range(2):  # solving, then all-hit
+                    handle = server.submit(OptimizeRequest((small_spec, pointwise_spec)))
+                    await handle.result()
+                    handles.append(handle)
+                return handles
+
+        for handle in run(scenario()):
+            assert handle.cancelled is False
 
 
 # ----------------------------------------------------------------------
