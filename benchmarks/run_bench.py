@@ -39,8 +39,7 @@ perf trajectory across commits:
   :func:`repro.dse.explore`: a small cache-capacity x core-count space
   over ResNet-18, cold and then warm against the shared sweep cache.
 * ``chunk_store_*`` — disk-tier put/get throughput and inode footprint
-  of the chunked result store against the one-file-per-entry JSON
-  store, at 20k entries (2k with ``--quick``).
+  of the chunked result store, at 20k entries (2k with ``--quick``).
 
 Every payload is stamped with the machine preset name and the **current**
 git revision, and every run appends one JSON line to
@@ -490,48 +489,44 @@ def main() -> int:
         )
 
     if "chunk_store" in groups:
-        print("chunked result store vs one-file-per-entry, put/get throughput ...")
+        print("chunked result store put/get throughput ...")
         import shutil
         import tempfile
 
         from repro.engine import ChunkedResultStore
-        from repro.engine.cache import DiskResultStore
 
         store_entries = 2_000 if args.quick else 20_000
         blob = {"strategy": "bench", "spec_name": "x" * 64, "gflops": 1.0,
                 "time_seconds": 1.0, "search_seconds": 0.0}
         store_root = Path(tempfile.mkdtemp(prefix="bench-chunk-"))
-        payload_chunk = {"entries": store_entries}
         try:
-            for backend, maker in (
-                ("json", lambda p: DiskResultStore(p)),
-                ("chunked", lambda p: ChunkedResultStore(p)),
-            ):
-                root = store_root / backend
-                store = maker(root)
-                start = time.perf_counter()
-                for index in range(store_entries):
-                    store.put(f"bench-{index:08d}", blob)
-                put_s = time.perf_counter() - start
-                start = time.perf_counter()
-                for index in range(store_entries):
-                    store.get(f"bench-{index:08d}")
-                get_s = time.perf_counter() - start
-                inodes = sum(1 for _ in root.iterdir())
-                stages[f"chunk_store_{backend}_put_s"] = put_s
-                stages[f"chunk_store_{backend}_get_s"] = get_s
-                payload_chunk[backend] = {
-                    "puts_per_s": store_entries / max(put_s, 1e-9),
-                    "gets_per_s": store_entries / max(get_s, 1e-9),
-                    "inodes": inodes,
-                }
-                print(
-                    f"  {backend}: {payload_chunk[backend]['puts_per_s']:.0f} puts/s, "
-                    f"{payload_chunk[backend]['gets_per_s']:.0f} gets/s, "
-                    f"{inodes} inodes for {store_entries} entries"
-                )
+            store = ChunkedResultStore(store_root)
+            start = time.perf_counter()
+            for index in range(store_entries):
+                store.put(f"bench-{index:08d}", blob)
+            put_s = time.perf_counter() - start
+            start = time.perf_counter()
+            for index in range(store_entries):
+                store.get(f"bench-{index:08d}")
+            get_s = time.perf_counter() - start
+            inodes = sum(1 for _ in store_root.iterdir())
         finally:
             shutil.rmtree(store_root, ignore_errors=True)
+        stages["chunk_store_chunked_put_s"] = put_s
+        stages["chunk_store_chunked_get_s"] = get_s
+        payload_chunk = {
+            "entries": store_entries,
+            "chunked": {
+                "puts_per_s": store_entries / max(put_s, 1e-9),
+                "gets_per_s": store_entries / max(get_s, 1e-9),
+                "inodes": inodes,
+            },
+        }
+        print(
+            f"  {payload_chunk['chunked']['puts_per_s']:.0f} puts/s, "
+            f"{payload_chunk['chunked']['gets_per_s']:.0f} gets/s, "
+            f"{inodes} inodes for {store_entries} entries"
+        )
         payload["chunk_store"] = payload_chunk
 
     payload.update(

@@ -145,38 +145,6 @@ from .workloads import all_benchmarks, benchmark_by_name, network_benchmarks
 
 __version__ = "1.8.0"
 
-#: Deprecated top-level aliases: name -> (resolver, replacement).  Kept
-#: importable (the api redesign moves the front door without breaking
-#: old code) but each emits one DeprecationWarning on first access.
-_DEPRECATED_ALIASES = {
-    "optimize_network": (
-        lambda: __import__(
-            "repro.engine.network", fromlist=["optimize_network"]
-        ).optimize_network,
-        "repro.api.Session.optimize (or repro.engine.optimize_network)",
-    ),
-    "compare_network_strategies": (
-        lambda: __import__(
-            "repro.engine.network", fromlist=["compare_network_strategies"]
-        ).compare_network_strategies,
-        "repro.api.Session per strategy "
-        "(or repro.engine.compare_network_strategies)",
-    ),
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_ALIASES:
-        from ._deprecation import warn_once
-
-        resolver, replacement = _DEPRECATED_ALIASES[name]
-        warn_once(f"repro.{name}", replacement, stacklevel=2)
-        value = resolver()
-        globals()[name] = value  # later accesses skip __getattr__
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "Axis",
     "ConvSpec",

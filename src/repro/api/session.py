@@ -135,11 +135,10 @@ class Session:
     cache:
         ``None`` (default) — a fresh in-memory
         :class:`~repro.engine.cache.ResultCache` private to the session;
-        a directory path — a persistent cache rooted there (a
-        ``"chunked:"`` prefix, or an existing chunked layout, selects
-        the sweep-scale
-        :class:`~repro.engine.chunk_store.ChunkedResultStore` backend);
-        a :class:`ResultCache` or disk store instance — shared as-is;
+        a directory path — a persistent cache over the
+        :class:`~repro.engine.chunk_store.ChunkedResultStore` rooted
+        there; a :class:`ResultCache` or disk store instance — shared
+        as-is;
         ``False`` — caching off.
     executor / max_workers:
         Fan-out configuration of the synchronous paths (see
@@ -293,7 +292,9 @@ class Session:
                     all_specs.append(item)
                 else:
                     all_specs.extend(item)
-            solved, cached_keys = self._solve_distinct(dedup_specs(all_specs))
+            solved, cached_keys = self._optimizer.solve_distinct(
+                dedup_specs(all_specs)
+            )
         # The fan-out is shared, so each network result carries the wall
         # time of the whole batch (there is no meaningful per-item cost);
         # the span's clock is that wall, so trace and result agree.
@@ -360,7 +361,7 @@ class Session:
                 )
                 solved = 0
             else:
-                _, cached_keys = self._solve_distinct(distinct)
+                _, cached_keys = self._optimizer.solve_distinct(distinct)
                 already_cached = len(cached_keys)
                 solved = len(distinct) - already_cached
         return WarmCacheReport(
@@ -617,37 +618,6 @@ class Session:
         return OpResult(
             spec=spec, result=result, cached=not solved, shape_key=shape_key
         )
-
-    def _solve_distinct(
-        self, distinct: Mapping[str, ConvSpec]
-    ) -> Tuple[Dict[str, StrategyResult], set]:
-        """Solve every distinct shape (cache first), like the engine does."""
-        solved: Dict[str, StrategyResult] = {}
-        cached_keys: set = set()
-        pending: List[Tuple[str, ConvSpec]] = []
-        keys: Dict[str, str] = {}
-        if self.cache is not None:
-            keys = {
-                shape_key: self.cache.key_for(spec, self.machine, self.strategy)
-                for shape_key, spec in distinct.items()
-            }
-            hits = self.cache.get_many(list(keys.values()))
-            for shape_key, spec in distinct.items():
-                hit = hits.get(keys[shape_key])
-                if hit is not None:
-                    solved[shape_key] = hit
-                    cached_keys.add(shape_key)
-                else:
-                    pending.append((shape_key, spec))
-        else:
-            pending = list(distinct.items())
-        for (shape_key, _), result in zip(
-            pending, self._optimizer.solve_specs([s for _, s in pending])
-        ):
-            solved[shape_key] = result
-            if self.cache is not None:
-                self.cache.put(keys[shape_key], result)
-        return solved, cached_keys
 
     def _op_result(
         self,

@@ -40,8 +40,7 @@ Subcommands::
     # What is registered: machines, strategies, networks:
     python -m repro list
 
-This replaces the per-package entry points (``python -m repro.serving``
-remains as a deprecated shim delegating here) and the ad-hoc example
+This replaces the per-package entry points and the ad-hoc example
 invocations; everything is built on :class:`repro.api.Session`.
 """
 
@@ -120,9 +119,7 @@ def _add_session_options(
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="persistent result-cache directory; prefix with 'chunked:' "
-        "for the chunked sweep-scale store (an existing chunked layout "
-        "is auto-detected)",
+        help="persistent result-cache directory (a chunked result store)",
     )
 
 
@@ -1159,8 +1156,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="DIR",
-        help="shard result-cache directory to merge (repeatable; chunked "
-        "or one-file-per-entry, auto-detected)",
+        help="shard result-cache directory to merge (repeatable; entries "
+        "of the old one-file-per-entry layout are imported too)",
     )
     merge.add_argument(
         "--cache-out",

@@ -12,7 +12,8 @@ network-level engine with three pieces:
   ``search(spec, machine) -> StrategyResult``, reachable by name through
   :data:`strategy_registry`.
 * **Caching** (:mod:`repro.engine.cache`) — a two-tier
-  :class:`ResultCache` (in-memory LRU + atomic on-disk JSON store) keyed
+  :class:`ResultCache` (in-memory LRU + on-disk
+  :class:`ChunkedResultStore`, :mod:`repro.engine.chunk_store`) keyed
   by a stable content hash of the operator shape, the machine and the
   strategy configuration.  Warm re-runs of a whole network cost lookups,
   not solver time.
@@ -70,7 +71,6 @@ from .cache import (
     CACHE_FORMAT_VERSION,
     STRATEGY_VERSION,
     CacheStats,
-    DiskResultStore,
     ResultCache,
     resolve_cache,
     result_cache_key,
@@ -78,15 +78,12 @@ from .cache import (
 from .chunk_store import (
     CHUNK_FORMAT_VERSION,
     ChunkedResultStore,
-    is_chunked_store,
     merge_result_stores,
-    open_result_store,
 )
 from .network import (
     EXECUTOR_MODES,
     NetworkOptimizer,
     NetworkResult,
-    OperatorOutcome,
     OpResult,
     build_network_result,
     compare_network_strategies,
@@ -128,7 +125,6 @@ __all__ = [
     "CHUNK_FORMAT_VERSION",
     "CacheStats",
     "ChunkedResultStore",
-    "DiskResultStore",
     "EXECUTOR_MODES",
     "GridSearchStrategy",
     "MOptStrategy",
@@ -136,7 +132,6 @@ __all__ = [
     "NetworkResult",
     "OneDnnStrategy",
     "OpResult",
-    "OperatorOutcome",
     "RandomSearchStrategy",
     "ResultCache",
     "STRATEGY_VERSION",
@@ -152,11 +147,9 @@ __all__ = [
     "config_to_dict",
     "dedup_specs",
     "get_strategy",
-    "is_chunked_store",
     "resolve_network",
     "machine_to_dict",
     "merge_result_stores",
-    "open_result_store",
     "optimize_network",
     "register_strategy",
     "resolve_cache",

@@ -1,11 +1,10 @@
-"""Chunked, compacting on-disk result store: millions of entries, O(chunks) inodes.
+"""The on-disk result store: CRC-framed records in bounded, compacting chunks.
 
-:class:`~repro.engine.cache.DiskResultStore` keeps one ``<key>.json``
-inode per entry — fine for a workstation cache, fatal for the
-thousand-machine sweeps the ROADMAP asks for (10^6 entries would mean
-10^6 inodes, and every at-cap ``put`` a full directory rescan).
-:class:`ChunkedResultStore` is the log-structured replacement, in the
-style of Hub's ``Chunk``/``BytePositionsEncoder``:
+:class:`ChunkedResultStore` is the disk tier behind every persistent
+:class:`~repro.engine.cache.ResultCache`.  A directory holds O(chunks)
+files, not one inode per entry, so a thousand-machine sweep's 10^6
+results stay cheap to keep, reopen and merge.  The layout, in the style
+of Hub's ``Chunk``/``BytePositionsEncoder``:
 
 * **Appends, not files.**  Entries are framed records appended to the
   *active* chunk file (``chunk-00000001.bin``): a fixed header
@@ -21,31 +20,33 @@ style of Hub's ``Chunk``/``BytePositionsEncoder``:
   active chunk, or chunks orphaned by a crash — which are healed with
   a fresh sidecar on the way in).
 * **Compacting manifest.**  ``chunks.manifest`` (deliberately not
-  ``*.json``, so a mis-pointed :class:`DiskResultStore` never slurps it
-  as an entry) tracks the sealed-chunk generation.  Overwritten keys
-  leave *dead* records behind; once a sealed chunk is mostly dead its
-  live records are migrated to the active chunk and the file deleted
-  (``compactions`` counter, ``cache.compactions`` health counter).
+  ``*.json``, so the legacy importer of :func:`merge_result_stores`
+  never reads it as an entry) tracks the sealed-chunk generation.
+  Overwritten keys leave *dead* records behind; once a sealed chunk is
+  mostly dead its live records are migrated to the active chunk and
+  the file deleted (``compactions`` counter, ``cache.compactions``
+  health counter).
 * **Chunk-granularity eviction.**  ``max_entries`` evicts the oldest
-  sealed chunks wholesale (append order approximates LRU for a result
-  cache, where re-puts are rare) down to ~90% of cap — there is no
-  per-put directory scan at all.
-* **Same reliability contract as the JSON store.**  A torn tail (a
-  writer that died mid-append) is detected by the CRC at open, counted
-  as quarantined (``cache.quarantined``) and truncated away; a corrupt
-  record found by ``get`` becomes a clean miss the same way.  Write
-  failures degrade the store to memory-only mode exactly like
-  :class:`DiskResultStore` (``cache.write_errors``/``cache.degraded``),
-  so :class:`~repro.engine.cache.ResultCache` keeps its semantics
-  unchanged no matter which backend is underneath.
+  sealed chunks wholesale, by append order and not by read recency,
+  down to ~90% of cap — there is no per-put directory scan at all.
+* **Reliability.**  A torn tail (a writer that died mid-append) is
+  detected by the CRC at open, counted as quarantined
+  (``cache.quarantined``) and truncated away; a record ``get`` cannot
+  parse, or one stored under another key, becomes a clean miss the
+  same way.  Persistent write failures — disk full, read-only
+  filesystem — degrade the store to memory-only mode with a single
+  warning instead of raising ``OSError`` into the middle of a solve
+  (``cache.write_errors``/``cache.degraded``).
 
 Concurrency: the store is thread-safe within one process (one lock
-around index/append state).  Across processes it is single-writer,
-many-reader: sealed chunks are immutable, so serving replicas may open
-a merged store read-only while one producer appends — the fleet-wide
+around index/append state) and takes one writer per root at a time:
+each open instance indexes only what it has read or appended itself,
+and sealing writes that view into the chunk's sidecar.  Sealed chunks
+are immutable, so serving replicas may share one store instance (or
+open a merged store) while a single producer appends — the fleet-wide
 "warm fabric" is built by :func:`merge_result_stores`, which
-concatenates any mix of chunked and one-file-per-entry stores into one
-chunked store deduplicated by key (first source wins).
+concatenates stores into one deduplicated by key (first source wins)
+and also imports caches written in the old one-file-per-entry layout.
 """
 
 from __future__ import annotations
@@ -59,12 +60,15 @@ import threading
 import warnings
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..reliability import health
 from ..reliability.faults import fault_fires, fault_point
-from .cache import CACHE_FORMAT_VERSION, DiskResultStore
+
+#: Format marker stored in every entry; bump on incompatible changes.
+CACHE_FORMAT_VERSION = 1
 
 #: Record frame: little-endian (key length, payload length, CRC-32 of
 #: key+payload bytes), then the key, then the JSON payload.
@@ -74,9 +78,8 @@ _FRAME = struct.Struct("<III")
 #: frame header means we are reading garbage, not a record.
 _MAX_KEY_BYTES = 4096
 
-#: Manifest file name.  Deliberately NOT ``*.json``: a DiskResultStore
-#: mistakenly pointed at a chunked root must not parse the manifest as a
-#: cache entry (and auto-detection keys off this exact name).
+#: Manifest file name.  Deliberately NOT ``*.json``: importing legacy
+#: ``<key>.json`` entries from a root must not parse it as one.
 MANIFEST_NAME = "chunks.manifest"
 
 #: Format marker of the chunk layout; bump on incompatible changes.
@@ -103,22 +106,36 @@ class _Loc:
 
 
 class ChunkedResultStore:
-    """Append-only chunked store with the :class:`DiskResultStore` API.
+    """Append-only chunked store: the disk tier of a :class:`ResultCache`.
 
     ``get``/``put``/``__contains__``/``__len__``/``clear`` plus the
     reliability counters (``quarantined``, ``write_errors``,
-    ``degraded``, ``evictions``) match the JSON store, so
-    :class:`~repro.engine.cache.ResultCache` can sit on either backend.
+    ``degraded``, ``evictions``) are what
+    :class:`~repro.engine.cache.ResultCache` uses of its disk tier.
 
     ``max_entries`` caps *live* entries with chunk-granularity batch
     eviction; ``max_chunk_bytes``/``max_chunk_entries`` bound individual
     chunks; ``durability`` is ``"flush"`` (default — a crash loses at
     most the tail records, which the CRC scan truncates away on the next
-    open) or ``"fsync"`` (one fsync per put, the JSON store's cost).
+    open) or ``"fsync"`` (one fsync per put).
     """
 
-    MAX_WRITE_FAILURES = DiskResultStore.MAX_WRITE_FAILURES
-    _DEGRADE_ERRNOS = DiskResultStore._DEGRADE_ERRNOS
+    #: Consecutive generic write failures tolerated before the store
+    #: degrades to memory-only mode.  Environmental errnos (disk full,
+    #: read-only filesystem, permission denied, quota) degrade at once.
+    MAX_WRITE_FAILURES = 3
+
+    _DEGRADE_ERRNOS = frozenset(
+        code
+        for code in (
+            errno.ENOSPC,
+            errno.EROFS,
+            errno.EACCES,
+            errno.EPERM,
+            getattr(errno, "EDQUOT", None),
+        )
+        if code is not None
+    )
 
     def __init__(
         self,
@@ -180,9 +197,10 @@ class ChunkedResultStore:
         return self.root / MANIFEST_NAME
 
     # ------------------------------------------------------------------
-    # reliability plumbing (same contract as DiskResultStore)
+    # reliability plumbing
     # ------------------------------------------------------------------
     def _note_write_failure(self, error: OSError) -> None:
+        """Count one failed write; degrade to memory-only when persistent."""
         self.write_errors += 1
         self._consecutive_write_failures += 1
         health.incr("cache.write_errors")
@@ -196,8 +214,8 @@ class ChunkedResultStore:
         if self.degraded and not self._warned_degraded:
             self._warned_degraded = True
             warnings.warn(
-                f"chunked result store at {self.root} degraded to memory-only "
-                f"mode after a write failure: {error}",
+                f"result cache at {self.root} degraded to memory-only mode "
+                f"after a write failure: {error}",
                 RuntimeWarning,
                 stacklevel=4,
             )
@@ -239,15 +257,8 @@ class ChunkedResultStore:
                 self._place(key, _Loc(chunk_id, offset, length))
         if chunk_ids:
             self._next_id = chunk_ids[-1] + 1
-            last = chunk_ids[-1]
-            info = self._chunks[last]
-            if (
-                info.bytes >= self.max_chunk_bytes
-                or info.entries >= self.max_chunk_entries
-            ):
-                self._seal(last)
-            else:
-                self._active_id = last
+            self._active_id = chunk_ids[-1]
+            self._seal_if_full(self._active_id)
         self._next_id = max(self._next_id, int(manifest.get("next_id", 1)))
 
     def _place(self, key: str, loc: _Loc) -> None:
@@ -389,8 +400,9 @@ class ChunkedResultStore:
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """Load one entry's payload, or ``None`` on miss/corruption.
 
-        A record that fails its CRC or JSON parse is dropped from the
-        index (quarantined — every later lookup is a clean miss).
+        A record that does not parse, or that was stored under another
+        key, is dropped from the index (quarantined — every later lookup
+        is a clean miss).
         """
         with self._lock:
             loc = self._index.get(key)
@@ -411,6 +423,7 @@ class ChunkedResultStore:
             if (
                 not isinstance(entry, dict)
                 or entry.get("version") != CACHE_FORMAT_VERSION
+                or entry.get("key") != key
             ):
                 self._drop(key)
                 self._note_quarantine()
@@ -420,55 +433,70 @@ class ChunkedResultStore:
     def put(self, key: str, payload: Mapping[str, Any]) -> None:
         """Append one entry to the active chunk (never raises ``OSError``).
 
-        Write failures are counted and persistent ones degrade the store
-        to memory-only mode, exactly like the JSON store.
+        Write failures are counted and persistent ones (disk full,
+        read-only) degrade the store to memory-only mode with a single
+        warning.
         """
         entry = {"version": CACHE_FORMAT_VERSION, "key": key, "result": dict(payload)}
         blob = json.dumps(entry, sort_keys=True).encode("utf-8")
-        key_bytes = key.encode("utf-8")
-        frame = _FRAME.pack(len(key_bytes), len(blob), zlib.crc32(key_bytes + blob))
         with self._lock:
             if self.degraded:
                 return
             try:
                 fault_point("cache.put_oserror", key=key)
-                chunk_id, handle, base = self._active()
-                handle.write(frame + key_bytes + blob)
-                handle.flush()
-                if self.durability == "fsync":
-                    os.fsync(handle.fileno())
+                chunk_id = self._append(key, blob)
             except OSError as error:
                 self._note_write_failure(error)
                 return
             self._consecutive_write_failures = 0
-            info = self._chunks[chunk_id]
-            info.entries += 1
-            info.bytes = base + len(frame) + len(key_bytes) + len(blob)
-            self._place(
-                key, _Loc(chunk_id, base + len(frame) + len(key_bytes), len(blob))
-            )
             if fault_fires("cache.corrupt_entry", key=key):
                 # Deterministic chaos: the record that just landed is
                 # torn, as if the writer died mid-append.  The index
                 # still points at it (the writer never knew), so the
-                # next get is a CRC-failed quarantine and the next open
-                # truncates the tail.
+                # next get is a parse-failed quarantine and the next
+                # open truncates the tail.
                 try:
-                    handle.flush()
-                    os.ftruncate(handle.fileno(), info.bytes - 4)
+                    os.ftruncate(
+                        self._handle.fileno(), self._chunks[chunk_id].bytes - 4
+                    )
                 except OSError:
                     pass
-            if (
-                info.bytes >= self.max_chunk_bytes
-                or info.entries >= self.max_chunk_entries
-            ):
-                self._seal(chunk_id)
+            self._seal_if_full(chunk_id)
             if self.max_entries is not None and len(self._index) > self.max_entries:
                 self._evict_over_cap()
             self._maybe_compact()
 
+    def _append(self, key: str, blob: bytes) -> int:
+        """Append one framed record to the active chunk; returns its id.
+
+        The record's offset is taken from where the append landed
+        (``tell`` after the flush), not from this instance's byte count:
+        another store open on the same root may have appended since.
+        """
+        key_bytes = key.encode("utf-8")
+        frame = _FRAME.pack(len(key_bytes), len(blob), zlib.crc32(key_bytes + blob))
+        chunk_id, handle = self._active()
+        handle.write(frame + key_bytes + blob)
+        handle.flush()
+        if self.durability == "fsync":
+            os.fsync(handle.fileno())
+        end = handle.tell()
+        info = self._chunks[chunk_id]
+        info.entries += 1
+        info.bytes = end
+        self._place(key, _Loc(chunk_id, end - len(blob), len(blob)))
+        return chunk_id
+
+    def _seal_if_full(self, chunk_id: int) -> None:
+        info = self._chunks[chunk_id]
+        if (
+            info.bytes >= self.max_chunk_bytes
+            or info.entries >= self.max_chunk_entries
+        ):
+            self._seal(chunk_id)
+
     def _active(self):
-        """The active chunk's ``(id, append handle, current byte size)``."""
+        """The active chunk's ``(id, append handle)``."""
         if self._active_id is None:
             chunk_id = self._next_id
             self._next_id += 1
@@ -479,7 +507,7 @@ class ChunkedResultStore:
             self._chunk_path(chunk_id).touch()
         if self._handle is None:
             self._handle = self._chunk_path(self._active_id).open("ab")
-        return self._active_id, self._handle, self._chunks[self._active_id].bytes
+        return self._active_id, self._handle
 
     def _seal(self, chunk_id: int) -> None:
         """Freeze one chunk: sidecar index + manifest update."""
@@ -580,7 +608,7 @@ class ChunkedResultStore:
                 for key, loc in live:
                     handle.seek(loc.offset)
                     blob = handle.read(loc.length)
-                    self._append_raw(key, blob)
+                    self._seal_if_full(self._append(key, blob))
         except OSError as error:
             self._note_write_failure(error)
             return
@@ -588,32 +616,13 @@ class ChunkedResultStore:
         self.compactions += 1
         health.incr("cache.compactions")
 
-    def _append_raw(self, key: str, blob: bytes) -> None:
-        """Append one already-serialized record to the active chunk."""
-        key_bytes = key.encode("utf-8")
-        frame = _FRAME.pack(len(key_bytes), len(blob), zlib.crc32(key_bytes + blob))
-        chunk_id, handle, base = self._active()
-        handle.write(frame + key_bytes + blob)
-        handle.flush()
-        info = self._chunks[chunk_id]
-        info.entries += 1
-        info.bytes = base + len(frame) + len(key_bytes) + len(blob)
-        self._place(
-            key, _Loc(chunk_id, base + len(frame) + len(key_bytes), len(blob))
-        )
-        if (
-            info.bytes >= self.max_chunk_bytes
-            or info.entries >= self.max_chunk_entries
-        ):
-            self._seal(chunk_id)
-
     # ------------------------------------------------------------------
     def __contains__(self, key: str) -> bool:
         with self._lock:
             return key in self._index
 
     def __len__(self) -> int:
-        """Live entries — O(1), unlike the JSON store's directory walk."""
+        """Live entries — O(1) bookkeeping, no directory walk."""
         with self._lock:
             return len(self._index)
 
@@ -703,14 +712,14 @@ class ChunkedResultStore:
             return len(self._chunks)
 
     def reliability_stats(self) -> Dict[str, Any]:
-        """Degradation + layout counters (superset of the JSON store's)."""
+        """Degradation counters plus the layout's (chunks, live/dead
+        entries, compactions, evictions)."""
         with self._lock:
             total = sum(info.entries for info in self._chunks.values())
             return {
                 "quarantined": self.quarantined,
                 "write_errors": self.write_errors,
                 "degraded": self.degraded,
-                "backend": "chunked",
                 "chunks": len(self._chunks),
                 "live_entries": len(self._index),
                 "dead_entries": total - len(self._index),
@@ -720,70 +729,37 @@ class ChunkedResultStore:
 
 
 # ----------------------------------------------------------------------
-# backend resolution + merge
+# merge
 # ----------------------------------------------------------------------
-def is_chunked_store(root: Union[str, Path]) -> bool:
-    """Whether a directory already holds a chunked store's layout."""
-    root = Path(root).expanduser()
-    if (root / MANIFEST_NAME).exists():
-        return True
-    try:
-        return next(root.glob("chunk-*.bin"), None) is not None
-    except OSError:
-        return False
-
-
-def open_result_store(
-    path: Union[str, Path],
-    *,
-    max_entries: Optional[int] = None,
-    backend: str = "auto",
-) -> Union[DiskResultStore, ChunkedResultStore]:
-    """Open the right disk store for ``path``.
-
-    ``backend`` is ``"json"`` (one file per entry), ``"chunked"``, or
-    ``"auto"`` (default): an existing chunked layout is detected by its
-    manifest/chunk files, anything else opens as the JSON store.  A
-    string path may carry an explicit ``chunked:`` / ``json:`` prefix —
-    this is how every ``cache=<path>`` front door (Session, CLI
-    ``--cache-dir``, ``dse --cache-dir``, the serving endpoint) reaches
-    the chunked backend without new plumbing::
-
-        Session(cache="chunked:/var/cache/repro")     # create/open chunked
-        python -m repro serve --cache-dir chunked:/var/cache/repro
-    """
-    if isinstance(path, str):
-        for prefix in ("chunked:", "json:"):
-            if path.startswith(prefix):
-                backend = prefix[:-1]
-                path = path[len(prefix):]
-                break
-    if backend == "auto":
-        backend = "chunked" if is_chunked_store(path) else "json"
-    if backend == "chunked":
-        return ChunkedResultStore(path, max_entries=max_entries)
-    if backend == "json":
-        return DiskResultStore(path, max_entries=max_entries)
-    raise ValueError(
-        f"backend must be 'auto', 'json' or 'chunked', got {backend!r}"
-    )
+def _legacy_items(root: Path) -> Iterator[Tuple[str, Any]]:
+    """``(key, result payload)`` of the ``<key>.json`` entries a cache of
+    the old one-file-per-entry layout left under ``root``.  Entries of
+    another format version and corrupt ones are skipped."""
+    for path in sorted(root.glob("*.json")):
+        try:
+            entry = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+            continue
+        if isinstance(entry, dict) and entry.get("version") == CACHE_FORMAT_VERSION:
+            yield path.stem, entry.get("result")
 
 
 def merge_result_stores(
     dest: Union[str, Path, ChunkedResultStore],
-    sources: Sequence[Union[str, Path, DiskResultStore, ChunkedResultStore]],
+    sources: Sequence[Union[str, Path, ChunkedResultStore]],
     *,
     max_chunk_bytes: int = 4 * 1024 * 1024,
     max_chunk_entries: int = 1024,
 ) -> Dict[str, int]:
     """Concatenate result stores into one chunked store, deduped by key.
 
-    Sources may be chunked stores, one-file-per-entry JSON stores, or
-    paths to either (auto-detected).  Keys are content hashes, so two
-    shards that solved the same (spec, machine, strategy) agree on the
-    payload — precedence is deterministic anyway: the first source
-    listed wins, later duplicates are skipped.  Returns counters
-    (``merged``, ``skipped``, ``sources``).
+    Sources are stores or their directories.  Each source's chunked
+    entries are read together with any ``<key>.json`` entries of the old
+    one-file-per-entry layout under its root, which is how such a cache
+    is imported.  Keys are content hashes, so two shards that solved the
+    same (spec, machine, strategy) agree on the payload — precedence is
+    deterministic anyway: the first source listed wins, later duplicates
+    are skipped.  Returns counters (``merged``, ``skipped``, ``sources``).
     """
     if isinstance(dest, ChunkedResultStore):
         dest_store = dest
@@ -795,11 +771,9 @@ def merge_result_stores(
         )
     merged = skipped = 0
     for source in sources:
-        if isinstance(source, (DiskResultStore, ChunkedResultStore)):
-            store: Union[DiskResultStore, ChunkedResultStore] = source
-        else:
-            store = open_result_store(source)
-        for key, payload in store.items():
+        if not isinstance(source, ChunkedResultStore):
+            source = ChunkedResultStore(source)
+        for key, payload in chain(source.items(), _legacy_items(source.root)):
             if payload is None or key in dest_store:
                 skipped += 1
                 continue

@@ -188,10 +188,6 @@ class OpResult:
         )
 
 
-#: Historical name of :class:`OpResult` (pre-``repro.api`` unification).
-OperatorOutcome = OpResult
-
-
 @dataclass(frozen=True)
 class NetworkResult:
     """Aggregated outcome of optimizing every operator of one network."""
@@ -360,37 +356,10 @@ class NetworkOptimizer:
             # --- 1. deduplicate identical shapes (first occurrence wins).
             distinct = dedup_specs(specs)
 
-            # --- 2. consult the cache for all distinct shapes in one batch.
-            solved: Dict[str, StrategyResult] = {}
-            cached_keys: set = set()
-            pending: List[Tuple[str, ConvSpec]] = []
-            cache_keys: Dict[str, str] = {}
-            if self.cache is not None:
-                cache_keys = {
-                    shape_key: self.cache.key_for(spec, self.machine, self.strategy)
-                    for shape_key, spec in distinct.items()
-                }
-                hits = self.cache.get_many(list(cache_keys.values()))
-                for shape_key, spec in distinct.items():
-                    hit = hits.get(cache_keys[shape_key])
-                    if hit is not None:
-                        solved[shape_key] = hit
-                        cached_keys.add(shape_key)
-                    else:
-                        pending.append((shape_key, spec))
-            else:
-                pending = list(distinct.items())
+            # --- 2. look them up in one batch, fan the misses out.
+            solved, cached_keys = self.solve_distinct(distinct)
 
-            # --- 3. fan the remaining distinct operators out.
-            for shape_key, result in zip(
-                (key for key, _ in pending),
-                self.solve_specs([spec for _, spec in pending]),
-            ):
-                solved[shape_key] = result
-                if self.cache is not None:
-                    self.cache.put(cache_keys[shape_key], result)
-
-        # --- 4. per-layer outcomes (cached/deduped results relabeled).
+        # --- 3. per-layer outcomes (cached/deduped results relabeled).
         # Built outside the span so `wall_seconds` is the span's own final
         # clock — the reported wall and the trace record cannot disagree.
         return build_network_result(
@@ -404,12 +373,48 @@ class NetworkOptimizer:
         )
 
     # ------------------------------------------------------------------
+    def solve_distinct(
+        self, distinct: Mapping[str, ConvSpec]
+    ) -> Tuple[Dict[str, StrategyResult], set]:
+        """Solve distinct shapes (``shape key -> spec``), cache first.
+
+        The cache is consulted for every shape in one batch, only the
+        misses are fanned out (:meth:`solve_specs`), and each new result
+        is stored.  Returns ``(solved, cached_keys)``: the result of
+        every shape key, and the keys that came from the cache.
+        """
+        solved: Dict[str, StrategyResult] = {}
+        cached_keys: set = set()
+        pending: List[Tuple[str, ConvSpec]] = []
+        cache_keys: Dict[str, str] = {}
+        if self.cache is not None:
+            cache_keys = {
+                shape_key: self.cache.key_for(spec, self.machine, self.strategy)
+                for shape_key, spec in distinct.items()
+            }
+            hits = self.cache.get_many(list(cache_keys.values()))
+            for shape_key, spec in distinct.items():
+                hit = hits.get(cache_keys[shape_key])
+                if hit is not None:
+                    solved[shape_key] = hit
+                    cached_keys.add(shape_key)
+                else:
+                    pending.append((shape_key, spec))
+        else:
+            pending = list(distinct.items())
+        for (shape_key, _), result in zip(
+            pending, self.solve_specs([spec for _, spec in pending])
+        ):
+            solved[shape_key] = result
+            if self.cache is not None:
+                self.cache.put(cache_keys[shape_key], result)
+        return solved, cached_keys
+
     def solve_specs(self, specs: Sequence[ConvSpec]) -> List[StrategyResult]:
         """Solve ``specs`` serially or through the configured pool, in order.
 
-        This is the raw fan-out primitive (no dedup, no cache): the
-        :class:`repro.api.Session` batched path uses it to solve the
-        distinct shapes it has already collected across many requests.
+        This is the raw fan-out primitive (no dedup, no cache) under
+        :meth:`solve_distinct`.
         """
         if not specs:
             return []

@@ -14,7 +14,7 @@ Usage::
     injector = FaultInjector()
     injector.arm("cache.put_oserror", error=OSError(28, "No space left"))
     with activate(injector):
-        ...   # the next DiskResultStore.put raises exactly once
+        ...   # the next ChunkedResultStore.put raises exactly once
 
 Arming knobs: ``times`` (how often to fire; ``None`` = every time),
 ``after`` (skip the first N matching calls), ``key`` (only fire for a

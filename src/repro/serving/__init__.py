@@ -19,8 +19,7 @@ shared store of results.  This package is that front-end:
   flowing through both transports (the request type is the API-wide
   :class:`repro.api.types.OptimizeRequest`, re-exported here).
 * ``python -m repro serve|demo`` — a TCP endpoint (with graceful drain
-  on shutdown via ``--drain-timeout``) and a concurrent-client demo
-  (``python -m repro.serving`` remains as a deprecated shim).
+  on shutdown via ``--drain-timeout``) and a concurrent-client demo.
 
 The usual embedding is :meth:`repro.api.Session.optimize_async`, which
 lazily runs one :class:`OptimizationServer` over the session's

@@ -308,10 +308,10 @@ class OptimizationServer:
             response = await handle.result()
 
     ``cache`` takes anything :func:`~repro.engine.cache.resolve_cache`
-    accepts: a :class:`ResultCache`, a directory path (a ``"chunked:"``
-    prefix or an existing chunked layout selects the chunked backend),
-    or a disk store instance — which is how replicas of a fleet mount
-    one merged warm fabric.  ``None`` keeps the historical default of a
+    accepts: a :class:`ResultCache`, a directory path (a persistent
+    cache over the chunked result store rooted there), or a disk store
+    instance — which is how replicas of a fleet mount one merged warm
+    fabric.  ``None`` keeps the historical default of a
     fresh in-memory cache.
     """
 

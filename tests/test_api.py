@@ -3,22 +3,19 @@
 Covers the Session façade round-trips (single op, whole network, batched
 dedup, async serving path), by-name vs by-object construction
 equivalence, the workload builders and `parse()` edge cases, cache
-warming, the CLI subcommands, the golden equivalence between
+warming, the CLI subcommands and the golden equivalence between
 ``python -m repro optimize`` and the pre-redesign ``NetworkOptimizer``
-path, and that every deprecated alias still imports and emits exactly
-one ``DeprecationWarning``.
+path.
 """
 
 import asyncio
 import json
 import threading
-import warnings
 from dataclasses import dataclass, field
 
 import pytest
 
 import repro
-from repro import _deprecation
 from repro.api import (
     Session,
     conv,
@@ -91,9 +88,9 @@ class _CountingStore:
     """A disk store that counts the reads reaching it."""
 
     def __init__(self, root):
-        from repro.engine.cache import DiskResultStore
+        from repro.engine.chunk_store import ChunkedResultStore
 
-        self.inner = DiskResultStore(root)
+        self.inner = ChunkedResultStore(root)
         self.gets = 0
 
     def get(self, key):
@@ -321,6 +318,9 @@ class TestByNameVsByObject:
         second = _session(cache=tmp_path / "store")
         assert second.optimize(small_spec).cached
         assert _SOLVE_LOG == ["small"]
+        # The one disk layout: chunk files, no per-entry JSON.
+        assert list((tmp_path / "store").glob("chunk-*.bin"))
+        assert list((tmp_path / "store").glob("*.json")) == []
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(KeyError, match="unknown machine"):
@@ -604,7 +604,7 @@ class TestCLIGolden:
 
 
 # ----------------------------------------------------------------------
-# Unified types and deprecation shims
+# Unified types
 # ----------------------------------------------------------------------
 class TestUnifiedTypes:
     def test_request_type_is_shared_with_serving(self):
@@ -614,11 +614,6 @@ class TestUnifiedTypes:
         request = OptimizeRequest("resnet18", priority=2)
         assert OptimizeRequest.from_dict(request.to_dict()) == request
 
-    def test_op_result_is_engine_operator_outcome(self):
-        from repro.engine.network import OperatorOutcome
-
-        assert OperatorOutcome is OpResult
-
     def test_top_level_exports(self):
         assert repro.Session is Session
         assert repro.OpResult is OpResult
@@ -627,48 +622,3 @@ class TestUnifiedTypes:
         from repro.serving.protocol import OptimizeResponse as wire_response
 
         assert OptimizeResponse is wire_response
-
-
-class TestDeprecatedAliases:
-    ALIASES = ("optimize_network", "compare_network_strategies")
-
-    def test_aliases_import_and_warn_exactly_once(self):
-        for alias in self.ALIASES:
-            repro.__dict__.pop(alias, None)
-            _deprecation.reset(f"repro.{alias}")
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                value = getattr(repro, alias)
-                getattr(repro, alias)  # second access: silent
-            assert callable(value)
-            dep = [
-                w for w in caught if issubclass(w.category, DeprecationWarning)
-            ]
-            assert len(dep) == 1, f"{alias}: {[str(w.message) for w in dep]}"
-            assert alias in str(dep[0].message)
-
-    def test_deprecated_alias_still_works(self, small_spec):
-        repro.__dict__.pop("optimize_network", None)
-        _deprecation.reset("repro.optimize_network")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = repro.optimize_network(
-                [small_spec], tiny_test_machine(), strategy="api-probe"
-            )
-        assert result.num_operators == 1
-
-    def test_serving_cli_shim_warns_and_delegates(self, capsys):
-        from repro.serving import cli as serving_cli
-
-        _deprecation.reset("python -m repro.serving (repro.serving.cli.main)")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = serving_cli.main(["list"])
-        assert code == 0
-        assert "i7-9700k" in capsys.readouterr().out  # the NEW cli ran
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            repro.no_such_attribute

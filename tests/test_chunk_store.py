@@ -1,12 +1,13 @@
 """Tests for the chunked, compacting result store (repro.engine.chunk_store).
 
 Covers the record/chunk round trip (sealing, sidecar indexes, reopen),
-the O(chunks) inode claim with no per-put directory scan, torn-tail
-recovery (quarantine + recount — chaos-marked), chunk-granular eviction
-and dead-record compaction, backend resolution (``chunked:`` prefix,
-auto-detection, store-instance sharing through ``ResultCache`` /
-``resolve_cache``) and the reliability-counter parity with the JSON
-store.
+two instances appending to one root, the O(chunks) inode claim with no
+per-put directory scan, torn-tail recovery (quarantine + recount —
+chaos-marked), chunk-granular eviction and dead-record compaction, how
+a cache argument resolves to the store (``ResultCache`` /
+``resolve_cache`` over a path or a shared instance), the reliability
+counters, and merging stores — including importing a cache of the old
+one-file-per-entry layout.
 """
 
 import errno
@@ -18,13 +19,11 @@ import pytest
 
 from repro.engine.cache import ResultCache, resolve_cache
 from repro.engine.chunk_store import (
+    CACHE_FORMAT_VERSION,
     MANIFEST_NAME,
     ChunkedResultStore,
-    is_chunked_store,
     merge_result_stores,
-    open_result_store,
 )
-from repro.engine.cache import DiskResultStore
 from repro.engine.strategy import StrategyResult
 from repro.reliability import (
     FaultInjector,
@@ -122,6 +121,42 @@ class TestRoundTrip:
         # The cleared store keeps working.
         store.put("again", _payload("again"))
         assert store.get("again") == _payload("again")
+
+
+class TestSharedRoot:
+    """Two store instances open on one root."""
+
+    def test_interleaved_puts_never_serve_another_keys_payload(self, tmp_path):
+        expected = {"key1": {"v": 1}, "key2": {"v": 2}, "key3": {"v": 3}}
+        first = ChunkedResultStore(tmp_path)
+        first.put("key1", expected["key1"])
+        second = ChunkedResultStore(tmp_path)
+        second.put("key2", expected["key2"])
+        # Same record length as key2's, which ``second`` appended behind
+        # ``first``'s back: the offset must come from where it landed.
+        first.put("key3", expected["key3"])
+        for store in (first, second):
+            for key, payload in expected.items():
+                assert store.get(key) in (None, payload), (key, store.get(key))
+        assert first.get("key3") == expected["key3"]
+        third = ChunkedResultStore(tmp_path)
+        assert {key: third.get(key) for key in expected} == expected
+
+    def test_record_stored_under_another_key_is_a_miss(self, tmp_path):
+        stale = ChunkedResultStore(tmp_path)
+        stale.put("key1", {"v": 1})
+        stale.put("key2", {"v": 2})
+        ChunkedResultStore(tmp_path).clear()
+        # The root is rewritten with the same record lengths, key order
+        # swapped: ``stale``'s offsets now frame the other key's record.
+        rewriter = ChunkedResultStore(tmp_path)
+        rewriter.put("key2", {"v": 2})
+        rewriter.put("key1", {"v": 1})
+        assert stale.get("key1") is None
+        assert stale.get("key2") is None
+        assert stale.quarantined == 2
+        assert "key1" not in stale  # dropped: no re-read loop
+        assert rewriter.get("key1") == {"v": 1}
 
 
 class TestLayoutAndHotPath:
@@ -259,6 +294,8 @@ class TestEvictionAndCompaction:
 
 
 class TestReliabilityParity:
+    """The degrade and quarantine counters ResultCache reports."""
+
     def test_write_failures_degrade_to_memory_only(self, tmp_path):
         store = ChunkedResultStore(tmp_path)
         injector = FaultInjector().arm(
@@ -292,47 +329,24 @@ class TestReliabilityParity:
         assert store.get("c") == _payload("c")
 
     def test_result_cache_folds_chunked_counters_in(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="chunked")
+        cache = ResultCache(tmp_path)
         cache.put("k", _result("k"))
         stats = cache.reliability_stats()
         assert stats["degraded"] is False
         assert stats["quarantined"] == 0
-        assert stats["backend"] == "chunked"
         assert stats["chunks"] >= 1
         assert stats["live_entries"] == 1
 
     def test_disk_store_reports_the_same_shape(self, tmp_path):
-        store = DiskResultStore(tmp_path)
-        stats = store.reliability_stats()
-        assert stats == {
-            "quarantined": 0,
-            "write_errors": 0,
-            "degraded": False,
-        }
+        # A memory-only cache reports the common keys alone; the store's
+        # layout counters come on top of them.
+        stats = ChunkedResultStore(tmp_path).reliability_stats()
+        common = ResultCache.empty_reliability_stats()
+        assert {key: stats[key] for key in common} == common
 
 
 class TestBackendResolution:
-    def test_prefix_selects_backend(self, tmp_path):
-        chunked = ResultCache(f"chunked:{tmp_path / 'c'}")
-        plain = ResultCache(f"json:{tmp_path / 'j'}")
-        assert isinstance(chunked.disk, ChunkedResultStore)
-        assert isinstance(plain.disk, DiskResultStore)
-
-    def test_auto_detects_existing_chunked_layout(self, tmp_path):
-        seed = ChunkedResultStore(tmp_path)
-        seed.put("k", _payload("k"))
-        seed.flush()
-        seed.close()
-        assert is_chunked_store(tmp_path)
-        reopened = open_result_store(tmp_path)  # backend="auto"
-        assert isinstance(reopened, ChunkedResultStore)
-        assert reopened.get("k") == _payload("k")
-        fresh_dir = tmp_path / "fresh"
-        assert isinstance(open_result_store(fresh_dir), DiskResultStore)
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="backend"):
-            open_result_store(tmp_path, backend="parquet")
+    """How a cache argument resolves to its disk store."""
 
     def test_replicas_share_one_store_instance(self, tmp_path):
         fabric = ChunkedResultStore(tmp_path)
@@ -344,10 +358,10 @@ class TestBackendResolution:
         assert replica_b.get("k") == _result("k")
 
     def test_round_trip_through_result_cache(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="chunked")
+        cache = ResultCache(tmp_path)
+        assert isinstance(cache.disk, ChunkedResultStore)
         cache.put("k", _result("k"))
-        fresh = ResultCache(tmp_path)  # auto-detects the chunked layout
-        assert isinstance(fresh.disk, ChunkedResultStore)
+        fresh = ResultCache(tmp_path)
         assert fresh.get("k") == _result("k")
 
 
@@ -357,21 +371,34 @@ class TestMergeStores:
         first.put("shared", _payload("from-first"))
         first.put("a-only", _payload("a"))
         first.close()
-        second = DiskResultStore(tmp_path / "b")
-        second.put("shared", _payload("from-second"))
-        second.put("b-only", _payload("b"))
-        report = merge_result_stores(
-            tmp_path / "merged", [tmp_path / "a", tmp_path / "b"]
+        # The second source is a cache of the old layout: one
+        # ``<key>.json`` file per entry.
+        legacy = tmp_path / "b"
+        legacy.mkdir()
+        for key, name in (("shared", "from-second"), ("b-only", "b")):
+            entry = {
+                "version": CACHE_FORMAT_VERSION,
+                "key": key,
+                "result": _payload(name),
+            }
+            (legacy / f"{key}.json").write_text(json.dumps(entry), encoding="utf-8")
+        # Corrupt and other-version entries are skipped, not imported.
+        (legacy / "torn.json").write_text('{"torn', encoding="utf-8")
+        (legacy / "old.json").write_text(
+            json.dumps({"version": -1, "key": "old", "result": _payload("old")}),
+            encoding="utf-8",
         )
+        report = merge_result_stores(tmp_path / "merged", [tmp_path / "a", legacy])
         assert report == {"merged": 3, "skipped": 1, "sources": 2}
-        merged = open_result_store(tmp_path / "merged")
-        assert isinstance(merged, ChunkedResultStore)
+        merged = ChunkedResultStore(tmp_path / "merged")
+        assert len(merged) == 3
         assert merged.get("shared") == _payload("from-first")
         assert merged.get("a-only") == _payload("a")
         assert merged.get("b-only") == _payload("b")
+        assert list((tmp_path / "merged").glob("*.json")) == []
 
     def test_merged_store_serves_a_result_cache(self, tmp_path):
-        source = ResultCache(tmp_path / "src", backend="chunked")
+        source = ResultCache(tmp_path / "src")
         source.put("k", _result("k"))
         source.disk.flush()
         merge_result_stores(tmp_path / "merged", [tmp_path / "src"])

@@ -388,7 +388,7 @@ class TestMergeCli:
                         "--progress",
                         str(tmp_path / f"s{index}.jsonl"),
                         "--cache-dir",
-                        f"chunked:{tmp_path / f'cache{index}'}",
+                        str(tmp_path / f"cache{index}"),
                         "--json",
                     ]
                 )
@@ -416,9 +416,9 @@ class TestMergeCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["cache"]["sources"] == 2
         assert payload["cache"]["merged"] >= 1
-        from repro.engine import ChunkedResultStore, is_chunked_store
+        from repro.engine import ChunkedResultStore
 
-        assert is_chunked_store(tmp_path / "cache-merged")
+        assert list((tmp_path / "cache-merged").glob("chunk-*.bin"))
         merged = ChunkedResultStore(tmp_path / "cache-merged")
         assert len(merged) == payload["cache"]["merged"]
 

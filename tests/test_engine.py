@@ -37,7 +37,8 @@ from repro.engine import (
     spec_to_dict,
     strategy_registry,
 )
-from repro.engine.cache import CACHE_FORMAT_VERSION, STRATEGY_VERSION, DiskResultStore
+from repro.engine.cache import CACHE_FORMAT_VERSION, STRATEGY_VERSION
+from repro.engine.chunk_store import ChunkedResultStore
 from repro.engine.serialization import machine_to_dict, stable_hash
 from repro.machine.presets import get_machine, tiny_test_machine
 from repro.workloads.benchmarks import all_benchmarks
@@ -254,15 +255,18 @@ class TestResultCache:
         strategy = get_strategy("random", **RANDOM_OPTS)
         result = strategy.search(spec, machine)
         key = result_cache_key(spec, machine, strategy)
-        store = DiskResultStore(tmp_path)
+        store = ChunkedResultStore(tmp_path)
         store.put(key, result.to_dict())
-        (tmp_path / f"{key}.json").write_text("{not json", encoding="utf-8")
+        # The entry's bytes are garbled behind the store's back.
+        (chunk,) = tmp_path.glob("chunk-*.bin")
+        chunk.write_bytes(chunk.read_bytes()[:-8] + b"{notjson")
         assert store.get(key) is None
+        assert store.quarantined == 1
         assert ResultCache(tmp_path).get(key) is None
 
     def test_disk_store_expands_user_path(self, monkeypatch, tmp_path):
         monkeypatch.setenv("HOME", str(tmp_path))
-        store = DiskResultStore("~/repro-cache")
+        store = ChunkedResultStore("~/repro-cache")
         assert store.root == tmp_path / "repro-cache"
         assert store.root.is_dir()
 
@@ -293,7 +297,7 @@ def _constant_result(name: str) -> StrategyResult:
 
 class TestDiskEvictionAndVersioning:
     def test_disk_store_caps_entries(self, tmp_path):
-        store = DiskResultStore(tmp_path, max_entries=3)
+        store = ChunkedResultStore(tmp_path, max_entries=3)
         for index in range(6):
             store.put(f"key{index}", _constant_result(f"s{index}").to_dict())
         assert len(store) == 3
@@ -302,38 +306,16 @@ class TestDiskEvictionAndVersioning:
         assert store.get("key5") is not None
         assert store.get("key0") is None
 
-    def test_disk_store_eviction_is_lru(self, tmp_path):
-        import os
-        import time as _time
-
-        store = DiskResultStore(tmp_path, max_entries=2)
-        store.put("old", _constant_result("old").to_dict())
-        store.put("new", _constant_result("new").to_dict())
-        # Backdate both, then touch "old" via a read: it becomes the most
-        # recently used entry and must survive the next eviction.
-        past = _time.time() - 3600
-        for key in ("old", "new"):
-            os.utime(tmp_path / f"{key}.json", (past, past))
-        assert store.get("old") is not None
-        store.put("extra", _constant_result("extra").to_dict())
-        assert store.get("old") is not None
-        assert store.get("new") is None
-
     def test_at_cap_puts_do_not_rescan_every_call(self, tmp_path, monkeypatch):
-        """Regression: the eviction scan must be batched, not per-put.
-
-        The old ``put`` stat'd the target and glob+stat'd the whole
-        directory on *every* put once at cap.  With the maintained
-        counter and the evict-to-90% batch, 10 at-cap puts trigger at
-        most a few scans (cap 30 -> ~3 puts of headroom per scan).
-        """
-        store = DiskResultStore(tmp_path, max_entries=30)
+        """Eviction is batched, not per-put: a pass drops whole chunks
+        down to ~90% of the cap, which buys the next puts headroom."""
+        store = ChunkedResultStore(tmp_path, max_entries=30)
         for index in range(30):
             store.put(f"key{index}", _constant_result(f"s{index}").to_dict())
         scans = []
-        original = DiskResultStore._evict_over_cap
+        original = ChunkedResultStore._evict_over_cap
         monkeypatch.setattr(
-            DiskResultStore,
+            ChunkedResultStore,
             "_evict_over_cap",
             lambda self: (scans.append(1), original(self))[1],
         )
@@ -343,10 +325,10 @@ class TestDiskEvictionAndVersioning:
         assert len(store) <= 30
 
     def test_put_warm_path_never_stats_the_target(self, tmp_path, monkeypatch):
-        """Regression: ``put`` used to ``target.exists()`` on every call."""
+        """``put`` appends to an open handle: no ``exists`` per call."""
         from pathlib import Path
 
-        store = DiskResultStore(tmp_path, max_entries=100)
+        store = ChunkedResultStore(tmp_path, max_entries=100)
         payload = _constant_result("s").to_dict()
         exists_calls = []
         original = Path.exists
@@ -360,7 +342,7 @@ class TestDiskEvictionAndVersioning:
         assert exists_calls == []
 
     def test_unbounded_store_never_evicts(self, tmp_path):
-        store = DiskResultStore(tmp_path)
+        store = ChunkedResultStore(tmp_path)
         for index in range(8):
             store.put(f"key{index}", _constant_result(f"s{index}").to_dict())
         assert len(store) == 8
@@ -368,7 +350,7 @@ class TestDiskEvictionAndVersioning:
 
     def test_invalid_cap_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            DiskResultStore(tmp_path, max_entries=0)
+            ChunkedResultStore(tmp_path, max_entries=0)
 
     def test_result_cache_forwards_cap(self, tmp_path):
         cache = ResultCache(tmp_path / "store", max_disk_entries=2)

@@ -46,7 +46,8 @@ from repro.core.solver import SolverOptions
 from repro.core.tensor_spec import ConvSpec
 from repro.dse import DesignSpace, axis_values, explore
 from repro.engine import StrategyResult, strategy_registry
-from repro.engine.cache import DiskResultStore, ResultCache
+from repro.engine.cache import ResultCache
+from repro.engine.chunk_store import CACHE_FORMAT_VERSION, ChunkedResultStore
 from repro.machine.presets import tiny_test_machine
 from repro.reliability import (
     FaultInjector,
@@ -370,34 +371,45 @@ def _payload(tag: str) -> dict:
 
 class TestCacheQuarantine:
     def test_corrupt_json_quarantined_with_lru_recount(self, tmp_path):
-        store = DiskResultStore(tmp_path, max_entries=3)
+        store = ChunkedResultStore(tmp_path, max_entries=3)
         for key in ("a", "b", "c"):
             store.put(key, _payload(key))
         assert len(store) == 3
-        # A torn write lands on disk behind the store's back.
-        (tmp_path / "b.json").write_text('{"torn', encoding="utf-8")
+        # A torn write lands on disk behind the store's back: "b"'s
+        # record is garbled in place.
+        marker = b'"spec_name": "b"'
+        (chunk,) = [
+            path
+            for path in tmp_path.glob("chunk-*.bin")
+            if marker in path.read_bytes()
+        ]
+        data = chunk.read_bytes()
+        start = data.index(marker)
+        chunk.write_bytes(data[:start] + b"{torn" + data[start + 5 :])
         assert store.get("b") is None
         assert store.quarantined == 1
         assert health_get("cache.quarantined") == 1
-        assert not (tmp_path / "b.json").exists()
-        corpse = tmp_path / "b.json.corrupt"
-        assert corpse.exists() and corpse.read_text() == '{"torn'
-        # The quarantined entry no longer occupies an LRU slot: a new
-        # put fits under the cap without evicting a healthy entry.
+        # The quarantined entry no longer counts against the cap: a new
+        # put fits under it without evicting a healthy entry.
+        assert len(store) == 2
         store.put("d", _payload("d"))
         assert store.evictions == 0
         assert len(store) == 3
         assert store.get("a") is not None and store.get("d") is not None
 
     def test_format_version_mismatch_quarantined(self, tmp_path):
-        store = DiskResultStore(tmp_path)
-        (tmp_path / "old.json").write_text(
-            json.dumps({"version": -1, "result": _payload("old")}),
-            encoding="utf-8",
-        )
+        store = ChunkedResultStore(tmp_path)
+        store.put("old", _payload("old"))
+        # An entry of another format version, written behind the
+        # store's back with the same length as the one it replaces.
+        chunk = next(tmp_path.glob("chunk-*.bin"))
+        data = chunk.read_bytes()
+        stamp = b'"version": %d' % CACHE_FORMAT_VERSION
+        assert data.count(stamp) == 1
+        chunk.write_bytes(data.replace(stamp, b'"version": 9'))
         assert store.get("old") is None
         assert store.quarantined == 1
-        assert (tmp_path / "old.json.corrupt").exists()
+        assert "old" not in store
 
     def test_injected_torn_write_quarantined_on_next_read(self, tmp_path):
         result = StrategyResult(
@@ -416,7 +428,7 @@ class TestCacheQuarantine:
         fresh = ResultCache(tmp_path / "store")
         assert fresh.get("k") is None
         assert fresh.reliability_stats()["quarantined"] == 1
-        assert (tmp_path / "store" / "k.json.corrupt").exists()
+        assert health_get("cache.quarantined") == 1
 
     def test_readonly_disk_degrades_to_memory_only_not_crash(self, tmp_path):
         """Satellite regression: a read-only cache dir must still serve.
@@ -447,10 +459,10 @@ class TestCacheQuarantine:
         assert health_get("cache.degraded") == 1
         # Results still come back — from the memory tier.
         assert cache.get("k1") == result and cache.get("k2") == result
-        assert list((tmp_path / "store").glob("*.json")) == []
+        assert list((tmp_path / "store").glob("chunk-*.bin")) == []
 
     def test_transient_write_failures_do_not_degrade(self, tmp_path):
-        store = DiskResultStore(tmp_path)
+        store = ChunkedResultStore(tmp_path)
         injector = FaultInjector().arm(
             "cache.put_oserror", error=lambda: OSError(errno.EIO, "io"), times=2
         )
@@ -465,7 +477,7 @@ class TestCacheQuarantine:
         assert store.get("c") == _payload("c")
 
     def test_disk_full_degrades_immediately(self, tmp_path):
-        store = DiskResultStore(tmp_path)
+        store = ChunkedResultStore(tmp_path)
         injector = FaultInjector().arm(
             "cache.put_oserror",
             error=lambda: OSError(errno.ENOSPC, "no space left on device"),
@@ -802,8 +814,7 @@ class TestAcceptanceScenario:
         # The quarantined shape was re-solved, the other 11 came warm
         # off the disk tier.
         assert warm.cache_hits == warm.num_operators - 1
-        corpses = list((tmp_path / "faulted").glob("*.json.corrupt"))
-        assert len(corpses) == 1
+        assert stats["reliability"]["cache"]["quarantined"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -1152,7 +1152,7 @@ class TestConcurrentClientDemo:
         )
 
     def test_cli_demo_subcommand(self, capsys):
-        from repro.serving.cli import main
+        from repro.cli import main
 
         exit_code = main(
             [

@@ -385,7 +385,8 @@ class TestEndToEndTracing:
         """The disk-tier lookup runs on a pool thread; spans a store
         opens there must carry the request's trace id, not start orphan
         traces of their own."""
-        from repro.engine.cache import DiskResultStore, ResultCache
+        from repro.engine.cache import ResultCache
+        from repro.engine.chunk_store import ChunkedResultStore
 
         class SpanStore:
             def __init__(self, inner):
@@ -398,7 +399,7 @@ class TestEndToEndTracing:
             def __getattr__(self, name):
                 return getattr(self.inner, name)
 
-        store = SpanStore(DiskResultStore(tmp_path / "store"))
+        store = SpanStore(ChunkedResultStore(tmp_path / "store"))
 
         async def request(cache):
             async with _server(machine, cache=cache) as server:
