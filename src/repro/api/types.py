@@ -25,6 +25,7 @@ there, so all pre-existing imports keep working.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
@@ -40,6 +41,34 @@ _REQUEST_COUNTER = itertools.count(1)
 def next_request_id(prefix: str = "req") -> str:
     """Process-unique request id (monotonic; no clock or randomness)."""
     return f"{prefix}-{next(_REQUEST_COUNTER)}"
+
+
+#: Distinct wire operators whose specs are kept (see :func:`_wire_spec`).
+SPEC_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=SPEC_MEMO_SIZE)
+def _memo_spec(items: Tuple[Tuple[str, type, Any], ...]) -> ConvSpec:
+    return spec_from_dict({name: value for name, _, value in items})
+
+
+def _wire_spec(entry: Mapping[str, Any]) -> ConvSpec:
+    """The :class:`ConvSpec` of one wire operator.
+
+    Warm serving requests name the same operators again and again, and
+    each build re-runs the spec's validation, so successful builds are
+    memoised, keyed by the payload's items with each value's type (``1``,
+    ``1.0`` and ``True`` compare equal, but only ``1`` is a valid
+    extent).  A payload that is not a mapping of hashable values takes
+    the plain path; one that fails validation raises as before and is not
+    kept.
+    """
+    try:
+        items = tuple((name, type(value), value) for name, value in entry.items())
+        hash(items)
+    except (AttributeError, TypeError):
+        return spec_from_dict(entry)
+    return _memo_spec(items)
 
 
 @dataclass(frozen=True)
@@ -102,7 +131,7 @@ class OptimizeRequest:
     def from_dict(cls, payload: Mapping[str, Any]) -> "OptimizeRequest":
         network = payload["network"]
         if not isinstance(network, str):
-            network = tuple(spec_from_dict(entry) for entry in network)
+            network = tuple(_wire_spec(entry) for entry in network)
         deadline_s = payload.get("deadline_s")
         return cls(
             network=network,

@@ -39,7 +39,6 @@ modeled configurations) can be reproduced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -699,45 +698,51 @@ class MOptOptimizer:
 _WHOLE = "__whole__"
 
 
-def _round_source(
-    kind: str, objective: Optional[int], free: Tuple[bool, ...]
-) -> Tuple[str, Tuple[Tuple[bool, Tuple[int, ...]], ...]]:
-    """Source of one round problem's evaluator factory, and its layout.
+def _round_source(kind: str, objective: Optional[int], free: Tuple[bool, ...]) -> str:
+    """Source of one round problem's evaluator factory.
 
     ``free`` marks the free levels of the round in level order, ``kind``
     is ``"select"`` (the log-space epigraph problem), ``"refine"`` (the
     hypothesis problem with dominance) or ``"relaxed"`` (without it), and
     ``objective`` is the hypothesis level's index.  The generated
-    ``make(vol, fp, exp, log, array, c)`` binds the plan's
-    ``volume_floats``/``footprint_floats`` and the round's numbers (the
-    dict ``c``) as closure constants and returns ``(point, times,
-    jacobian)``:
+    ``make(vol, fp, exp, log, **numbers)`` binds the plan's
+    ``volume_floats``/``footprint_floats`` and the round's numbers (by
+    name; the source takes those it reads) as closure constants and
+    returns ``(point, times, gradient)``:
 
     * ``point(x) -> (objective, constraints)`` evaluates every level time,
       capacity slack, nesting and dominance value of the problem in one
-      straight-line body (select calls NumPy's ``exp`` on the log-tile
-      array and ``log`` per level time).
+      straight-line body and returns the constraint values as a list
+      (select calls NumPy's ``exp`` on the log-tile array and ``log`` per
+      level time).
     * ``times(tiles)`` (select only; else ``None``) returns the level
       times at a flat tile list.
-    * ``jacobian(x, probe, u)`` evaluates the finite-difference probes of
-      ``x``: for each coordinate ``d`` with ``u[d]`` true, in order, the
-      point ``x + 0.0`` with coordinate ``d`` set to the next value of
-      ``probe``.  It recomputes only the values that coordinate reaches.
-      Probing tile ``j`` of free level ``p`` moves the times of ``p`` and
-      of ``p - 1`` (whose tile count ``p``'s tiles set), the capacity
-      slack of ``p``, the nesting values of loop ``j`` on either side of
-      ``p`` and the dominance values of the moved times -- all of them,
-      with the objective, when the objective's time moved.  Select's
-      ``v`` coordinate moves the objective and every dominance value.
-      It returns the moved values of all probes in one flat list.
+    * ``gradient(x, u, f, s, C, g, J, columns)`` answers one
+      finite-difference gradient request of the SLSQP driver (see
+      :class:`~repro.core.solver.ConstrainedProblem`): for each
+      coordinate ``d`` with ``u[d]`` true, in order (column ``k``), it
+      takes the probe value and realized step that ``columns(X)`` gives
+      for the point's ``X = x + 0.0`` (a list of the probe values, for
+      select's ``exp``, and an iterator of ``(k, k * rows, probe,
+      step)``), recomputes only the values the
+      coordinate reaches at ``X`` with coordinate ``d`` set to the probe,
+      and writes each difference quotient into the kernel's buffers: the
+      scaled objective's ``(probe / s - f / s) / step`` into ``g[k]`` and
+      the constraint row ``r``'s ``(probe - C[r]) / step`` into
+      ``J[k * rows + r]`` (column-major).  Probing tile ``j`` of free
+      level ``p`` moves the times of ``p`` and of ``p - 1`` (whose tile
+      count ``p``'s tiles set), the capacity slack of ``p``, the nesting
+      values of loop ``j`` on either side of ``p`` and the dominance
+      values of the moved times -- all of them, with the objective, when
+      the objective's time moved.  Select's ``v`` coordinate moves the
+      objective and every dominance value.  An objective the coordinate
+      cannot move is written as ``(f / s - f / s) / step``; the
+      constraint entries it cannot move are left to ``columns``.
 
-    The layout gives, per coordinate ``d``, ``(moves_objective, rows)``:
-    the values ``jacobian`` returns for it, in order -- the objective if
-    it moves, then the constraint rows ``rows``.  ``jacobian`` performs
-    the IEEE-754 operations of ``point``, in its order, so a recomputed
-    value equals ``point`` at the probe bitwise, and every value it skips
-    equals the value at ``x``.  Frozen level times, the counts of levels
-    below a frozen level and the frozen levels' tiles enter as constants.
+    ``gradient`` performs the IEEE-754 operations of ``point``, in its
+    order, so a recomputed value equals ``point`` at the probe bitwise.
+    Frozen level times, the counts of levels below a frozen level and the
+    frozen levels' tiles enter as constants.
     """
     count = len(free)
     select = kind == "select"
@@ -850,27 +855,34 @@ def _round_source(
     values = [value(row) for row in rows]
     body: List[str] = []
     if select:
+        # The level times come from ``times`` (below).
+        unpacked = ", ".join(
+            "_" if index in frozen else f"t{index}" for index in range(count)
+        )
         body += ["y = x[:-1]", "v = float(x[-1])", "T = exp(y).tolist()"]
-        body += tiles_prologue("T")
+        body += [
+            f"A{index} = T[{offset}:{offset + 7}]" for index, offset in offsets.items()
+        ]
+        body.append(f"{unpacked} = times(T)")
         body.append("Y = y.tolist()")
         body += logs_prologue("Y")
         result = "v"
     else:
-        body += ["X = x.tolist()"] + tiles_prologue("X")
+        body += ["X = x.tolist()"] + tiles_prologue("X") + time_lines
         result = time_of[objective]
-    body += time_lines
     if kind == "refine":
         body.append(f"scale = 1e-30 if 1e-30 > {result} else {result}")
-    body.append(f"return {result}, array([")
+    body.append(f"return {result}, [")
     body += [f"    {entry}," for entry in values]
-    body.append("])")
+    body.append("]")
     times_body = tiles_prologue("T") + time_lines
 
-    # jacobian(x, probe, u): what each probe moves, one loop over the
-    # seven tiles per free level (the probed tile ``q``, or its log ``r``,
-    # at ``j``).  The base point is the probes' ``x + 0.0``.  A level's
-    # tile count comes from its outer level: a probe of that outer level
-    # recomputes it (``count``), every other probe reads the base ``n``.
+    # gradient(x, u, f, s, C, g, J, columns): what each probe moves, one
+    # loop over the seven tiles per free level (the probed tile ``q``, or
+    # its log ``r``, at ``j``), each quotient written where it is formed.
+    # A level's tile count comes from its outer level: a probe of that
+    # outer level recomputes it (``count``), every other probe reads the
+    # base ``n``.
     def item(index: int, probed: int) -> str:
         if index == probed:
             return "r" if select else "q"
@@ -878,42 +890,48 @@ def _round_source(
             return f"{tile_list(index)}[j]"
         return f"Y{index}[j]" if free[index] else f"{const(f'G{index}')}[j]"
 
+    def write(row: str, entry: str) -> str:
+        return f"J[b + {row}] = ({entry} - C[{row}]) / e"
+
     unpack.clear()
-    jac: List[str] = ["X = (x + 0.0).tolist()", "R = iter(probe.tolist())"]
+    grad: List[str] = ["X = (x + 0.0).tolist()", "S, I = columns(X)", "fs = f / s"]
+    grad.append("z = fs - fs")
     last = 7 * len(offsets)  # select's log(tau) coordinate
     if select:
-        tiles = f"probe[:-1] if u[{last}] else probe"
-        jac += ["T = exp(x[:-1]).tolist()", f"Q = iter(exp({tiles}).tolist())"]
-        jac += ["v = X[-1]"] + tiles_prologue("T")
-        jac += [
+        grad += [
+            "T = exp(x[:-1]).tolist()",
+            f"Q = iter(exp(S[:-1] if u[{last}] else S).tolist())",
+        ]
+        grad += ["v = X[-1]"] + tiles_prologue("T")
+        grad += [
             f"Y{index} = X[{offset}:{offset + 7}]" for index, offset in offsets.items()
         ]
     else:
-        jac += tiles_prologue("X")
+        grad += tiles_prologue("X")
     base_counts: Dict[int, str] = {}
     for index in needed:
         if index in frozen:
             continue
         if index + 1 < count and free[index + 1]:
-            jac.append(f"n{index} = count(A{index + 1})")
+            grad.append(f"n{index} = count(A{index + 1})")
             base_counts[index] = f"n{index}"
         else:
             base_counts[index] = const(f"C{index}")
     if kind != "relaxed":
-        jac += [
+        grad += [
             f"t{index} = {level_time(index, base_counts[index])}"
             for index in needed
             if index not in frozen
         ]
     if kind == "refine":
-        jac.append(f"scale = 1e-30 if 1e-30 > {result} else {result}")
-    jac.append("V = []")
-    layout: List[Tuple[bool, Tuple[int, ...]]] = []
+        grad.append(f"scale = 1e-30 if 1e-30 > {result} else {result}")
     for probed, offset in offsets.items():
         moved: Dict[int, str] = {}
-        block = [f"q = next({'Q' if select else 'R'})", f"P = A{probed}[:]", "P[j] = q"]
         if select:
-            block.insert(1, "r = next(R)")
+            block = ["k, b, r, e = next(I)", "q = next(Q)"]
+        else:
+            block = ["k, b, q, e = next(I)"]
+        block += [f"P = A{probed}[:]", "P[j] = q"]
         if probed in needed:
             moved[probed] = "tp"
             block.append(f"tp = {level_time(probed, base_counts[probed], probed)}")
@@ -923,49 +941,46 @@ def _round_source(
         times = {**time_of, **moved}
         moves_objective = not select and objective in moved
         scale = "scale"
-        entries = []
         if moves_objective:
             moved_objective = times[objective]
-            entries.append(moved_objective)
             if kind == "refine":
                 block.append(
                     f"sc = 1e-30 if 1e-30 > {moved_objective} else {moved_objective}"
                 )
                 scale = "sc"
+            block.append(f"g[k] = ({moved_objective} / s - fs) / e")
+        else:
+            block.append("g[k] = z / e")
         capacity = const(f"K{probed}")
-        entries.append(f"({capacity} - fp(P)) / {capacity}")
-        touched = {j: [rows.index(("capacity", probed))] for j in range(7)}
+        row = rows.index(("capacity", probed))
+        block.append(write(str(row), f"({capacity} - fp(P)) / {capacity}"))
         for inner in (probed - 1, probed):
             if 0 <= inner < count - 1:
                 outer_item = item(inner + 1, probed)
                 inner_item = item(inner, probed)
                 if select:
-                    entries.append(f"{outer_item} - {inner_item}")
+                    entry = f"{outer_item} - {inner_item}"
                 else:
-                    entries.append(f"({outer_item} - {inner_item}) / {const('W')}[j]")
-                for j in range(7):
-                    touched[j].append(rows.index(("nesting", inner, j)))
+                    entry = f"({outer_item} - {inner_item}) / {const('W')}[j]"
+                row = rows.index(("nesting", inner, 0))
+                block.append(write(f"{row} + j", f"({entry})"))
         for position, row in enumerate(rows):
             if row[0] == "dominance" and (row[1] in moved or moves_objective):
-                entries.append(value(row, times, scale=scale))
-                for j in range(7):
-                    touched[j].append(position)
-        block.append(f"V += ({', '.join(entries)},)")
-        jac.append("for j in range(7):")
-        jac.append(f"    if u[{offset} + j]:")
-        jac += [f"        {line}" for line in block]
-        layout += [(moves_objective, tuple(touched[j])) for j in range(7)]
+                entry = value(row, times, scale=scale)
+                block.append(write(str(position), f"({entry})"))
+        grad.append("for j in range(7):")
+        grad.append(f"    if u[{offset} + j]:")
+        grad += [f"        {line}" for line in block]
     if select:
-        entries = ["w"] + [value(row, v="w") for row in rows if row[0] == "dominance"]
-        jac.append(f"if u[{last}]:")
-        jac.append("    w = next(R)")
-        jac.append(f"    V += ({', '.join(entries)},)")
-        layout.append(
-            (True, tuple(p for p, row in enumerate(rows) if row[0] == "dominance"))
-        )
-    jac.append("return V")
+        grad.append(f"if u[{last}]:")
+        grad += ["    k, b, w, e = next(I)", "    g[k] = (w / s - fs) / e"]
+        grad += [
+            "    " + write(str(position), f"({value(row, v='w')})")
+            for position, row in enumerate(rows)
+            if row[0] == "dominance"
+        ]
     helpers: List[str] = []
-    if any("count(" in line for line in jac):
+    if any("count(" in line for line in grad):
         # The tile count of the level inside tiles T, as ``point`` forms it.
         ratios = [f"{const(f'E{j}')} / b{j}" for j in range(7)]
         product = " * ".join([ratios[0]] + [f"({r})" for r in ratios[1:]])
@@ -980,65 +995,34 @@ def _round_source(
     if select:
         returned = ", ".join(time_of[index] for index in range(count))
         functions.append(("times", "T", times_body + [f"return [{returned}]"]))
-    functions.append(("jacobian", "x, probe, u", jac))
-    lines = ["def make(vol, fp, exp, log, array, c):"]
-    lines += [f"    {name} = c[{name!r}]" for name in used]
+    functions.append(("gradient", "x, u, f, s, C, g, J, columns", grad))
+    lines = [f"def make(vol, fp, exp, log, {', '.join(used)}, **_):"]
     lines += helpers
     for name, args, function_body in functions:
         lines += ["", f"    def {name}({args}):"]
         lines += [f"        {line}" for line in function_body]
-    lines += ["", f"    return point, {'times' if select else 'None'}, jacobian", ""]
-    return "\n".join(lines), tuple(layout)
+    lines += ["", f"    return point, {'times' if select else 'None'}, gradient", ""]
+    return "\n".join(lines)
 
 
 def _one_slot(point):
     """Objective and constraint callables sharing one evaluation per point.
 
     The solver asks for the objective and the constraints of each point
-    back to back; the slot holds the last point's pair.
+    back to back; the slot holds the last point's pair, the constraints
+    as an array.
     """
     slot: List[object] = [None, None]
 
     def evaluate(x: np.ndarray):
         key = x.tobytes()
         if key != slot[0]:
-            slot[1] = point(x)
+            value, constraints = point(x)
+            slot[1] = (value, np.array(constraints))
             slot[0] = key
         return slot[1]
 
     return (lambda x: evaluate(x)[0]), (lambda x: evaluate(x)[1])
-
-
-def _sparse_probes(jacobian, layout, free: np.ndarray):
-    """A problem's ``probes`` from its generated ``jacobian`` and ``layout``
-    (see :func:`_round_source`) for the free coordinates ``free``.
-
-    Every value a probe does not move is its base value: the probes start
-    from the base objective and constraints and only the moved entries
-    are replaced, so the solver's difference of an unmoved entry is
-    ``(c - c) / dx`` -- a zero signed like the step, as differencing a
-    full evaluation of the probe gives, never a literal ``0.0``.
-    """
-    flags = [False] * len(layout)
-    columns: List[int] = []
-    entries: List[int] = []  # 0 is the objective, 1 + r constraint row r
-    for column, coordinate in enumerate(free.tolist()):
-        flags[coordinate] = True
-        moves_objective, rows = layout[coordinate]
-        moved = ([0] if moves_objective else []) + [1 + row for row in rows]
-        columns += [column] * len(moved)
-        entries += moved
-    flags = tuple(flags)
-    width = free.size
-    moved_at = (np.array(columns, dtype=np.intp), np.array(entries, dtype=np.intp))
-
-    def probes(x, probe, value, constraints):
-        base = np.concatenate(((value,), constraints))
-        table = np.repeat(base[None, :], width, axis=0)
-        table[moved_at] = jacobian(x, probe, flags)
-        return table[:, 0], table[:, 1:]
-
-    return probes
 
 
 class _RoundEvaluator:
@@ -1052,8 +1036,8 @@ class _RoundEvaluator:
     themselves (:meth:`problem`).  Each problem is generated code
     (:func:`_round_source`, cached by round structure in the compile
     cache): one function per point (SLSQP's line search) and one that
-    recomputes, per finite-difference probe of a point, only the values
-    the probed coordinate reaches (the gradients).
+    answers a gradient request, recomputing per finite-difference probe
+    only the values the probed coordinate reaches.
     """
 
     def __init__(
@@ -1179,19 +1163,18 @@ class _RoundEvaluator:
         key = ("round", kind, objective, self._free_mask)
 
         def build():
-            source, layout = _round_source(kind, objective, self._free_mask)
-            return compile_generated(source, "make"), layout
+            source = _round_source(kind, objective, self._free_mask)
+            return compile_generated(source, "make")
 
-        make, layout = self._cache.generated(key, build)
+        make = self._cache.generated(key, build)
         compiled = self.compiled
         instance = make(
             compiled.volume_floats,
             compiled.footprint_floats,
             np.exp,
             np.log,
-            np.array,
-            self._constants(),
-        ) + (layout,)
+            **self._constants(),
+        )
         self._instances[(kind, objective)] = instance
         return instance
 
@@ -1224,12 +1207,16 @@ class _RoundEvaluator:
         objective = (
             None if objective_level is None else self.level_order.index(objective_level)
         )
-        point, _, jacobian, layout = self._generated(kind, objective)
+        point, _, gradient = self._generated(kind, objective)
         objective_fn, constraints_fn = _one_slot(point)
-        problem = ConstrainedProblem(
-            objective_fn, (constraints_fn,), tuple(bounds), **declarations
+        return ConstrainedProblem(
+            objective_fn,
+            (constraints_fn,),
+            tuple(bounds),
+            point=point,
+            gradient=gradient,
+            **declarations,
         )
-        return replace(problem, probes=_sparse_probes(jacobian, layout, problem.free))
 
 
 def optimize_conv(

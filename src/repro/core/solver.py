@@ -14,14 +14,15 @@ built on ``scipy.optimize``:
   when SLSQP fails to return a feasible point (the objectives are smooth
   posynomial-like functions, so this is rare and exists for robustness).
 
-Problems that carry sparse probes (every MOpt optimizer problem) or
-batched evaluators run SLSQP on a local driver over scipy's
+Problems that carry a generated gradient (every MOpt optimizer problem)
+or batched evaluators run SLSQP on a local driver over scipy's
 reverse-communication kernel instead of ``scipy.optimize.minimize``: the
 driver feeds the kernel exactly the values scipy's own loop would, so
 every trajectory is bitwise scipy's, but each gradient is one
 finite-difference evaluation of all probes of the point at once -- for
-the MOpt problems, generated code that recomputes per probe only what
-the probed coordinate reaches.
+the MOpt problems, one call of generated code that recomputes per probe
+only what the probed coordinate reaches and writes the difference
+quotients straight into the kernel's buffers.
 
 The problems involved are small — at most a few dozen variables — so a
 multi-start local method reliably finds the same optima Ipopt would.
@@ -32,7 +33,6 @@ from __future__ import annotations
 import ctypes
 import threading
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -118,16 +118,23 @@ class ConstrainedProblem:
     value of each difference comes from the per-point callables and the
     probe values from the batched ones).
 
-    ``probes`` is the sparse alternative the MOpt optimizer's problems
-    carry: ``probes(x, probe, value, constraints)`` returns the objective
-    values ``(F,)`` and constraint values ``(F, C)`` at the F
-    finite-difference probes of ``x`` -- its ``x + 0.0`` with free
-    variable ``free[k]`` set to ``probe[k]`` -- where an entry the probed
-    variable cannot move may be given as its base value (``value`` or
-    ``constraints``, the values at ``x``).  The driver then runs SLSQP
-    on it like on a batched problem.  A problem with either has no
-    inequalities or exactly one (vector-valued) inequality callable, with
-    a ``batch_inequalities`` counterpart when it is batched.
+    ``point`` and ``gradient`` are the generated code the MOpt
+    optimizer's problems carry instead (``optimizer._round_source``).
+    ``point(x)`` returns the objective and the list of constraint values
+    at ``x``, bitwise what ``objective`` and the one inequality give.
+    ``gradient(x, flags, value, scale, constraints, grad, jac, columns)``
+    answers one finite-difference gradient request of the driver at the
+    point ``x`` whose objective is ``value`` and constraint values
+    ``constraints``: for the k-th variable with ``flags`` set (the free
+    ones), in order, it sets that variable of ``x + 0.0`` to the probe
+    value ``columns`` gives and writes the quotients into the memoryviews
+    ``grad[k]`` (the objective over ``scale``) and ``jac[k * C + r]``
+    (constraint ``r``, column-major), leaving the constraint entries the
+    variable cannot move to ``columns`` (:func:`_fused_gradient`).  The
+    driver then runs SLSQP on the problem like on a batched one.  A
+    problem with batched evaluators or a gradient has no inequalities or
+    exactly one (vector-valued) inequality callable, with a
+    ``batch_inequalities`` counterpart when it is batched.
 
     ``single_basin`` declares that the problem has (to solver tolerance) a
     single basin of attraction — e.g. the optimizer's epigraph min-max
@@ -156,7 +163,8 @@ class ConstrainedProblem:
     bounds: Tuple[Tuple[float, float], ...]
     batch_objective: Optional[Callable[[np.ndarray], np.ndarray]] = None
     batch_inequalities: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    probes: Optional[Callable[..., Tuple[np.ndarray, np.ndarray]]] = None
+    point: Optional[Callable[[np.ndarray], Tuple[float, List[float]]]] = None
+    gradient: Optional[Callable[..., None]] = None
     single_basin: bool = False
     polish_all: bool = False
     #: Per-variable bounds as arrays, built once from ``bounds``.
@@ -171,13 +179,15 @@ class ConstrainedProblem:
 
     def __post_init__(self) -> None:
         batched = self.batch_objective is not None
-        if (batched or self.probes is not None) and self.inequalities and (
+        if (batched or self.gradient is not None) and self.inequalities and (
             len(self.inequalities) != 1 or (batched and self.batch_inequalities is None)
         ):
             raise ValueError(
                 "a batched problem needs exactly one inequality callable "
                 "with a batch_inequalities counterpart (or no inequalities)"
             )
+        if (self.point is None) != (self.gradient is None):
+            raise ValueError("a generated gradient comes with its point evaluation")
         object.__setattr__(
             self, "lows", np.array([b[0] for b in self.bounds], dtype=float)
         )
@@ -406,12 +416,11 @@ def _fd_sweep(
     problem: ConstrainedProblem,
     point: np.ndarray,
     probe: np.ndarray,
-    value: float,
-    constraints: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """The ``probes`` of a problem with batched evaluators: one sweep of
-    probe rows, one per free variable (the point's ``x + 0.0`` with that
-    variable set to its probe value), through each batched evaluator."""
+    """Objective and constraint values at the probes of a problem with
+    batched evaluators: one sweep of probe rows, one per free variable
+    (the point's ``x + 0.0`` with that variable set to its probe value),
+    through each batched evaluator."""
     free = problem.free
     rows = np.repeat((point + 0.0)[None, :], free.size, axis=0)
     rows[np.arange(free.size), free] = probe
@@ -422,22 +431,18 @@ def _fd_sweep(
 
 
 def _fd_gradient(problem: ConstrainedProblem, request: _Request) -> _Gradient:
-    """Answer one gradient request by forward differences over the free
-    variables (a pinned variable's derivative is zero and the driver
-    drops it).
+    """Answer one gradient request of a batched problem by forward
+    differences over the free variables (a pinned variable's derivative
+    is zero and the driver drops it).
 
     The objective is differenced at the point and the constraints at its
-    clipped copy; the probe values come from the problem's ``probes``
-    (the generated sparse evaluation of the MOpt problems) or else from
-    its batched evaluators.  Each derivative is the probe value minus the
-    base value over the realized step, so an entry the probed coordinate
-    cannot reach is ``(c - c) / dx``: a signed zero, as differencing a
-    full evaluation gives.
+    clipped copy, each probe value coming from one batched sweep
+    (:func:`_fd_sweep`); each derivative is the probe value minus the
+    base value over the realized step.
     """
     point, clipped, value, scale, cons = request
-    probes = problem.probes or partial(_fd_sweep, problem)
     probe, dx, exact = _fd_probe(problem, point)
-    values, probe_cons = probes(point, probe, value, cons)
+    values, probe_cons = _fd_sweep(problem, point, probe)
     rows = dx.size
     grad = _slopes(values / scale - value / scale, dx, exact)
     if not problem.inequalities:
@@ -445,7 +450,7 @@ def _fd_gradient(problem: ConstrainedProblem, request: _Request) -> _Gradient:
         return grad, None
     if clipped is not point:
         probe, dx, exact = _fd_probe(problem, clipped)
-        _, probe_cons = probes(clipped, probe, value, cons)
+        _, probe_cons = _fd_sweep(problem, clipped, probe)
         rows += dx.size
     _count(requests=1, rows=rows)
     return grad, _slopes(probe_cons - cons, dx[:, None], exact).T
@@ -458,6 +463,135 @@ def _slopes(differences: np.ndarray, steps: np.ndarray, exact: bool) -> np.ndarr
         return differences / steps
     zero = steps == 0.0
     return np.where(zero, 0.0, differences / np.where(zero, 1.0, steps))
+
+
+def _fused_gradient(
+    problem: ConstrainedProblem, grad: np.ndarray, jac: np.ndarray
+) -> Callable[[np.ndarray, np.ndarray, float, float, List[float]], None]:
+    """The answer to the gradient requests of one SLSQP run of a problem
+    with a generated ``gradient``, written into the run's kernel buffers
+    ``grad`` ``(F,)`` and ``jac`` ``(C, F)`` (Fortran order).
+
+    Bitwise what differencing the problem's ``point`` one free variable
+    at a time gives (the rule :func:`_fd_gradient` applies to batched
+    problems):
+
+    * ``columns(X)`` applies :func:`_fd_probe`'s step rule to each free
+      variable of the point ``X`` -- the absolute step, forward or (past
+      the upper bound) backward, and :func:`_fd_steps` for a variable
+      where that fast path fails (off the fast path it is elementwise,
+      and it gives the fast step wherever the fast path holds, so mixing
+      the two per variable changes no step).
+    * The entries of column ``k`` a variable cannot move are ``(c - c) /
+      dx``: ``+0.0`` or ``-0.0`` with the step's sign when every
+      constraint value is finite (``NaN`` in the row of one that is not).
+      ``columns`` copies the column's template in only when the step's
+      sign changed since the run last wrote it; the generated code then
+      overwrites the entries the variable moves.
+    * A zero or non-finite step (only off the fast path) is differenced
+      with step 1.0 and settled afterwards: a zero step's column is
+      ``+0.0`` throughout, any other is divided by its step (``q / 1.0 /
+      dx`` is ``q / dx``).
+
+    The objective is differenced at the point and the constraints at its
+    clipped copy: when clipping moved the point, the generated code runs
+    once per point and the objective of the second run is discarded.
+    """
+    n, m = grad.size, jac.shape[0]
+    grad_out = memoryview(grad)
+    jac_out = memoryview(jac.ravel(order="F"))
+    flags = (problem.lows != problem.highs).tolist()
+    free = problem.free.tolist()
+    lows, highs = problem.free_lows, problem.free_highs
+    # The lower bound the fast path needs; NaN (never met) where a box is
+    # no wider than two steps.
+    fast_lows = np.where(highs - lows > 2.0 * _SQRT_EPS, lows, np.nan).tolist()
+    zeros = (memoryview(np.zeros(m)), memoryview(np.full(m, -0.0)))
+    templates = list(zeros)
+    signs: List[Optional[bool]] = [False] * n  # the zeros' sign per column
+    odd: List[Tuple[int, float]] = []
+
+    def general(k: int, at: float) -> Tuple[float, float]:
+        h, dx = _fd_steps(np.array([at]), lows[k : k + 1], highs[k : k + 1])
+        probe, step = float(at + h[0]), float(dx[0])
+        if not step or step - step:
+            odd.append((k, step))
+            step = 1.0
+        return probe, step
+
+    # Per column: its index, the offset of its first entry, the variable,
+    # and the bounds the fast path reads.
+    slots = [
+        (k, k * m, d, low, high)
+        for k, (d, low, high) in enumerate(zip(free, fast_lows, highs.tolist()))
+    ]
+    step_size, inf = _SQRT_EPS, float("inf")
+
+    def columns(X: List[float]):
+        probes, entries = [], []
+        for k, b, d, low, high in slots:
+            at = X[d]
+            probe = at + step_size
+            step = probe - at
+            # At +inf the fast step is NaN; the general rule gives the same
+            # NaN and marks the column odd.
+            if step and low <= at < inf:
+                if probe > high:
+                    probe = at - step_size
+                    step = probe - at
+                    if not step:
+                        probe, step = general(k, at)
+            else:
+                probe, step = general(k, at)
+            sign = step < 0
+            if sign is not signs[k]:
+                signs[k] = sign
+                jac_out[b : b + m] = templates[sign]
+            probes.append(probe)
+            entries.append((k, b, probe, step))
+        return probes, iter(entries)
+
+    def settle(target: np.ndarray) -> None:
+        for k, step in odd:
+            if step:
+                target[k] /= step
+                jac[:, k] /= step
+            else:
+                target[k] = 0.0
+                jac[:, k] = 0.0
+            signs[k] = None
+        odd.clear()
+
+    def answer(point, clipped, value, scale, constraints) -> None:
+        total = sum(constraints)
+        finite = total - total == 0.0  # else a constraint value is inf or NaN
+        if not finite:
+            values = np.array(constraints)
+            with np.errstate(invalid="ignore"):
+                differences = values - values
+            templates[:] = (
+                memoryview(differences / 1.0),
+                memoryview(differences / -1.0),
+            )
+            signs[:] = [None] * n
+        problem.gradient(
+            point, flags, value, scale, constraints, grad_out, jac_out, columns
+        )
+        if odd:
+            settle(grad)
+        if clipped is not point:
+            discarded = np.zeros(n)
+            problem.gradient(
+                clipped, flags, value, scale, constraints, memoryview(discarded),
+                jac_out, columns,
+            )
+            settle(discarded)
+        if not finite:
+            templates[:] = zeros
+            signs[:] = [None] * n
+        _count(requests=1, rows=n if clipped is point else 2 * n)
+
+    return answer
 
 
 def _slsqp_run(
@@ -473,6 +607,9 @@ def _slsqp_run(
     clipped copy, with variables pinned by equal bounds removed from the
     problem (scipy removes them itself only when it differences, and a
     kept pinned variable would send SLSQP down a different trajectory).
+    A problem with a generated gradient is evaluated by its ``point`` and
+    answers each gradient request into the kernel's buffers
+    (:func:`_fused_gradient`).
 
     Returns ``(x, success, message)`` with ``x`` clipped and expanded to
     the full dimension.  A problem with every variable pinned raises
@@ -501,30 +638,30 @@ def _slsqp_run(
 
     objective = problem.objective
     inequality = problem.inequalities[0] if problem.inequalities else None
+    if problem.point is not None:
+        evaluate = problem.point
 
-    def constraints_at(point: np.ndarray) -> np.ndarray:
-        return np.asarray(inequality(point), dtype=float).reshape(-1)
+        def constraints_at(point: np.ndarray) -> List[float]:
+            return problem.point(point)[1]
+
+    else:
+
+        def constraints_at(point: np.ndarray) -> np.ndarray:
+            return np.asarray(inequality(point), dtype=float).reshape(-1)
+
+        def evaluate(point: np.ndarray):
+            value = objective(point)
+            return value, constraints_at(point) if inequality is not None else ()
 
     x = np.clip(start[free], xl, xu)
     point = expand(x)
     evaluated = x.tobytes()
-    value = objective(point)
+    value, cons = evaluate(point)
     base = abs(value)
     scale = base if base > 0 else 1.0
     fx = value / scale
-    cons = constraints_at(point) if inequality is not None else np.zeros(0)
 
-    def gradient() -> _Gradient:
-        # Objective differenced at the iterate, constraints at its clipped
-        # copy: scipy clips before differencing constraint callables only.
-        clipped = problem.clip(point)
-        if clipped.tobytes() == point.tobytes():
-            clipped, clipped_cons = point, cons
-        else:
-            clipped_cons = constraints_at(clipped) if inequality is not None else cons
-        return _fd_gradient(problem, (point, clipped, value, scale, clipped_cons))
-
-    n, m = x.size, cons.size
+    n, m = x.size, len(cons)
     state = {
         "acc": options.tolerance,
         "alpha": 0.0,
@@ -555,12 +692,32 @@ def _slsqp_run(
     buffer = np.zeros(max(buffer_size, 1), dtype=np.float64)
     indices = np.zeros(max(m + 2 * n + 2, 1), dtype=np.int32)
     mult = np.zeros(max(1, m + 2 * n + 2), dtype=np.float64)
+    grad = np.zeros(n, dtype=np.float64)
     jac_matrix = np.zeros((max(1, m), n), dtype=np.float64, order="F")
     slack = np.zeros(max(1, m), dtype=np.float64)
     slack[:m] = cons
-    grad, jac = gradient()
-    if m:
-        jac_matrix[:m, :] = jac
+
+    if problem.gradient is not None:
+        answer = _fused_gradient(problem, grad, jac_matrix)
+    else:
+
+        def answer(point, clipped, value, scale, constraints) -> None:
+            slopes, jac = _fd_gradient(problem, (point, clipped, value, scale, constraints))
+            grad[:] = slopes
+            if m:
+                jac_matrix[:m, :] = jac
+
+    def gradient() -> None:
+        # Objective differenced at the iterate, constraints at its clipped
+        # copy: scipy clips before differencing constraint callables only.
+        clipped = problem.clip(point)
+        if clipped.tobytes() == point.tobytes():
+            clipped, clipped_cons = point, cons
+        else:
+            clipped_cons = constraints_at(clipped) if inequality is not None else cons
+        answer(point, clipped, value, scale, clipped_cons)
+
+    gradient()
     while True:
         _slsqp_kernel(
             state, fx, grad, jac_matrix, slack, x, mult, xl_kernel, xu_kernel,
@@ -570,16 +727,12 @@ def _slsqp_run(
         if mode == 1 or (mode == -1 and x.tobytes() != evaluated):
             point = expand(x)
             evaluated = x.tobytes()
-            value = objective(point)
-            if inequality is not None:
-                cons = constraints_at(point)
+            value, cons = evaluate(point)
             if mode == 1:
                 fx = value / scale
                 slack[:m] = cons
         if mode == -1:
-            grad, jac = gradient()
-            if m:
-                jac_matrix[:m, :] = jac
+            gradient()
         elif mode != 1:
             break
     return problem.clip(expand(x)), mode == 0, _EXIT_MODES[mode]
@@ -762,12 +915,13 @@ def minimize_from_starts(
       starts (and the problem declares neither ``single_basin`` nor
       ``polish_all``), all starts are scored in one vectorized sweep and
       only the most promising ones are polished;
-    * for problems carrying batched evaluators or sparse ``probes``,
-      SLSQP runs on the local driver (:func:`_slsqp_run`) over scipy's
-      kernel, with bitwise the trajectory ``scipy.optimize.minimize``
-      would take, where each gradient is one finite-difference evaluation
-      of all probes (:func:`_fd_gradient`) instead of ``D + 1``
-      Python-level evaluations.
+    * for problems carrying batched evaluators or a generated
+      ``gradient``, SLSQP runs on the local driver (:func:`_slsqp_run`)
+      over scipy's kernel, with bitwise the trajectory
+      ``scipy.optimize.minimize`` would take, where each gradient is one
+      finite-difference evaluation of all probes (:func:`_fd_gradient`,
+      :func:`_fused_gradient`) instead of ``D + 1`` Python-level
+      evaluations.
 
     Other problems go through ``scipy.optimize.minimize`` with scipy's
     own differencing.  The rest —
@@ -794,7 +948,7 @@ def minimize_from_starts(
             deduped.append(candidate)
     starts = deduped
     batched = problem.batch_objective is not None
-    driven = batched or problem.probes is not None
+    driven = batched or problem.gradient is not None
     # Screening: rank basins by the batched refiner, polish only the most
     # promising starts up front, and keep the rest as rescue candidates.
     # Kept starts are polished from their *original* positions, so a kept

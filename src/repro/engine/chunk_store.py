@@ -29,9 +29,10 @@ of Hub's ``Chunk``/``BytePositionsEncoder``:
 * **Chunk-granularity eviction.**  ``max_entries`` evicts the oldest
   sealed chunks wholesale, by append order and not by read recency,
   down to ~90% of cap — there is no per-put directory scan at all.
-* **Reliability.**  A torn tail (a writer that died mid-append) is
-  detected by the CRC at open, counted as quarantined
-  (``cache.quarantined``) and truncated away; a record ``get`` cannot
+* **Reliability.**  A torn record (a writer that died mid-append) is
+  detected by the CRC at open and counted as quarantined
+  (``cache.quarantined``); the intact records appended after it are
+  kept, and a torn tail is truncated away; a record ``get`` cannot
   parse, or one stored under another key, becomes a clean miss the
   same way.  Persistent write failures — disk full, read-only
   filesystem — degrade the store to memory-only mode with a single
@@ -84,6 +85,23 @@ MANIFEST_NAME = "chunks.manifest"
 
 #: Format marker of the chunk layout; bump on incompatible changes.
 CHUNK_FORMAT_VERSION = 1
+
+
+def _record_at(data: bytes, pos: int) -> Optional[Tuple[Tuple[str, int, int], int]]:
+    """The intact record framed at ``pos`` of a chunk's bytes as ``((key,
+    blob offset, blob length), end)``, or ``None`` when its frame is cut
+    off or implausible or its CRC fails."""
+    if pos + _FRAME.size > len(data):
+        return None
+    key_len, blob_len, crc = _FRAME.unpack_from(data, pos)
+    start = pos + _FRAME.size
+    end = start + key_len + blob_len
+    if key_len == 0 or key_len > _MAX_KEY_BYTES or end > len(data):
+        return None
+    if zlib.crc32(data[start:end]) != crc:
+        return None
+    key = data[start : start + key_len].decode("utf-8", "replace")
+    return (key, start + key_len, blob_len), end
 
 
 @dataclass
@@ -351,14 +369,16 @@ class ChunkedResultStore:
         )
 
     def _scan_chunk(self, chunk_id: int) -> List[Tuple[str, int, int]]:
-        """Byte-scan one chunk; truncate (and count) a torn/corrupt tail.
+        """Byte-scan one chunk; quarantine (and count) each torn record.
 
         Chunks are bounded (``max_chunk_bytes``), so reading one whole
-        chunk is cheap.  The scan stops at the first record whose frame
-        or CRC does not check out — everything before it is intact (the
-        file is append-only), everything from it on is the torn tail of
-        a writer that died mid-append and is truncated away so future
-        appends start from a clean record boundary.
+        chunk is cheap.  A record whose frame or CRC does not check out
+        is quarantined and the scan resumes at the next offset where an
+        intact record starts: a writer that kept appending after a torn
+        write (a short write, a crash and a restart) left its later
+        records intact behind it.  A torn tail with no intact record
+        after it is truncated away so future appends start from a clean
+        record boundary.
         """
         path = self._chunk_path(chunk_id)
         try:
@@ -367,31 +387,29 @@ class ChunkedResultStore:
             return []
         records: List[Tuple[str, int, int]] = []
         pos = 0
-        while pos + _FRAME.size <= len(data):
-            key_len, blob_len, crc = _FRAME.unpack_from(data, pos)
-            end = pos + _FRAME.size + key_len + blob_len
-            if key_len == 0 or key_len > _MAX_KEY_BYTES or end > len(data):
-                break
-            key_bytes = data[pos + _FRAME.size : pos + _FRAME.size + key_len]
-            blob = data[pos + _FRAME.size + key_len : end]
-            if zlib.crc32(key_bytes + blob) != crc:
-                break
-            records.append(
-                (
-                    key_bytes.decode("utf-8", "replace"),
-                    pos + _FRAME.size + key_len,
-                    blob_len,
-                )
-            )
-            pos = end
-        if pos < len(data):
-            # Torn tail: quarantine (count + truncate), keep the prefix.
+        while pos < len(data):
+            record = _record_at(data, pos)
+            if record is not None:
+                records.append(record[0])
+                pos = record[1]
+                continue
             self._note_quarantine()
-            try:
-                with path.open("r+b") as handle:
-                    handle.truncate(pos)
-            except OSError:
-                pass
+            resume = next(
+                (
+                    start
+                    for start in range(pos + 1, len(data) - _FRAME.size + 1)
+                    if _record_at(data, start) is not None
+                ),
+                None,
+            )
+            if resume is None:
+                try:
+                    with path.open("r+b") as handle:
+                        handle.truncate(pos)
+                except OSError:
+                    pass
+                break
+            pos = resume
         return records
 
     # ------------------------------------------------------------------
@@ -454,7 +472,7 @@ class ChunkedResultStore:
                 # torn, as if the writer died mid-append.  The index
                 # still points at it (the writer never knew), so the
                 # next get is a parse-failed quarantine and the next
-                # open truncates the tail.
+                # open skips it (or truncates it, when nothing follows).
                 try:
                     os.ftruncate(
                         self._handle.fileno(), self._chunks[chunk_id].bytes - 4

@@ -25,7 +25,10 @@ from repro.api import (
     parse,
 )
 from repro.api.session import optimize as one_shot_optimize
+import repro.api.types as types_module
 from repro.api.types import OptimizeRequest
+from repro.core.tensor_spec import InvalidSpecError
+from repro.engine.serialization import spec_to_dict
 from repro.cli import main as cli_main
 from repro.engine import (
     NetworkOptimizer,
@@ -613,6 +616,36 @@ class TestUnifiedTypes:
         assert wire_request is OptimizeRequest
         request = OptimizeRequest("resnet18", priority=2)
         assert OptimizeRequest.from_dict(request.to_dict()) == request
+
+    def test_equal_wire_operators_share_one_spec(self):
+        spec = benchmark_by_name("R3")
+        payload = OptimizeRequest((spec,)).to_dict()
+        first = OptimizeRequest.from_dict(payload).network[0]
+        again = OptimizeRequest.from_dict(json.loads(json.dumps(payload))).network[0]
+        assert first == spec and again is first
+
+    def test_invalid_wire_operators_are_not_kept(self):
+        payload = OptimizeRequest((benchmark_by_name("R3"),)).to_dict()
+        before = types_module._memo_spec.cache_info().currsize
+        for value in (0, 1.0, True):  # a float or a bool equals 1 but is no extent
+            payload["network"][0]["stride"] = value
+            with pytest.raises(InvalidSpecError):
+                OptimizeRequest.from_dict(payload)
+        payload["network"][0]["stride"] = [1]  # unhashable: the plain path
+        with pytest.raises(InvalidSpecError):
+            OptimizeRequest.from_dict(payload)
+        payload["network"] = ["not a mapping"]
+        with pytest.raises(ValueError):
+            OptimizeRequest.from_dict(payload)
+        assert types_module._memo_spec.cache_info().currsize == before
+
+    def test_spec_memo_is_bounded(self):
+        base = spec_to_dict(benchmark_by_name("R3"))
+        for index in range(types_module.SPEC_MEMO_SIZE + 10):
+            operator = dict(base, name=f"memo-{index}")
+            OptimizeRequest.from_dict({"network": [operator]})
+        info = types_module._memo_spec.cache_info()
+        assert info.currsize == info.maxsize == types_module.SPEC_MEMO_SIZE
 
     def test_top_level_exports(self):
         assert repro.Session is Session

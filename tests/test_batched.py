@@ -6,10 +6,10 @@ Three layers of guarantees are pinned here, none of them host-dependent:
   precision), and the compiled plans' row evaluators agree with their
   generated per-point float evaluators *bitwise*, row for row (the
   solver mixes the two forms in one problem), and with the generic model
-  (``volume_general``/``combined_footprint``) to rounding; the generated
-  sparse jacobians of the round problems equal differencing their
-  per-point evaluators one coordinate at a time, at every gradient the
-  solver asks for;
+  (``volume_general``/``combined_footprint``) to rounding; what the
+  generated gradients of the round problems write into the kernel's
+  buffers equals differencing their per-point evaluators one coordinate
+  at a time, at every gradient the solver asks for;
 * the multistart driver returns bitwise the same solution whether a
   problem carries batched evaluators (batched finite-difference
   jacobians) or leaves differencing to scipy;
@@ -56,8 +56,8 @@ from repro.core.pruning import all_permutations, pruned_representatives
 from repro.core.solver import (
     ConstrainedProblem,
     SolverOptions,
-    _fd_gradient,
     _fd_probe,
+    _fused_gradient,
     _slsqp_run,
     minimize_constrained,
     minimize_from_starts,
@@ -569,6 +569,25 @@ class TestProbeRows:
         assert delta["probe_rows"] == replayed == expected > 0
 
 
+class TestColdPathCounters:
+    def test_cold_r3_counters(self):
+        """A cold R3 solve takes the pinned trajectory and compiles the
+        pinned number of sources: a change to either fails here, not only
+        in the answer digest."""
+        before = solver_stats()
+        MOptOptimizer(
+            coffee_lake_i7_9700k(),
+            fast_settings(parallel=True),
+            compile_cache=CompileCache(),
+        ).optimize(benchmark_by_name("R3"))
+        assert _stats_delta(before) == {
+            "slsqp_runs": 72,
+            "gradient_requests": 1135,
+            "probe_rows": 10875,
+            "evaluator_compiles": 19,
+        }
+
+
 def _bits(value) -> bytes:
     return np.asarray(value, dtype=float).tobytes()
 
@@ -598,18 +617,33 @@ def _round_problems(spec, settings):
     return captured
 
 
-def _requests(problem, starts, options):
-    """Every gradient request the driver makes, replaying one solve."""
-    requests = []
+def _answers(problem, starts, options):
+    """Every gradient request the driver makes replaying one solve, with
+    the gradient and jacobian its answer left in the kernel's buffers."""
+    answered = []
+    real = solver_module._fused_gradient
 
-    def record(problem, request):
-        requests.append(request)
-        return _fd_gradient(problem, request)
+    def recording(problem, grad, jac):
+        answer = real(problem, grad, jac)
+
+        def record(*request):
+            answer(*request)
+            answered.append((request, grad.copy(), jac.copy()))
+
+        return record
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver_module, "_fd_gradient", record)
+        patch.setattr(solver_module, "_fused_gradient", recording)
         minimize_from_starts(problem, starts, options)
-    return requests
+    return answered
+
+
+def _fused_at(problem, request):
+    """What the answer of a fresh run writes for ``request``."""
+    n, m = problem.free.size, len(request[4])
+    grad, jac = np.zeros(n), np.zeros((m, n), order="F")
+    _fused_gradient(problem, grad, jac)(*request)
+    return grad, jac
 
 
 def _dense_gradient(problem, request):
@@ -634,7 +668,9 @@ def _dense_gradient(problem, request):
 
     grad = columns(point, lambda row: problem.objective(row) / scale, value / scale)
     jac = columns(
-        clipped, lambda row: np.asarray(problem.inequalities[0](row), dtype=float), cons
+        clipped,
+        lambda row: np.asarray(problem.inequalities[0](row), dtype=float),
+        np.asarray(cons, dtype=float),
     )
     return grad, jac.T
 
@@ -642,42 +678,51 @@ def _dense_gradient(problem, request):
 def _request_at(problem, point):
     """The request the driver makes at ``point`` (see ``_slsqp_run``)."""
     value = problem.objective(point)
-    scale = abs(value) if value != 0 else 1.0
+    scale = abs(value) if abs(value) > 0 else 1.0
     clipped = problem.clip(point)
     if clipped.tobytes() == point.tobytes():
         clipped = point
-    cons = np.asarray(problem.inequalities[0](clipped), dtype=float)
-    return point, clipped, value, scale, cons
+    return point, clipped, value, scale, problem.point(clipped)[1]
+
+
+def _assert_dense(problem, request, grad, jac):
+    expected_grad, expected_jac = _dense_gradient(problem, request)
+    assert _bits(grad) == _bits(expected_grad)
+    assert _bits(jac) == _bits(expected_jac)
 
 
 class TestGeneratedRoundProblems:
-    """Each round problem's generated sparse jacobian equals differencing
-    its per-point evaluator one free coordinate at a time, bitwise, at
-    every gradient request of a cold solve; round code is shared by
+    """What each round problem's generated gradient writes into the
+    kernel's buffers equals differencing its per-point evaluator one free
+    coordinate at a time, bitwise, at every gradient request of a cold
+    solve and off the forward-step path; round code is shared by
     structure."""
 
     @pytest.mark.parametrize(
-        "name",
-        [
-            "R3",
-            pytest.param("R4", marks=pytest.mark.slow),
-            pytest.param("R11", marks=pytest.mark.slow),
-        ],
+        "name, batch", [("R3", 1), ("R4", 1), ("R11", 8)], ids=["R3", "R4", "R11"]
     )
-    def test_jacobian_equals_dense_differencing(self, name):
-        spec = benchmark_by_name(name).with_batch(8)
+    def test_jacobian_equals_dense_differencing(self, name, batch):
+        """R3 pins n, r and s; R4 has stride 2; R11 at batch 8 frees n.
+        The replay reaches backward-step columns (unreachable entries
+        -0.0) and the ``_fd_steps`` fallback inside the runs."""
+        spec = benchmark_by_name(name).with_batch(batch)
         captured = _round_problems(spec, fast_settings(parallel=True))
         assert {kind for kind, _, _, _ in captured} == {"select", "refine", "relaxed"}
-        checked = 0
+        checked = backward = fallback = 0
         for kind, problem, starts, options in captured:
-            assert problem.probes is not None and problem.batch_objective is None
-            for request in _requests(problem, starts, options):
-                grad, jac = _fd_gradient(problem, request)
+            assert problem.gradient is not None and problem.batch_objective is None
+            for request, grad, jac in _answers(problem, starts, options):
                 expected_grad, expected_jac = _dense_gradient(problem, request)
                 assert _bits(grad) == _bits(expected_grad), kind
                 assert _bits(jac) == _bits(expected_jac), kind
+                _, dx, exact = _fd_probe(problem, request[0])
+                backward += bool((dx < 0).any())
+                fallback += not exact
                 checked += 1
         assert checked > 100
+        assert backward > 0
+        if name == "R3":
+            assert fallback > 0
 
     def test_fallback_steps_and_clipped_constraint_point(self):
         """Off the forward-step path: at a point on its upper bound the
@@ -698,10 +743,8 @@ class TestGeneratedRoundProblems:
                 request = _request_at(problem, point)
                 _, dx, exact = _fd_probe(problem, point)
                 paths.add((where, exact))
-                grad, jac = _fd_gradient(problem, request)
-                expected_grad, expected_jac = _dense_gradient(problem, request)
-                assert _bits(grad) == _bits(expected_grad)
-                assert _bits(jac) == _bits(expected_jac)
+                grad, jac = _fused_at(problem, request)
+                _assert_dense(problem, request, grad, jac)
                 if where == "upper":
                     assert exact == problem.wide and (dx <= 0).all()
                     # Entries the probes cannot reach are (c - c) / dx < 0.
@@ -711,6 +754,67 @@ class TestGeneratedRoundProblems:
             kinds.add(kind)
         assert kinds == {"select", "refine", "relaxed"}
         assert paths == {("upper", True), ("upper", False), ("below", False)}
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_values_and_odd_steps(self):
+        """Off the finite path, bitwise as differencing ``point``:
+
+        * a NaN coordinate makes constraint values NaN (their unreachable
+          entries are NaN, not a signed zero) and its own step NaN; one
+          run answers it, an ordinary point and it again, so the columns
+          it dirties are rewritten in between;
+        * an inverted box gives a zero step: that column is +0.0
+          throughout, NaN rows (another coordinate is NaN) included;
+        * an unbounded coordinate at +inf steps by NaN, so its column is
+          NaN where a finite step would leave a signed zero.
+        """
+        spec = benchmark_by_name("R3").with_batch(8)
+        captured = _round_problems(spec, fast_settings(parallel=True))
+        kinds = set()
+        for kind, problem, starts, _ in captured:
+            start = problem.clip(starts[0])
+            first, second = problem.free[:2]
+            m = len(problem.point(start)[1])
+
+            def with_bound(low, high):
+                bounds = list(problem.bounds)
+                bounds[first] = (low, high)
+                return replace(problem, bounds=tuple(bounds))
+
+            nan_point = start.copy()
+            nan_point[first] = np.nan
+            grad = np.zeros(problem.free.size)
+            jac = np.zeros((m, problem.free.size), order="F")
+            answer = _fused_gradient(problem, grad, jac)
+            for point in (nan_point, start, nan_point):
+                request = _request_at(problem, point)
+                assert request[1] is point
+                answer(*request)
+                _assert_dense(problem, request, grad, jac)
+            assert not np.isfinite(_request_at(problem, nan_point)[4]).all()
+            assert np.isnan(jac[:, 0]).all()
+
+            low, high = problem.bounds[first]
+            inverted = with_bound(max(high, low + 1.0), low)
+            point = inverted.clip(start)
+            point[second] = np.nan
+            request = _request_at(inverted, point)
+            assert _fd_probe(inverted, point)[1][0] == 0.0
+            grad, jac = _fused_at(inverted, request)
+            _assert_dense(inverted, request, grad, jac)
+            assert _bits(jac[:, 0]) == _bits(np.zeros(m)) and grad[0] == 0.0
+            assert np.isnan(jac).any()
+
+            unbounded = with_bound(low, np.inf)
+            point = start.copy()
+            point[first] = np.inf
+            request = _request_at(unbounded, point)
+            assert request[1] is point
+            grad, jac = _fused_at(unbounded, request)
+            _assert_dense(unbounded, request, grad, jac)
+            assert np.isnan(jac[:, 0]).all()
+            kinds.add(kind)
+        assert kinds == {"select", "refine", "relaxed"}
 
     def test_same_round_structure_compiles_no_new_code(self, tiny_machine):
         """Round code depends on the round's structure only: another class

@@ -2,8 +2,8 @@
 
 Covers the record/chunk round trip (sealing, sidecar indexes, reopen),
 two instances appending to one root, the O(chunks) inode claim with no
-per-put directory scan, torn-tail recovery (quarantine + recount —
-chaos-marked), chunk-granular eviction and dead-record compaction, how
+per-put directory scan, torn-record recovery (quarantine + recount,
+intact records after a torn one kept — chaos-marked), chunk-granular eviction and dead-record compaction, how
 a cache argument resolves to the store (``ResultCache`` /
 ``resolve_cache`` over a path or a shared instance), the reliability
 counters, and merging stores — including importing a cache of the old
@@ -236,6 +236,33 @@ class TestTornTail:
         assert store.get("k") is None
         assert store.quarantined == 1
         assert store.get("k") is None  # stays a miss, no re-parse loop
+
+    def test_torn_record_keeps_the_intact_records_after_it(self, tmp_path):
+        """A writer that keeps appending after a torn record: a reopen
+        quarantines that one record and serves every record after it."""
+        store = ChunkedResultStore(tmp_path)
+        injector = FaultInjector().arm("cache.corrupt_entry", times=1)
+        with activate(injector):
+            for key in ("k1", "k2", "k3"):
+                store.put(key, _payload(key))
+        assert injector.fired("cache.corrupt_entry") == 1
+        assert store.get("k2") == _payload("k2")
+        assert store.get("k3") == _payload("k3")
+        store.close()
+        fresh = ChunkedResultStore(tmp_path)
+        assert len(fresh) == 2
+        assert fresh.quarantined == 1
+        assert fresh.get("k1") is None
+        assert fresh.get("k2") == _payload("k2")
+        assert fresh.get("k3") == _payload("k3")
+        # Nothing was truncated: appends go on after the last record.
+        fresh.put("k4", _payload("k4"))
+        fresh.close()
+        again = ChunkedResultStore(tmp_path)
+        assert again.quarantined == 1
+        assert [again.get(key) for key in ("k2", "k3", "k4")] == [
+            _payload(key) for key in ("k2", "k3", "k4")
+        ]
 
     def test_corrupt_sidecar_falls_back_to_scan(self, tmp_path):
         store = ChunkedResultStore(tmp_path, max_chunk_entries=3)
