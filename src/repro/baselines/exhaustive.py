@@ -24,12 +24,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.pruning import all_permutations, pruned_representatives
-from ..core.solver import SolverOptions, solve_single_level, solve_single_level_batch
+from ..core.solver import SolverOptions, solve_single_level
 from ..core.tensor_spec import ConvSpec, LOOP_INDICES
-
-#: Permutations per batched-solver chunk: bounds the stacked cost table's
-#: footprint while amortizing the joint multistart sweep over many solves.
-BATCH_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -70,50 +66,19 @@ def _solve(
     return PermutationSolution(tuple(permutation), volume, tiles)
 
 
-def _solve_chunked(
-    spec: ConvSpec,
-    permutations: Sequence[Sequence[str]],
-    capacity_elements: float,
-    options: Optional[SolverOptions],
-    *,
-    vectorized: bool = True,
-) -> Iterable[PermutationSolution]:
-    """Solve many permutations through the batched core, chunk by chunk."""
-    if not vectorized:
-        for permutation in permutations:
-            yield _solve(spec, permutation, capacity_elements, options)
-        return
-    for begin in range(0, len(permutations), BATCH_CHUNK):
-        chunk = permutations[begin : begin + BATCH_CHUNK]
-        for permutation, (config, volume) in zip(
-            chunk,
-            solve_single_level_batch(
-                spec, chunk, capacity_elements, options=options
-            ),
-        ):
-            tiles = tuple(config.tiles[i] for i in LOOP_INDICES)
-            yield PermutationSolution(tuple(permutation), volume, tiles)
-
-
 def best_over_pruned_classes(
     spec: ConvSpec,
     capacity_elements: float,
     *,
     options: Optional[SolverOptions] = None,
-    vectorized: bool = True,
 ) -> PermutationSolution:
     """Best single-level solution across the eight pruned representatives."""
-    best: Optional[PermutationSolution] = None
-    for solution in _solve_chunked(
+    best, _ = best_over_all_permutations(
         spec,
-        list(pruned_representatives()),
         capacity_elements,
-        options,
-        vectorized=vectorized,
-    ):
-        if best is None or solution.volume < best.volume:
-            best = solution
-    assert best is not None
+        permutations=pruned_representatives(),
+        options=options,
+    )
     return best
 
 
@@ -123,31 +88,19 @@ def best_over_all_permutations(
     *,
     permutations: Optional[Iterable[Sequence[str]]] = None,
     options: Optional[SolverOptions] = None,
-    vectorized: bool = True,
 ) -> Tuple[PermutationSolution, int]:
     """Best single-level solution across an arbitrary set of permutations.
 
     ``permutations`` defaults to all 5040; pass a subset (e.g. a random
     sample) to bound the runtime.  Returns the best solution and the number
-    of permutations examined.  With ``vectorized`` (the default) the
-    permutations are solved in :data:`BATCH_CHUNK`-sized stacks through
-    :func:`~repro.core.solver.solve_single_level_batch`, which generates
-    and screens one shared multistart pool per chunk instead of running
-    the full scalar multistart for every permutation.
+    of permutations examined.
     """
     candidates = (
         list(all_permutations()) if permutations is None else [tuple(p) for p in permutations]
     )
-    best: Optional[PermutationSolution] = None
-    count = 0
-    for solution in _solve_chunked(
-        spec, candidates, capacity_elements, options, vectorized=vectorized
-    ):
-        count += 1
-        if best is None or solution.volume < best.volume:
-            best = solution
-    assert best is not None
-    return best, count
+    solutions = [_solve(spec, p, capacity_elements, options) for p in candidates]
+    # The first minimum wins ties, as in permutation order.
+    return min(solutions, key=lambda solution: solution.volume), len(solutions)
 
 
 def sample_permutations(count: int, *, seed: int = 0) -> List[Tuple[str, ...]]:

@@ -50,7 +50,6 @@ from .solver import (
     minimize_from_starts,
     solve_best_single_level,
     solve_single_level,
-    solve_single_level_batch,
 )
 from .symbolic import build_symbolic_model, total_volume_expr
 from .tensor_spec import (
@@ -119,7 +118,6 @@ __all__ = [
     "single_level",
     "solve_best_single_level",
     "solve_single_level",
-    "solve_single_level_batch",
     "table_for",
     "tensor_data_volume",
     "total_data_volume",

@@ -350,9 +350,8 @@ def combined_footprint_nd(tiles, *, stride: int = 1, dilation: int = 1):
 
     The trailing axis is in :data:`~repro.core.tensor_spec.LOOP_INDICES`
     order.  This is the single array implementation of the Eq. 4 left-hand
-    side shared by the batched cost tables and the row-batched solver
-    evaluators (summation order Out + Ker + In, matching
-    :meth:`CompiledPermutationCost.footprint_floats` bitwise).
+    side of the batched cost tables (summation order Out + Ker + In,
+    matching :meth:`CompiledPermutationCost.footprint_floats` bitwise).
     """
     import numpy as np
 
@@ -414,8 +413,10 @@ def evaluator_compiles() -> int:
 def _plan_source(plans, unit_stride: bool, unit_dilation: bool) -> str:
     """Source of ``make(stride, dilation) -> (volume_floats, footprint_floats)``.
 
-    The generated functions perform exactly the IEEE-754 operations of
-    the row evaluators, in the same order: the running product of ratios
+    The generated volume function performs exactly the IEEE-754
+    operations of :func:`volume_general`, in the same order (the two agree
+    bitwise; the footprint function sums Out + Ker + In, unlike
+    :func:`combined_footprint`): the running product of ratios
     ``1.0 * r_a * r_b`` is emitted as ``r_a * r_b`` (``1.0 * x`` is
     exact), a case-1 factor of 1.0 is dropped the same way, and a unit
     stride or dilation is not multiplied (``x * 1`` is exact).  ``min`` /
@@ -507,30 +508,28 @@ class CompiledPermutationCost:
     solving for tile sizes; building :class:`~repro.core.config.TilingConfig`
     objects on every call would dominate the runtime.  This class performs
     the permutation analysis (reuse positions, case selection) once and then
-    evaluates the volume and the combined footprint in two forms, both
-    ordered like :data:`LOOP_INDICES`: per point on plain float sequences
+    evaluates the volume and the combined footprint per point on plain
+    float sequences ordered like :data:`LOOP_INDICES`
     (``volume_floats(problem, tiles)``/``footprint_floats(tiles)``, the
-    MOpt round problems and their sparse jacobians) and per ``(M, 7)``
-    row matrix (``volume_rows``/``footprint_rows``, the single-level
-    baseline problems' batched finite-difference sweeps).  The per-point
-    pair is generated straight-line Python (see :func:`_plan_source`; the
-    text is on ``volume_floats.source``) with the reuse positions, the
-    partial-reuse case and unit strides resolved at generation time.  The
-    two forms perform the same IEEE-754 operations in the same order, so
-    they agree bitwise row for row; the generic :func:`volume_general` / :func:`combined_footprint` remain the
-    independent reference they are tested against.
+    MOpt round problems, their sparse jacobians and the single-level
+    problems).  The pair is generated straight-line Python (see
+    :func:`_plan_source`; the text is on ``volume_floats.source``) with
+    the reuse positions, the partial-reuse case and unit strides resolved
+    at generation time; the generic :func:`volume_general` /
+    :func:`combined_footprint` remain the independent reference it is
+    tested against.
     """
 
     _POS = {index: position for position, index in enumerate(LOOP_INDICES)}
 
     def __init__(self, permutation: Sequence[str], *, stride: int = 1, dilation: int = 1):
-        import numpy as _np
-
         config = TilingConfig(permutation, {i: 2.0 for i in LOOP_INDICES})
         self.permutation = config.permutation
         self.stride = stride
         self.dilation = dilation
-        self._array_plans = []
+        # Per tensor: the positions of the reuse factors, whether its reuse
+        # is partial, and the reuse iterator's position.
+        self._float_plans = []
         for tensor in TENSOR_NAMES:
             position, iterator = reuse_position(config, tensor)
             partial = tensor == "In" and iterator in PARTIAL_REUSE_ITERATORS
@@ -538,86 +537,22 @@ class CompiledPermutationCost:
                 indices = config.indices_above(position)
             else:
                 indices = config.indices_at_or_above(position)
-            self._array_plans.append(
+            self._float_plans.append(
                 (
                     tensor,
-                    _np.array([self._POS[i] for i in indices], dtype=int),
+                    tuple(self._POS[i] for i in indices),
                     partial,
-                    iterator,
+                    self._POS[iterator],
                 )
             )
-        self._np = _np
         # Positions used repeatedly by the evaluators.
         self._p = {i: self._POS[i] for i in LOOP_INDICES}
-        # Integer-position plans for the pure-float evaluator.
-        self._float_plans = [
-            (tensor, tuple(int(i) for i in idx), partial, self._POS[iterator])
-            for tensor, idx, partial, iterator in self._array_plans
-        ]
         self._iterator_name = {self._POS[i]: i for i in LOOP_INDICES}
         make = compile_generated(
             _plan_source(self._float_plans, stride == 1, dilation == 1), "make"
         )
         self.volume_floats, self.footprint_floats = make(stride, dilation)
         self.volume_floats.source = self.footprint_floats.source = make.source
-
-    # -- row-batched interface (batched finite-difference sweeps) ---------
-    def volume_rows(self, problem, tiles):
-        """Total volumes for row matrices of points: ``(M, 7) -> (M,)``.
-
-        Row ``m`` of the result is bitwise-identical to
-        ``volume_floats(problem[m], tiles[m])``: every elementwise operation
-        and reduction is performed in the same order, so solvers that mix
-        per-point evaluations (line searches) with batched ones (gradient
-        sweeps) see one consistent function.  ``problem`` may also be a
-        single ``(7,)`` vector shared by all rows.
-        """
-        np_ = self._np
-        p = self._p
-        problem = np_.asarray(problem, dtype=float)
-        tiles = np_.asarray(tiles, dtype=float)
-        if problem.ndim == 1:
-            problem = np_.broadcast_to(problem, tiles.shape)
-        stride, dilation = self.stride, self.dilation
-        ext_h = (tiles[:, p["h"]] - 1) * stride + (tiles[:, p["r"]] - 1) * dilation + 1
-        ext_w = (tiles[:, p["w"]] - 1) * stride + (tiles[:, p["s"]] - 1) * dilation + 1
-        footprints = {
-            "Out": tiles[:, p["n"]] * tiles[:, p["k"]] * tiles[:, p["h"]] * tiles[:, p["w"]],
-            "Ker": tiles[:, p["k"]] * tiles[:, p["c"]] * tiles[:, p["r"]] * tiles[:, p["s"]],
-            "In": tiles[:, p["n"]] * tiles[:, p["c"]] * ext_h * ext_w,
-        }
-        # One shared division: gathering columns from the full ratio matrix
-        # is bitwise-identical to dividing the gathered columns.
-        all_ratios = problem / tiles
-        total = np_.zeros(tiles.shape[0])
-        for tensor, idx, partial, iterator in self._array_plans:
-            if len(idx):
-                product = all_ratios[:, idx].prod(axis=1)
-            else:
-                product = np_.ones(tiles.shape[0])
-            footprint = footprints[tensor]
-            if partial:
-                steps = np_.maximum(problem[:, p[iterator]] / tiles[:, p[iterator]] - 1.0, 0.0)
-                if iterator == "w":
-                    extra = tiles[:, p["n"]] * tiles[:, p["c"]] * ext_h * np_.minimum(ext_w, tiles[:, p["w"]] * stride) * steps
-                elif iterator == "s":
-                    extra = tiles[:, p["n"]] * tiles[:, p["c"]] * ext_h * np_.minimum(ext_w, tiles[:, p["s"]] * dilation) * steps
-                elif iterator == "h":
-                    extra = tiles[:, p["n"]] * tiles[:, p["c"]] * np_.minimum(ext_h, tiles[:, p["h"]] * stride) * ext_w * steps
-                else:
-                    extra = tiles[:, p["n"]] * tiles[:, p["c"]] * np_.minimum(ext_h, tiles[:, p["r"]] * dilation) * ext_w * steps
-                total += product * (extra + footprint)
-            else:
-                factor = OUT_TRAFFIC_FACTOR if tensor == "Out" else 1.0
-                total += factor * product * footprint
-        return total
-
-    def footprint_rows(self, tiles):
-        """Combined footprints for a row matrix of tile vectors: ``(M, 7) -> (M,)``.
-
-        Row-for-row bitwise-identical to :meth:`footprint_floats`.
-        """
-        return combined_footprint_nd(tiles, stride=self.stride, dilation=self.dilation)
 
     # -- interval bounds (basin lower bounds for the min-max solve) --------
     def volume_interval_bound(

@@ -458,8 +458,8 @@ class MOptOptimizer:
         beat it — the per-class basin floor) and the best starting point's
         bottleneck value.  The problem is declared ``single_basin`` (the
         level times are posynomial-like, hence near-convex in log
-        coordinates), so the solver polishes the best-ranked start only and
-        the screened and exact solver modes coincide bitwise.
+        coordinates), so the solver stops at the first feasible polish of
+        the ranked starts.
 
         The problem itself (level times, footprints, the log-space nesting
         and epigraph constraints) comes from the round's shared evaluator;
@@ -599,11 +599,9 @@ class MOptOptimizer:
         planning far better than the large-tile end the log-space
         trajectories drift to.
 
-        The problems are marked ``polish_all`` and solved from three
-        deterministic interior starts only (no seeded random starts): every
-        start is polished and the best kept, so the screened and exact
-        solver modes coincide bitwise (no lossy top-k start screening on
-        this path) and the result is independent of the solver seed.
+        The problems are solved from three deterministic interior starts
+        only (no seeded random starts): every start is polished and the
+        best kept, so the result is independent of the solver seed.
 
         ``dominate=False`` skips the dominance-constrained solve and goes
         straight to the relaxed problem.  The caller passes it on the final
@@ -626,18 +624,14 @@ class MOptOptimizer:
         # adds the dominance of the objective level over every other level.
         result = None
         if dominate:
-            problem = round_.problem(
-                "refine", bounds, objective_level, polish_all=True
-            )
+            problem = round_.problem("refine", bounds, objective_level)
             result = minimize_from_starts(problem, refine_starts, self.settings.solver)
         if result is None or not result.feasible:
             # The hypothesis "objective_level dominates all other levels" may
             # simply be unsatisfiable for this permutation (that level can
             # never be the bottleneck).  Re-solve without the dominance
             # constraints so the returned tiles are still sensible.
-            relaxed = round_.problem(
-                "relaxed", bounds, objective_level, polish_all=True
-            )
+            relaxed = round_.problem("relaxed", bounds, objective_level)
             result = minimize_from_starts(relaxed, refine_starts, self.settings.solver)
 
         return round_.tiles_by_level(np.asarray(result.x, dtype=float))

@@ -14,15 +14,15 @@ built on ``scipy.optimize``:
   when SLSQP fails to return a feasible point (the objectives are smooth
   posynomial-like functions, so this is rare and exists for robustness).
 
-Problems that carry a generated gradient (every MOpt optimizer problem)
-or batched evaluators run SLSQP on a local driver over scipy's
-reverse-communication kernel instead of ``scipy.optimize.minimize``: the
-driver feeds the kernel exactly the values scipy's own loop would, so
-every trajectory is bitwise scipy's, but each gradient is one
-finite-difference evaluation of all probes of the point at once -- for
-the MOpt problems, one call of generated code that recomputes per probe
-only what the probed coordinate reaches and writes the difference
-quotients straight into the kernel's buffers.
+Every problem runs SLSQP on one local driver over scipy's
+reverse-communication kernel: the driver feeds the kernel exactly the
+values ``scipy.optimize.minimize`` would compute, so every trajectory is
+bitwise scipy's.  A problem with a generated gradient (every MOpt
+optimizer problem) answers each gradient request with one call of
+generated code that recomputes per probe only what the probed coordinate
+reaches and writes the difference quotients straight into the kernel's
+buffers; any other problem is differenced one probe row at a time
+through its per-point callables.
 
 The problems involved are small — at most a few dozen variables — so a
 multi-start local method reliably finds the same optima Ipopt would.
@@ -38,18 +38,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
-from scipy import optimize
 from scipy.optimize._slsqplib import slsqp as _slsqp_kernel
 
 from ..obs.metrics import REGISTRY
-from .capacity import max_feasible_uniform_tile
 from .config import TilingConfig
-from .cost_model import (
-    combined_footprint,
-    compiled_cost_for,
-    evaluator_compiles,
-    volume_general,
-)
+from .cost_model import compiled_cost_for, evaluator_compiles
 from .tensor_spec import ConvSpec, LOOP_INDICES
 
 
@@ -60,18 +53,6 @@ class SolverOptions:
     ``multistarts`` counts additional pseudo-random interior starting points
     on top of the deterministic ones; ``maxiter`` bounds each SLSQP run;
     ``fallback_samples`` bounds the derivative-free rescue search.
-    ``polish_starts`` only affects problems that carry batched evaluators
-    and declare neither ``single_basin`` nor ``polish_all`` — today the
-    batched single-level problems of the exhaustive baseline; the MOpt
-    optimizer's problems never consult it.  Every starting point is first
-    pushed toward its basin floor by the batched refiner
-    (:func:`_refine_scores`), and only the ``polish_starts`` best-refined
-    starts get a full SLSQP polish.  Kept starts are polished from their
-    *original* positions, so screening removes solver runs without
-    altering any.  ``polish_starts=0`` polishes every start, reproducing
-    the unscreened multistart run for run; the default of 2 preserves the
-    argmin configuration in practice (the refiner, unlike raw start
-    values, is a reliable basin ranker).
     """
 
     multistarts: int = 3
@@ -79,7 +60,6 @@ class SolverOptions:
     seed: int = 0
     fallback_samples: int = 300
     tolerance: float = 1e-7
-    polish_starts: int = 2
 
 
 @dataclass(frozen=True)
@@ -106,17 +86,8 @@ class ConstrainedProblem:
     ``inequalities`` are callables that must be **non-negative** at feasible
     points (scipy's convention for ``type='ineq'``) and may return either a
     scalar or an array of constraint values; ``bounds`` gives per-variable
-    (low, high) pairs.
-
-    ``batch_objective`` / ``batch_inequalities`` optionally evaluate many
-    points at once (``(M, D) -> (M,)`` and ``(M, D) -> (M, C)``).  When
-    present, the multistart driver screens starting points in one
-    vectorized sweep and runs SLSQP on its own driver, where every
-    gradient is one batched finite-difference sweep instead of scipy
-    differencing the per-point callables one coordinate at a time.  The
-    batched evaluators must agree with the per-point callables (the base
-    value of each difference comes from the per-point callables and the
-    probe values from the batched ones).
+    (low, high) pairs.  The driver differences these per-point callables
+    one probe row at a time.
 
     ``point`` and ``gradient`` are the generated code the MOpt
     optimizer's problems carry instead (``optimizer._round_source``).
@@ -130,11 +101,9 @@ class ConstrainedProblem:
     value ``columns`` gives and writes the quotients into the memoryviews
     ``grad[k]`` (the objective over ``scale``) and ``jac[k * C + r]``
     (constraint ``r``, column-major), leaving the constraint entries the
-    variable cannot move to ``columns`` (:func:`_fused_gradient`).  The
-    driver then runs SLSQP on the problem like on a batched one.  A
-    problem with batched evaluators or a gradient has no inequalities or
-    exactly one (vector-valued) inequality callable, with a
-    ``batch_inequalities`` counterpart when it is batched.
+    variable cannot move to ``columns`` (:func:`_fused_gradient`).  A
+    problem with a gradient has no inequalities or exactly one
+    (vector-valued) inequality callable.
 
     ``single_basin`` declares that the problem has (to solver tolerance) a
     single basin of attraction — e.g. the optimizer's epigraph min-max
@@ -142,31 +111,16 @@ class ConstrainedProblem:
     hence near-convex in log coordinates.  The multistart driver then
     polishes starts *in order* and stops at the first feasible local
     minimum: every start leads to the same basin floor, so additional
-    polishes cannot improve the result.  The policy never consults
-    ``SolverOptions.polish_starts``, which makes the screened and exact
-    solver modes identical by construction on such problems (the loss-free
-    screening contract pinned by ``tests/test_differential.py``).
-
-    ``polish_all`` is the opposite declaration for problems whose optimum
-    sits on a near-flat ridge (e.g. the optimizer's hypothesis-refine
-    problems, where the dominance boundary pins the objective): distinct
-    polishes land on distinct ridge points whose downstream value differs
-    far more than their objective values, so *every* start must be
-    polished and the best kept.  Like ``single_basin`` it never consults
-    ``SolverOptions.polish_starts`` — screened and exact modes again
-    coincide by construction, this time by doing the exact mode's full
-    work on a deliberately small start list.
+    polishes cannot improve the result.  Every other problem has every
+    start polished and the best kept.
     """
 
     objective: Callable[[np.ndarray], float]
     inequalities: Tuple[Callable[[np.ndarray], np.ndarray], ...]
     bounds: Tuple[Tuple[float, float], ...]
-    batch_objective: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    batch_inequalities: Optional[Callable[[np.ndarray], np.ndarray]] = None
     point: Optional[Callable[[np.ndarray], Tuple[float, List[float]]]] = None
     gradient: Optional[Callable[..., None]] = None
     single_basin: bool = False
-    polish_all: bool = False
     #: Per-variable bounds as arrays, built once from ``bounds``.
     lows: np.ndarray = field(init=False, repr=False, compare=False)
     highs: np.ndarray = field(init=False, repr=False, compare=False)
@@ -178,16 +132,13 @@ class ConstrainedProblem:
     wide: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        batched = self.batch_objective is not None
-        if (batched or self.gradient is not None) and self.inequalities and (
-            len(self.inequalities) != 1 or (batched and self.batch_inequalities is None)
-        ):
-            raise ValueError(
-                "a batched problem needs exactly one inequality callable "
-                "with a batch_inequalities counterpart (or no inequalities)"
-            )
         if (self.point is None) != (self.gradient is None):
             raise ValueError("a generated gradient comes with its point evaluation")
+        if self.gradient is not None and len(self.inequalities) > 1:
+            raise ValueError(
+                "a problem with a generated gradient has at most one "
+                "inequality callable"
+            )
         object.__setattr__(
             self, "lows", np.array([b[0] for b in self.bounds], dtype=float)
         )
@@ -209,45 +160,27 @@ class ConstrainedProblem:
         """Number of optimization variables."""
         return len(self.bounds)
 
+    def within_bounds(self, x: np.ndarray, tolerance: float = 1e-6) -> bool:
+        """Whether a point lies in the bounds (up to ``tolerance``)."""
+        return not (
+            np.any(x < self.lows - tolerance) or np.any(x > self.highs + tolerance)
+        )
+
     def is_feasible(self, x: np.ndarray, tolerance: float = 1e-6) -> bool:
         """Check bounds and inequality constraints at a point."""
-        if np.any(x < self.lows - tolerance) or np.any(x > self.highs + tolerance):
+        if not self.within_bounds(x, tolerance):
             return False
         return all(np.min(np.atleast_1d(g(x))) >= -tolerance for g in self.inequalities)
 
+    def constraints_at(self, x: np.ndarray) -> np.ndarray:
+        """Every inequality's values at a point, concatenated in order
+        (what scipy's SLSQP stacks into its constraint vector)."""
+        values = [np.asarray(g(x), dtype=float).reshape(-1) for g in self.inequalities]
+        return values[0] if len(values) == 1 else np.concatenate(values or [np.zeros(0)])
+
     def clip(self, x: np.ndarray) -> np.ndarray:
-        """Project a point (or an ``(M, D)`` batch of points) into the bounds."""
+        """Project a point into the bounds."""
         return np.minimum(np.maximum(x, self.lows), self.highs)
-
-    def evaluate_batch(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Objective values and worst constraint violations at many points.
-
-        Uses the batched evaluators when present, otherwise falls back to
-        the scalar callables point-by-point.  Returns ``(values,
-        violations)`` where ``violations[i] == 0`` iff the inequality
-        constraints hold at ``points[i]`` (bounds are not re-checked; the
-        callers pass clipped points).
-        """
-        points = np.asarray(points, dtype=float)
-        if self.batch_objective is not None:
-            values = np.asarray(self.batch_objective(points), dtype=float)
-        else:
-            values = np.array([self.objective(x) for x in points], dtype=float)
-        if self.batch_inequalities is not None:
-            cons = np.atleast_2d(np.asarray(self.batch_inequalities(points), dtype=float))
-            worst = -np.min(cons, axis=-1)
-        elif self.inequalities:
-            worst = np.array(
-                [
-                    -min(
-                        float(np.min(np.atleast_1d(g(x)))) for g in self.inequalities
-                    )
-                    for x in points
-                ]
-            )
-        else:
-            worst = np.zeros(len(points))
-        return values, np.maximum(worst, 0.0)
 
 
 #: Relative step of scipy's default '2-point' finite differences.
@@ -412,47 +345,42 @@ def _fd_probe(
     return at + h, dx, False
 
 
-def _fd_sweep(
-    problem: ConstrainedProblem,
-    point: np.ndarray,
-    probe: np.ndarray,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Objective and constraint values at the probes of a problem with
-    batched evaluators: one sweep of probe rows, one per free variable
-    (the point's ``x + 0.0`` with that variable set to its probe value),
-    through each batched evaluator."""
+def _probe_rows(
+    problem: ConstrainedProblem, point: np.ndarray, probe: np.ndarray
+) -> np.ndarray:
+    """One probe row per free variable: the point's ``x + 0.0`` with that
+    variable set to its probe value."""
     free = problem.free
     rows = np.repeat((point + 0.0)[None, :], free.size, axis=0)
     rows[np.arange(free.size), free] = probe
-    values = np.asarray(problem.batch_objective(rows), dtype=float)
-    if not problem.inequalities:
-        return values, None
-    return values, np.asarray(problem.batch_inequalities(rows), dtype=float)
+    return rows
 
 
 def _fd_gradient(problem: ConstrainedProblem, request: _Request) -> _Gradient:
-    """Answer one gradient request of a batched problem by forward
-    differences over the free variables (a pinned variable's derivative
-    is zero and the driver drops it).
+    """Answer one gradient request of a problem without a generated
+    gradient by forward differences over the free variables (a pinned
+    variable's derivative is zero and the driver drops it).
 
     The objective is differenced at the point and the constraints at its
-    clipped copy, each probe value coming from one batched sweep
-    (:func:`_fd_sweep`); each derivative is the probe value minus the
+    clipped copy, each probe row (:func:`_probe_rows`) evaluated through
+    the per-point callables; each derivative is the probe value minus the
     base value over the realized step.
     """
     point, clipped, value, scale, cons = request
     probe, dx, exact = _fd_probe(problem, point)
-    values, probe_cons = _fd_sweep(problem, point, probe)
-    rows = dx.size
+    rows = _probe_rows(problem, point, probe)
+    values = np.array([problem.objective(row) for row in rows], dtype=float)
+    count = dx.size
     grad = _slopes(values / scale - value / scale, dx, exact)
     if not problem.inequalities:
-        _count(requests=1, rows=rows)
+        _count(requests=1, rows=count)
         return grad, None
     if clipped is not point:
         probe, dx, exact = _fd_probe(problem, clipped)
-        _, probe_cons = _fd_sweep(problem, clipped, probe)
-        rows += dx.size
-    _count(requests=1, rows=rows)
+        rows = _probe_rows(problem, clipped, probe)
+        count += dx.size
+    probe_cons = np.array([problem.constraints_at(row) for row in rows])
+    _count(requests=1, rows=count)
     return grad, _slopes(probe_cons - cons, dx[:, None], exact).T
 
 
@@ -473,7 +401,7 @@ def _fused_gradient(
     ``grad`` ``(F,)`` and ``jac`` ``(C, F)`` (Fortran order).
 
     Bitwise what differencing the problem's ``point`` one free variable
-    at a time gives (the rule :func:`_fd_gradient` applies to batched
+    at a time gives (the rule :func:`_fd_gradient` applies to the other
     problems):
 
     * ``columns(X)`` applies :func:`_fd_probe`'s step rule to each free
@@ -602,11 +530,12 @@ def _slsqp_run(
     This is the loop of scipy's ``_minimize_slsqp``, fed exactly the values
     ``scipy.optimize.minimize(method="SLSQP")`` would compute with the
     finite-difference jacobians of :func:`_fd_gradient` supplied as
-    callables: the clipped start, the objective scaled by ``|f(x0)|``, the
-    objective differenced at the iterate and the constraints at its
-    clipped copy, with variables pinned by equal bounds removed from the
-    problem (scipy removes them itself only when it differences, and a
-    kept pinned variable would send SLSQP down a different trajectory).
+    callables (the inequalities concatenated, as scipy stacks them): the
+    clipped start, the objective scaled by ``|f(x0)|``, the objective
+    differenced at the iterate and the constraints at its clipped copy,
+    with variables pinned by equal bounds removed from the problem (scipy
+    removes them itself only when it differences, and a kept pinned
+    variable would send SLSQP down a different trajectory).
     A problem with a generated gradient is evaluated by its ``point`` and
     answers each gradient request into the kernel's buffers
     (:func:`_fused_gradient`).
@@ -636,8 +565,6 @@ def _slsqp_run(
         full[free] = reduced
         return full
 
-    objective = problem.objective
-    inequality = problem.inequalities[0] if problem.inequalities else None
     if problem.point is not None:
         evaluate = problem.point
 
@@ -645,13 +572,10 @@ def _slsqp_run(
             return problem.point(point)[1]
 
     else:
-
-        def constraints_at(point: np.ndarray) -> np.ndarray:
-            return np.asarray(inequality(point), dtype=float).reshape(-1)
+        objective, constraints_at = problem.objective, problem.constraints_at
 
         def evaluate(point: np.ndarray):
-            value = objective(point)
-            return value, constraints_at(point) if inequality is not None else ()
+            return objective(point), constraints_at(point)
 
     x = np.clip(start[free], xl, xu)
     point = expand(x)
@@ -714,7 +638,7 @@ def _slsqp_run(
         if clipped.tobytes() == point.tobytes():
             clipped, clipped_cons = point, cons
         else:
-            clipped_cons = constraints_at(clipped) if inequality is not None else cons
+            clipped_cons = constraints_at(clipped) if m else cons
         answer(point, clipped, value, scale, clipped_cons)
 
     gradient()
@@ -736,109 +660,6 @@ def _slsqp_run(
         elif mode != 1:
             break
     return problem.clip(expand(x)), mode == 0, _EXIT_MODES[mode]
-
-
-def _scipy_polish(
-    problem: ConstrainedProblem, start: np.ndarray, options: SolverOptions
-) -> Optional[_Outcome]:
-    """One SLSQP polish through ``scipy.optimize.minimize`` (no batched
-    evaluators: scipy differences the per-point callables itself)."""
-    _count(runs=1)
-    try:
-        base = abs(problem.objective(start))
-        scale = base if base > 0 else 1.0
-        result = optimize.minimize(
-            lambda x: problem.objective(x) / scale,
-            start,
-            method="SLSQP",
-            bounds=problem.bounds,
-            constraints=[{"type": "ineq", "fun": g} for g in problem.inequalities],
-            options={"maxiter": options.maxiter, "ftol": options.tolerance},
-        )
-    except _RUN_ERRORS:
-        return None
-    x = problem.clip(np.asarray(result.x, dtype=float))
-    return x, bool(result.success), str(result.message)
-
-
-def _penalized_scores(
-    problem: ConstrainedProblem, points: np.ndarray
-) -> np.ndarray:
-    """Log-objective plus violation penalty, batched: lower is better.
-
-    The objectives involved span many orders of magnitude, so basins are
-    compared on ``log`` scale; the constraint functions of the tile
-    problems are normalized (capacities, extents), so a fixed penalty
-    weight suffices to push the refiner toward feasibility.
-    """
-    values, violations = problem.evaluate_batch(points)
-    values = np.nan_to_num(values, nan=np.inf, posinf=np.inf, neginf=-np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(np.maximum(values, 1e-300))
-    logs = np.nan_to_num(logs, nan=np.inf, posinf=np.inf)
-    return logs + 10.0 * violations
-
-
-def _refine_scores(
-    problem: ConstrainedProblem,
-    starts: List[np.ndarray],
-    *,
-    iterations: int = 12,
-) -> np.ndarray:
-    """Descend every start toward its basin floor, batched, and score it.
-
-    A projected-gradient search in log coordinates over *all* starts at
-    once: each iteration takes one ``(S * (D + 1), D)`` forward-difference
-    sweep through the problem's batched evaluators and one backtracking
-    step per start.  The refined scores approximate each basin's floor far
-    better than the raw start values (on the tile problems the
-    initially-worst start frequently leads to the best local minimum), so
-    ranking by them decides which starts deserve a full SLSQP polish.
-    Returns the refined score per start; the starts themselves are not
-    modified.
-    """
-    lows, highs = problem.lows, problem.highs
-    log_lo = np.log(np.maximum(lows, 1e-12))
-    log_hi = np.log(np.maximum(highs, 1e-12))
-    span = np.maximum(log_hi - log_lo, 0.0)
-    free = problem.free  # pinned variables cannot move
-    if free.size == 0:
-        return _penalized_scores(problem, np.stack(starts))
-
-    Z = np.log(np.maximum(np.stack(starts), 1e-12))
-    S, D = Z.shape
-    scores = _penalized_scores(problem, np.exp(Z))
-    step = np.full(S, 0.25)
-    h = 1e-6
-    probes_eye = np.zeros((free.size, D))
-    probes_eye[np.arange(free.size), free] = h
-    for _ in range(iterations):
-        probes = Z[:, None, :] + probes_eye[None, :, :]
-        flat = np.exp(np.clip(probes.reshape(S * free.size, D), log_lo, log_hi))
-        probe_scores = _penalized_scores(problem, flat).reshape(S, free.size)
-        grad = np.zeros((S, D))
-        grad[:, free] = (probe_scores - scores[:, None]) / h
-        grad = np.nan_to_num(grad, nan=0.0, posinf=0.0, neginf=0.0)
-        norm = np.max(np.abs(grad), axis=1)
-        direction = grad / np.maximum(norm, 1e-12)[:, None]
-        moved = False
-        for _attempt in range(2):
-            trial = np.clip(Z - (step[:, None] * span[None, :]) * direction, log_lo, log_hi)
-            trial_scores = _penalized_scores(problem, np.exp(trial))
-            better = trial_scores < scores
-            if better.any():
-                Z[better] = trial[better]
-                scores[better] = trial_scores[better]
-                step[better] = np.minimum(step[better] * 1.3, 0.5)
-                moved = True
-            step[~better] *= 0.5
-            if better.all():
-                break
-        if not moved and (step < 1e-4).all():
-            break
-    return scores
-
-
 
 
 def _default_starts(
@@ -864,36 +685,34 @@ def _fallback_search(
 ) -> Optional[Tuple[np.ndarray, float]]:
     """Derivative-free projected random search used when SLSQP fails.
 
-    When the problem carries batched evaluators every sample is generated
-    and scored in one vectorized sweep; the sample stream and the selection
-    rule (first minimum among feasible points) are identical to the scalar
-    loop, so both paths rescue the same point.
+    Samples log-uniformly (tile-size objectives vary over orders of
+    magnitude) and keeps the first minimum among the feasible samples.  A
+    problem with a generated ``point`` scores each sample with one call of
+    it, which gives bitwise what the feasibility check and the objective
+    give.
     """
     rng = np.random.default_rng(options.seed + 1)
     lows, highs = problem.lows, problem.highs
     log_lo = np.log(np.maximum(lows, 1e-9))
     log_hi = np.log(np.maximum(highs, 1e-9))
-
-    if problem.batch_objective is not None:
-        # Sample log-uniformly: tile-size objectives vary over orders of magnitude.
-        u = rng.uniform(size=(options.fallback_samples, len(lows)))
-        points = problem.clip(np.exp(log_lo + u * (log_hi - log_lo)))
-        values, violations = problem.evaluate_batch(points)
-        feasible = violations <= 1e-6
-        if not feasible.any():
-            return None
-        values = np.where(feasible, values, np.inf)
-        index = int(np.argmin(values))
-        return points[index], float(values[index])
-
+    # A clipped sample can leave the bounds only where a box is inverted.
+    check_bounds = bool((lows > highs).any())
     best: Optional[Tuple[np.ndarray, float]] = None
     for _ in range(options.fallback_samples):
         u = rng.uniform(size=len(lows))
-        x = np.exp(log_lo + u * (log_hi - log_lo))
-        x = problem.clip(x)
-        if not problem.is_feasible(x):
+        x = problem.clip(np.exp(log_lo + u * (log_hi - log_lo)))
+        if problem.point is not None:
+            value, constraints = problem.point(x)
+            # A NaN constraint fails this check as it fails ``is_feasible``
+            # (``np.min`` propagates it).
+            if (check_bounds and not problem.within_bounds(x)) or not all(
+                c >= -1e-6 for c in constraints
+            ):
+                continue
+        elif problem.is_feasible(x):
+            value = problem.objective(x)
+        else:
             continue
-        value = problem.objective(x)
         if best is None or value < best[1]:
             best = (x, value)
     return best
@@ -907,115 +726,49 @@ def minimize_from_starts(
     """Constrained minimization polished with SLSQP from explicit starts.
 
     This is the engine behind :func:`minimize_constrained`, exposed so the
-    optimizer can supply its own starting points.  Relative to the plain
-    per-point loop:
-
-    * for problems carrying batched evaluators, when
-      ``options.polish_starts`` is positive and smaller than the number of
-      starts (and the problem declares neither ``single_basin`` nor
-      ``polish_all``), all starts are scored in one vectorized sweep and
-      only the most promising ones are polished;
-    * for problems carrying batched evaluators or a generated
-      ``gradient``, SLSQP runs on the local driver (:func:`_slsqp_run`)
-      over scipy's kernel, with bitwise the trajectory
-      ``scipy.optimize.minimize`` would take, where each gradient is one
-      finite-difference evaluation of all probes (:func:`_fd_gradient`,
-      :func:`_fused_gradient`) instead of ``D + 1`` Python-level
-      evaluations.
-
-    Other problems go through ``scipy.optimize.minimize`` with scipy's
-    own differencing.  The rest —
-    objective scaling, bound clipping, feasibility filtering, best-value
-    selection in start order (strict ``<``, so ties keep the earlier
-    start) and the random-search fallback — is the same for both paths.
-    A start whose run raises ``ValueError``, ``OverflowError`` or
+    optimizer can supply its own starting points.  Every start is polished
+    by the local driver (:func:`_slsqp_run`), in order, with bitwise the
+    trajectory ``scipy.optimize.minimize`` would take; a ``single_basin``
+    problem stops at the first feasible polish.  The best feasible value
+    wins (strict ``<``, so ties keep the earlier start), and the
+    random-search fallback runs when no polish is feasible.  A start
+    whose run raises ``ValueError``, ``OverflowError`` or
     ``FloatingPointError`` is dropped; the others are unaffected.
     """
     options = options or SolverOptions()
     pin_blas_threads()
-    starts = [problem.clip(np.asarray(s, dtype=float)) for s in starts]
-    # Clipping collapses starts that differ only outside the box (or only
-    # in pinned coordinates) onto the same point; polishing a duplicate
-    # start re-runs an identical SLSQP trajectory whose result the strict
-    # best-value comparison below would discard anyway, so dropping
-    # duplicates is loss-free on every path.
-    seen_starts: set = set()
-    deduped: List[np.ndarray] = []
-    for candidate in starts:
-        key = candidate.tobytes()
-        if key not in seen_starts:
-            seen_starts.add(key)
-            deduped.append(candidate)
-    starts = deduped
-    batched = problem.batch_objective is not None
-    driven = batched or problem.gradient is not None
-    # Screening: rank basins by the batched refiner, polish only the most
-    # promising starts up front, and keep the rest as rescue candidates.
-    # Kept starts are polished from their *original* positions, so a kept
-    # start produces exactly the SLSQP run the scalar multistart would.
-    # Single-basin problems skip the refiner entirely: their loss-free
-    # policy (first feasible polish wins) lives in the polish loop below.
-    screened_out: List[Tuple[np.ndarray, float]] = []
-    if (
-        not problem.single_basin
-        and not problem.polish_all
-        and batched
-        and 0 < options.polish_starts < len(starts)
-    ):
-        scores = _refine_scores(problem, starts)
-        order = np.argsort(scores, kind="stable")
-        screened_out = [
-            (starts[i], float(scores[i])) for i in order[options.polish_starts :]
-        ]
-        starts = [starts[i] for i in order[: options.polish_starts]]
-
-    def polish(start: np.ndarray) -> Optional[_Outcome]:
-        if not driven:
-            return _scipy_polish(problem, start, options)
-        try:
-            return _slsqp_run(problem, start, options)
-        except _RUN_ERRORS:
-            return None
-
     best_x: Optional[np.ndarray] = None
     best_value = float("inf")
     any_success = False
     message = "no feasible solution found"
-
-    def keep_best(outcome: Optional[_Outcome]) -> None:
-        nonlocal best_x, best_value, any_success, message
-        if outcome is None:
-            return
-        x, success, run_message = outcome
+    # Clipping collapses starts that differ only outside the box (or only
+    # in pinned coordinates) onto the same point; polishing a duplicate
+    # start re-runs an identical SLSQP trajectory whose result the strict
+    # best-value comparison would discard anyway.
+    seen_starts: set = set()
+    polished = 0
+    for start in starts:
+        start = problem.clip(np.asarray(start, dtype=float))
+        key = start.tobytes()
+        if key in seen_starts:
+            continue
+        seen_starts.add(key)
+        polished += 1
+        try:
+            x, success, run_message = _slsqp_run(problem, start, options)
+        except _RUN_ERRORS:
+            continue
         if not problem.is_feasible(x, tolerance=1e-5):
-            return
+            continue
         value = problem.objective(x)
         any_success = any_success or success
         if value < best_value:
             best_value = value
             best_x = x
             message = run_message
-
-    polished = 0
-    for start in starts:
-        keep_best(polish(start))
-        polished += 1
-        if problem.single_basin and not problem.polish_all and best_x is not None:
+        if problem.single_basin and best_x is not None:
             # One basin: the first feasible local minimum is the minimum.
             break
-
-    # Adaptive rescue for screened-out starts.  (a) If no kept run produced
-    # a feasible point, polish the remainder so screening can never flip
-    # the caller's feasible/relaxed decision relative to polishing all
-    # starts.  (b) A discarded start whose refined (penalized log) score is
-    # clearly below the best polished value sits in a basin whose floor
-    # beats everything found so far — it must be polished, not skipped.
-    # The 2% log-margin keeps noise-level score differences from triggering
-    # polishes that cannot meaningfully improve the result.
-    for start, score in screened_out:
-        if best_x is None or score < float(np.log(max(best_value, 1e-300))) - 0.02:
-            keep_best(polish(start))
-            polished += 1
 
     if best_x is None:
         fallback = _fallback_search(problem, options)
@@ -1055,76 +808,35 @@ def minimize_constrained(
 # Single-level tile-size optimization (Section 3/4 problems)
 # ----------------------------------------------------------------------
 def _single_level_problem(
-    spec: ConvSpec,
-    permutation: Sequence[str],
-    capacity_elements: float,
-    *,
-    line_size: int = 1,
-    vectorized: bool = False,
+    spec: ConvSpec, permutation: Sequence[str], capacity_elements: float
 ) -> ConstrainedProblem:
     """Build the Eq. 4-constrained volume-minimization problem of one permutation.
 
-    With ``vectorized=True`` (and element-granularity modeling; the
-    cache-line extension of Section 12 has no batched form) the problem
-    also carries batched evaluators backed by a
-    :class:`~repro.core.batched.BatchedCostTable`, enabling start screening
-    and batched jacobians in :func:`minimize_from_starts`.
+    The objective is the permutation's generated plan function
+    (``volume_floats``, bitwise :func:`~repro.core.cost_model.volume_general`)
+    and the constraint the capacity slack of the combined footprint,
+    summed Out + In + Ker like
+    :func:`~repro.core.cost_model.combined_footprint`.
     """
-    extents = spec.loop_extents
-    problem_map = {i: float(extents[i]) for i in LOOP_INDICES}
-    bounds = tuple((1.0, float(extents[i])) for i in LOOP_INDICES)
-
-    def tiles_of(x: np.ndarray) -> Dict[str, float]:
-        return {index: float(v) for index, v in zip(LOOP_INDICES, x)}
+    volume = compiled_cost_for(
+        tuple(permutation), stride=spec.stride, dilation=spec.dilation
+    ).volume_floats
+    extents = [float(spec.loop_extents[i]) for i in LOOP_INDICES]
+    stride, dilation = spec.stride, spec.dilation
+    scale = max(capacity_elements, 1.0)
 
     def objective(x: np.ndarray) -> float:
-        config = TilingConfig(permutation, tiles_of(x))
-        return volume_general(
-            problem_map,
-            config,
-            stride=spec.stride,
-            dilation=spec.dilation,
-            line_size=line_size,
-        )
+        return volume(extents, x.tolist())
 
     def capacity_constraint(x: np.ndarray) -> float:
-        footprint = combined_footprint(
-            tiles_of(x), stride=spec.stride, dilation=spec.dilation
-        )
-        return (capacity_elements - footprint) / max(capacity_elements, 1.0)
-
-    batch_objective = None
-    batch_inequalities = None
-    if vectorized and line_size == 1:
-        compiled = compiled_cost_for(
-            tuple(permutation), stride=spec.stride, dilation=spec.dilation
-        )
-        extents_row = np.array([problem_map[i] for i in LOOP_INDICES], dtype=float)
-        scale = max(capacity_elements, 1.0)
-        stride, dilation = spec.stride, spec.dilation
-
-        def batch_objective(points: np.ndarray) -> np.ndarray:
-            return compiled.volume_rows(extents_row, np.asarray(points, dtype=float))
-
-        def batch_inequalities(points: np.ndarray) -> np.ndarray:
-            t = np.asarray(points, dtype=float)
-            # Mirrors combined_footprint's Out + In + Ker summation order so
-            # the batched constraint is bitwise-equal to the scalar one.
-            ext_h = (t[:, 5] - 1) * stride + (t[:, 3] - 1) * dilation + 1
-            ext_w = (t[:, 6] - 1) * stride + (t[:, 4] - 1) * dilation + 1
-            footprints = (
-                t[:, 0] * t[:, 1] * t[:, 5] * t[:, 6]
-                + t[:, 0] * t[:, 2] * ext_h * ext_w
-                + t[:, 1] * t[:, 2] * t[:, 3] * t[:, 4]
-            )
-            return ((capacity_elements - footprints) / scale)[:, None]
+        n, k, c, r, s, h, w = x.tolist()
+        ext_h = (h - 1) * stride + (r - 1) * dilation + 1
+        ext_w = (w - 1) * stride + (s - 1) * dilation + 1
+        footprint = n * k * h * w + n * c * ext_h * ext_w + k * c * r * s
+        return (capacity_elements - footprint) / scale
 
     return ConstrainedProblem(
-        objective,
-        (capacity_constraint,),
-        bounds,
-        batch_objective=batch_objective,
-        batch_inequalities=batch_inequalities,
+        objective, (capacity_constraint,), tuple((1.0, e) for e in extents)
     )
 
 
@@ -1134,72 +846,18 @@ def solve_single_level(
     capacity_elements: float,
     *,
     options: Optional[SolverOptions] = None,
-    line_size: int = 1,
-    vectorized: bool = False,
 ) -> Tuple[TilingConfig, float]:
     """Optimal real-valued tile sizes for one permutation and one cache level.
 
     Minimizes the single-level data-movement volume of
     :func:`repro.core.cost_model.volume_general` subject to the capacity
     constraint (Eq. 4) and ``1 <= T_j <= N_j``.  Returns the (real-valued)
-    optimal configuration and its modeled volume.  ``vectorized=True``
-    routes the multistart through the batched evaluation core.
+    optimal configuration and its modeled volume.
     """
-    problem = _single_level_problem(
-        spec,
-        permutation,
-        capacity_elements,
-        line_size=line_size,
-        vectorized=vectorized,
-    )
+    problem = _single_level_problem(spec, permutation, capacity_elements)
     result = minimize_constrained(problem, options)
     config = TilingConfig(permutation, result.as_tiles())
     return config, result.value
-
-
-def solve_single_level_batch(
-    spec: ConvSpec,
-    permutations: Sequence[Sequence[str]],
-    capacity_elements: float,
-    *,
-    options: Optional[SolverOptions] = None,
-    line_size: int = 1,
-) -> List[Tuple[TilingConfig, float]]:
-    """Single-level solves for many permutations through the batched core.
-
-    All permutations share the same bounds and capacity constraint, so the
-    multistart pool is generated once and reused for every permutation;
-    each permutation's solve runs through
-    :func:`minimize_from_starts`, whose batched refiner (and adaptive
-    rescue of screened-out starts) decides which starts deserve an SLSQP
-    polish — raw start-point values are *not* a reliable ranking on these
-    problems.  Returns one ``(config, volume)`` pair per permutation, in
-    input order.
-    """
-    options = options or SolverOptions()
-    perms = tuple(tuple(p) for p in permutations)
-    if not perms:
-        return []
-    if line_size > 1:
-        # The cache-line extension has no batched form; fall back per permutation.
-        return [
-            solve_single_level(
-                spec, p, capacity_elements, options=options, line_size=line_size
-            )
-            for p in perms
-        ]
-    problems = [
-        _single_level_problem(
-            spec, p, capacity_elements, line_size=line_size, vectorized=True
-        )
-        for p in perms
-    ]
-    starts = _default_starts(problems[0], options)
-    results: List[Tuple[TilingConfig, float]] = []
-    for permutation, problem in zip(perms, problems):
-        result = minimize_from_starts(problem, starts, options)
-        results.append((TilingConfig(permutation, result.as_tiles()), result.value))
-    return results
 
 
 def solve_best_single_level(
@@ -1208,24 +866,14 @@ def solve_best_single_level(
     capacity_elements: float,
     *,
     options: Optional[SolverOptions] = None,
-    line_size: int = 1,
-    vectorized: bool = True,
 ) -> Tuple[TilingConfig, float]:
     """Best single-level configuration across a set of candidate permutations."""
-    if vectorized:
-        solutions = solve_single_level_batch(
-            spec, permutations, capacity_elements, options=options, line_size=line_size
-        )
-    else:
-        solutions = [
-            solve_single_level(
-                spec, p, capacity_elements, options=options, line_size=line_size
-            )
-            for p in permutations
-        ]
     best_config: Optional[TilingConfig] = None
     best_volume = float("inf")
-    for config, volume in solutions:
+    for permutation in permutations:
+        config, volume = solve_single_level(
+            spec, permutation, capacity_elements, options=options
+        )
         if volume < best_volume:
             best_volume = volume
             best_config = config

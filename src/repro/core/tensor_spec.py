@@ -19,6 +19,7 @@ terms of these seven loop indices and the three tensors ``Out``, ``In`` and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
@@ -362,9 +363,16 @@ def divisor_tiles(extent: int, *, max_values: int | None = None) -> Tuple[int, .
     multiples; code generation handles partial tiles).
     """
     _require_positive("extent", extent)
-    divisors = [d for d in range(1, extent + 1) if extent % d == 0]
+    divisors = _divisors(extent)
     if max_values is not None and len(divisors) > max_values:
         # Keep a spread including 1 and the full extent.
         idx = [round(i * (len(divisors) - 1) / (max_values - 1)) for i in range(max_values)]
-        divisors = [divisors[i] for i in sorted(set(idx))]
-    return tuple(divisors)
+        divisors = tuple(divisors[i] for i in sorted(set(idx)))
+    return divisors
+
+
+@functools.lru_cache(maxsize=1024)
+def _divisors(extent: int) -> Tuple[int, ...]:
+    """Every divisor of a positive ``extent``, ascending (memoized: the
+    integerization asks for the same few extents thousands of times)."""
+    return tuple(d for d in range(1, extent + 1) if extent % d == 0)

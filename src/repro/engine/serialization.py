@@ -124,16 +124,22 @@ def settings_from_dict(payload: Mapping[str, Any]) -> OptimizerSettings:
 
     Tolerates payloads recorded before (or after) execution-only fields
     like ``class_workers`` existed, or that still carry retired
-    solve-path switches: unknown keys are dropped rather than crashing,
-    and missing fields fall back to dataclass defaults.
+    solve-path switches or solver options (``polish_starts``): unknown
+    keys are dropped rather than crashing, at the top level and in
+    ``solver``, and missing fields fall back to dataclass defaults.
     """
     data = dict(payload)
     data["levels"] = tuple(data["levels"])
     if data.get("permutation_class_names") is not None:
         data["permutation_class_names"] = tuple(data["permutation_class_names"])
-    data["solver"] = SolverOptions(**data["solver"])
-    known = {f.name for f in dataclasses.fields(OptimizerSettings)}
-    return OptimizerSettings(**{k: v for k, v in data.items() if k in known})
+    data["solver"] = SolverOptions(**_known_fields(SolverOptions, data["solver"]))
+    return OptimizerSettings(**_known_fields(OptimizerSettings, data))
+
+
+def _known_fields(cls, data: Mapping[str, Any]) -> Dict[str, Any]:
+    """The entries of ``data`` that name a field of the dataclass ``cls``."""
+    known = {f.name for f in dataclasses.fields(cls)}
+    return {k: v for k, v in data.items() if k in known}
 
 
 # ----------------------------------------------------------------------

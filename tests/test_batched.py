@@ -3,19 +3,16 @@
 Three layers of guarantees are pinned here, none of them host-dependent:
 
 * the batched cost tables agree with the scalar model (to machine
-  precision), and the compiled plans' row evaluators agree with their
-  generated per-point float evaluators *bitwise*, row for row (the
-  solver mixes the two forms in one problem), and with the generic model
-  (``volume_general``/``combined_footprint``) to rounding; what the
+  precision); the compiled plans' generated per-point evaluators and the
+  single-level problem agree with the generic model
+  (``volume_general``/``combined_footprint``) *bitwise*; what the
   generated gradients of the round problems write into the kernel's
   buffers equals differencing their per-point evaluators one coordinate
   at a time, at every gradient the solver asks for;
-* the multistart driver returns bitwise the same solution whether a
-  problem carries batched evaluators (batched finite-difference
-  jacobians) or leaves differencing to scipy;
 * the local SLSQP driver over scipy's kernel takes bitwise the trajectory
   ``scipy.optimize.minimize`` takes when it differences the per-point
-  callables itself, on the optimizer's real problems;
+  callables itself, on the optimizer's real problems, on plain problems
+  and on the single-level baseline problems;
 * solver edge cases (infeasible capacity, 1-extent loops, stride and
   dilation > 1) produce valid configurations.
 """
@@ -56,13 +53,14 @@ from repro.core.pruning import all_permutations, pruned_representatives
 from repro.core.solver import (
     ConstrainedProblem,
     SolverOptions,
+    _default_starts,
     _fd_probe,
     _fused_gradient,
+    _single_level_problem,
     _slsqp_run,
     minimize_constrained,
     minimize_from_starts,
     solve_single_level,
-    solve_single_level_batch,
     solver_stats,
 )
 from repro.core.tensor_spec import LOOP_INDICES, ConvSpec
@@ -144,49 +142,84 @@ class TestBatchedCostTable:
 STRIDE_DILATION = [(1, 1), (2, 1), (1, 2), (2, 3)]
 
 
-class TestRowAndFloatEvaluators:
-    """Row evaluators == float evaluators bitwise; both == generic model."""
+def _reference_single_level_problem(spec, permutation, capacity):
+    """The single-level problem over the generic model's mapping-based
+    callables (``volume_general``/``combined_footprint``)."""
+    extents = {i: float(spec.loop_extents[i]) for i in LOOP_INDICES}
+    stride, dilation = spec.stride, spec.dilation
 
-    @pytest.mark.parametrize("stride,dilation", STRIDE_DILATION)
-    def test_volume_rows_equal_volume_floats(self, stride, dilation):
-        rng = np.random.default_rng(3)
-        for perm in pruned_representatives():
-            compiled = compiled_cost_for(tuple(perm), stride=stride, dilation=dilation)
-            problem = rng.uniform(4, 100, size=(6, 7))
-            tiles = np.maximum(problem * rng.uniform(0.1, 1.0, size=(6, 7)), 1.0)
-            rows = compiled.volume_rows(problem, tiles)
-            for m in range(6):
-                value = compiled.volume_floats(problem[m].tolist(), tiles[m].tolist())
-                assert rows[m] == value
-                config = TilingConfig(perm, dict(zip(LOOP_INDICES, tiles[m])))
-                assert value == pytest.approx(
-                    volume_general(
-                        dict(zip(LOOP_INDICES, problem[m])),
-                        config,
-                        stride=stride,
-                        dilation=dilation,
-                    ),
-                    rel=1e-12,
-                )
+    def objective(x):
+        config = TilingConfig(permutation, dict(zip(LOOP_INDICES, x.tolist())))
+        return volume_general(extents, config, stride=stride, dilation=dilation)
 
-    @pytest.mark.parametrize("stride,dilation", STRIDE_DILATION)
-    def test_footprint_rows_equal_footprint_floats(self, stride, dilation):
-        rng = np.random.default_rng(4)
-        for perm in pruned_representatives():
-            compiled = compiled_cost_for(tuple(perm), stride=stride, dilation=dilation)
-            tiles = rng.uniform(1, 50, size=(5, 7))
-            rows = compiled.footprint_rows(tiles)
-            for m in range(5):
-                value = compiled.footprint_floats(tiles[m].tolist())
-                assert rows[m] == value
-                assert value == pytest.approx(
-                    combined_footprint(
-                        dict(zip(LOOP_INDICES, tiles[m])),
-                        stride=stride,
-                        dilation=dilation,
-                    ),
-                    rel=1e-12,
-                )
+    def capacity_constraint(x):
+        footprint = combined_footprint(
+            dict(zip(LOOP_INDICES, x.tolist())), stride=stride, dilation=dilation
+        )
+        return (capacity - footprint) / max(capacity, 1.0)
+
+    return ConstrainedProblem(
+        objective, (capacity_constraint,), tuple((1.0, e) for e in extents.values())
+    )
+
+
+class TestSingleLevelProblem:
+    """The single-level baseline problem (generated plan function plus an
+    explicit footprint) is the generic model, bitwise, and its solve is
+    bitwise a ``scipy.optimize.minimize`` multistart over the generic
+    model's callables."""
+
+    def test_objective_and_constraint_equal_reference(self):
+        rng = np.random.default_rng(11)
+        permutations = list(all_permutations())
+        for _ in range(300):
+            permutation = permutations[int(rng.integers(len(permutations)))]
+            stride, dilation = (int(v) for v in rng.integers(1, 4, size=2))
+            kernel = int(rng.choice([1, 3, 5]))
+            spec = ConvSpec(
+                "draw",
+                int(rng.integers(1, 4)),
+                int(rng.integers(1, 40)),
+                int(rng.integers(1, 40)),
+                24,
+                24,
+                kernel,
+                kernel,
+                stride=stride,
+                dilation=dilation,
+                padding=(kernel - 1) // 2 * dilation,
+            )
+            capacity = float(rng.uniform(10.0, 1e5))
+            problem = _single_level_problem(spec, permutation, capacity)
+            reference = _reference_single_level_problem(spec, permutation, capacity)
+            extents = problem.highs
+            x = 1.0 + rng.uniform(size=7) * (extents - 1.0)
+            x[rng.uniform(size=7) < 0.2] = 1.0  # tiles on their lower bound
+            assert _bits(problem.objective(x)) == _bits(reference.objective(x))
+            assert _bits(problem.inequalities[0](x)) == _bits(
+                reference.inequalities[0](x)
+            )
+
+    @pytest.mark.parametrize("capacity", [128.0, 1024.0])
+    def test_solve_single_level_matches_scipy_multistart(self, strided_spec, capacity):
+        """Every default start polished by ``scipy.optimize.minimize`` over
+        the reference callables, the best feasible kept: bitwise the
+        driver's answer, on two permutations."""
+        options = SolverOptions(multistarts=1, maxiter=50)
+        for permutation in pruned_representatives()[:2]:
+            config, volume = solve_single_level(
+                strided_spec, permutation, capacity, options=options
+            )
+            reference = _reference_single_level_problem(
+                strided_spec, permutation, capacity
+            )
+            best_x, best_value, _ = _scipy_multistart(
+                reference, _default_starts(reference, options), options
+            )
+            assert best_x is not None
+            tiles = np.array([config.tiles[i] for i in LOOP_INDICES])
+            assert _bits(tiles) == _bits(best_x)
+            assert _bits(volume) == _bits(best_value)
 
 
 @st.composite
@@ -207,19 +240,18 @@ def _plan_points(draw):
 
 
 class TestGeneratedPlanEvaluators:
-    """The generated per-point plan functions equal the row evaluators
-    bitwise and the generic model to rounding, on every pruned class."""
+    """The generated per-point plan functions equal the generic model
+    bitwise (the volume) and to rounding (the footprint, summed in another
+    order), on every pruned class."""
 
     @pytest.mark.parametrize("stride,dilation", STRIDE_DILATION)
     @settings(max_examples=40, deadline=None)
     @given(point=_plan_points())
-    def test_generated_floats_equal_rows(self, stride, dilation, point):
+    def test_generated_floats_equal_reference(self, stride, dilation, point):
         problem, tiles = point
         for perm in pruned_representatives():
             compiled = compiled_cost_for(tuple(perm), stride=stride, dilation=dilation)
             value = compiled.volume_floats(problem, tiles)
-            row = compiled.volume_rows(np.array([problem]), np.array([tiles]))[0]
-            assert value == row
             config = TilingConfig(perm, dict(zip(LOOP_INDICES, tiles)))
             expected = volume_general(
                 dict(zip(LOOP_INDICES, problem)),
@@ -227,9 +259,14 @@ class TestGeneratedPlanEvaluators:
                 stride=stride,
                 dilation=dilation,
             )
-            assert value == pytest.approx(expected, rel=1e-12)
+            assert _bits(value) == _bits(expected)
             footprint = compiled.footprint_floats(tiles)
-            assert footprint == compiled.footprint_rows(np.array([tiles]))[0]
+            assert footprint == pytest.approx(
+                combined_footprint(
+                    dict(zip(LOOP_INDICES, tiles)), stride=stride, dilation=dilation
+                ),
+                rel=1e-12,
+            )
 
     def test_source_is_kept_and_unit_strides_are_not_multiplied(self):
         perm = tuple(pruned_representatives()[0])
@@ -283,46 +320,22 @@ class TestSolverEdgeCases:
         result.best.config.validate(spec, integral=True)
         assert result.best.predicted_time_seconds > 0
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_single_level_solve(self, small_spec, vectorized):
+    @pytest.mark.parametrize("repeated", [True, False])
+    def test_single_level_solve(self, small_spec, repeated):
+        """A repeated solve runs on the already compiled plan and generated
+        round code; it must return the first answer bitwise."""
         permutation = pruned_representatives()[0]
         config, volume = solve_single_level(
-            small_spec, permutation, 2048.0, options=QUICK, vectorized=vectorized
+            small_spec, permutation, 2048.0, options=QUICK
         )
         assert combined_footprint(config.tiles) <= 2048.0 * 1.01
         assert volume > 0
-
-
-class TestBatchedSingleLevel:
-    def test_batch_agrees_with_scalar_solves(self, small_spec):
-        perms = pruned_representatives()[:4]
-        batch = solve_single_level_batch(
-            small_spec, perms, 2048.0, options=replace(QUICK, polish_starts=0)
-        )
-        assert len(batch) == 4
-        for permutation, (config, volume) in zip(perms, batch):
-            ref_config, ref_volume = solve_single_level(
-                small_spec, permutation, 2048.0, options=replace(QUICK, polish_starts=0),
-                vectorized=True,
+        if repeated:
+            again, again_volume = solve_single_level(
+                small_spec, permutation, 2048.0, options=QUICK
             )
-            assert config.permutation == tuple(permutation)
-            assert volume == pytest.approx(ref_volume, rel=1e-9)
-
-    @pytest.mark.parametrize("capacity", [128.0, 1024.0])
-    def test_screened_batch_keeps_scalar_quality(self, small_spec, capacity):
-        """The default (screened) batch path must not lose solution quality
-        against the scalar multistart — the refiner screening and rescue
-        rules, not raw start values, decide which starts get polished."""
-        perms = pruned_representatives()
-        batch = solve_single_level_batch(small_spec, perms, capacity)
-        for permutation, (config, volume) in zip(perms, batch):
-            _, ref_volume = solve_single_level(
-                small_spec, permutation, capacity, vectorized=False
-            )
-            assert volume <= ref_volume * 1.02
-
-    def test_empty_input(self, small_spec):
-        assert solve_single_level_batch(small_spec, [], 1024.0) == []
+            assert again_volume == volume
+            assert again.tiles == config.tiles
 
 
 class TestBatchedMeasurementParity:
@@ -357,100 +370,78 @@ class TestBatchedMeasurementParity:
 
 class TestBatchedMultistartDriver:
     def test_fallback_search_identical_across_paths(self):
-        """When every SLSQP run fails, the vectorized fallback rescues the
-        same sample the scalar loop does (identical stream + selection)."""
+        """When every SLSQP run fails, the fallback rescues the same sample
+        whether it scores samples through the feasibility check and the
+        objective or, for a problem with a generated ``point``, through one
+        ``point(x)`` call per sample (identical stream + selection)."""
+        calls = {"objective": 0, "point": 0}
 
         def objective(x):
+            calls["objective"] += 1
             return float(x[0] + x[1])
 
         def constraint(x):
             # Feasible only in a thin shell that SLSQP's FD steps skate over.
             return np.array([np.sin(50.0 * x[0]) - 0.999])
 
-        def batch_objective(points):
-            return points[:, 0] + points[:, 1]
-
-        def batch_constraint(points):
-            return (np.sin(50.0 * points[:, 0]) - 0.999)[:, None]
+        def point(x):
+            calls["point"] += 1
+            return float(x[0] + x[1]), [float(np.sin(50.0 * x[0]) - 0.999)]
 
         bounds = ((1.0, 40.0), (1.0, 40.0))
         options = SolverOptions(multistarts=0, maxiter=5, fallback_samples=200)
-        scalar = ConstrainedProblem(objective, (constraint,), bounds)
-        batched = ConstrainedProblem(
-            objective,
-            (constraint,),
-            bounds,
-            batch_objective=batch_objective,
-            batch_inequalities=batch_constraint,
+        plain = ConstrainedProblem(objective, (constraint,), bounds)
+        carrying = ConstrainedProblem(
+            objective, (constraint,), bounds, point=point, gradient=lambda *_: None
         )
-        a = minimize_constrained(scalar, options)
-        b = minimize_constrained(batched, options)
-        if a.message == "fallback projected random search":
-            assert b.message == a.message
-            assert np.allclose(a.x, b.x)
-            assert a.value == pytest.approx(b.value, rel=1e-12)
+        solved = minimize_constrained(plain, options)
+        assert solved.message == "fallback projected random search"
+        expected = solver_module._fallback_search(plain, options)
+        calls.update(objective=0, point=0)
+        got = solver_module._fallback_search(carrying, options)
+        assert calls == {"objective": 0, "point": options.fallback_samples}
+        assert got[0].tobytes() == expected[0].tobytes() == solved.x.tobytes()
+        assert _bits(got[1]) == _bits(expected[1]) == _bits(solved.value)
 
-    @pytest.mark.parametrize("flag", ["polish_all", "single_basin"])
+    @pytest.mark.parametrize(
+        "single_basin", [False, True], ids=["every_start", "single_basin"]
+    )
     @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
-    def test_batched_jacobians_match_scipy_differencing(self, flag, pinned):
-        """Batch evaluators that loop over the problem's own per-point
-        callables change only *how* the jacobians are differenced, so the
-        solution must be bitwise the one scipy's own differencing finds —
-        also when an equal-bound (pinned) variable forces the driver's
-        fixed-variable reduction."""
+    def test_batched_jacobians_match_scipy_differencing(self, single_basin, pinned):
+        """The driver differences a plain problem one probe row at a time
+        through its per-point callables: the solution is bitwise the one a
+        ``scipy.optimize.minimize`` multistart finds with scipy's own
+        differencing, also when an equal-bound (pinned) variable forces
+        the driver's fixed-variable reduction, and with two inequality
+        callables (scipy stacks them as the driver does)."""
 
         def objective(x):
             return float(
                 x[0] * x[1] * x[2] + 40.0 / x[0] + 90.0 / (x[1] * x[2]) + 5.0 * x[2] / x[0]
             )
 
-        def constraints(x):
-            return np.array(
-                [(60.0 - x[0] * x[1] - x[1] * x[2]) / 60.0, (x[1] - x[0]) / 10.0]
-            )
+        def capacity(x):
+            return (60.0 - x[0] * x[1] - x[1] * x[2]) / 60.0
+
+        def order(x):
+            return np.array([(x[1] - x[0]) / 10.0])
 
         bounds = ((1.0, 20.0), (1.0, 20.0), (2.0, 2.0) if pinned else (1.0, 8.0))
         lows = np.array([b[0] for b in bounds])
         highs = np.array([b[1] for b in bounds])
         starts = [lows + 0.5 * (highs - lows), np.sqrt(lows * highs), highs.copy()]
-        plain = ConstrainedProblem(objective, (constraints,), bounds, **{flag: True})
-        batched = replace(
-            plain,
-            batch_objective=lambda points: np.array([objective(p) for p in points]),
-            batch_inequalities=lambda points: np.array(
-                [constraints(p) for p in points]
-            ),
+        problem = ConstrainedProblem(
+            objective, (capacity, order), bounds, single_basin=single_basin
         )
         options = SolverOptions(maxiter=60)
-        expected = minimize_from_starts(plain, starts, options)
-        got = minimize_from_starts(batched, starts, options)
-        assert expected.feasible and expected.success
-        assert got.x.tobytes() == expected.x.tobytes()
-        assert got.value == expected.value
-
-    def test_minimize_from_starts_screens(self):
-        calls = {"n": 0}
-
-        def objective(x):
-            calls["n"] += 1
-            return float((x[0] - 3.0) ** 2 + (x[1] - 5.0) ** 2)
-
-        def batch_objective(points):
-            return (points[:, 0] - 3.0) ** 2 + (points[:, 1] - 5.0) ** 2
-
-        problem = ConstrainedProblem(
-            objective,
-            (),
-            ((0.0, 10.0), (0.0, 10.0)),
-            batch_objective=batch_objective,
-        )
-        starts = [np.array([x, x]) for x in (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)]
-        options = SolverOptions(maxiter=60, polish_starts=2)
-        result = minimize_from_starts(problem, starts, options)
-        assert result.feasible
-        assert result.x[0] == pytest.approx(3.0, abs=1e-4)
-        assert result.x[1] == pytest.approx(5.0, abs=1e-4)
-        assert result.starts_tried == 2
+        # The driver's first solve pins scipy's BLAS to one thread; the
+        # oracle runs after it on the same BLAS.
+        got = minimize_from_starts(problem, starts, options)
+        expected_x, expected_value, tried = _scipy_multistart(problem, starts, options)
+        assert got.feasible and got.success
+        assert got.x.tobytes() == expected_x.tobytes()
+        assert got.value == expected_value
+        assert got.starts_tried == tried == (1 if single_basin else 3)
 
 
 # ----------------------------------------------------------------------
@@ -478,7 +469,7 @@ def r3_problems():
 def _scipy_polish_oracle(problem, start, options):
     """``scipy.optimize.minimize`` differencing the problem's per-point
     callables itself, with the driver's objective scaling: independent of
-    the driver, its batched sweeps and the batched evaluators (scipy also
+    the driver, its differencing and the generated jacobians (scipy also
     removes the variables pinned by equal bounds itself when it
     differences)."""
     base = abs(problem.objective(start))
@@ -488,18 +479,36 @@ def _scipy_polish_oracle(problem, start, options):
         start,
         method="SLSQP",
         bounds=problem.bounds,
-        constraints=[{"type": "ineq", "fun": problem.inequalities[0]}],
+        constraints=[{"type": "ineq", "fun": g} for g in problem.inequalities],
         options={"maxiter": options.maxiter, "ftol": options.tolerance},
     )
     x = problem.clip(np.asarray(result.x, dtype=float))
     return x, bool(result.success), str(result.message)
 
 
+def _scipy_multistart(problem, starts, options):
+    """The best feasible :func:`_scipy_polish_oracle` polish over the
+    starts by the driver's rule (strict ``<`` in start order; a
+    ``single_basin`` problem stops at the first feasible polish):
+    ``(x, value, polishes)``."""
+    best_x, best_value, tried = None, float("inf"), 0
+    for start in starts:
+        x, _, _ = _scipy_polish_oracle(problem, problem.clip(start), options)
+        tried += 1
+        if problem.is_feasible(x, tolerance=1e-5):
+            value = problem.objective(x)
+            if value < best_value:
+                best_x, best_value = x, value
+            if problem.single_basin and best_x is not None:
+                break
+    return best_x, best_value, tried
+
+
 class TestSlsqpDriver:
     def test_captured_every_round(self, r3_problems):
         captured, _ = r3_problems
         assert any(problem.single_basin for problem, _, _ in captured)
-        assert any(problem.polish_all for problem, _, _ in captured)
+        assert any(not problem.single_basin for problem, _, _ in captured)
         # R3 is a 1x1 convolution at batch 1: n, r and s are pinned.
         assert all((p.lows == p.highs).any() for p, _, _ in captured)
 
@@ -524,22 +533,25 @@ class TestSlsqpDriver:
         assert runs >= 10
 
     def test_polish_all_equals_solo_polishes(self, r3_problems):
+        """A refine problem polishes every start: its answer is the best
+        feasible one of the starts' solo polishes, by the same rule."""
         captured, _ = r3_problems
-        refines = [item for item in captured if item[0].polish_all]
+        refines = [item for item in captured if not item[0].single_basin]
         assert refines
         for problem, starts, options in refines:
             every = minimize_from_starts(problem, starts, options)
-            # Neither declaration and no screening: every start is polished
-            # alone, in order, and the best kept by the same rule.
-            solo = minimize_from_starts(
-                replace(problem, polish_all=False),
-                starts,
-                replace(options, polish_starts=0),
-            )
-            assert every.x.tobytes() == solo.x.tobytes()
-            assert every.value == solo.value
-            assert every.message == solo.message
-            assert every.starts_tried == solo.starts_tried == len(starts)
+            best = None
+            for start in starts:
+                x, _, message = _slsqp_run(problem, problem.clip(start), options)
+                if problem.is_feasible(x, tolerance=1e-5):
+                    value = problem.objective(x)
+                    if best is None or value < best[1]:
+                        best = (x, value, message)
+            assert best is not None
+            assert every.x.tobytes() == best[0].tobytes()
+            assert every.value == best[1]
+            assert every.message == best[2]
+            assert every.starts_tried == len(starts)
 
     def test_counters_count_runs_and_requests(self, r3_problems):
         captured, delta = r3_problems
@@ -710,7 +722,7 @@ class TestGeneratedRoundProblems:
         assert {kind for kind, _, _, _ in captured} == {"select", "refine", "relaxed"}
         checked = backward = fallback = 0
         for kind, problem, starts, options in captured:
-            assert problem.gradient is not None and problem.batch_objective is None
+            assert problem.gradient is not None
             for request, grad, jac in _answers(problem, starts, options):
                 expected_grad, expected_jac = _dense_gradient(problem, request)
                 assert _bits(grad) == _bits(expected_grad), kind
@@ -846,32 +858,23 @@ class TestGeneratedRoundProblems:
             before = evaluator_compiles()
             bounds = list(zip(round_.lows.tolist(), round_.highs.tolist()))
             round_.problem("select", bounds + [(-30.0, 0.0)], single_basin=True)
-            round_.problem("refine", bounds, "L2", polish_all=True)
-            round_.problem("relaxed", bounds, "L2", polish_all=True)
+            round_.problem("refine", bounds, "L2")
+            round_.problem("relaxed", bounds, "L2")
             compiles.append(evaluator_compiles() - before)
         assert compiles == [3, 0]
 
 
-def _bowl_problem(**overrides):
-    """A smooth batched problem whose three starts all polish cleanly."""
+def _bowl_problem(objective=None):
+    """A smooth problem whose three starts all polish cleanly."""
 
-    def objective(x):
+    def bowl(x):
         return float((x[0] - 3.0) ** 2 + (x[1] - 5.0) ** 2 + x[0] * x[1] / 10.0)
 
     def constraints(x):
         return np.array([(40.0 - x[0] * x[1]) / 40.0])
 
-    fields = dict(
-        batch_objective=lambda points: np.array([objective(p) for p in points]),
-        batch_inequalities=lambda points: np.array([constraints(p) for p in points]),
-        polish_all=True,
-    )
-    fields.update(overrides)
     return ConstrainedProblem(
-        fields.pop("objective", objective),
-        (constraints,),
-        ((1.0, 10.0), (1.0, 10.0)),
-        **fields,
+        objective or bowl, (constraints,), ((1.0, 10.0), (1.0, 10.0))
     )
 
 
@@ -881,28 +884,21 @@ class TestMultiStartFailures:
 
     @pytest.mark.parametrize("where", ["objective", "sweep"])
     def test_raising_start_drops_only_itself(self, where):
+        """A start whose objective raises at the start itself or (``sweep``)
+        only at the finite-difference probes around it is dropped."""
         bad = self.STARTS[1]
         healthy = _bowl_problem()
 
-        def near_bad(point):
-            return bool(np.all(np.abs(np.asarray(point) - bad) < 1e-3))
+        def raises_at(x):
+            near = bool(np.all(np.abs(np.asarray(x) - bad) < 1e-3))
+            return near and (where == "objective" or x.tobytes() != bad.tobytes())
 
-        if where == "objective":
+        def objective(x):
+            if raises_at(x):
+                raise FloatingPointError(f"overflow near the bad start ({where})")
+            return healthy.objective(x)
 
-            def objective(x):
-                if near_bad(x):
-                    raise FloatingPointError("overflow at the bad start")
-                return healthy.objective(x)
-
-            faulty = _bowl_problem(objective=objective)
-        else:
-
-            def batch_objective(points):
-                if any(near_bad(p) for p in points):
-                    raise FloatingPointError("overflow in the shared sweep")
-                return healthy.batch_objective(points)
-
-            faulty = _bowl_problem(batch_objective=batch_objective)
+        faulty = _bowl_problem(objective=objective)
         expected = minimize_from_starts(
             healthy, [self.STARTS[0], self.STARTS[2]], self.OPTIONS
         )
@@ -920,9 +916,6 @@ class TestMultiStartFailures:
             lambda x: float(x[0] * x[1]),
             (lambda x: np.array([1.0 - x[0] / 10.0]),),
             ((2.0, 2.0), (3.0, 3.0)),
-            batch_objective=lambda points: points[:, 0] * points[:, 1],
-            batch_inequalities=lambda points: (1.0 - points[:, 0] / 10.0)[:, None],
-            polish_all=True,
         )
         before = solver_stats()
         result = minimize_from_starts(problem, [np.array([2.0, 3.0])], self.OPTIONS)
@@ -932,10 +925,17 @@ class TestMultiStartFailures:
         assert _stats_delta(before)["gradient_requests"] == 0
 
     def test_batched_problem_needs_one_batched_inequality(self):
-        with pytest.raises(ValueError, match="batch_inequalities"):
+        """A generated gradient answers for one (vector-valued) inequality
+        and comes with its ``point`` evaluation."""
+        with pytest.raises(ValueError, match="at most one"):
             ConstrainedProblem(
                 lambda x: 0.0,
-                (lambda x: np.ones(1),),
+                (lambda x: np.ones(1), lambda x: np.ones(1)),
                 ((0.0, 1.0),),
-                batch_objective=lambda points: np.zeros(len(points)),
+                point=lambda x: (0.0, [1.0, 1.0]),
+                gradient=lambda *_: None,
+            )
+        with pytest.raises(ValueError, match="point evaluation"):
+            ConstrainedProblem(
+                lambda x: 0.0, (), ((0.0, 1.0),), gradient=lambda *_: None
             )

@@ -361,6 +361,7 @@ class TestCacheTokenPolicy:
 
         payload = settings_to_dict(_settings())
         assert "vectorized" not in payload and "dedup_classes" not in payload
+        assert "polish_starts" not in payload["solver"]
 
     def test_settings_from_dict_loads_payloads_with_retired_knobs(self):
         from repro.engine.serialization import settings_from_dict, settings_to_dict
@@ -369,6 +370,15 @@ class TestCacheTokenPolicy:
         payload = settings_to_dict(base)
         # Recorded before the scalar path and the dedup switch were retired.
         payload.update(vectorized=True, dedup_classes=True)
+        assert settings_from_dict(payload) == base
+
+    def test_settings_from_dict_loads_payloads_with_retired_solver_options(self):
+        from repro.engine.serialization import settings_from_dict, settings_to_dict
+
+        base = _settings()
+        payload = settings_to_dict(base)
+        # Recorded while the solver still screened multistart starts.
+        payload["solver"]["polish_starts"] = 2
         assert settings_from_dict(payload) == base
 
     def test_settings_from_dict_tolerates_execution_only_keys(self):

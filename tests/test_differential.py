@@ -1,15 +1,14 @@
-"""Differential test harness: screened vs. exact solver modes.
+"""Differential test harness: a seeded sweep of operator shapes.
 
 A property-style sweep over a *seeded random family* of conv and
 matmul-like operator shapes (channel counts, spatial extents, kernel
-sizes, strides, dilations, batch sizes) pins **screened ≡ exact**: the
-mopt solve path runs on ``single_basin`` (epigraph selection) and
-``polish_all`` (hypothesis refine) problems only, neither of which
-consults ``SolverOptions.polish_starts``, so the default (screened) mode
-and ``polish_starts=0`` (exact mode) must return identical integerized
-configurations and identical predicted times, per permutation class.
-The historical gap pins for the layers where the old greedy screening
-cascade settled in a different basin are part of the same contract.
+sizes, strides, dilations, batch sizes) solves each shape with mopt and
+checks that every permutation class's answer is a valid integer tiling
+with a positive predicted time.  The layers where an old screening
+cascade once settled in a different basin than the full multistart stay
+in the sweep.  The tests keep their "screened equals exact" names: the
+solver polishes every start of a multistart problem, so its one mode is
+the exact mode.
 
 Whether the answers themselves stay unchanged across commits is checked
 by ``benchmarks/answer_digest.py`` (base vs. head at
@@ -19,8 +18,6 @@ count, so no golden answers are committed here.
 The generator is deterministic per seed, so a failure is reproducible
 from the test id alone.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,23 +95,14 @@ def _settings(**overrides) -> OptimizerSettings:
     return OptimizerSettings(**defaults)
 
 
-def _assert_screened_equals_exact(machine, settings: OptimizerSettings, spec) -> None:
-    screened = MOptOptimizer(machine, settings).optimize(spec)
-    exact = MOptOptimizer(
-        machine, settings.with_solver(replace(settings.solver, polish_starts=0))
-    ).optimize(spec)
-    screened.best.config.validate(spec, integral=True)
-    by_name = {c.class_name: c for c in screened.candidates}
-    assert set(by_name) == {c.class_name for c in exact.candidates}
-    for expected in exact.candidates:
-        got = by_name[expected.class_name]
-        assert got.config == expected.config, (
-            f"{spec.name}/{expected.class_name}: screened != exact configuration"
-        )
-        assert got.predicted_time_seconds == expected.predicted_time_seconds, (
-            f"{spec.name}/{expected.class_name}: screened != exact predicted "
-            f"time ({got.predicted_time_seconds:.17e} vs "
-            f"{expected.predicted_time_seconds:.17e})"
+def _assert_valid_solve(machine, settings: OptimizerSettings, spec) -> None:
+    result = MOptOptimizer(machine, settings).optimize(spec)
+    assert result.candidates
+    for candidate in result.candidates:
+        candidate.config.validate(spec, integral=True)
+        assert candidate.predicted_time_seconds > 0, (
+            f"{spec.name}/{candidate.class_name}: predicted time "
+            f"{candidate.predicted_time_seconds!r}"
         )
 
 
@@ -124,9 +112,7 @@ def _assert_screened_equals_exact(machine, settings: OptimizerSettings, spec) ->
 class TestDifferentialSweep:
     @pytest.mark.parametrize("seed", FAST_SEEDS)
     def test_screened_equals_exact(self, tiny_machine, seed):
-        _assert_screened_equals_exact(
-            tiny_machine, _settings(), random_operator_spec(seed)
-        )
+        _assert_valid_solve(tiny_machine, _settings(), random_operator_spec(seed))
 
     def test_generator_is_deterministic(self):
         for seed in FAST_SEEDS + SLOW_SEEDS:
@@ -160,22 +146,16 @@ class TestDifferentialSweep:
 class TestDifferentialSweepExtended:
     @pytest.mark.parametrize("seed", SLOW_SEEDS)
     def test_screened_equals_exact(self, tiny_machine, seed):
-        _assert_screened_equals_exact(
-            tiny_machine, _settings(), random_operator_spec(seed)
-        )
+        _assert_valid_solve(tiny_machine, _settings(), random_operator_spec(seed))
 
 
 # ----------------------------------------------------------------------
-# Screened ≡ exact (formerly: gap regression on known divergent layers)
+# Formerly divergent layers
 # ----------------------------------------------------------------------
-#: Layers where the *old* greedy screening cascade settled in a
-#: different basin than the unscreened multistart on the paper's 4-level
-#: machine (see ROADMAP, "screened-mode robustness").  The loss-free
-#: screening rework removed that divergence entirely: the mopt path is
-#: built from ``single_basin`` and ``polish_all`` problems only, so
-#: ``polish_starts`` never changes which starts get polished.  These
-#: layers stay pinned — now at bitwise equality — so a future screening
-#: shortcut cannot silently reintroduce a gap.
+#: Layers where an old greedy screening cascade settled in a different
+#: basin than the unscreened multistart on the paper's 4-level machine.
+#: Every start of a multistart problem is polished now; these layers stay
+#: in the sweep on that machine.
 KNOWN_DIVERGENT_LAYERS = (
     ConvSpec("golden-r4", 1, 32, 32, 7, 7, 3, 3, padding=1),
     ConvSpec("r12-like", 1, 64, 64, 7, 7, 3, 3, padding=1),
@@ -193,4 +173,4 @@ class TestScreenedModeEqualsExact:
             solver=QUICK,
             permutation_class_names=("inner-w", "inner-s", "inner-wk", "inner-sk"),
         )
-        _assert_screened_equals_exact(i7_machine, base, spec)
+        _assert_valid_solve(i7_machine, base, spec)

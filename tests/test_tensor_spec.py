@@ -218,3 +218,17 @@ class TestDivisorTiles:
     def test_divisors_invalid(self):
         with pytest.raises(InvalidSpecError):
             divisor_tiles(0)
+
+    def test_repeated_calls_return_equal_tuples(self):
+        first = divisor_tiles(360)
+        assert divisor_tiles(360) == first
+        assert divisor_tiles(360, max_values=5) == divisor_tiles(360, max_values=5)
+        assert divisor_tiles(360) == first  # capping does not touch the memo
+        assert first == tuple(d for d in range(1, 361) if 360 % d == 0)
+
+    def test_invalid_extent_raises_after_cached_calls(self):
+        divisor_tiles(1)
+        divisor_tiles(12)
+        for bad in (0, -12, True, 12.0):
+            with pytest.raises(InvalidSpecError):
+                divisor_tiles(bad)
