@@ -26,10 +26,8 @@ Subcommands::
         --progress sweep.jsonl --csv sweep.csv
     python -m repro dse --smoke
 
-    # Quick cold/warm benchmark through the Session API, optionally
-    # gated against a baseline payload (nonzero exit on regression):
+    # Quick cold/warm smoke benchmark through the Session API:
     python -m repro bench --quick
-    python -m repro bench --quick --compare BENCH_optimizer.json --tolerance 25
 
     # Telemetry of a running serving endpoint (the TCP `stats` verb):
     python -m repro stats 127.0.0.1:8763
@@ -50,10 +48,8 @@ import argparse
 import asyncio
 import contextlib
 import json
-import subprocess
 import sys
 import time
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .api.session import Session
@@ -345,18 +341,7 @@ def _run_warm(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # bench
 # ----------------------------------------------------------------------
-def _current_commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, check=True,
-            cwd=Path(__file__).resolve().parent,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
-def _run_bench(args: argparse.Namespace) -> int:
+def _run_session_bench(args: argparse.Namespace) -> int:
     session = _build_session(args)
     network = args.network
     specs = network_benchmarks(network)
@@ -376,7 +361,6 @@ def _run_bench(args: argparse.Namespace) -> int:
     print(f"  {warm_s * 1e3:.1f} ms  ({warm.cache_hits} cache hits)")
 
     payload = {
-        "commit": _current_commit(),
         "network": network,
         "layers": len(specs),
         "machine": session.machine.name,
@@ -385,13 +369,6 @@ def _run_bench(args: argparse.Namespace) -> int:
         "cold_s": cold_s,
         "warm_s": warm_s,
         "total_gflops": cold.total_gflops,
-        # Stage names intersect benchmarks/run_bench.py's wall_s section
-        # (the default mopt settings equal run_bench's settings), so a
-        # run_bench baseline can gate this CLI bench.
-        "wall_s": {
-            "cold_network_vectorized_s": cold_s,
-            "warm_network_s": warm_s,
-        },
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
@@ -399,48 +376,7 @@ def _run_bench(args: argparse.Namespace) -> int:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {args.out}")
-    exit_code = 0
-    if args.compare:
-        from .bench_compare import (
-            append_history,
-            compare_payloads,
-            format_report,
-            load_payload,
-        )
-
-        try:
-            baseline = load_payload(args.compare)
-        except (OSError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        report = compare_payloads(
-            payload, baseline, tolerance_pct=args.tolerance
-        )
-        print(format_report(report))
-        history_path = args.history or str(
-            Path(args.compare).resolve().parent / "BENCH_history.jsonl"
-        )
-        append_history(
-            history_path,
-            {
-                "kind": "repro-bench",
-                "time_s": time.time(),
-                "commit": payload["commit"],
-                "baseline_commit": report["baseline_commit"],
-                "quick": payload["quick"],
-                "tolerance_pct": report["tolerance_pct"],
-                "ok": report["ok"],
-                "stages": {
-                    stage["stage"]: stage["current_s"]
-                    for stage in report["stages"]
-                },
-                "regressions": report["regressions"],
-            },
-        )
-        print(f"appended history to {history_path}")
-        if not report["ok"]:
-            exit_code = 1
-    return exit_code
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -940,29 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true", help="first four layers only"
     )
     bench.add_argument("--out", default=None, help="also write JSON here")
-    bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE.json",
-        help="perf-regression sentinel: compare this run's stages against "
-        "a baseline bench payload and exit 1 if any common stage is "
-        "slower than --tolerance allows",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=10.0,
-        metavar="PCT",
-        help="allowed per-stage slowdown vs the baseline, percent "
-        "(default 10)",
-    )
-    bench.add_argument(
-        "--history",
-        default=None,
-        metavar="FILE",
-        help="bench history JSON-lines file gated runs append to "
-        "(default: BENCH_history.jsonl next to the baseline)",
-    )
 
     stats_cmd = sub.add_parser(
         "stats",
@@ -1220,7 +1133,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     runners = {
         "optimize": _run_optimize,
         "warm": _run_warm,
-        "bench": _run_bench,
+        "bench": _run_session_bench,
         "dse": _run_dse,
         "trace": _run_trace,
         "list": _run_list,

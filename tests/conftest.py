@@ -20,8 +20,21 @@ import hypothesis  # noqa: F401
 import pytest
 
 from repro.core.config import MultiLevelConfig, TilingConfig
+from repro.core.solver import pin_blas_threads
 from repro.core.tensor_spec import ConvSpec
 from repro.machine.presets import coffee_lake_i7_9700k, tiny_test_machine
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _one_blas_thread():
+    """Pin scipy's OpenBLAS to one thread before any test runs.
+
+    The solver pins it at its first solve, so a test that calls
+    ``scipy.optimize.minimize`` (the oracles of ``test_batched.py``)
+    before any solve ran in the process would otherwise use the host's
+    thread count, and its bitwise comparison would depend on test order.
+    """
+    pin_blas_threads()
 
 
 @pytest.fixture(scope="session")

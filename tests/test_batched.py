@@ -434,8 +434,8 @@ class TestBatchedMultistartDriver:
             objective, (capacity, order), bounds, single_basin=single_basin
         )
         options = SolverOptions(maxiter=60)
-        # The driver's first solve pins scipy's BLAS to one thread; the
-        # oracle runs after it on the same BLAS.
+        # conftest pins scipy's BLAS to one thread for the session, so the
+        # driver and the oracle run on the same BLAS.
         got = minimize_from_starts(problem, starts, options)
         expected_x, expected_value, tried = _scipy_multistart(problem, starts, options)
         assert got.feasible and got.success

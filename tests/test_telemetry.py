@@ -5,31 +5,20 @@ renderings of a seeded snapshot, histogram bucket-boundary edge cases,
 quantile estimation), the TCP ``stats`` verb round-trip against a live
 server, end-to-end request tracing (one trace id from the client span
 through queue/coalesce/solve/respond children summing to the request
-wall), the ``repro top`` dashboard model, the perf-regression sentinel
-(``repro.bench_compare`` + ``benchmarks/compare.py`` + ``repro bench
---compare``), and the ``dse status`` health exit code.
+wall), the ``repro top`` dashboard model, and the ``dse status`` health
+exit code.
 """
 
 import asyncio
 import json
 import re
-import subprocess
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import pytest
 
 from repro import cli
-from repro.bench_compare import (
-    append_history,
-    compare_payloads,
-    extract_stages,
-    format_report,
-    load_payload,
-)
 from repro.engine import StrategyResult, strategy_registry
 from repro.machine.presets import tiny_test_machine
 from repro.obs import metrics as obs_metrics
@@ -51,8 +40,6 @@ from repro.serving import (
     TCPServingClient,
     start_tcp_server,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 # ----------------------------------------------------------------------
@@ -586,157 +573,6 @@ class TestTopDashboard:
         out = capsys.readouterr().out
         assert "sweep status:" in out
         assert "1/2" in out
-
-
-# ----------------------------------------------------------------------
-# Perf-regression sentinel
-# ----------------------------------------------------------------------
-class TestBenchCompare:
-    def test_extract_stages_prefers_wall_s(self):
-        payload = {
-            "wall_s": {"a_s": 1.0, "note": "x"},
-            "cold_s": 9.0,
-        }
-        assert extract_stages(payload) == {"a_s": 1.0}
-        assert extract_stages({"cold_s": 2.0, "layers": 4}) == {"cold_s": 2.0}
-
-    def test_parity_and_regression(self):
-        baseline = {"commit": "base", "wall_s": {"a_s": 1.0, "b_s": 0.5}}
-        same = {"commit": "cur", "wall_s": {"a_s": 1.02, "b_s": 0.45}}
-        report = compare_payloads(same, baseline, tolerance_pct=10.0)
-        assert report["ok"] and report["regressions"] == []
-        slow = {"commit": "cur", "wall_s": {"a_s": 1.5, "b_s": 0.5}}
-        report = compare_payloads(slow, baseline, tolerance_pct=10.0)
-        assert not report["ok"]
-        assert report["regressions"] == ["a_s"]
-        assert "REGRESSION" in format_report(report)
-        assert "PARITY" in format_report(
-            compare_payloads(same, baseline, tolerance_pct=10.0)
-        )
-
-    def test_sub_floor_stages_never_gate(self):
-        baseline = {"wall_s": {"tiny_s": 0.001}}
-        current = {"wall_s": {"tiny_s": 1.0}}
-        report = compare_payloads(current, baseline, tolerance_pct=10.0)
-        assert report["ok"]
-        (stage,) = report["stages"]
-        assert not stage["gating"] and not stage["regressed"]
-        assert "(below floor)" in format_report(report)
-
-    def test_disjoint_stages_are_informational(self):
-        report = compare_payloads(
-            {"wall_s": {"new_s": 1.0}}, {"wall_s": {"old_s": 1.0}}
-        )
-        assert report["ok"]
-        assert report["only_current"] == ["new_s"]
-        assert report["only_baseline"] == ["old_s"]
-
-    def test_append_history(self, tmp_path):
-        path = tmp_path / "hist" / "BENCH_history.jsonl"
-        append_history(path, {"commit": "a", "ok": True})
-        append_history(path, {"commit": "b", "ok": False})
-        lines = path.read_text().strip().splitlines()
-        assert [json.loads(l)["commit"] for l in lines] == ["a", "b"]
-
-    def test_load_payload_rejects_non_object(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("[1, 2]")
-        with pytest.raises(ValueError):
-            load_payload(path)
-
-    def test_compare_script_exit_codes(self, tmp_path):
-        baseline = tmp_path / "base.json"
-        current = tmp_path / "cur.json"
-        baseline.write_text(json.dumps({"wall_s": {"a_s": 1.0}}))
-        current.write_text(json.dumps({"wall_s": {"a_s": 1.05}}))
-        script = str(REPO_ROOT / "benchmarks" / "compare.py")
-
-        def compare(*extra):
-            return subprocess.run(
-                [sys.executable, script, str(current), str(baseline), *extra],
-                capture_output=True,
-                text=True,
-            )
-
-        assert compare("--tolerance", "10").returncode == 0
-        current.write_text(json.dumps({"wall_s": {"a_s": 2.0}}))
-        result = compare("--tolerance", "10")
-        assert result.returncode == 1
-        assert "REGRESSION" in result.stdout
-        missing = subprocess.run(
-            [sys.executable, script, str(current), str(tmp_path / "no.json")],
-            capture_output=True,
-            text=True,
-        )
-        assert missing.returncode == 2
-
-    def test_cli_bench_compare_parity_and_history(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "commit": "aaaaaaa",
-                    "wall_s": {
-                        "cold_network_vectorized_s": 50.0,
-                        "warm_network_s": 50.0,
-                    },
-                }
-            )
-        )
-        history = tmp_path / "history.jsonl"
-        rc = cli.main(
-            [
-                "bench", "--quick", "--network", "resnet18",
-                "--strategy", "probe", "--threads", "0",
-                "--compare", str(baseline),
-                "--tolerance", "25",
-                "--history", str(history),
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "PARITY" in out
-        (entry,) = [
-            json.loads(l) for l in history.read_text().strip().splitlines()
-        ]
-        assert entry["ok"] is True
-        assert entry["baseline_commit"] == "aaaaaaa"
-        assert "cold_network_vectorized_s" in entry["stages"]
-
-    def test_cli_bench_compare_detects_injected_regression(self, tmp_path):
-        # Baseline pins the cold stage at the gating floor; the probe's
-        # injected 50 ms delay guarantees the current run is slower than
-        # floor * (1 + tolerance), so the sentinel must exit nonzero.
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "commit": "aaaaaaa",
-                    "wall_s": {"cold_network_vectorized_s": 0.01},
-                }
-            )
-        )
-        rc = cli.main(
-            [
-                "bench", "--quick", "--network", "resnet18",
-                "--strategy", "probe", "--threads", "0",
-                "--option", "delay_s=0.05",
-                "--compare", str(baseline),
-                "--tolerance", "25",
-                "--history", str(tmp_path / "history.jsonl"),
-            ]
-        )
-        assert rc == 1
-
-    def test_cli_bench_missing_baseline_is_usage_error(self, tmp_path):
-        rc = cli.main(
-            [
-                "bench", "--quick", "--network", "resnet18",
-                "--strategy", "probe", "--threads", "0",
-                "--compare", str(tmp_path / "missing.json"),
-            ]
-        )
-        assert rc == 2
 
 
 # ----------------------------------------------------------------------
