@@ -454,7 +454,8 @@ class Session:
         workers are not counted here.
 
         The ``"reliability"`` entry folds in the process-wide health
-        counters of :mod:`repro.reliability` (``pool_rebuilds``,
+        counters of :mod:`repro.reliability` (the registry's ``health.*``
+        counters: ``pool_rebuilds``,
         ``serial_fallbacks``, ``cache.quarantined``, ...) plus this
         session's disk-cache state (``cache``: quarantined entries,
         write errors, memory-only degradation) — every degradation or

@@ -29,10 +29,10 @@ broken pool, rebuilds the executor once and re-dispatches only the lost
 class solves; if the rebuilt pool breaks too, the remaining solves run
 serially in-process — the same code path the workers execute, so the
 recovered results are bitwise-identical to an undisturbed run.  The
-``pool_rebuilds`` / ``serial_fallbacks`` counters (mirrored into
-:mod:`repro.reliability.health`) record every recovery, and the
-``solve_pool.kill_worker`` fault point lets tests kill a worker on a
-chosen dispatch deterministically.
+``pool_rebuilds`` / ``serial_fallbacks`` counters (mirrored into the
+registry's ``health.pool_rebuilds`` / ``health.serial_fallbacks``)
+record every recovery, and the ``solve_pool.kill_worker`` fault point
+lets tests kill a worker on a chosen dispatch deterministically.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from typing import Dict, List, Optional, Sequence
 
 from ..obs import trace as obs_trace
 from ..obs.metrics import REGISTRY
-from ..reliability import health
 from ..reliability.faults import fault_fires
 
 _IN_WORKER = False
@@ -227,12 +226,12 @@ def run_class_solves(
         if not rebuilt:
             rebuilt = True
             _STATS["pool_rebuilds"] += 1
-            health.incr("pool_rebuilds")
+            REGISTRY.counter("health.pool_rebuilds").inc()
             continue
         # The rebuilt pool broke too: finish serially in-process (the
         # exact code path the workers run — bitwise-identical results).
         _STATS["serial_fallbacks"] += 1
-        health.incr("serial_fallbacks")
+        REGISTRY.counter("health.serial_fallbacks").inc()
         for index in pending:
             results[index], spans = _solve_task(
                 machine, settings, spec, class_names[index], trace_ctx

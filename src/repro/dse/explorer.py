@@ -61,7 +61,8 @@ from ..engine.strategy import SearchStrategy, get_strategy
 from ..machine.spec import MachineSpec
 from ..obs import trace as obs_trace
 from ..obs.heartbeat import HeartbeatWriter, heartbeat_path_for
-from ..reliability import RetryPolicy, health
+from ..obs.metrics import REGISTRY
+from ..reliability import RetryPolicy
 from ..reliability.faults import fault_point
 from .space import Candidate, DesignSpace, ExpandedSpace
 
@@ -657,7 +658,7 @@ def _evaluate_isolated(
         # "Succeeded after N retries" is part of the record too.
         return replace(outcome, retries=retries) if retries else outcome
     except Exception as error:  # noqa: BLE001 - isolation is the point
-        health.incr("dse.candidate_failures")
+        REGISTRY.counter("health.dse.candidate_failures").inc()
         return _failed_outcome(
             candidate, error, retries, time.perf_counter() - start
         )

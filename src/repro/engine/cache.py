@@ -16,8 +16,15 @@ settings)`` combination an O(1) lookup instead of a solver run.
   **degrade the store to memory-only mode** with a single warning
   instead of raising ``OSError`` into the middle of a solve.  Both
   events are counted on the store (``quarantined``, ``write_errors``,
-  ``degraded``) and in :mod:`repro.reliability.health`
-  (``cache.quarantined``, ``cache.write_errors``, ``cache.degraded``).
+  ``degraded``) and in the metrics registry's health counters
+  (``health.cache.quarantined``, ``health.cache.write_errors``,
+  ``health.cache.degraded``).
+
+One single-flight table sits in front of both tiers: each missing key
+being computed has one in-flight ``concurrent.futures.Future``
+(:meth:`ResultCache.flight`).  Threads block on it
+(:meth:`ResultCache.get_or_compute`) and the serving event loop awaits
+it, so concurrent callers of either kind share one computation per key.
 
 Keys are content hashes (:func:`repro.engine.serialization.stable_hash`)
 of everything that determines the result: the operator *shape* (name
@@ -27,11 +34,13 @@ description and the strategy's name + :meth:`cache_token`.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from collections import OrderedDict
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 from ..core.tensor_spec import ConvSpec
 from ..machine.spec import MachineSpec
@@ -80,10 +89,11 @@ def result_cache_key(
 class CacheStats:
     """Hit/miss counters of one :class:`ResultCache` instance.
 
-    ``coalesced`` counts :meth:`ResultCache.get_or_compute` calls that
-    waited on another caller's in-flight computation of the same key
-    instead of computing it themselves (single-flight coalescing);
-    ``computes`` counts the computations that actually ran.
+    ``coalesced`` counts :meth:`ResultCache.flight` calls (threads and
+    event-loop tasks alike) that joined another caller's in-flight
+    computation of the same key instead of computing it themselves
+    (single-flight coalescing); ``computes`` counts the computations
+    that actually ran.
     """
 
     memory_hits: int = 0
@@ -104,17 +114,6 @@ class CacheStats:
         return self.hits + self.misses
 
 
-class _InFlight:
-    """One key's in-flight computation: an event plus its outcome."""
-
-    __slots__ = ("event", "result", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.result: Optional[StrategyResult] = None
-        self.error: Optional[BaseException] = None
-
-
 class ResultCache:
     """In-memory LRU in front of an optional on-disk store.
 
@@ -132,10 +131,7 @@ class ResultCache:
 
     The cache is thread-safe: the memory tier and the stats counters are
     guarded by one lock, the disk tier serializes its own appends, and
-    :meth:`get_or_compute` adds single-flight semantics on top — any
-    number of threads (or event-loop tasks delegating to threads) may
-    request the same key concurrently and exactly one of them runs the
-    computation while the rest wait for its outcome.
+    :meth:`flight` adds single-flight semantics on top.
     """
 
     def __init__(
@@ -168,7 +164,7 @@ class ResultCache:
             )
         self.stats = CacheStats()
         self._lock = threading.RLock()
-        self._inflight: Dict[str, _InFlight] = {}
+        self._inflight: Dict[str, "Future[StrategyResult]"] = {}
 
     def reserve_memory_entries(self, entries: int) -> None:
         """Grow (never shrink) the memory tier's LRU bound.
@@ -254,9 +250,9 @@ class ResultCache:
         for them), which lets an event loop serve warm requests without
         a thread-pool hop.  ``record_misses=False`` likewise keeps full
         lookups from counting misses, for callers that will immediately
-        route the missing keys into :meth:`get_or_compute` (which counts
-        the miss itself — without this, every cold serving operator
-        would be double-counted).
+        route the missing keys into :meth:`flight` (which counts the miss
+        itself — without this, every cold serving operator would be
+        double-counted).
         """
         found: Dict[str, Optional[StrategyResult]] = {}
         disk_keys: list = []
@@ -297,68 +293,124 @@ class ResultCache:
         if self.disk is not None:
             self.disk.put(key, result.to_dict())
 
+    def flight(
+        self,
+        key: str,
+        compute: Callable[[], StrategyResult],
+        executor: Optional[Executor] = None,
+    ) -> Tuple["Future[StrategyResult]", bool]:
+        """The one computation of ``key``: ``(future, coalesced)``.
+
+        A memory hit returns a finished future.  Otherwise the caller
+        either joins the key's in-flight computation (``coalesced`` is
+        true, counted in ``stats.coalesced``) or registers a new one and
+        leads it: a disk lookup, then ``compute()`` and :meth:`put` on a
+        miss (``stats.computes``).  The leader's work runs inline when
+        ``executor`` is ``None``, else as one job on ``executor`` in a
+        copy of the caller's context, so its trace ancestry follows it.
+
+        The future ends with the result or the leader's error, and the
+        key is released before it does, so a call after an error
+        retries.  An inline leader's error is also raised from this
+        call, and so is an executor's refusal of the job.  A leader job
+        the executor cancels before it runs
+        (``shutdown(cancel_futures=True)``) fails the flight with a
+        ``RuntimeError``.  Followers hold no thread of their own: a thread blocks in
+        ``future.result()``, an event loop awaits
+        ``asyncio.shield(asyncio.wrap_future(future))``.  The future is
+        running from registration on, so no waiter can cancel it.
+        """
+        with self._lock:
+            cached = self._memory.get(key)
+            if cached is not None:
+                self._memory.move_to_end(key)
+                self.stats.memory_hits += 1
+                hit: "Future[StrategyResult]" = Future()
+                hit.set_result(cached)
+                return hit, False
+            future = self._inflight.get(key)
+            if future is not None:
+                self.stats.coalesced += 1
+                return future, True
+            future = Future()
+            future.set_running_or_notify_cancel()
+            self._inflight[key] = future
+        if executor is None:
+            self._lead(key, future, compute)
+            return future, False
+        try:
+            job = executor.submit(
+                contextvars.copy_context().run, self._lead, key, future, compute
+            )
+        except BaseException as error:  # a shut-down executor
+            self._land(key, future, error=error)
+            raise
+        else:
+
+            def fail_if_cancelled(job: "Future[None]") -> None:
+                if job.cancelled():
+                    error = RuntimeError(
+                        f"the computation of cache key {key} was cancelled "
+                        "before it ran"
+                    )
+                    self._land(key, future, error=error)
+
+            job.add_done_callback(fail_if_cancelled)
+        return future, False
+
     def get_or_compute(
         self, key: str, compute: Callable[[], StrategyResult]
     ) -> StrategyResult:
         """Return the cached result for ``key``, computing it at most once.
 
-        Single-flight semantics: when several threads ask for the same
-        missing key concurrently, exactly one of them (the *leader*) runs
-        ``compute()`` and stores the outcome; the others block until it
-        finishes and return the same result (counted in
-        ``stats.coalesced``).  If the leader raises, its exception
-        propagates to every waiter and the key is released so a later
-        call retries.
+        The blocking form of :meth:`flight`: a leader runs the work in
+        this thread, a follower waits for the leader's outcome (counted
+        in ``stats.coalesced``), and a leader's exception is raised in
+        every waiter.
         """
-        while True:
-            with self._lock:
-                cached = self._memory.get(key)
-                if cached is not None:
-                    self._memory.move_to_end(key)
-                    self.stats.memory_hits += 1
-                    return cached
-                flight = self._inflight.get(key)
-                if flight is None:
-                    flight = _InFlight()
-                    self._inflight[key] = flight
-                    leader = True
-                else:
-                    leader = False
-                    self.stats.coalesced += 1
-            if not leader:
-                flight.event.wait()
-                if flight.error is not None:
-                    raise flight.error
-                if flight.result is not None:
-                    return flight.result
-                # Leader found nothing to report (should not happen) —
-                # retry from the top rather than return a bogus value.
-                continue
-            try:
-                # Leader: check the disk tier before paying for a solve.
-                result: Optional[StrategyResult] = None
-                if self.disk is not None:
-                    payload = self.disk.get(key)
-                    if payload is not None:
-                        result = StrategyResult.from_dict(payload)
-                        with self._lock:
-                            self._remember(key, result)
-                            self.stats.disk_hits += 1
-                if result is None:
+        return self.flight(key, compute)[0].result()
+
+    def _lead(
+        self,
+        key: str,
+        future: "Future[StrategyResult]",
+        compute: Callable[[], StrategyResult],
+    ) -> None:
+        """The leader's work: check the disk tier, else compute and store."""
+        try:
+            result: Optional[StrategyResult] = None
+            if self.disk is not None:
+                payload = self.disk.get(key)
+                if payload is not None:
+                    result = StrategyResult.from_dict(payload)
                     with self._lock:
-                        self.stats.misses += 1
-                        self.stats.computes += 1
-                    result = compute()
-                    self.put(key, result)
-                flight.result = result
-                return result
-            except BaseException as error:
-                flight.error = error
-                raise
-            finally:
+                        self._remember(key, result)
+                        self.stats.disk_hits += 1
+            if result is None:
                 with self._lock:
-                    self._inflight.pop(key, None)
-                flight.event.set()
+                    self.stats.misses += 1
+                    self.stats.computes += 1
+                result = compute()
+                self.put(key, result)
+        except BaseException as error:
+            self._land(key, future, error=error)
+            raise
+        self._land(key, future, result)
+
+    def _land(
+        self,
+        key: str,
+        future: "Future[StrategyResult]",
+        result: Optional[StrategyResult] = None,
+        error: Optional[BaseException] = None,
+    ) -> None:
+        """Release ``key``, then settle its flight."""
+        with self._lock:
+            self._inflight.pop(key, None)
+        if error is None:
+            future.set_result(result)
+        else:
+            future.set_exception(error)
 
     def _remember(self, key: str, result: StrategyResult) -> None:
         self._memory[key] = result

@@ -24,20 +24,22 @@ of Hub's ``Chunk``/``BytePositionsEncoder``:
   never reads it as an entry) tracks the sealed-chunk generation.
   Overwritten keys leave *dead* records behind; once a sealed chunk is
   mostly dead its live records are migrated to the active chunk and
-  the file deleted (``compactions`` counter, ``cache.compactions``
-  health counter).
+  the file deleted (``compactions`` counter, ``health.cache.compactions``
+  in the metrics registry).
 * **Chunk-granularity eviction.**  ``max_entries`` evicts the oldest
   sealed chunks wholesale, by append order and not by read recency,
   down to ~90% of cap — there is no per-put directory scan at all.
 * **Reliability.**  A torn record (a writer that died mid-append) is
   detected by the CRC at open and counted as quarantined
-  (``cache.quarantined``); the intact records appended after it are
-  kept, and a torn tail is truncated away; a record ``get`` cannot
-  parse, or one stored under another key, becomes a clean miss the
-  same way.  Persistent write failures — disk full, read-only
+  (``health.cache.quarantined``) once: a torn tail is truncated away,
+  and a torn record with intact records after it stays in the file as a
+  dead entry, recorded in its chunk's sidecar (the active chunk is
+  sealed around it), so no later open counts it again.  A record
+  ``get`` cannot parse, or one stored under another key, becomes a
+  clean miss the same way.  Persistent write failures — disk full, read-only
   filesystem — degrade the store to memory-only mode with a single
   warning instead of raising ``OSError`` into the middle of a solve
-  (``cache.write_errors``/``cache.degraded``).
+  (``health.cache.write_errors``/``health.cache.degraded``).
 
 Concurrency: the store is thread-safe within one process (one lock
 around index/append state) and takes one writer per root at a time:
@@ -65,7 +67,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..reliability import health
+from ..obs.metrics import REGISTRY
 from ..reliability.faults import fault_fires, fault_point
 
 #: Format marker stored in every entry; bump on incompatible changes.
@@ -106,12 +108,17 @@ def _record_at(data: bytes, pos: int) -> Optional[Tuple[Tuple[str, int, int], in
 
 @dataclass
 class _ChunkInfo:
-    """Accounting for one chunk file: total/live records and byte size."""
+    """Accounting for one chunk file: total/live records and byte size.
+
+    ``torn`` counts the torn records left inside the file; they are
+    dead entries (in ``entries``, never ``live``).
+    """
 
     entries: int = 0
     live: int = 0
     bytes: int = 0
     sealed: bool = False
+    torn: int = 0
 
 
 @dataclass(frozen=True)
@@ -221,14 +228,14 @@ class ChunkedResultStore:
         """Count one failed write; degrade to memory-only when persistent."""
         self.write_errors += 1
         self._consecutive_write_failures += 1
-        health.incr("cache.write_errors")
+        REGISTRY.counter("health.cache.write_errors").inc()
         persistent = (
             error.errno in self._DEGRADE_ERRNOS
             or self._consecutive_write_failures >= self.MAX_WRITE_FAILURES
         )
         if persistent and not self.degraded:
             self.degraded = True
-            health.incr("cache.degraded")
+            REGISTRY.counter("health.cache.degraded").inc()
         if self.degraded and not self._warned_degraded:
             self._warned_degraded = True
             warnings.warn(
@@ -240,7 +247,7 @@ class ChunkedResultStore:
 
     def _note_quarantine(self, count: int = 1) -> None:
         self.quarantined += count
-        health.incr("cache.quarantined", count)
+        REGISTRY.counter("health.cache.quarantined").inc(count)
 
     # ------------------------------------------------------------------
     # open / recovery
@@ -255,20 +262,22 @@ class ChunkedResultStore:
             if path.stem.split("-", 1)[1].isdigit()
         )
         for chunk_id in chunk_ids:
-            records: Optional[List[Tuple[str, int, int]]] = None
+            loaded: Optional[Tuple[List[Tuple[str, int, int]], int]] = None
             if chunk_id in sealed_ids:
-                records = self._load_idx(chunk_id)
-            if records is None:
-                records = self._scan_chunk(chunk_id)
+                loaded = self._load_idx(chunk_id)
+            if loaded is None:
+                loaded = self._scan_chunk(chunk_id)
                 # Heal: a sealed-sized chunk that lost its sidecar in a
                 # crash gets one now, so the next open skips the scan.
                 if chunk_id != chunk_ids[-1]:
-                    self._write_idx(chunk_id, records)
+                    self._write_idx(chunk_id, *loaded)
+            records, torn = loaded
             info = _ChunkInfo(
-                entries=len(records),
+                entries=len(records) + torn,
                 live=0,
                 bytes=self._chunk_size(chunk_id),
                 sealed=chunk_id != chunk_ids[-1],
+                torn=torn,
             )
             self._chunks[chunk_id] = info
             for key, offset, length in records:
@@ -276,7 +285,13 @@ class ChunkedResultStore:
         if chunk_ids:
             self._next_id = chunk_ids[-1] + 1
             self._active_id = chunk_ids[-1]
-            self._seal_if_full(self._active_id)
+            if self._chunks[self._active_id].torn:
+                # Seal the active chunk around its torn record: the
+                # sidecar records it, so no later open scans it and
+                # counts it again.
+                self._seal(self._active_id)
+            else:
+                self._seal_if_full(self._active_id)
         self._next_id = max(self._next_id, int(manifest.get("next_id", 1)))
 
     def _place(self, key: str, loc: _Loc) -> None:
@@ -341,8 +356,11 @@ class ChunkedResultStore:
                 pass
             raise
 
-    def _load_idx(self, chunk_id: int) -> Optional[List[Tuple[str, int, int]]]:
-        """Records of one sealed chunk from its byte-positions sidecar."""
+    def _load_idx(
+        self, chunk_id: int
+    ) -> Optional[Tuple[List[Tuple[str, int, int]], int]]:
+        """Records and torn-record count of one sealed chunk from its
+        byte-positions sidecar."""
         try:
             payload = json.loads(
                 self._idx_path(chunk_id).read_text(encoding="utf-8")
@@ -352,23 +370,27 @@ class ChunkedResultStore:
             lengths = payload["lengths"]
             if not (len(keys) == len(offsets) == len(lengths)):
                 return None
-            return list(zip(keys, map(int, offsets), map(int, lengths)))
+            records = list(zip(keys, map(int, offsets), map(int, lengths)))
+            return records, int(payload.get("torn", 0))
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
             return None  # caller falls back to a byte scan
 
-    def _write_idx(self, chunk_id: int, records: Sequence[Tuple[str, int, int]]) -> None:
+    def _write_idx(
+        self, chunk_id: int, records: Sequence[Tuple[str, int, int]], torn: int
+    ) -> None:
         payload = {
             "version": CHUNK_FORMAT_VERSION,
             "keys": [r[0] for r in records],
             "offsets": [r[1] for r in records],
             "lengths": [r[2] for r in records],
+            "torn": torn,
         }
         self._atomic_write(
             self._idx_path(chunk_id),
             json.dumps(payload, sort_keys=True).encode("utf-8"),
         )
 
-    def _scan_chunk(self, chunk_id: int) -> List[Tuple[str, int, int]]:
+    def _scan_chunk(self, chunk_id: int) -> Tuple[List[Tuple[str, int, int]], int]:
         """Byte-scan one chunk; quarantine (and count) each torn record.
 
         Chunks are bounded (``max_chunk_bytes``), so reading one whole
@@ -378,14 +400,16 @@ class ChunkedResultStore:
         write (a short write, a crash and a restart) left its later
         records intact behind it.  A torn tail with no intact record
         after it is truncated away so future appends start from a clean
-        record boundary.
+        record boundary.  Returns the intact records and how many torn
+        records stay in the file.
         """
         path = self._chunk_path(chunk_id)
         try:
             data = path.read_bytes()
         except OSError:
-            return []
+            return [], 0
         records: List[Tuple[str, int, int]] = []
+        torn = 0
         pos = 0
         while pos < len(data):
             record = _record_at(data, pos)
@@ -409,8 +433,9 @@ class ChunkedResultStore:
                 except OSError:
                     pass
                 break
+            torn += 1
             pos = resume
-        return records
+        return records, torn
 
     # ------------------------------------------------------------------
     # the store API
@@ -546,7 +571,7 @@ class ChunkedResultStore:
         ]
         records.sort(key=lambda r: r[1])
         try:
-            self._write_idx(chunk_id, records)
+            self._write_idx(chunk_id, records, info.torn)
             self._write_manifest()
         except OSError as error:
             # The data chunk itself is intact; a missing sidecar only
@@ -632,7 +657,7 @@ class ChunkedResultStore:
             return
         self._delete_chunk(chunk_id)
         self.compactions += 1
-        health.incr("cache.compactions")
+        REGISTRY.counter("health.cache.compactions").inc()
 
     # ------------------------------------------------------------------
     def __contains__(self, key: str) -> bool:

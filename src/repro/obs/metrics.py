@@ -1,9 +1,10 @@
 """Unified metrics registry: counters, gauges, histograms, collectors.
 
 One process-wide :class:`MetricsRegistry` replaces the per-subsystem
-stat dicts that accumulated across PRs (``reliability.health``'s flat
-counter map, ``CompileCache.stats()``, ``table_cache_stats()``,
-``solve_pool.pool_stats()``).  Subsystems either
+stat dicts that accumulated across PRs (the reliability substrate's
+flat health-counter map, ``CompileCache.stats()``,
+``table_cache_stats()``, ``solve_pool.pool_stats()``).  Subsystems
+either
 
 * own first-class instruments — ``REGISTRY.counter("health.pool_rebuilds")``
   — created on first use and snapshot deterministically, or
@@ -211,8 +212,8 @@ class MetricsRegistry:
         """``{stripped_name: value}`` for counters under ``prefix``.
 
         Only counters that exist are returned — a caller that never
-        incremented anything gets an empty dict, matching the historical
-        ``health_counters()`` only-what-fired contract.
+        incremented anything gets an empty dict: the only-what-fired
+        contract of the ``"reliability"`` collector over ``health.``.
         """
         with self._lock:
             items = [
@@ -300,7 +301,7 @@ class MetricsRegistry:
 
         This is what a *clearing* reset needs: a removed counter no
         longer appears in snapshots, restoring the only-what-fired
-        contract of the health-counter map.
+        contract of the health counters (``remove("health.")``).
         """
         with self._lock:
             for group in (self._counters, self._gauges, self._histograms):

@@ -13,10 +13,16 @@ package is the shared substrate the hot paths build that on:
   ``cache.put_oserror``, ``cache.corrupt_entry``, ``serving.solve``,
   ``dse.evaluate``), making every recovery path deterministically
   testable.
-* :mod:`repro.reliability.health` — process-wide counters of every
-  degradation/recovery event, folded into
+* health counters — one ``health.<subsystem>.<event>`` counter of the
+  metrics registry (:data:`repro.obs.metrics.REGISTRY`) per
+  degradation/recovery event, incremented where it happens.  Importing
+  this package registers the ``"reliability"`` collector that folds
+  every counter that fired, prefix stripped, into
   :meth:`repro.api.Session.performance_stats` and the serving
-  ``stats_snapshot()`` under ``"reliability"``.
+  ``stats_snapshot()`` under ``"reliability"``.  Counter names are
+  dotted ``subsystem.event`` strings except the two pool counters the
+  solve pool's stats already used flat names for (``pool_rebuilds``,
+  ``serial_fallbacks``).
 
 The wired recovery behaviors (see each subsystem's docs):
 
@@ -38,10 +44,12 @@ from .faults import (
     fault_fires,
     fault_point,
 )
-from .health import get as health_get
-from .health import health_counters, incr as health_incr
-from .health import reset as health_reset
+from ..obs.metrics import REGISTRY
 from .policy import DEFAULT_RETRY_POLICY, RetryPolicy
+
+REGISTRY.register_collector(
+    "reliability", lambda: REGISTRY.counters_with_prefix("health.")
+)
 
 __all__ = [
     "DEFAULT_RETRY_POLICY",
@@ -51,8 +59,4 @@ __all__ = [
     "active_injector",
     "fault_fires",
     "fault_point",
-    "health_counters",
-    "health_get",
-    "health_incr",
-    "health_reset",
 ]

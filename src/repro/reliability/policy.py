@@ -22,7 +22,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple, Type, TypeVar
 
-from . import health
+from ..obs.metrics import REGISTRY
 
 T = TypeVar("T")
 
@@ -93,8 +93,8 @@ class RetryPolicy:
         """Call ``fn`` until it succeeds, retries run out, or the deadline.
 
         ``on_retry(attempt, error)`` observes each failure that will be
-        retried; ``counter`` names a health counter incremented once per
-        retry (not per call).  Exceptions outside ``retry_on`` propagate
+        retried; ``counter`` names a health counter (the registry's
+        ``health.<counter>``) incremented once per retry (not per call).  Exceptions outside ``retry_on`` propagate
         immediately.
         """
         start = clock()
@@ -112,7 +112,7 @@ class RetryPolicy:
                 ):
                     raise
                 if counter is not None:
-                    health.incr(counter)
+                    REGISTRY.counter("health." + counter).inc()
                 if on_retry is not None:
                     on_retry(attempt, error)
                 if delay > 0:

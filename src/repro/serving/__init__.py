@@ -9,8 +9,8 @@ shared store of results.  This package is that front-end:
   :class:`~repro.engine.network.NetworkOptimizer`'s building blocks:
   bounded priority queue with deadlines and reject-with-retry-after
   back-pressure, per-request streaming progress events, and
-  single-flight coalescing of identical in-flight operator solves on
-  top of the thread-safe two-tier result cache.
+  single-flight coalescing of identical in-flight operator solves
+  through the two-tier result cache's one in-flight table.
 * :class:`ServingClient` / :class:`TCPServingClient` — in-process and
   JSON-lines-over-TCP clients with overload retry; the TCP client adds
   connect/read/write timeouts (``timeout_s``) and
@@ -54,7 +54,6 @@ Quick in-process use::
 """
 
 from .client import ServingClient, ServingTimeoutError, TCPServingClient
-from .coalescing import SingleFlight
 from .protocol import (
     AcceptedEvent,
     CompletedEvent,
@@ -106,7 +105,6 @@ __all__ = [
     "ServingClient",
     "ServingEvent",
     "ServingTimeoutError",
-    "SingleFlight",
     "TCPServingClient",
     "collect_operator_events",
     "decode_message",

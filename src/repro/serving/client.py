@@ -20,7 +20,7 @@ blocking forever), and an optional
 :class:`~repro.reliability.RetryPolicy` drives automatic reconnect — a
 dropped/hung connection is reopened on the policy's backoff schedule
 and the request resent (idempotent server-side: re-solves hit the
-shared cache).  Reconnects increment the ``tcp.reconnects`` health
+shared cache).  Reconnects increment the ``health.tcp.reconnects``
 counter.
 """
 
@@ -30,8 +30,9 @@ import asyncio
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..api.types import next_request_id
+from ..obs.metrics import REGISTRY
 from ..obs.trace import current_context, span
-from ..reliability import RetryPolicy, health
+from ..reliability import RetryPolicy
 
 from ..core.tensor_spec import ConvSpec
 from .protocol import (
@@ -309,7 +310,7 @@ class TCPServingClient:
         self._reader, self._writer = reader, writer
         self._reader_task = asyncio.ensure_future(self._read_loop())
         self.reconnects += 1
-        health.incr("tcp.reconnects")
+        REGISTRY.counter("health.tcp.reconnects").inc()
 
     async def _roundtrip_reconnecting(
         self, request: OptimizeRequest, on_event: Optional[EventCallback]

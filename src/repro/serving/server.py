@@ -8,11 +8,12 @@ share:
   (per-request priorities and deadlines, reject-with-retry-after when
   the backlog is full);
 * a fixed set of asyncio workers claims requests and solves each
-  network's *distinct* operators through an event-loop
-  :class:`~repro.serving.coalescing.SingleFlight` layered over the
-  thread-safe :meth:`~repro.engine.cache.ResultCache.get_or_compute` —
-  identical operators requested by concurrent clients are solved exactly
-  once, no matter how the requests interleave;
+  network's *distinct* operators through the result cache's one
+  single-flight table (:meth:`~repro.engine.cache.ResultCache.flight`)
+  — identical operators requested by concurrent clients are solved
+  exactly once, no matter how the requests interleave, and a request
+  that joins another's solve awaits it on the event loop without
+  holding a pool thread;
 * actual solves run on a bounded thread pool so the event loop stays
   responsive while scipy works;
 * every request streams progress events (one per completed operator)
@@ -41,9 +42,9 @@ as JSON lines over a socket for out-of-process clients.
   deadline — hung requests (a wedged worker, a stuck solve thread) get
   a terminal :class:`~repro.serving.protocol.ExpiredEvent` instead of
   holding a slot forever (counter ``serving.watchdog_failures``);
-* every degradation/recovery increments
-  :mod:`repro.reliability.health` counters, surfaced under the
-  ``"reliability"`` key of :meth:`OptimizationServer.stats_snapshot`.
+* every degradation/recovery increments a ``health.*`` counter of the
+  metrics registry, surfaced under the ``"reliability"`` key of
+  :meth:`OptimizationServer.stats_snapshot`.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, AsyncIterator, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -71,9 +73,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.export import render_prometheus
 from ..obs.trace import activate, current_context, record_span, span
-from ..reliability import health
 from ..reliability.faults import fault_point
-from .coalescing import SingleFlight
 from .protocol import (
     AcceptedEvent,
     CompletedEvent,
@@ -365,7 +365,6 @@ class OptimizationServer:
         # stats dataclass is a lost-update race across distinct keys.
         self._solve_lock = threading.Lock()
         self._queue: Optional[BoundedRequestQueue] = None
-        self._singleflight = SingleFlight()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._workers: List["asyncio.Task[None]"] = []
         self._watchdog: Optional["asyncio.Task[None]"] = None
@@ -718,26 +717,12 @@ class OptimizationServer:
     def _watchdog_expire(self, handle: RequestHandle) -> None:
         if self._handles.pop(id(handle), None) is None:
             return  # reached a terminal state while we were sweeping
-        self.stats.expired += 1
         self.stats.watchdog_failed += 1
-        health.incr("serving.watchdog_failures")
-        self._observe_terminal(handle, "expired")
-        waited = time.perf_counter() - handle.submitted_at
-        deadline = (
-            handle.request.deadline_s or self.config.default_deadline_s or 0.0
-        )
-        handle._emit(
-            ExpiredEvent(
-                request_id=handle.request_id,
-                deadline_s=deadline,
-                waited_s=waited,
-            )
-        )
-        handle._fail(
-            DeadlineExpiredError(
-                f"request {handle.request_id} hung in flight; watchdog "
-                f"expired it after {waited * 1e3:.1f} ms"
-            )
+        obs_metrics.REGISTRY.counter("health.serving.watchdog_failures").inc()
+        self._expire(
+            handle,
+            "request {request_id} hung in flight; watchdog expired it after "
+            "{waited_ms:.1f} ms",
         )
         # Release the worker if it is still racing solve vs. cancel; the
         # handle is already out of _handles so the worker stays quiet.
@@ -745,6 +730,20 @@ class OptimizationServer:
 
     def _expire_queued(self, handle: RequestHandle, overstay: float) -> None:
         """Queue callback: a request's deadline passed while it waited."""
+        self._handles.pop(id(handle), None)
+        self._expire(
+            handle,
+            "request {request_id} expired after waiting {waited_ms:.1f} ms "
+            "(deadline {deadline_ms:.1f} ms)",
+        )
+
+    def _expire(self, handle: RequestHandle, message: str) -> None:
+        """End ``handle`` at its deadline: count it, emit its
+        :class:`ExpiredEvent` and fail it with :class:`DeadlineExpiredError`.
+
+        ``message`` is the error's text, a format string over
+        ``request_id``, ``waited_ms`` and ``deadline_ms``.
+        """
         self.stats.expired += 1
         self._observe_terminal(handle, "expired")
         waited = time.perf_counter() - handle.submitted_at
@@ -758,11 +757,13 @@ class OptimizationServer:
         )
         handle._fail(
             DeadlineExpiredError(
-                f"request {handle.request_id} expired after waiting "
-                f"{waited * 1e3:.1f} ms (deadline {deadline * 1e3:.1f} ms)"
+                message.format(
+                    request_id=handle.request_id,
+                    waited_ms=waited * 1e3,
+                    deadline_ms=deadline * 1e3,
+                )
             )
         )
-        self._handles.pop(id(handle), None)
 
     async def _process(
         self, handle: RequestHandle, expires_at: Optional[float]
@@ -854,7 +855,9 @@ class OptimizationServer:
                         await asyncio.gather(solve, return_exceptions=True)
                         degraded = True
                         self.stats.degraded += 1
-                        health.incr("serving.degraded")
+                        obs_metrics.REGISTRY.counter(
+                            "health.serving.degraded"
+                        ).inc()
                         assert self._fallback_strategy is not None
                         strategy = self._fallback_strategy
                         fallback_keys = {
@@ -899,24 +902,9 @@ class OptimizationServer:
         except asyncio.TimeoutError:
             if self._handles.pop(id(handle), None) is None:
                 return  # the watchdog (or cancel) beat us to the expiry
-            self.stats.expired += 1
-            self._observe_terminal(handle, "expired")
-            waited = time.perf_counter() - handle.submitted_at
-            deadline = (
-                request.deadline_s or self.config.default_deadline_s or 0.0
-            )
-            handle._emit(
-                ExpiredEvent(
-                    request_id=handle.request_id,
-                    deadline_s=deadline,
-                    waited_s=waited,
-                )
-            )
-            handle._fail(
-                DeadlineExpiredError(
-                    f"request {handle.request_id} expired mid-flight after "
-                    f"{waited * 1e3:.1f} ms"
-                )
+            self._expire(
+                handle,
+                "request {request_id} expired mid-flight after {waited_ms:.1f} ms",
             )
             return
         except asyncio.CancelledError:
@@ -1046,10 +1034,11 @@ class OptimizationServer:
 
         ``cache_hits`` is the memory-tier pass of every distinct key
         (``None`` where it missed).  The misses go to the disk tier in one
-        thread-pool trip, then every shape still missing is solved at
-        once, one single-flight solve each on the shared thread pool,
-        streaming per-layer progress events.  Returns ``(shape_key ->
-        result, cached shape keys, coalesced operator count)``.
+        thread-pool trip, then every shape still missing joins or leads
+        its key's cache flight (a leader solves on the shared thread
+        pool), streaming per-layer progress events.  Returns
+        ``(shape_key -> result, cached shape keys, coalesced operator
+        count)``.
         """
         loop = asyncio.get_running_loop()
         assert self._pool is not None
@@ -1074,40 +1063,25 @@ class OptimizationServer:
         with span(
             "serving.solve", request_id=handle.request_id, misses=len(misses)
         ):
-            # Solver spans run on pool threads, which do not inherit this
-            # task's contextvars — ship the in-span ancestry explicitly.
-            solve_ctx = current_context()
-
-            async def solve_shape(shape_key: str) -> Tuple[str, StrategyResult, bool]:
+            # One cache flight per missing shape, registered right here on
+            # the loop: a leader's solve runs on the pool (carrying this
+            # span's trace context), a follower awaits the leader's future
+            # without holding a pool thread.
+            flights = {}
+            for shape_key in misses:
                 cache_key = keys[shape_key]
-                was_inflight = self._singleflight.is_inflight(cache_key)
-                if was_inflight:
+                solve = partial(self._solve, strategy, cache_key, distinct[shape_key])
+                flight, coalesced = self.cache.flight(cache_key, solve, self._pool)
+                if coalesced:
                     self.stats.operators_coalesced += len(layers[shape_key])
+                flights[shape_key] = flight, coalesced
 
-                def compute() -> StrategyResult:
-                    with self._solve_lock:
-                        self.solve_counts[cache_key] = (
-                            self.solve_counts.get(cache_key, 0) + 1
-                        )
-                        self.stats.solves += 1
-                    # Chaos hook: stall/raise one strategy's solves (keyed by
-                    # strategy name so a fallback solve can stay healthy).
-                    fault_point("serving.solve", key=strategy.name)
-                    return strategy.search(distinct[shape_key], self.machine)
+            async def landed(shape_key: str) -> Tuple[str, StrategyResult, bool]:
+                flight, coalesced = flights[shape_key]
+                result = await asyncio.shield(asyncio.wrap_future(flight))
+                return shape_key, result, coalesced
 
-                def get_or_compute() -> StrategyResult:
-                    with activate(solve_ctx):
-                        return self.cache.get_or_compute(cache_key, compute)
-
-                result = await self._singleflight.run(
-                    cache_key,
-                    lambda: loop.run_in_executor(self._pool, get_or_compute),
-                )
-                return shape_key, result, was_inflight
-
-            tasks = [
-                asyncio.ensure_future(solve_shape(shape_key)) for shape_key in misses
-            ]
+            tasks = [asyncio.ensure_future(landed(shape_key)) for shape_key in misses]
             try:
                 for finished in asyncio.as_completed(tasks):
                     shape_key, result, coalesced = await finished
@@ -1120,6 +1094,18 @@ class OptimizationServer:
                     task.cancel()
                 raise
         return solved, cached_keys, coalesced_ops
+
+    def _solve(
+        self, strategy: SearchStrategy, cache_key: str, spec: ConvSpec
+    ) -> StrategyResult:
+        """One strategy solve of a flight's leader, counted per key."""
+        with self._solve_lock:
+            self.solve_counts[cache_key] = self.solve_counts.get(cache_key, 0) + 1
+            self.stats.solves += 1
+        # Chaos hook: stall/raise one strategy's solves (keyed by strategy
+        # name so a fallback solve can stay healthy).
+        fault_point("serving.solve", key=strategy.name)
+        return strategy.search(spec, self.machine)
 
     # ------------------------------------------------------------------
     def _cache_key(

@@ -5,9 +5,11 @@ many threads (the solve pool) and event-loop tasks (coalesced requests)
 hit one :class:`~repro.engine.cache.ResultCache` at once.  These tests
 pin the contracts that concurrency relies on:
 
-* **single-flight** — concurrent ``get_or_compute`` calls on the same
-  key run the computation exactly once, across plain threads, thread
-  pools and event-loop tasks delegating to executors;
+* **single-flight** — concurrent ``get_or_compute`` calls and
+  ``flight`` waiters on the same key run the computation exactly once,
+  across plain threads, thread pools and event-loop tasks awaiting the
+  flight's future, and a leader job cancelled before it runs releases
+  its key;
 * **LRU correctness under contention** — the memory tier never exceeds
   its bound, never corrupts its bookkeeping, and hit/miss counters stay
   consistent while threads hammer overlapping keys;
@@ -18,6 +20,7 @@ pin the contracts that concurrency relies on:
 """
 
 import asyncio
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -172,6 +175,227 @@ class TestSingleFlightThreads:
         results = asyncio.run(scenario())
         assert counter.counts == {"shared": 1}
         assert len({r.spec_name for r in results}) == 1
+
+
+class TestOneFlightTable:
+    """Threads and event-loop tasks share one in-flight table: every
+    caller of ``flight`` or ``get_or_compute`` on a key joins one
+    computation, led on an executor or inline."""
+
+    @staticmethod
+    async def _await(flight):
+        return await asyncio.shield(asyncio.wrap_future(flight))
+
+    @staticmethod
+    def _threads(count, target):
+        threads = [threading.Thread(target=target) for _ in range(count)]
+        for thread in threads:
+            thread.start()
+        return threads
+
+    @staticmethod
+    def _join(threads):
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+    def test_mixed_followers_share_one_computation(self):
+        cache = ResultCache()
+        counter = _SolveCounter()
+        gate = threading.Event()
+        compute = counter.compute_for("k")
+        thread_results = []
+
+        def gated():
+            assert gate.wait(10)
+            return compute()
+
+        async def scenario():
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                flight, coalesced = cache.flight("k", gated, pool)
+                assert not coalesced
+                threads = self._threads(
+                    4,
+                    lambda: thread_results.append(cache.get_or_compute("k", compute)),
+                )
+                joined = [cache.flight("k", compute, pool) for _ in range(4)]
+                assert all(coalesced for _, coalesced in joined)
+                waiters = [self._await(f) for f, _ in joined] + [self._await(flight)]
+                while cache.stats.coalesced < 8:
+                    await asyncio.sleep(0.001)
+                gate.set()
+                loop_results = await asyncio.gather(*waiters)
+            self._join(threads)
+            return loop_results
+
+        loop_results = asyncio.run(scenario())
+        assert counter.counts == {"k": 1}
+        assert cache.stats.computes == 1 and cache.stats.coalesced == 8
+        assert {r.spec_name for r in loop_results + thread_results} == {"k"}
+        assert len(thread_results) == 4
+
+    def test_distinct_keys_run_independently(self):
+        """Key ``a``'s computation waits for key ``b``'s to have run: a
+        flight that serialized distinct keys would deadlock."""
+        cache = ResultCache()
+        b_ran, release_a = threading.Event(), threading.Event()
+
+        def compute_a():
+            assert b_ran.wait(10) and release_a.wait(10)
+            return _result("a")
+
+        def compute_b():
+            b_ran.set()
+            return _result("b")
+
+        async def scenario():
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                a, _ = cache.flight("a", compute_a, pool)
+                b, _ = cache.flight("b", compute_b, pool)
+                again, coalesced = cache.flight("a", compute_a, pool)
+                assert coalesced and again is a
+                release_a.set()
+                return await asyncio.gather(self._await(a), self._await(b))
+
+        results = asyncio.run(scenario())
+        assert [r.spec_name for r in results] == ["a", "b"]
+        assert cache.stats.computes == 2
+
+    def test_error_reaches_every_waiter_and_releases_key(self):
+        cache = ResultCache()
+        gate = threading.Event()
+        thread_errors = []
+
+        def failing():
+            assert gate.wait(10)
+            raise RuntimeError("shared failure")
+
+        def follow():
+            try:
+                cache.get_or_compute("k", failing)
+            except RuntimeError as error:
+                thread_errors.append(error)
+
+        async def scenario():
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                flight, _ = cache.flight("k", failing, pool)
+                followers = [self._await(cache.flight("k", failing, pool)[0])]
+                threads = self._threads(2, follow)
+                while cache.stats.coalesced < 3:
+                    await asyncio.sleep(0.001)
+                gate.set()
+                outcomes = await asyncio.gather(
+                    self._await(flight), *followers, return_exceptions=True
+                )
+            self._join(threads)
+            return outcomes
+
+        outcomes = asyncio.run(scenario())
+        assert [str(o) for o in outcomes] == ["shared failure"] * 2
+        assert [str(e) for e in thread_errors] == ["shared failure"] * 2
+        # Released: the next caller leads a fresh computation.
+        flight, coalesced = cache.flight("k", lambda: _result("k"))
+        assert not coalesced and flight.result().spec_name == "k"
+
+    def test_cancelled_follower_does_not_cancel_the_computation(self):
+        cache = ResultCache()
+        counter = _SolveCounter()
+        gate = threading.Event()
+        compute = counter.compute_for("k")
+
+        def gated():
+            assert gate.wait(10)
+            return compute()
+
+        async def scenario():
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                flight, _ = cache.flight("k", gated, pool)
+                quitter = asyncio.ensure_future(
+                    self._await(cache.flight("k", compute, pool)[0])
+                )
+                stayer = asyncio.ensure_future(
+                    self._await(cache.flight("k", compute, pool)[0])
+                )
+                await asyncio.sleep(0.01)
+                quitter.cancel()
+                await asyncio.gather(quitter, return_exceptions=True)
+                gate.set()
+                return flight, quitter, await stayer
+
+        flight, quitter, result = asyncio.run(scenario())
+        assert quitter.cancelled() and not flight.cancelled()
+        assert result.spec_name == "k" and flight.result() is result
+        assert counter.counts == {"k": 1}
+        assert cache.get("k") is result
+
+    def test_cancelled_leader_job_fails_its_flight_and_releases_key(self):
+        """``shutdown(cancel_futures=True)`` cancels a leader job that has
+        not started: its waiters get an error instead of waiting forever,
+        and the next caller computes the key."""
+        cache = ResultCache()
+        counter = _SolveCounter()
+        busy, release = threading.Event(), threading.Event()
+        pool = ThreadPoolExecutor(max_workers=1)
+
+        def blocker():
+            busy.set()
+            assert release.wait(10)
+
+        blocking = pool.submit(blocker)
+        assert busy.wait(10)
+        flight, coalesced = cache.flight("k", counter.compute_for("k"), pool)
+        assert not coalesced
+        follower, coalesced = cache.flight("k", counter.compute_for("k"))
+        assert coalesced and follower is flight
+        pool.shutdown(wait=False, cancel_futures=True)
+        with pytest.raises(RuntimeError, match="cancelled before it ran"):
+            flight.result(timeout=10)
+        release.set()
+        blocking.result(timeout=10)
+        assert counter.counts == {}
+        result = cache.get_or_compute("k", counter.compute_for("k"))
+        assert result.spec_name == "k" and counter.counts == {"k": 1}
+
+    def test_stress_threads_and_loop_tasks_compute_each_key_once(self):
+        """16 threads and 16 event-loop tasks on 8 keys, with a short
+        switch interval: every key is computed once, and every call is
+        counted exactly once as a compute, a coalesce or a memory hit."""
+        cache = ResultCache()
+        counter = _SolveCounter(delay_s=0.001)
+        keys = [f"key{i}" for i in range(8)]
+        calls = 32 * len(keys)
+
+        def walk(index):
+            for step in range(len(keys)):
+                key = keys[(index + step) % len(keys)]
+                assert cache.get_or_compute(key, counter.compute_for(key)).spec_name == key
+
+        async def scenario(pool):
+            async def walk_async(index):
+                for step in range(len(keys)):
+                    key = keys[(index + step) % len(keys)]
+                    flight, _ = cache.flight(key, counter.compute_for(key), pool)
+                    assert (await self._await(flight)).spec_name == key
+
+            await asyncio.gather(*(walk_async(index) for index in range(16)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threads = [
+                    threading.Thread(target=walk, args=(index,)) for index in range(16)
+                ]
+                for thread in threads:
+                    thread.start()
+                asyncio.run(scenario(pool))
+                self._join(threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counter.counts == {key: 1 for key in keys}
+        stats = cache.stats
+        assert stats.computes == len(keys)
+        assert stats.computes + stats.coalesced + stats.memory_hits == calls
 
 
 # ----------------------------------------------------------------------

@@ -25,19 +25,15 @@ from repro.engine.chunk_store import (
     merge_result_stores,
 )
 from repro.engine.strategy import StrategyResult
-from repro.reliability import (
-    FaultInjector,
-    activate,
-    health_get,
-    health_reset,
-)
+from repro.obs.metrics import REGISTRY
+from repro.reliability import FaultInjector, activate
 
 
 @pytest.fixture(autouse=True)
 def _fresh_health_counters():
-    health_reset()
+    REGISTRY.remove("health.")
     yield
-    health_reset()
+    REGISTRY.remove("health.")
 
 
 def _payload(name: str) -> dict:
@@ -215,7 +211,7 @@ class TestTornTail:
         fresh = ChunkedResultStore(tmp_path, max_chunk_entries=100)
         assert len(fresh) == 9  # the torn record is gone, the rest intact
         assert fresh.quarantined == 1
-        assert health_get("cache.quarantined") == 1
+        assert REGISTRY.counter_value("health.cache.quarantined") == 1
         assert fresh.get("key9") is None
         for index in range(9):
             assert fresh.get(f"key{index}") == _payload(f"v{index}")
@@ -258,8 +254,11 @@ class TestTornTail:
         # Nothing was truncated: appends go on after the last record.
         fresh.put("k4", _payload("k4"))
         fresh.close()
+        # The torn record was counted once: a second reopen does not count
+        # it again, and it stays a dead entry until compaction drops it.
         again = ChunkedResultStore(tmp_path)
-        assert again.quarantined == 1
+        assert again.quarantined == 0
+        assert again.reliability_stats()["dead_entries"] == 1
         assert [again.get(key) for key in ("k2", "k3", "k4")] == [
             _payload(key) for key in ("k2", "k3", "k4")
         ]
@@ -301,7 +300,7 @@ class TestEvictionAndCompaction:
         for index in range(8):  # overwrite: the sealed chunk goes dead
             store.put(f"key{index}", _payload(f"new{index}"))
         assert store.compactions >= 1
-        assert health_get("cache.compactions") >= 1
+        assert REGISTRY.counter_value("health.cache.compactions") >= 1
         for index in range(8):
             assert store.get(f"key{index}") == _payload(f"new{index}")
         store.close()
@@ -333,8 +332,8 @@ class TestReliabilityParity:
             with pytest.warns(RuntimeWarning, match="degraded"):
                 store.put("a", _payload("a"))
         assert store.degraded is True
-        assert health_get("cache.write_errors") == 1
-        assert health_get("cache.degraded") == 1
+        assert REGISTRY.counter_value("health.cache.write_errors") == 1
+        assert REGISTRY.counter_value("health.cache.degraded") == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the warning fires exactly once
             store.put("b", _payload("b"))  # silently memory-only now

@@ -9,7 +9,7 @@ The obs package (PR 9) threads three facilities through the codebase:
   One trace id must survive both hops.
 * **Unified metrics registry** — counters / gauges / fixed-bucket
   histograms plus named collectors, subsuming the per-subsystem stat
-  dicts (``reliability.health``, ``CompileCache.stats()``,
+  dicts (the ``health.*`` counters, ``CompileCache.stats()``,
   ``table_cache_stats()``, ``pool_stats()``) while every historical
   payload shape stays bit-identical.
 * **Heartbeat sidecars** — atomic per-shard progress files that
@@ -37,7 +37,7 @@ from repro.obs import heartbeat as hb
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry, REGISTRY
 from repro.obs.summary import render_summary, summarize
-from repro.reliability import health
+import repro.reliability  # noqa: F401 — registers the "reliability" collector
 
 QUICK = SolverOptions(multistarts=0, maxiter=40, fallback_samples=50)
 
@@ -158,31 +158,17 @@ class TestMetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# health shim over the registry
+# health counters in the registry
 # ----------------------------------------------------------------------
-class TestHealthShim:
+class TestHealthCounters:
     @pytest.fixture(autouse=True)
     def _clean(self):
-        health.reset()
+        REGISTRY.remove("health.")
         yield
-        health.reset()
-
-    def test_incr_get_counters_roundtrip(self):
-        assert health.health_counters() == {}
-        assert health.incr("retries") == 1
-        assert health.incr("retries", 2) == 3
-        assert health.get("retries") == 3
-        assert health.get("never") == 0
-        assert health.health_counters() == {"retries": 3}
-
-    def test_reset_restores_only_what_fired(self):
-        health.incr("pool_rebuilds")
-        health.reset()
-        # A cleared counter must not linger as a zero entry.
-        assert health.health_counters() == {}
+        REGISTRY.remove("health.")
 
     def test_reliability_collector_mirrors_health(self):
-        health.incr("disk_write_errors")
+        REGISTRY.counter("health.disk_write_errors").inc()
         assert REGISTRY.collect("reliability") == {"disk_write_errors": 1}
 
 

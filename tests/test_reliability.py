@@ -4,7 +4,7 @@ Every scenario here arms a named fault point (:mod:`repro.reliability.
 faults`) and asserts two things: the system *survives* the failure
 (results still come back, bitwise-identical wherever the recovery path
 re-runs the same solve code), and the degradation is *observable* (the
-matching :mod:`repro.reliability.health` counter fired).  Covered:
+matching ``health.*`` counter of the metrics registry fired).  Covered:
 
 * :class:`~repro.reliability.RetryPolicy` — deterministic jitter
   schedule, deadline abandonment, retry counters;
@@ -49,6 +49,7 @@ from repro.engine import StrategyResult, strategy_registry
 from repro.engine.cache import ResultCache
 from repro.engine.chunk_store import CACHE_FORMAT_VERSION, ChunkedResultStore
 from repro.machine.presets import tiny_test_machine
+from repro.obs.metrics import REGISTRY
 from repro.reliability import (
     FaultInjector,
     RetryPolicy,
@@ -56,9 +57,6 @@ from repro.reliability import (
     active_injector,
     fault_fires,
     fault_point,
-    health_counters,
-    health_get,
-    health_reset,
 )
 from repro.serving import (
     DeadlineExpiredError,
@@ -103,9 +101,9 @@ def _candidate_table(result):
 @pytest.fixture(autouse=True)
 def _fresh_health():
     """Zeroed health counters per test so deltas are exact."""
-    health_reset()
+    REGISTRY.remove("health.")
     yield
-    health_reset()
+    REGISTRY.remove("health.")
 
 
 @pytest.fixture
@@ -166,7 +164,7 @@ class TestRetryPolicy:
         assert len(calls) == 3
         assert observed == [1, 2]
         assert sleeps == [0.01, 0.02]
-        assert health_get("test.retries") == 2
+        assert REGISTRY.counter_value("health.test.retries") == 2
 
     def test_run_exhausts_attempts_and_reraises(self):
         calls = []
@@ -338,7 +336,7 @@ class TestSolvePoolRecovery:
         assert injector.fired("solve_pool.kill_worker") == 1
         assert after["pool_rebuilds"] == before["pool_rebuilds"] + 1
         assert after["serial_fallbacks"] == before["serial_fallbacks"]
-        assert health_get("pool_rebuilds") == 1
+        assert REGISTRY.counter_value("health.pool_rebuilds") == 1
         assert _candidate_table(disturbed) == _candidate_table(undisturbed)
         assert disturbed.best.predicted_time_seconds == (
             undisturbed.best.predicted_time_seconds
@@ -358,7 +356,7 @@ class TestSolvePoolRecovery:
         assert injector.fired("solve_pool.kill_worker") == 2
         assert after["pool_rebuilds"] == before["pool_rebuilds"] + 1
         assert after["serial_fallbacks"] == before["serial_fallbacks"] + 1
-        assert health_get("serial_fallbacks") == 1
+        assert REGISTRY.counter_value("health.serial_fallbacks") == 1
         assert _candidate_table(disturbed) == _candidate_table(undisturbed)
 
 
@@ -388,7 +386,7 @@ class TestCacheQuarantine:
         chunk.write_bytes(data[:start] + b"{torn" + data[start + 5 :])
         assert store.get("b") is None
         assert store.quarantined == 1
-        assert health_get("cache.quarantined") == 1
+        assert REGISTRY.counter_value("health.cache.quarantined") == 1
         # The quarantined entry no longer counts against the cap: a new
         # put fits under it without evicting a healthy entry.
         assert len(store) == 2
@@ -428,7 +426,7 @@ class TestCacheQuarantine:
         fresh = ResultCache(tmp_path / "store")
         assert fresh.get("k") is None
         assert fresh.reliability_stats()["quarantined"] == 1
-        assert health_get("cache.quarantined") == 1
+        assert REGISTRY.counter_value("health.cache.quarantined") == 1
 
     def test_readonly_disk_degrades_to_memory_only_not_crash(self, tmp_path):
         """Satellite regression: a read-only cache dir must still serve.
@@ -455,8 +453,8 @@ class TestCacheQuarantine:
         stats = cache.reliability_stats()
         assert stats["degraded"] is True
         assert stats["write_errors"] == 1  # degraded puts stop touching disk
-        assert health_get("cache.write_errors") == 1
-        assert health_get("cache.degraded") == 1
+        assert REGISTRY.counter_value("health.cache.write_errors") == 1
+        assert REGISTRY.counter_value("health.cache.degraded") == 1
         # Results still come back — from the memory tier.
         assert cache.get("k1") == result and cache.get("k2") == result
         assert list((tmp_path / "store").glob("chunk-*.bin")) == []
@@ -572,7 +570,7 @@ class TestServingChaos:
         assert response.operators[0].gflops == 1.0  # the fallback's answer
         assert server.stats.degraded == 1
         assert server.stats.completed == 1 and server.stats.expired == 0
-        assert health_get("serving.degraded") == 1
+        assert REGISTRY.counter_value("health.serving.degraded") == 1
         snapshot = server.stats_snapshot()
         assert snapshot["reliability"]["serving.degraded"] == 1
         assert "cache" in snapshot["reliability"]
@@ -610,7 +608,7 @@ class TestServingChaos:
         server = run(scenario())
         assert server.stats.watchdog_failed == 1
         assert server.stats.expired == 1
-        assert health_get("serving.watchdog_failures") == 1
+        assert REGISTRY.counter_value("health.serving.watchdog_failures") == 1
 
     def test_tcp_client_read_timeout_raises_not_hangs(self, machine):
         async def scenario():
@@ -660,7 +658,7 @@ class TestServingChaos:
         # the connection and the resent request succeeds (idempotent:
         # the re-solve coalesces onto the shared cache/single-flight).
         assert reconnects >= 1
-        assert health_get("tcp.reconnects") == reconnects
+        assert REGISTRY.counter_value("health.tcp.reconnects") == reconnects
         assert response.num_operators == 1
         assert response.strategy == "slow-probe"
 
@@ -719,7 +717,7 @@ class TestSweepChaos:
         assert injector.fired("dse.evaluate") == 1
         assert result.num_candidates == 4
         assert result.failures == 1
-        assert health_get("dse.candidate_failures") == 1
+        assert REGISTRY.counter_value("health.dse.candidate_failures") == 1
         [failed] = result.failed_outcomes()
         assert failed.status == "failed"
         assert "RuntimeError: poisoned candidate" in failed.error
@@ -743,7 +741,7 @@ class TestSweepChaos:
             result = _explore(retry=policy)
         assert result.failures == 0
         assert sum(o.retries for o in result.outcomes) == 2
-        assert health_get("dse.candidate_retries") == 2
+        assert REGISTRY.counter_value("health.dse.candidate_retries") == 2
 
     def test_session_explore_passes_reliability_knobs(self):
         from repro.dse import TooManyFailuresError
@@ -829,10 +827,8 @@ class TestHealthSurfacing:
         }
 
     def test_counters_fold_into_snapshot(self):
-        from repro.reliability import health_incr
-
-        health_incr("pool_rebuilds")
-        health_incr("cache.quarantined", 3)
-        counters = health_counters()
+        REGISTRY.counter("health.pool_rebuilds").inc()
+        REGISTRY.counter("health.cache.quarantined").inc(3)
+        counters = REGISTRY.collect("reliability")
         assert counters["pool_rebuilds"] == 1
         assert counters["cache.quarantined"] == 3

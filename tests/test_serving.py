@@ -1,9 +1,9 @@
 """Tests for the async serving front-end (repro.serving).
 
-Covers the wire protocol (round-trips), the bounded priority queue, the
-single-flight coalescing layer, and the server end to end: request /
-response round-trip, coalescing of identical in-flight requests
-(verified by the solve-count probe), the back-pressure rejection path,
+Covers the wire protocol (round-trips), the bounded priority queue, and
+the server end to end: request / response round-trip, coalescing of
+identical in-flight requests (verified by the solve-count probe; a
+follower holds no pool thread), the back-pressure rejection path,
 deadline expiry (queued and mid-flight), the warm-cache latency bound,
 the TCP transport, and the acceptance demo — 8+ concurrent clients
 requesting overlapping Table 1 networks with every duplicate operator
@@ -46,7 +46,6 @@ from repro.serving import (
     ServerConfig,
     ServerOverloadedError,
     ServingClient,
-    SingleFlight,
     TCPServingClient,
     collect_operator_events,
     decode_message,
@@ -273,75 +272,6 @@ class TestBoundedRequestQueue:
 
 
 # ----------------------------------------------------------------------
-# SingleFlight (event-loop coalescing)
-# ----------------------------------------------------------------------
-class TestSingleFlight:
-    def test_concurrent_same_key_runs_once(self):
-        async def scenario():
-            flight = SingleFlight()
-            calls = []
-
-            async def supplier():
-                calls.append(1)
-                await asyncio.sleep(0.01)
-                return "value"
-
-            results = await asyncio.gather(
-                *(flight.run("k", supplier) for _ in range(10))
-            )
-            return calls, results, flight
-
-        calls, results, flight = run(scenario())
-        assert len(calls) == 1
-        assert results == ["value"] * 10
-        assert flight.leaders == 1 and flight.coalesced == 9
-        assert len(flight) == 0  # registration dropped after completion
-
-    def test_distinct_keys_run_independently(self):
-        async def scenario():
-            flight = SingleFlight()
-            ran = []
-
-            def supplier_for(key):
-                async def supplier():
-                    ran.append(key)
-                    return key
-
-                return supplier
-
-            return ran, await asyncio.gather(
-                *(flight.run(k, supplier_for(k)) for k in ("a", "b", "a"))
-            )
-
-        ran, results = run(scenario())
-        assert sorted(ran) == ["a", "b"]
-        assert results == ["a", "b", "a"]
-
-    def test_error_propagates_to_all_waiters_and_releases_key(self):
-        async def scenario():
-            flight = SingleFlight()
-
-            async def boom():
-                await asyncio.sleep(0.005)
-                raise RuntimeError("shared failure")
-
-            outcomes = await asyncio.gather(
-                *(flight.run("k", boom) for _ in range(3)),
-                return_exceptions=True,
-            )
-            assert not flight.is_inflight("k")
-
-            async def ok():
-                return 42
-
-            return outcomes, await flight.run("k", ok)
-
-        outcomes, retried = run(scenario())
-        assert all(isinstance(o, RuntimeError) for o in outcomes)
-        assert retried == 42
-
-
-# ----------------------------------------------------------------------
 # Server end to end
 # ----------------------------------------------------------------------
 class TestServerRoundTrip:
@@ -446,6 +376,67 @@ class TestCoalescing:
 
         server = run(scenario())
         assert server.stats.solves == 12  # distinct resnet18 shapes only
+        assert server.duplicate_solves() == 0
+
+    def test_follower_holds_no_pool_thread(
+        self, machine, small_spec, pointwise_spec, tmp_path
+    ):
+        """One solve thread; a slow miss and its coalesced duplicate are in
+        flight.  The follower queued nothing on the pool, so a third
+        request whose operator is on disk still completes: its disk
+        lookup is the only job waiting behind the leader's solve."""
+        started, gate = threading.Event(), threading.Event()
+
+        @dataclass(frozen=True)
+        class GatedStrategy(ProbeStrategy):
+            def search(self, spec, machine):
+                started.set()
+                assert gate.wait(10), "the gate never opened"
+                return super().search(spec, machine)
+
+        strategy = GatedStrategy()
+        cache = ResultCache(tmp_path)
+        stored = StrategyResult(
+            strategy="probe", spec_name=pointwise_spec.name, gflops=3.0,
+            time_seconds=1.0, search_seconds=0.0,
+        )
+        key = cache.key_for(pointwise_spec, machine, strategy)
+        cache.disk.put(key, stored.to_dict())
+
+        async def until(condition):
+            for _ in range(2000):
+                if condition():
+                    return
+                await asyncio.sleep(0.005)
+            raise AssertionError("timed out")
+
+        async def scenario():
+            config = ServerConfig(workers=4, solve_threads=1)
+            server = OptimizationServer(machine, strategy, cache=cache, config=config)
+            async with server:
+                slow = server.submit(OptimizeRequest((small_spec,)))
+                duplicate = server.submit(OptimizeRequest((small_spec,)))
+                await until(lambda: server.stats.operators_coalesced == 1)
+                await until(started.is_set)
+                # The leader's solve holds the one pool thread, and the
+                # follower queued no job behind it.
+                assert server._pool._work_queue.empty()
+                on_disk = server.submit(OptimizeRequest((pointwise_spec,)))
+                await asyncio.sleep(0.02)
+                gate.set()
+                responses = await asyncio.wait_for(
+                    asyncio.gather(slow.result(), duplicate.result(), on_disk.result()),
+                    10,
+                )
+                return server, responses
+
+        try:
+            server, (slow, duplicate, on_disk) = run(scenario())
+        finally:
+            cache.disk.close()
+        assert sorted([slow.coalesced, duplicate.coalesced]) == [0, 1]
+        assert on_disk.cache_hits == 1
+        assert server.stats.solves == 1
         assert server.duplicate_solves() == 0
 
     def test_sequential_requests_hit_cache_not_singleflight(self, machine):
