@@ -447,8 +447,10 @@ class Session:
 
         The ``"solver"`` entry counts SLSQP activity in this process:
         ``slsqp_runs``, the ``gradient_requests`` of the driver's runs,
-        the finite-difference ``probe_rows`` that answered them and the
-        ``evaluator_compiles`` of generated code; ``blas_threads_pinned``
+        the finite-difference ``probe_rows`` that answered them, the runs
+        and kernel iterations per exit status (``runs_<status>``,
+        ``iterations_<status>``: ``converged``, ``iteration_limit``,
+        ``other``) and the ``evaluator_compiles`` of generated code; ``blas_threads_pinned``
         says whether scipy's OpenBLAS was pinned to one thread (``None``
         before the first solve).  Solves in the forked solve-pool
         workers are not counted here.

@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs.metrics import REGISTRY as _METRICS_REGISTRY
 from .config import TilingConfig
@@ -411,91 +411,211 @@ def evaluator_compiles() -> int:
 
 
 def _plan_source(plans, unit_stride: bool, unit_dilation: bool) -> str:
-    """Source of ``make(stride, dilation) -> (volume_floats, footprint_floats)``.
+    """Source of ``make(stride, dilation)``, which returns
+    ``(volume_floats, footprint_floats, lanes)``.
 
-    The generated volume function performs exactly the IEEE-754
-    operations of :func:`volume_general`, in the same order (the two agree
-    bitwise; the footprint function sums Out + Ker + In, unlike
-    :func:`combined_footprint`): the running product of ratios
+    The model is first written as straight single-assignment lines
+    ``target = template`` over the unpacked ``p_<i>`` (problem extents)
+    and ``t_<i>`` (tiles).  The generated volume function performs exactly
+    the IEEE-754 operations of :func:`volume_general`, in the same order
+    (the two agree bitwise; the footprint function sums Out + Ker + In,
+    unlike :func:`combined_footprint`): the running product of ratios
     ``1.0 * r_a * r_b`` is emitted as ``r_a * r_b`` (``1.0 * x`` is
     exact), a case-1 factor of 1.0 is dropped the same way, and a unit
     stride or dilation is not multiplied (``x * 1`` is exact).  ``min`` /
     ``max`` become the conditional expressions CPython evaluates for them
-    (the first argument wins ties).
+    (the first argument wins ties).  Every left-associated product is one
+    line per prefix (``m3 = m2 * r_s``), and products sharing a prefix
+    share its lines; a line read only once is written into its reader.
+
+    ``lanes(problem, tiles, outer, outer_live, probes, live)`` answers the
+    finite-difference probes that move one level's time in one call.  It
+    returns ``(volume, volumes, footprints, extents)``: the volume at
+    ``(problem, tiles)`` and, for each ``j`` with ``live[j]`` true, the
+    volume and the footprint with tile ``j`` replaced by ``probes[j]``
+    (entry ``j`` of ``volumes`` and ``footprints``), and for each ``j``
+    with ``outer_live[j]`` true the volume with extent ``j`` replaced by
+    ``outer[j]`` (``extents``; the other entries are ``None``).  It
+    computes the lines that do not read a replaced input once and per lane
+    recomputes only those that do, from the longest clean prefix of each
+    product on, so each lane is bitwise the plain function at its probe
+    point.
     """
-    names = {position: index for position, index in enumerate(LOOP_INDICES)}
+    names = dict(enumerate(LOOP_INDICES))
+    lines: List[Tuple[str, str, Tuple[str, ...]]] = []
+    prefixes: Dict[Tuple[str, ...], str] = {}
 
-    def times(value: str, factor: str, unit: bool) -> str:
-        return value if unit else f"{value} * {factor}"
+    def line(target: str, template: str, *reads: str) -> str:
+        lines.append((target, template, reads))
+        return target
 
-    stride_h = times("(t_h - 1)", "stride", unit_stride)
-    stride_w = times("(t_w - 1)", "stride", unit_stride)
-    dil_r = times("(t_r - 1)", "dilation", unit_dilation)
-    dil_s = times("(t_s - 1)", "dilation", unit_dilation)
-    tiles = ", ".join(f"t_{i}" for i in LOOP_INDICES)
-    lines = [
-        "def make(stride, dilation):",
-        "    def volume_floats(problem, tiles):",
-        f"        {', '.join(f'p_{i}' for i in LOOP_INDICES)} = problem",
-        f"        {tiles} = tiles",
-        f"        ext_h = {stride_h} + {dil_r} + 1",
-        f"        ext_w = {stride_w} + {dil_s} + 1",
-    ]
+    def product(factors: List[str], target: Optional[str] = None) -> Optional[str]:
+        if not factors:
+            return None
+        name = factors[0]
+        for end in range(2, len(factors) + 1):
+            key = tuple(factors[:end])
+            if key not in prefixes:
+                last = end == len(factors) and target is not None
+                prefixes[key] = line(
+                    target if last else f"m{len(prefixes)}", "{} * {}", name, key[-1]
+                )
+            name = prefixes[key]
+        return name
+
+    def times(template: str, factor: str, unit: bool) -> str:
+        return template if unit else f"{template} * {factor}"
+
+    for extent, (outer, inner) in (("ext_h", ("h", "r")), ("ext_w", ("w", "s"))):
+        stride = times("({} - 1)", "stride", unit_stride)
+        dilation = times("({} - 1)", "dilation", unit_dilation)
+        line(extent, f"{stride} + {dilation} + 1", f"t_{outer}", f"t_{inner}")
     ratios = sorted(
         {position for _, idx, _, _ in plans for position in idx}
         | {iterator for _, _, partial, iterator in plans if partial}
     )
     for position in ratios:
         index = names[position]
-        lines.append(f"        r_{index} = p_{index} / t_{index}")
+        line(f"r_{index}", "{} / {}", f"p_{index}", f"t_{index}")
     footprints = {
-        "Out": "t_n * t_k * t_h * t_w",
-        "Ker": "t_k * t_c * t_r * t_s",
-        "In": "t_n * t_c * ext_h * ext_w",
+        "Out": product(["t_n", "t_k", "t_h", "t_w"], "fp_out"),
+        "Ker": product(["t_k", "t_c", "t_r", "t_s"], "fp_ker"),
+        "In": product(["t_n", "t_c", "ext_h", "ext_w"], "fp_in"),
     }
     terms = []
     for tensor, idx, partial, iterator in plans:
-        name = tensor.lower()
-        product = " * ".join(f"r_{names[position]}" for position in idx)
-        lines.append(f"        fp_{name} = {footprints[tensor]}")
+        ratio = product([f"r_{names[position]}" for position in idx])
+        footprint = footprints[tensor]
+        term = f"v_{tensor.lower()}"
         if partial:
             index = names[iterator]
-            lines.append(f"        steps = r_{index} - 1.0")
-            lines.append("        steps = 0.0 if 0.0 > steps else steps")
-            if index in ("w", "h"):
-                shift = times(f"t_{index}", "stride", unit_stride)
-            else:
-                shift = times(f"t_{index}", "dilation", unit_dilation)
+            line("over", "{} - 1.0", f"r_{index}")
+            line("steps", "0.0 if 0.0 > {} else {}", "over", "over")
+            move = f"t_{index}"
+            if index in ("w", "h") and not unit_stride:
+                move = line("move", "{} * stride", move)
+            elif index in ("s", "r") and not unit_dilation:
+                move = line("move", "{} * dilation", move)
             extent = "ext_w" if index in ("w", "s") else "ext_h"
-            lines.append(f"        shift = {shift}")
-            lines.append(f"        shift = shift if shift < {extent} else {extent}")
+            line("shift", "{} if {} < {} else {}", move, move, extent, extent)
             if extent == "ext_w":
-                extra = "t_n * t_c * ext_h * shift * steps"
+                extra = product(["t_n", "t_c", "ext_h", "shift", "steps"])
             else:
-                extra = "t_n * t_c * shift * ext_w * steps"
-            body = f"({extra} + fp_{name})"
-            value = f"({product}) * {body}" if product else body
+                extra = product(["t_n", "t_c", "shift", "ext_w", "steps"])
+            fill = line("fill", "{} + {}", extra, footprint)
+            if ratio:
+                line(term, "{} * {}", ratio, fill)
+            else:
+                term = fill
         elif tensor == "Out":
             factor = repr(OUT_TRAFFIC_FACTOR)
-            value = f"{factor} * ({product})" if product else factor
-            value = f"{value} * fp_{name}"
+            if ratio:
+                line(term, factor + " * {} * {}", ratio, footprint)
+            else:
+                line(term, factor + " * {}", footprint)
+        elif ratio:
+            line(term, "{} * {}", ratio, footprint)
         else:
-            value = f"({product}) * fp_{name}" if product else f"fp_{name}"
-        lines.append(f"        v_{name} = {value}")
-        terms.append(f"v_{name}")
-    lines += [
-        f"        return 0.0 + {' + '.join(terms)}",
+            term = footprint
+        terms.append(term)
+    line("volume", "0.0 + " + " + ".join("{}" for _ in terms), *terms)
+    line("footprint", "{} + {} + {}", footprints["Out"], footprints["Ker"], footprints["In"])
+
+    # The inputs (``t_<i>``, ``p_<i>``) each target reads, directly or not.
+    inputs: Dict[str, frozenset] = {}
+    for target, _, reads in lines:
+        inputs[target] = frozenset().union(*(inputs.get(read, (read,)) for read in reads))
+
+    def needed(*outputs: str) -> List[Tuple[str, str, Tuple[str, ...]]]:
+        wanted = set(outputs)
+        for target, _, reads in reversed(lines):
+            if target in wanted:
+                wanted.update(reads)
+        return [entry for entry in lines if entry[0] in wanted]
+
+    def emit(entries, renamed: Dict[str, str], indent: str, keep=frozenset()) -> List[str]:
+        """Assignments of ``entries`` under ``renamed``.  A target read
+        once among them (and not in ``keep``) is written into its reader
+        instead, parenthesized unless it extends a product from the left."""
+        uses = Counter(read for _, _, reads in entries for read in reads)
+        inlined: Dict[str, Tuple[str, str]] = {}
+        source = []
+        for target, template, reads in entries:
+            args = [inlined.pop(read, None) or renamed.get(read, read) for read in reads]
+            for slot, arg in enumerate(args):
+                if type(arg) is tuple:
+                    text, form = arg
+                    left = slot == 0 and form == "{} * {}" and template.startswith("{} * ")
+                    args[slot] = text if left else f"({text})"
+            expression = template.format(*args)
+            if uses[target] == 1 and target not in keep:
+                inlined[target] = (expression, template)
+            else:
+                source.append(f"{indent}{renamed.get(target, target)} = {expression}")
+        return source
+
+    def header(name: str, args: Sequence[Tuple[str, str]]) -> List[str]:
+        source = [f"    def {name}({', '.join(arg for _, arg in args)}):"]
+        for prefix, arg in args:
+            unpacked = ", ".join(prefix + index for index in LOOP_INDICES)
+            source.append(f"        {unpacked} = {arg}")
+        return source
+
+    def plain(name: str, args: Sequence[Tuple[str, str]], output: str) -> List[str]:
+        body = emit(needed(output), {}, "        ")
+        body[-1] = body[-1].replace(f"{output} =", "return", 1)
+        return header(name, args) + body + [""]
+
+    # lanes: per probed input (tiles ``t_``, extents ``p_``), its probes,
+    # live flags and the lists its lanes fill.
+    groups = (
+        ("t_", "q_", "u_", {"volume": "volumes", "footprint": "footprints"}),
+        ("p_", "qp_", "up_", {"volume": "extents"}),
+    )
+    blocks = []
+    keep = set()  # base values a lane reads
+    for prefix, probe, live, outputs in groups:
+        entries = needed(*outputs)
+        inner = entries[: -len(outputs)]  # the outputs come last
+        for position, index in enumerate(LOOP_INDICES):
+            probed = prefix + index
+            moved = [entry for entry in inner if probed in inputs[entry[0]]]
+            moved += entries[len(inner) :]
+            renamed = {target: f"{target}_" for target, _, _ in moved}
+            renamed[probed] = probe + index
+            renamed.update(
+                (output, f"{listed}[{position}]") for output, listed in outputs.items()
+            )
+            for _, _, reads in moved:
+                keep.update(read for read in reads if read not in renamed)
+            blocks.append((live + index, moved, renamed))
+
+    source = ["def make(stride, dilation):"]
+    source += plain("volume_floats", (("p_", "problem"), ("t_", "tiles")), "volume")
+    source += plain("footprint_floats", (("t_", "tiles"),), "footprint")
+    source += header(
+        "lanes",
+        (
+            ("p_", "problem"),
+            ("t_", "tiles"),
+            ("qp_", "outer"),
+            ("up_", "outer_live"),
+            ("q_", "probes"),
+            ("u_", "live"),
+        ),
+    )
+    source += emit(needed("volume"), {}, "        ", keep)
+    source.append("        volumes, footprints, extents = [None] * 7, [None] * 7, [None] * 7")
+    for flag, moved, renamed in blocks:
+        source.append(f"        if {flag}:")
+        source += emit(moved, renamed, "            ")
+    source += [
+        "        return volume, volumes, footprints, extents",
         "",
-        "    def footprint_floats(tiles):",
-        f"        {tiles} = tiles",
-        f"        ext_h = {stride_h} + {dil_r} + 1",
-        f"        ext_w = {stride_w} + {dil_s} + 1",
-        f"        return {footprints['Out']} + {footprints['Ker']} + {footprints['In']}",
-        "",
-        "    return volume_floats, footprint_floats",
+        "    return volume_floats, footprint_floats, lanes",
         "",
     ]
-    return "\n".join(lines)
+    return "\n".join(source)
 
 
 # ----------------------------------------------------------------------
@@ -512,7 +632,8 @@ class CompiledPermutationCost:
     float sequences ordered like :data:`LOOP_INDICES`
     (``volume_floats(problem, tiles)``/``footprint_floats(tiles)``, the
     MOpt round problems, their sparse jacobians and the single-level
-    problems).  The pair is generated straight-line Python (see
+    problems), and answers a level point's finite-difference probes in
+    one ``lanes`` call.  They are generated straight-line Python (see
     :func:`_plan_source`; the text is on ``volume_floats.source``) with
     the reuse positions, the partial-reuse case and unit strides resolved
     at generation time; the generic :func:`volume_general` /
@@ -551,8 +672,9 @@ class CompiledPermutationCost:
         make = compile_generated(
             _plan_source(self._float_plans, stride == 1, dilation == 1), "make"
         )
-        self.volume_floats, self.footprint_floats = make(stride, dilation)
-        self.volume_floats.source = self.footprint_floats.source = make.source
+        self.volume_floats, self.footprint_floats, self.lanes = make(stride, dilation)
+        for function in (self.volume_floats, self.footprint_floats, self.lanes):
+            function.source = make.source
 
     # -- interval bounds (basin lower bounds for the min-max solve) --------
     def volume_interval_bound(

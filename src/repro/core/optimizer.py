@@ -699,10 +699,10 @@ def _round_source(kind: str, objective: Optional[int], free: Tuple[bool, ...]) -
     is ``"select"`` (the log-space epigraph problem), ``"refine"`` (the
     hypothesis problem with dominance) or ``"relaxed"`` (without it), and
     ``objective`` is the hypothesis level's index.  The generated
-    ``make(vol, fp, exp, log, **numbers)`` binds the plan's
-    ``volume_floats``/``footprint_floats`` and the round's numbers (by
-    name; the source takes those it reads) as closure constants and
-    returns ``(point, times, gradient)``:
+    ``make(vol, fp, lanes, exp, log, **numbers)`` binds the plan's
+    ``volume_floats``/``footprint_floats``/``lanes`` and the round's
+    numbers (by name; the source takes those it reads) as closure
+    constants and returns ``(point, times, gradient)``:
 
     * ``point(x) -> (objective, constraints)`` evaluates every level time,
       capacity slack, nesting and dominance value of the problem in one
@@ -716,11 +716,13 @@ def _round_source(kind: str, objective: Optional[int], free: Tuple[bool, ...]) -
       :class:`~repro.core.solver.ConstrainedProblem`): for each
       coordinate ``d`` with ``u[d]`` true, in order (column ``k``), it
       takes the probe value and realized step that ``columns(X)`` gives
-      for the point's ``X = x + 0.0`` (a list of the probe values, for
-      select's ``exp``, and an iterator of ``(k, k * rows, probe,
-      step)``), recomputes only the values the
-      coordinate reaches at ``X`` with coordinate ``d`` set to the probe,
-      and writes each difference quotient into the kernel's buffers: the
+      for the point's ``X = x + 0.0`` (``X`` with each free coordinate
+      set to its probe value, which gives each level's probe list, and
+      an iterator of ``(k, k * rows, probe, step)``), recomputes only the
+      values the coordinate reaches at ``X`` with coordinate ``d`` set to
+      the probe (the plan's ``lanes`` answer every probe of a level point
+      in one call, and ``counts`` the tile counts they set), and writes
+      each difference quotient into the kernel's buffers: the
       scaled objective's ``(probe / s - f / s) / step`` into ``g[k]`` and
       the constraint row ``r``'s ``(probe - C[r]) / step`` into
       ``J[k * rows + r]`` (column-major).  Probing tile ``j`` of free
@@ -752,12 +754,9 @@ def _round_source(kind: str, objective: Optional[int], free: Tuple[bool, ...]) -
             used.append(name)
         return name
 
-    # The probes of free level ``probed`` replace its tile list by ``P``.
-    def tile_list(index: int, probed: Optional[int] = None) -> str:
+    def tile_list(index: int) -> str:
         if index == count:
             return const("W")
-        if index == probed:
-            return "P"
         return f"A{index}" if free[index] else const(f"F{index}")
 
     def scalar(index: int, j: int) -> str:
@@ -775,9 +774,9 @@ def _round_source(kind: str, objective: Optional[int], free: Tuple[bool, ...]) -
         ratios = [f"{const(f'E{j}')} / {scalar(index + 1, j)}" for j in range(7)]
         return f"({' * '.join([ratios[0]] + [f'({r})' for r in ratios[1:]])})"
 
-    def level_time(index: int, counts: str, probed: Optional[int] = None) -> str:
+    def level_time(index: int, counts: str) -> str:
         return (
-            f"vol({tile_list(index + 1, probed)}, {tile_list(index, probed)})"
+            f"vol({tile_list(index + 1)}, {tile_list(index)})"
             f" * {counts} / {const(f'B{index}')}"
         )
 
@@ -872,11 +871,14 @@ def _round_source(kind: str, objective: Optional[int], free: Tuple[bool, ...]) -
     times_body = tiles_prologue("T") + time_lines
 
     # gradient(x, u, f, s, C, g, J, columns): what each probe moves, one
-    # loop over the seven tiles per free level (the probed tile ``q``, or
-    # its log ``r``, at ``j``), each quotient written where it is formed.
-    # A level's tile count comes from its outer level: a probe of that
-    # outer level recomputes it (``count``), every other probe reads the
-    # base ``n``.
+    # loop over the seven tiles per free level (the probed tile's probe
+    # ``q``, or its log ``r``, at ``j``), each quotient written where it
+    # is formed.  Level ``i``'s probe list ``Q<i>`` and live flags ``U<i>``
+    # feed one ``lanes`` call per level point: ``V<i>`` is level ``i``'s
+    # volume, ``VT<i>``/``FP<i>`` its volume and footprint under each probe
+    # of its own tiles, and ``VE<i>`` its volume under each probe of the
+    # level outside it (whose tile count ``counts`` gives).  Every other
+    # probe reads the base count ``n<i>`` of a level.
     def item(index: int, probed: int) -> str:
         if index == probed:
             return "r" if select else "q"
@@ -892,46 +894,60 @@ def _round_source(kind: str, objective: Optional[int], free: Tuple[bool, ...]) -
     grad.append("z = fs - fs")
     last = 7 * len(offsets)  # select's log(tau) coordinate
     if select:
-        grad += [
-            "T = exp(x[:-1]).tolist()",
-            f"Q = iter(exp(S[:-1] if u[{last}] else S).tolist())",
-        ]
+        grad += ["T = exp(x[:-1]).tolist()", "Z = exp(S[:-1]).tolist()"]
         grad += ["v = X[-1]"] + tiles_prologue("T")
         grad += [
             f"Y{index} = X[{offset}:{offset + 7}]" for index, offset in offsets.items()
         ]
     else:
         grad += tiles_prologue("X")
+    for index, offset in offsets.items():
+        grad.append(f"Q{index} = {'Z' if select else 'S'}[{offset}:{offset + 7}]")
+        grad.append(f"U{index} = u[{offset}:{offset + 7}]")
     base_counts: Dict[int, str] = {}
-    for index in needed:
-        if index in frozen:
+    for index in range(count):
+        timed = index in needed and index not in frozen
+        if not (timed or free[index]):
+            continue
+        outer, inner = tile_list(index + 1), tile_list(index)
+        extents = f"{outer}, off"
+        if timed and index + 1 < count and free[index + 1]:
+            extents = f"Q{index + 1}, U{index + 1}"
+        probes = f"Q{index}, U{index}" if free[index] else f"{inner}, off"
+        grad.append(
+            f"V{index}, VT{index}, FP{index}, VE{index}"
+            f" = lanes({outer}, {inner}, {extents}, {probes})"
+        )
+        if not timed:
             continue
         if index + 1 < count and free[index + 1]:
-            grad.append(f"n{index} = count(A{index + 1})")
+            outer = index + 1
+            grad.append(
+                f"n{index}, NE{outer} = counts({const('W')}, A{outer}, Q{outer}, U{outer})"
+            )
             base_counts[index] = f"n{index}"
         else:
             base_counts[index] = const(f"C{index}")
-    if kind != "relaxed":
-        grad += [
-            f"t{index} = {level_time(index, base_counts[index])}"
-            for index in needed
-            if index not in frozen
-        ]
+        if kind != "relaxed":
+            grad.append(
+                f"t{index} = V{index} * {base_counts[index]} / {const(f'B{index}')}"
+            )
     if kind == "refine":
         grad.append(f"scale = 1e-30 if 1e-30 > {result} else {result}")
     for probed, offset in offsets.items():
         moved: Dict[int, str] = {}
         if select:
-            block = ["k, b, r, e = next(I)", "q = next(Q)"]
+            block = ["k, b, r, e = next(I)"]
         else:
             block = ["k, b, q, e = next(I)"]
-        block += [f"P = A{probed}[:]", "P[j] = q"]
         if probed in needed:
             moved[probed] = "tp"
-            block.append(f"tp = {level_time(probed, base_counts[probed], probed)}")
+            bandwidth = const(f"B{probed}")
+            block.append(f"tp = VT{probed}[j] * {base_counts[probed]} / {bandwidth}")
         if probed >= 1 and probed - 1 in needed:
             moved[probed - 1] = "tm"
-            block.append(f"tm = {level_time(probed - 1, 'count(P)', probed)}")
+            bandwidth = const(f"B{probed - 1}")
+            block.append(f"tm = VE{probed - 1}[j] * NE{probed}[j] / {bandwidth}")
         times = {**time_of, **moved}
         moves_objective = not select and objective in moved
         scale = "scale"
@@ -947,7 +963,7 @@ def _round_source(kind: str, objective: Optional[int], free: Tuple[bool, ...]) -
             block.append("g[k] = z / e")
         capacity = const(f"K{probed}")
         row = rows.index(("capacity", probed))
-        block.append(write(str(row), f"({capacity} - fp(P)) / {capacity}"))
+        block.append(write(str(row), f"({capacity} - FP{probed}[j]) / {capacity}"))
         for inner in (probed - 1, probed):
             if 0 <= inner < count - 1:
                 outer_item = item(inner + 1, probed)
@@ -963,7 +979,7 @@ def _round_source(kind: str, objective: Optional[int], free: Tuple[bool, ...]) -
                 entry = value(row, times, scale=scale)
                 block.append(write(str(position), f"({entry})"))
         grad.append("for j in range(7):")
-        grad.append(f"    if u[{offset} + j]:")
+        grad.append(f"    if U{probed}[j]:")
         grad += [f"        {line}" for line in block]
     if select:
         grad.append(f"if u[{last}]:")
@@ -974,29 +990,57 @@ def _round_source(kind: str, objective: Optional[int], free: Tuple[bool, ...]) -
             if row[0] == "dominance"
         ]
     helpers: List[str] = []
-    if any("count(" in line for line in grad):
-        # The tile count of the level inside tiles T, as ``point`` forms it.
-        ratios = [f"{const(f'E{j}')} / b{j}" for j in range(7)]
-        product = " * ".join([ratios[0]] + [f"({r})" for r in ratios[1:]])
-        helpers = [
-            "",
-            "    def count(T):",
-            f"        {', '.join(f'b{j}' for j in range(7))} = T",
-            f"        return {product}",
-        ]
+    if any(", off" in line for line in grad):
+        helpers += ["", "    off = [False] * 7"]
 
     functions = [("point", "x", body)]
     if select:
         returned = ", ".join(time_of[index] for index in range(count))
         functions.append(("times", "T", times_body + [f"return [{returned}]"]))
     functions.append(("gradient", "x, u, f, s, C, g, J, columns", grad))
-    lines = [f"def make(vol, fp, exp, log, {', '.join(used)}, **_):"]
+    lines = [f"def make(vol, fp, lanes, counts, exp, log, {', '.join(used)}, **_):"]
     lines += helpers
     for name, args, function_body in functions:
         lines += ["", f"    def {name}({args}):"]
         lines += [f"        {line}" for line in function_body]
     lines += ["", f"    return point, {'times' if select else 'None'}, gradient", ""]
     return "\n".join(lines)
+
+
+def _tile_counts(E, T, Q, U):
+    """The tile count ``E0 / T0 * (E1 / T1) * ... * (E6 / T6)`` of the
+    level inside tiles ``T`` of a problem with extents ``E``, as ``point``
+    forms it, and the counts with tile ``j`` replaced by ``Q[j]`` for each
+    ``j`` with ``U[j]`` true (``None`` elsewhere).  Lane ``j`` restarts the
+    left-associated product at its quotient, so each count is bitwise the
+    count at its probe."""
+    e0, e1, e2, e3, e4, e5, e6 = E
+    b0, b1, b2, b3, b4, b5, b6 = T
+    q0, q1, q2, q3, q4, q5, q6 = Q
+    u0, u1, u2, u3, u4, u5, u6 = U
+    d0, d1, d2, d3 = e0 / b0, e1 / b1, e2 / b2, e3 / b3
+    d4, d5, d6 = e4 / b4, e5 / b5, e6 / b6
+    m1 = d0 * d1
+    m2 = m1 * d2
+    m3 = m2 * d3
+    m4 = m3 * d4
+    m5 = m4 * d5
+    counted = [None] * 7
+    if u0:
+        counted[0] = (e0 / q0) * d1 * d2 * d3 * d4 * d5 * d6
+    if u1:
+        counted[1] = d0 * (e1 / q1) * d2 * d3 * d4 * d5 * d6
+    if u2:
+        counted[2] = m1 * (e2 / q2) * d3 * d4 * d5 * d6
+    if u3:
+        counted[3] = m2 * (e3 / q3) * d4 * d5 * d6
+    if u4:
+        counted[4] = m3 * (e4 / q4) * d5 * d6
+    if u5:
+        counted[5] = m4 * (e5 / q5) * d6
+    if u6:
+        counted[6] = m5 * (e6 / q6)
+    return m5 * d6, counted
 
 
 def _one_slot(point):
@@ -1165,6 +1209,8 @@ class _RoundEvaluator:
         instance = make(
             compiled.volume_floats,
             compiled.footprint_floats,
+            compiled.lanes,
+            _tile_counts,
             np.exp,
             np.log,
             **self._constants(),

@@ -206,24 +206,36 @@ _EXIT_MODES = {
 
 # Solver activity in this process: SLSQP runs, the gradients the driver's
 # runs asked for and the finite-difference probe points that answered
-# them (one per free variable of each differenced point).  Serving solves
-# on threads, hence the lock.
+# them (one per free variable of each differenced point), and the runs and
+# their kernel iterations by how they ended.  Each run is counted once,
+# when it ends; serving solves on threads, hence the lock.
+_EXIT_STATUS = {0: "converged", 9: "iteration_limit"}
 _STATS = {"slsqp_runs": 0, "gradient_requests": 0, "probe_rows": 0}
+for _status in ("converged", "iteration_limit", "other"):
+    _STATS[f"runs_{_status}"] = _STATS[f"iterations_{_status}"] = 0
 _STATS_LOCK = threading.Lock()
 
 
-def _count(runs: int = 0, requests: int = 0, rows: int = 0) -> None:
+def _count(mode: Optional[int], iterations: int, requests: int, rows: int) -> None:
+    """Count one finished run: its exit mode (``None`` when it raised),
+    kernel iterations, gradient requests and probe rows."""
+    status = _EXIT_STATUS.get(mode, "other")
     with _STATS_LOCK:
-        _STATS["slsqp_runs"] += runs
+        _STATS["slsqp_runs"] += 1
         _STATS["gradient_requests"] += requests
         _STATS["probe_rows"] += rows
+        _STATS[f"runs_{status}"] += 1
+        _STATS[f"iterations_{status}"] += iterations
 
 
 def solver_stats() -> Dict[str, object]:
-    """Counters of SLSQP activity in this process (for the stats probe),
-    with the generated evaluator sources compiled (``evaluator_compiles``)
-    and whether scipy's OpenBLAS runs on one thread
-    (``blas_threads_pinned``, see :func:`pin_blas_threads`)."""
+    """Counters of SLSQP activity in this process (for the stats probe):
+    runs, gradient requests and probe rows, and per exit status
+    (``converged``, ``iteration_limit``, ``other``) the runs and their
+    kernel iterations (``runs_<status>``, ``iterations_<status>``), with
+    the generated evaluator sources compiled (``evaluator_compiles``) and
+    whether scipy's OpenBLAS runs on one thread (``blas_threads_pinned``,
+    see :func:`pin_blas_threads`)."""
     with _STATS_LOCK:
         stats: Dict[str, object] = dict(_STATS)
     stats["evaluator_compiles"] = evaluator_compiles()
@@ -370,17 +382,13 @@ def _fd_gradient(problem: ConstrainedProblem, request: _Request) -> _Gradient:
     probe, dx, exact = _fd_probe(problem, point)
     rows = _probe_rows(problem, point, probe)
     values = np.array([problem.objective(row) for row in rows], dtype=float)
-    count = dx.size
     grad = _slopes(values / scale - value / scale, dx, exact)
     if not problem.inequalities:
-        _count(requests=1, rows=count)
         return grad, None
     if clipped is not point:
         probe, dx, exact = _fd_probe(problem, clipped)
         rows = _probe_rows(problem, clipped, probe)
-        count += dx.size
     probe_cons = np.array([problem.constraints_at(row) for row in rows])
-    _count(requests=1, rows=count)
     return grad, _slopes(probe_cons - cons, dx[:, None], exact).T
 
 
@@ -409,7 +417,9 @@ def _fused_gradient(
       the upper bound) backward, and :func:`_fd_steps` for a variable
       where that fast path fails (off the fast path it is elementwise,
       and it gives the fast step wherever the fast path holds, so mixing
-      the two per variable changes no step).
+      the two per variable changes no step).  It returns ``X`` with each
+      free variable set to its probe value and an iterator of the
+      columns' ``(k, k * rows, probe, step)``.
     * The entries of column ``k`` a variable cannot move are ``(c - c) /
       dx``: ``+0.0`` or ``-0.0`` with the step's sign when every
       constraint value is finite (``NaN`` in the row of one that is not).
@@ -456,7 +466,7 @@ def _fused_gradient(
     step_size, inf = _SQRT_EPS, float("inf")
 
     def columns(X: List[float]):
-        probes, entries = [], []
+        probes, entries = X[:], []
         for k, b, d, low, high in slots:
             at = X[d]
             probe = at + step_size
@@ -475,7 +485,7 @@ def _fused_gradient(
             if sign is not signs[k]:
                 signs[k] = sign
                 jac_out[b : b + m] = templates[sign]
-            probes.append(probe)
+            probes[d] = probe
             entries.append((k, b, probe, step))
         return probes, iter(entries)
 
@@ -517,7 +527,6 @@ def _fused_gradient(
         if not finite:
             templates[:] = zeros
             signs[:] = [None] * n
-        _count(requests=1, rows=n if clipped is point else 2 * n)
 
     return answer
 
@@ -544,7 +553,24 @@ def _slsqp_run(
     the full dimension.  A problem with every variable pinned raises
     ``ValueError``, as scipy's loop fails on it.
     """
-    _count(runs=1)
+    run = {"mode": None, "iterations": 0, "requests": 0, "rows": 0}
+    try:
+        x, mode = _slsqp_loop(problem, start, options, run)
+    finally:
+        _count(run["mode"], run["iterations"], run["requests"], run["rows"])
+    return x, mode == 0, _EXIT_MODES[mode]
+
+
+def _slsqp_loop(
+    problem: ConstrainedProblem,
+    start: np.ndarray,
+    options: SolverOptions,
+    run: Dict[str, Optional[int]],
+) -> Tuple[np.ndarray, int]:
+    """The loop of :func:`_slsqp_run`: returns the clipped, expanded ``x``
+    and the exit mode.  It counts its gradient requests and probe rows in
+    ``run`` as it goes, and the exit mode and kernel iterations when it
+    ends (a loop that raises leaves the mode ``None``)."""
     lows, highs = problem.lows, problem.highs
     free = problem.free
     if not free.size:
@@ -640,6 +666,8 @@ def _slsqp_run(
         else:
             clipped_cons = constraints_at(clipped) if m else cons
         answer(point, clipped, value, scale, clipped_cons)
+        run["requests"] += 1
+        run["rows"] += 2 * n if m and clipped is not point else n
 
     gradient()
     while True:
@@ -659,7 +687,8 @@ def _slsqp_run(
             gradient()
         elif mode != 1:
             break
-    return problem.clip(expand(x)), mode == 0, _EXIT_MODES[mode]
+    run["mode"], run["iterations"] = mode, state["iter"]
+    return problem.clip(expand(x)), mode
 
 
 def _default_starts(

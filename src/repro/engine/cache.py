@@ -131,7 +131,8 @@ class ResultCache:
 
     The cache is thread-safe: the memory tier and the stats counters are
     guarded by one lock, the disk tier serializes its own appends, and
-    :meth:`flight` adds single-flight semantics on top.
+    :meth:`flight` adds single-flight semantics on top.  :meth:`close`
+    closes a disk store the cache opened from a path.
     """
 
     def __init__(
@@ -151,9 +152,11 @@ class ResultCache:
             raise ValueError("memory_entries must be >= 1")
         self.memory_entries = memory_entries
         self._memory: "OrderedDict[str, StrategyResult]" = OrderedDict()
+        # A store opened here from a path is this cache's to close.
+        self._owns_disk = isinstance(path, (str, Path))
         if path is None:
             self.disk = None
-        elif isinstance(path, (str, Path)):
+        elif self._owns_disk:
             self.disk = ChunkedResultStore(path, max_entries=max_disk_entries)
         elif hasattr(path, "get") and hasattr(path, "put"):
             self.disk = path
@@ -165,6 +168,13 @@ class ResultCache:
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._inflight: Dict[str, "Future[StrategyResult]"] = {}
+
+    def close(self) -> None:
+        """Close the disk store this cache opened from a path (its append
+        handle; a later put reopens it).  A store object passed in stays
+        its caller's to close.  Safe to call more than once."""
+        if self._owns_disk:
+            self.disk.close()
 
     def reserve_memory_entries(self, entries: int) -> None:
         """Grow (never shrink) the memory tier's LRU bound.

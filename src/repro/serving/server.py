@@ -349,6 +349,8 @@ class OptimizationServer:
             if self.config.fallback_strategy is not None
             else None
         )
+        # A cache resolved here from a path is closed by stop().
+        self._owns_cache = isinstance(cache, (str, Path))
         resolved_cache = resolve_cache(cache)
         # resolve_cache(None) hands back a fresh in-memory cache, the
         # server's historical default; caching cannot be disabled here
@@ -434,7 +436,8 @@ class OptimizationServer:
     async def stop(
         self, *, drain: bool = False, drain_timeout: Optional[float] = None
     ) -> None:
-        """Stop workers, fail queued requests, shut the pool down.
+        """Stop workers, fail queued requests, shut the pool down and close
+        a cache the server resolved from a path.
 
         With ``drain=True`` the server first refuses new admissions and
         waits (up to ``drain_timeout`` seconds) for accepted requests to
@@ -473,6 +476,8 @@ class OptimizationServer:
             await asyncio.get_running_loop().run_in_executor(
                 None, lambda: pool.shutdown(wait=True, cancel_futures=True)
             )
+        if self._owns_cache:
+            self.cache.close()
 
     async def __aenter__(self) -> "OptimizationServer":
         await self.start()

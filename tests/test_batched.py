@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -277,6 +277,95 @@ class TestGeneratedPlanEvaluators:
         assert "* stride" in strided and "* dilation" in strided
         # Numbers are closure constants: the source names them only.
         assert "2)" not in strided and "3)" not in strided
+
+
+#: The absolute finite-difference step of the solver's fast path.
+_STEP = float(np.sqrt(np.finfo(float).eps))
+
+#: A point where the partial-reuse shift ties the input extent (iterator
+#: w at unit stride: ``shift = t_w = 4 = ext_w = (4 - 1) + (1 - 1) + 1``
+#: with ``t_s = 1``; the w-inner classes reuse In partially along w), with
+#: extent-1 loops (n, r), tiles at their extent (ratio 1: ``steps``
+#: clamps at 0) and probes at inf, -inf and NaN.
+_TIE_POINT = (
+    [1.0, 8.0, 6.0, 1.0, 3.0, 9.0, 12.0],
+    [1.0, 8.0, 2.5, 1.0, 1.0, 9.0, 4.0],
+    [2.0, float("nan"), 6.0, 1.0, float("inf"), 9.0 + _STEP, 12.0 - _STEP],
+    [True] * 7,
+    [1.0, 8.0 - _STEP, float("inf"), float("-inf"), 2.0, float("nan"), 4.0 + _STEP],
+    [True] * 7,
+)
+
+
+@st.composite
+def _lane_points(draw):
+    """A plan point, a probe of every extent and of every tile and which
+    of them are live.  A probe is the solver's forward or backward step,
+    1 or 2 (extent-1 loops; the shift ties the extent), the other side's
+    value (a ratio of 1, where ``steps`` clamps), or inf, -inf or NaN
+    (what the fallback steps give at a non-finite point)."""
+    problem, tiles = draw(_plan_points())
+
+    def probes(values, others):
+        kinds = {
+            "forward": lambda value, other: value + _STEP,
+            "backward": lambda value, other: value - _STEP,
+            "one": lambda value, other: 1.0,
+            "two": lambda value, other: 2.0,
+            "other": lambda value, other: other,
+            "inf": lambda value, other: float("inf"),
+            "-inf": lambda value, other: float("-inf"),
+            "nan": lambda value, other: float("nan"),
+        }
+        return [
+            kinds[draw(st.sampled_from(sorted(kinds)))](value, other)
+            for value, other in zip(values, others)
+        ]
+
+    flags = st.lists(st.booleans(), min_size=7, max_size=7)
+    return (
+        problem,
+        tiles,
+        probes(problem, tiles),
+        draw(flags),
+        probes(tiles, problem),
+        draw(flags),
+    )
+
+
+class TestPlanLanes:
+    """Every lane of a plan's ``lanes`` equals the plain function at its
+    probe point, compared by ``float.hex``, on every pruned class."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    @settings(max_examples=60, deadline=None)
+    @example(point=_TIE_POINT)
+    @given(point=_lane_points())
+    def test_lanes_equal_the_plain_functions(self, stride, dilation, point):
+        problem, tiles, outer, outer_live, probes, live = point
+        for perm in pruned_representatives():
+            compiled = compiled_cost_for(tuple(perm), stride=stride, dilation=dilation)
+            volume_floats = compiled.volume_floats
+            volume, volumes, footprints, extents = compiled.lanes(
+                problem, tiles, outer, outer_live, probes, live
+            )
+            assert volume.hex() == volume_floats(problem, tiles).hex()
+            for j in range(7):
+                moved_tiles, moved_problem = tiles[:], problem[:]
+                moved_tiles[j], moved_problem[j] = probes[j], outer[j]
+                if live[j]:
+                    expected = volume_floats(problem, moved_tiles)
+                    assert volumes[j].hex() == expected.hex(), (perm, j)
+                    expected = compiled.footprint_floats(moved_tiles)
+                    assert footprints[j].hex() == expected.hex(), (perm, j)
+                else:
+                    assert volumes[j] is None and footprints[j] is None
+                if outer_live[j]:
+                    expected = volume_floats(moved_problem, tiles)
+                    assert extents[j].hex() == expected.hex(), (perm, j)
+                else:
+                    assert extents[j] is None
 
 
 def _settings(**overrides):
@@ -596,6 +685,12 @@ class TestColdPathCounters:
             "slsqp_runs": 72,
             "gradient_requests": 1135,
             "probe_rows": 10875,
+            "runs_converged": 62,
+            "iterations_converged": 746,
+            "runs_iteration_limit": 4,
+            "iterations_iteration_limit": 240,
+            "runs_other": 6,
+            "iterations_other": 165,
             "evaluator_compiles": 19,
         }
 

@@ -20,10 +20,13 @@ pin the contracts that concurrency relies on:
 """
 
 import asyncio
+import os
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +153,9 @@ class TestSingleFlightThreads:
         )
         assert result.spec_name == "k"
         assert reopened.stats.disk_hits == 1
+        cache.close()
+        reopened.close()
+        reopened.close()  # idempotent
 
     def test_event_loop_tasks_share_thread_computations(self):
         """Event-loop tasks delegating to a pool coalesce with plain
@@ -536,6 +542,7 @@ class TestDiskStoreContention:
         assert resynced.quarantined == 0
         for key, payload in resynced.items():
             assert payload["spec_name"] == key
+        resynced.close()
 
     def test_result_cache_roundtrip_under_mixed_load(self, tmp_path):
         """Threads + event-loop tasks over one persistent cache: every
@@ -565,3 +572,52 @@ class TestDiskStoreContention:
         # Single-flight held: each key computed exactly once.
         assert counter.counts == {key: 1 for key in keys}
         assert cache.stats.computes == len(keys)
+        cache.close()
+
+
+class TestStoreHandles:
+    #: The tests above that open a disk store from a path.
+    DISK_TESTS = (
+        "test_computed_value_lands_in_both_tiers",
+        "test_lru_eviction_under_concurrent_puts",
+        "test_result_cache_roundtrip_under_mixed_load",
+    )
+
+    def test_disk_tests_leave_no_unclosed_chunk_file(self):
+        """The disk-store tests close what they open: run in development
+        mode with every ``ResourceWarning`` (and the unraisable exception
+        an unclosed file raises at collection) an error, they pass."""
+        env = dict(os.environ)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        done = subprocess.run(
+            [
+                sys.executable, "-X", "dev", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                "-W", "error::ResourceWarning",
+                "-W", "error::pytest.PytestUnraisableExceptionWarning",
+                __file__, "-k", " or ".join(self.DISK_TESTS),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert f"{len(self.DISK_TESTS)} passed" in done.stdout
+
+    def test_close_leaves_a_passed_store_open(self, tmp_path):
+        """A store object passed in stays its caller's: closing the cache
+        leaves its handle, and closing a path-opened cache twice is fine."""
+        store = ChunkedResultStore(tmp_path / "shared")
+        cache = ResultCache(store)
+        cache.get_or_compute("k", lambda: _result("k"))
+        cache.close()
+        assert store._handle is not None
+        store.close()
+        owned = ResultCache(tmp_path / "owned")
+        owned.get_or_compute("k", lambda: _result("k"))
+        owned.close()
+        owned.close()
+        assert owned.disk._handle is None

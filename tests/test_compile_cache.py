@@ -433,6 +433,12 @@ class TestServingStatsProbe:
             "slsqp_runs",
             "gradient_requests",
             "probe_rows",
+            "runs_converged",
+            "runs_iteration_limit",
+            "runs_other",
+            "iterations_converged",
+            "iterations_iteration_limit",
+            "iterations_other",
             "evaluator_compiles",
             "blas_threads_pinned",
         }

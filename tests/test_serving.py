@@ -617,6 +617,25 @@ class TestLifecycle:
 
         assert run(scenario()).num_operators == 9
 
+    def test_stop_closes_a_cache_resolved_from_a_path(self, machine, tmp_path):
+        """A server given a directory owns the store it opens there and
+        closes it on stop; a cache object passed in stays open."""
+
+        async def scenario():
+            passed = ResultCache(tmp_path / "passed")
+            handles = []
+            for cache in (tmp_path / "owned", passed):
+                async with _server(machine, cache=cache) as server:
+                    await ServingClient(server).optimize("mobilenet")
+                    assert server.cache.disk._handle is not None
+                handles.append(server.cache.disk._handle)
+            passed.close()
+            return handles
+
+        owned, passed = run(scenario())
+        assert owned is None
+        assert passed is not None
+
 
 # ----------------------------------------------------------------------
 # TCP transport
