@@ -14,7 +14,9 @@ Answers depend on the thread count of scipy's bundled OpenBLAS (SLSQP's
 linear algebra).  The solver pins that library to one thread at its first
 solve where scipy exposes the call (the header's ``blas_threads_pinned``
 records whether it did); for checkouts that predate the pin the script
-also sets ``OPENBLAS_NUM_THREADS=1`` unless the caller set it.  Usage::
+also sets ``OPENBLAS_NUM_THREADS=1`` unless the caller set it.  The
+header also records ``scipy_version``, since the SLSQP kernel is scipy's;
+``--compare`` prints both versions when they differ.  Usage::
 
     PYTHONPATH=src python benchmarks/answer_digest.py --out head.json
     python benchmarks/answer_digest.py --compare base.json head.json
@@ -56,6 +58,8 @@ def _candidates(result) -> Dict[str, Any]:
 
 def digest() -> Dict[str, Any]:
     """Per-operator, per-class answers of the fixed operator set."""
+    import scipy
+
     from repro.core import solver
     from repro.core.optimizer import MOptOptimizer, fast_settings
     from repro.engine.cache import STRATEGY_VERSION
@@ -80,12 +84,17 @@ def digest() -> Dict[str, Any]:
     return {
         "strategy_version": STRATEGY_VERSION,
         "blas_threads_pinned": pinned,
+        "scipy_version": scipy.__version__,
         "answers": answers,
     }
 
 
 def compare(base: Dict[str, Any], head: Dict[str, Any]) -> int:
     """0 when the answers agree or the strategy version moved, else 1."""
+    # Digests written before the header recorded it have no scipy version.
+    versions = [d.get("scipy_version", "unrecorded") for d in (base, head)]
+    if versions[0] != versions[1]:
+        print(f"scipy {versions[0]} (base) vs {versions[1]} (head)")
     if base["strategy_version"] != head["strategy_version"]:
         print(
             f"STRATEGY_VERSION {base['strategy_version']} -> "

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -76,6 +75,8 @@ def rank_correlation(
     predicted_scores: Sequence[float], measured_values: Sequence[float]
 ) -> RankCorrelation:
     """Spearman/Kendall/Pearson correlation between predictions and measurements."""
+    from scipy import stats
+
     predicted = np.asarray(predicted_scores, dtype=float)
     measured = np.asarray(measured_values, dtype=float)
     if predicted.shape != measured.shape:

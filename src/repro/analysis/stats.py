@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -33,6 +32,8 @@ class MeasurementSummary:
 
 def summarize_runs(samples: Sequence[float], confidence: float = 0.95) -> MeasurementSummary:
     """Mean and confidence interval of repeated runs (t-distribution)."""
+    from scipy import stats
+
     data = np.asarray(samples, dtype=float)
     if data.size == 0:
         raise ValueError("cannot summarize zero runs")

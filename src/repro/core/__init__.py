@@ -51,7 +51,6 @@ from .solver import (
     solve_best_single_level,
     solve_single_level,
 )
-from .symbolic import build_symbolic_model, total_volume_expr
 from .tensor_spec import (
     LOOP_INDICES,
     PARALLEL_INDICES,
@@ -90,7 +89,6 @@ __all__ = [
     "TensorCost",
     "TilingConfig",
     "batched_footprints",
-    "build_symbolic_model",
     "check_config",
     "choose_parallel_plan",
     "classify",
@@ -122,7 +120,6 @@ __all__ = [
     "tensor_data_volume",
     "total_data_volume",
     "total_footprint",
-    "total_volume_expr",
     "unpack_kernel",
     "utilization_report",
     "volume_general",

@@ -24,6 +24,17 @@ reaches and writes the difference quotients straight into the kernel's
 buffers; any other problem is differenced one probe row at a time
 through its per-point callables.
 
+The kernel is scipy's private extension ``scipy.optimize._slsqplib``.  It
+is loaded by file from scipy's ``optimize`` directory
+(:func:`_load_slsqp_kernel`) rather than imported: importing it would run
+the ``scipy.optimize`` package init, which pulls in scipy.linalg,
+scipy.sparse and scipy.fft (about 0.6 s and most of the import's memory)
+for a solver that calls none of them.  The module is registered under its
+own name, so a later ``import scipy.optimize`` (the oracle tests) runs on
+the same kernel.  Because the loader depends on scipy's file layout and the
+kernel's protocol, the package pins ``scipy>=1.16,<1.18`` and a missing or
+changed kernel fails the import with the scipy version and the directory.
+
 The problems involved are small — at most a few dozen variables — so a
 multi-start local method reliably finds the same optima Ipopt would.
 """
@@ -31,19 +42,62 @@ multi-start local method reliably finds the same optima Ipopt would.
 from __future__ import annotations
 
 import ctypes
+import sys
 import threading
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
-from scipy.optimize._slsqplib import slsqp as _slsqp_kernel
 
 from ..obs.metrics import REGISTRY
 from .config import TilingConfig
 from .cost_model import compiled_cost_for, evaluator_compiles
 from .tensor_spec import ConvSpec, LOOP_INDICES
+
+#: scipy's package directory.
+_SCIPY_DIR = Path(scipy.__file__).resolve().parent
+
+#: Module name of scipy's SLSQP kernel, under which it is registered.
+_KERNEL_MODULE = "scipy.optimize._slsqplib"
+
+
+def _load_slsqp_kernel(directory: Path) -> Callable[..., None]:
+    """scipy's SLSQP kernel ``slsqp``, from the ``_slsqplib`` extension in
+    ``directory`` (scipy's ``optimize`` directory).
+
+    The extension is loaded by file, without running the ``scipy.optimize``
+    package init, and registered in ``sys.modules`` under its own name, so
+    a later ``import scipy.optimize`` reuses this module object; when the
+    module is already imported it is reused.  Raises ``ImportError`` naming
+    the scipy version and ``directory`` when the file is missing or has no
+    callable ``slsqp``.
+    """
+    module = sys.modules.get(_KERNEL_MODULE)
+    if module is None:
+        for suffix in EXTENSION_SUFFIXES:
+            path = directory / f"_slsqplib{suffix}"
+            if path.is_file():
+                loader = ExtensionFileLoader(_KERNEL_MODULE, str(path))
+                module = module_from_spec(
+                    spec_from_file_location(_KERNEL_MODULE, path, loader=loader)
+                )
+                loader.exec_module(module)
+                sys.modules[_KERNEL_MODULE] = module
+                break
+    kernel = getattr(module, "slsqp", None)
+    if not callable(kernel):
+        raise ImportError(
+            f"scipy {scipy.__version__} has no SLSQP kernel _slsqplib.slsqp "
+            f"in {directory} (this solver supports scipy >=1.16,<1.18)"
+        )
+    return kernel
+
+
+_slsqp_kernel = _load_slsqp_kernel(_SCIPY_DIR / "optimize")
 
 
 @dataclass(frozen=True)
@@ -254,7 +308,7 @@ _BLAS_PIN_LOCK = threading.Lock()
 def _scipy_openblas() -> Optional[ctypes.CDLL]:
     """scipy's bundled OpenBLAS (``scipy.libs/libscipy_openblas-*.so``),
     or ``None`` when this scipy build does not bundle it."""
-    libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
+    libs = _SCIPY_DIR.parent / "scipy.libs"
     for path in sorted(libs.glob("libscipy_openblas*.so*")):
         try:
             return ctypes.CDLL(str(path))

@@ -209,3 +209,65 @@ class TestBlasThreadPin:
         pinned = pin_blas_threads()
         monkeypatch.setattr(solver_module, "_scipy_openblas", lambda: None)
         assert pin_blas_threads() is pinned
+
+
+_IMPORT_ALL = """
+import json, sys
+import repro, repro.api, repro.serving, repro.dse, repro.cli
+loaded = sorted(m for m in ("sympy", "scipy.stats", "scipy.optimize") if m in sys.modules)
+import scipy.optimize
+from repro.core.solver import _slsqp_kernel
+print(json.dumps({
+    "loaded": loaded,
+    "one_kernel": scipy.optimize._slsqp_py.slsqp is _slsqp_kernel,
+}))
+"""
+
+
+def _import_all():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_ALL],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+class TestImportBudget:
+    def test_import_loads_none_of_the_unused_libraries(self):
+        """Importing the package and its entry points loads neither sympy
+        nor scipy.stats nor the scipy.optimize package."""
+        assert _import_all()["loaded"] == []
+
+    def test_scipy_optimize_reuses_the_loaded_kernel(self):
+        """A fresh process loads the kernel by file; a later
+        ``import scipy.optimize`` runs on that same module object."""
+        assert _import_all()["one_kernel"] is True
+
+
+class TestKernelLoad:
+    def test_missing_extension_names_version_and_directory(self, monkeypatch, tmp_path):
+        import scipy
+
+        monkeypatch.delitem(sys.modules, solver_module._KERNEL_MODULE)
+        with pytest.raises(ImportError) as raised:
+            solver_module._load_slsqp_kernel(tmp_path)
+        assert scipy.__version__ in str(raised.value)
+        assert str(tmp_path) in str(raised.value)
+        assert solver_module._KERNEL_MODULE not in sys.modules
+
+    def test_module_without_callable_kernel_raises(self, monkeypatch, tmp_path):
+        import types
+
+        module = types.ModuleType(solver_module._KERNEL_MODULE)
+        module.slsqp = None
+        monkeypatch.setitem(sys.modules, solver_module._KERNEL_MODULE, module)
+        with pytest.raises(ImportError, match="_slsqplib.slsqp"):
+            solver_module._load_slsqp_kernel(tmp_path)
+
+    def test_loaded_module_is_reused(self, tmp_path):
+        assert solver_module._load_slsqp_kernel(tmp_path) is solver_module._slsqp_kernel
