@@ -59,9 +59,10 @@ from ..engine.network import (
     OpResult,
     build_network_result,
     dedup_specs,
+    op_result,
 )
 from ..engine.serialization import spec_shape_key
-from ..engine.strategy import SearchStrategy, StrategyResult, get_strategy
+from ..engine.strategy import SearchStrategy, get_strategy
 from ..machine.presets import get_machine
 from ..machine.spec import MachineSpec
 from ..obs import trace as obs_trace
@@ -261,14 +262,7 @@ class Session:
         ``"resnet18/R9"``) returns an :class:`OpResult`; a network name
         or operator list returns a :class:`NetworkResult`.
         """
-        resolved = self.resolve(workload, batch=batch)
-        if isinstance(resolved, ConvSpec):
-            return self._optimize_op(resolved)
-        if isinstance(workload, str):
-            # A whole-network name reference: ship the name through so
-            # the result is labeled "resnet18", not "custom".
-            return self._optimizer.optimize(workload.strip(), batch=batch)
-        return self._optimizer.optimize(resolved, batch=batch)
+        return self.optimize_many([workload], batch=batch)[0]
 
     def optimize_many(
         self, workloads: Sequence[Workload], *, batch: int = 1
@@ -277,10 +271,11 @@ class Session:
 
         All items are resolved first, their distinct operator shapes are
         collected *across the whole batch* (a ResNet-18 request and an
-        ``"R9"`` request share one solve), the cache is consulted once,
-        and only the missing shapes are fanned out.  Results come back
-        in input order, each with the type :meth:`optimize` would have
-        returned for it.
+        ``"R9"`` request share one solve), and each distinct shape leads
+        or joins its cache flight once
+        (:meth:`~repro.engine.network.NetworkOptimizer.solve_distinct`).
+        Results come back in input order, each with the type
+        :meth:`optimize` would have returned for it.
         """
         with span("session.optimize_many", items=len(workloads)) as sp:
             resolved = [
@@ -303,7 +298,7 @@ class Session:
         results: List[Union[OpResult, NetworkResult]] = []
         for original, item in zip(workloads, resolved):
             if isinstance(item, ConvSpec):
-                results.append(self._op_result(item, solved, cached_keys))
+                results.append(op_result(item, solved, cached_keys))
             else:
                 name = original.strip() if isinstance(original, str) else "custom"
                 results.append(
@@ -596,48 +591,6 @@ class Session:
 
     async def __aexit__(self, *exc_info: Any) -> None:
         await self.aclose()
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _optimize_op(self, spec: ConvSpec) -> OpResult:
-        shape_key = spec_shape_key(spec)
-        if self.cache is None:
-            result = self.strategy.search(spec, self.machine)
-            return OpResult(
-                spec=spec, result=result, cached=False, shape_key=shape_key
-            )
-        key = self.cache.key_for(spec, self.machine, self.strategy)
-        # One lookup: the result is cached unless this call had to solve it.
-        solved = []
-
-        def compute() -> StrategyResult:
-            solved.append(True)
-            return self.strategy.search(spec, self.machine)
-
-        result = self.cache.get_or_compute(key, compute)
-        if result.spec_name != spec.name:
-            result = result.with_spec_name(spec.name)
-        return OpResult(
-            spec=spec, result=result, cached=not solved, shape_key=shape_key
-        )
-
-    def _op_result(
-        self,
-        spec: ConvSpec,
-        solved: Mapping[str, StrategyResult],
-        cached_keys: set,
-    ) -> OpResult:
-        shape_key = spec_shape_key(spec)
-        result = solved[shape_key]
-        if result.spec_name != spec.name:
-            result = result.with_spec_name(spec.name)
-        return OpResult(
-            spec=spec,
-            result=result,
-            cached=shape_key in cached_keys,
-            shape_key=shape_key,
-        )
 
 
 def optimize(

@@ -18,10 +18,11 @@ network-level engine with three pieces:
   strategy configuration.  Warm re-runs of a whole network cost lookups,
   not solver time.
 * **Network optimization** (:mod:`repro.engine.network`) —
-  :class:`NetworkOptimizer` deduplicates identically-shaped layers, fans
-  the distinct operators out across a ``concurrent.futures`` thread or
-  process pool, and aggregates network totals (predicted time, GFLOPS)
-  plus per-layer figures for geomean speedup comparisons.
+  :class:`NetworkOptimizer` deduplicates identically-shaped layers,
+  leads or joins one cache flight per distinct shape (leaders search
+  inline, on threads or in worker processes), and aggregates network
+  totals (predicted time, GFLOPS) plus per-layer figures for geomean
+  speedup comparisons.
 
 Usage
 -----

@@ -23,13 +23,17 @@ settings)`` combination an O(1) lookup instead of a solver run.
 One single-flight table sits in front of both tiers: each missing key
 being computed has one in-flight ``concurrent.futures.Future``
 (:meth:`ResultCache.flight`).  Threads block on it
-(:meth:`ResultCache.get_or_compute`) and the serving event loop awaits
+(:meth:`~repro.engine.network.NetworkOptimizer.solve_distinct`,
+:meth:`ResultCache.get_or_compute`) and the serving event loop awaits
 it, so concurrent callers of either kind share one computation per key.
+The leader's :meth:`ResultCache._lead` is the one place that checks the
+disk tier for a missing key, computes it and stores the result.
 
 Keys are content hashes (:func:`repro.engine.serialization.stable_hash`)
 of everything that determines the result: the operator *shape* (name
 excluded, so identically-shaped layers share an entry), the full machine
-description and the strategy's name + :meth:`cache_token`.
+description, the strategy's name + :meth:`cache_token` and the scipy
+version (the solver's kernel).
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ from concurrent.futures import Executor, Future
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
+
+import scipy
 
 from ..core.tensor_spec import ConvSpec
 from ..machine.spec import MachineSpec
@@ -73,11 +79,14 @@ def result_cache_key(
 
     The operator name is deliberately excluded: two layers with the same
     shape on the same machine under the same strategy are the same
-    problem (callers relabel the cached result's ``spec_name``).
+    problem (callers relabel the cached result's ``spec_name``).  The
+    scipy version names the SLSQP kernel the solver runs, so a store
+    written under another scipy misses instead of mixing kernels.
     """
     payload = {
         "version": CACHE_FORMAT_VERSION,
         "strategy_version": STRATEGY_VERSION,
+        "scipy": scipy.__version__,
         "spec": spec_to_dict(spec, include_name=False),
         "machine": machine_to_dict(machine),
         "strategy": {"name": strategy.name, "options": dict(strategy.cache_token())},
@@ -251,8 +260,8 @@ class ResultCache:
 
         The memory tier is scanned under a single lock acquisition; only
         the keys that miss it go to the disk tier.  This is what the
-        network optimizer and the serving front-end use to consult the
-        cache for every distinct operator of a request at once.
+        serving front-end uses to consult the cache for every distinct
+        operator of a request at once.
 
         ``memory_only=True`` skips the disk tier and does no IO at all —
         misses are returned as ``None`` without being counted in the

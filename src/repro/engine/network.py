@@ -9,22 +9,28 @@ and a strategy name, and it
 
 1. **deduplicates** identically-shaped operators (content hash of the
    shape, name excluded) so each distinct problem is solved once,
-2. consults the optional two-tier :class:`~repro.engine.cache.ResultCache`
-   and only solves what is neither in memory nor on disk,
-3. **fans the remaining distinct operators out** over a
-   ``concurrent.futures`` thread or process pool,
+2. leads or joins one :meth:`~repro.engine.cache.ResultCache.flight`
+   per distinct shape: a memory hit is done at once, a follower waits
+   for another caller's computation of the same key, and a leader
+   checks the disk tier, else searches and stores,
+3. runs the leaders inline (``serial``) or on a thread pool of the call,
+   whose ``process`` leaders hand each search to a worker process,
 4. aggregates per-layer results into network totals: predicted
    execution time, network GFLOPS and per-layer figures from which
    geomean speedups between strategies are computed.
 
-Pool workers re-instantiate the strategy from ``(name, options)`` via
-the registry, so process-based fan-out only ever pickles plain data.
+Worker processes receive the strategy instance itself
+(:func:`_search_worker`), so the strategy class only has to be
+importable there.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import threading
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
+from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..obs.trace import span
@@ -88,29 +94,32 @@ def build_network_result(
     front-end, which produce results through different execution paths
     but must aggregate identically.
     """
-    outcomes: List[OpResult] = []
-    for spec in specs:
-        shape_key = spec_shape_key(spec)
-        result = solved[shape_key]
-        if result.spec_name != spec.name:
-            result = result.with_spec_name(spec.name)
-        outcomes.append(
-            OpResult(
-                spec=spec,
-                result=result,
-                cached=shape_key in cached_keys,
-                shape_key=shape_key,
-            )
-        )
-    distinct = {spec_shape_key(spec) for spec in specs}
+    outcomes = tuple(op_result(spec, solved, cached_keys) for spec in specs)
     return NetworkResult(
         network=network,
         machine_name=machine_name,
         strategy=strategy,
-        operators=tuple(outcomes),
-        distinct_operators=len(distinct),
+        operators=outcomes,
+        distinct_operators=len({o.shape_key for o in outcomes}),
         cache_hits=len(cached_keys),
         wall_seconds=wall_seconds,
+    )
+
+
+def op_result(
+    spec: ConvSpec, solved: Mapping[str, StrategyResult], cached_keys: "set"
+) -> OpResult:
+    """One operator's :class:`OpResult` from the solved shapes.
+
+    The shape's result is relabeled to ``spec``'s name; ``cached`` says
+    whether the shape key is in ``cached_keys``.
+    """
+    shape_key = spec_shape_key(spec)
+    result = solved[shape_key]
+    if result.spec_name != spec.name:
+        result = result.with_spec_name(spec.name)
+    return OpResult(
+        spec=spec, result=result, cached=shape_key in cached_keys, shape_key=shape_key
     )
 
 
@@ -291,10 +300,17 @@ class NetworkOptimizer:
     cache:
         Optional :class:`~repro.engine.cache.ResultCache`; hits skip the
         search entirely and warm whole-network re-runs become O(lookups).
+        Without one, each call coalesces through a throwaway cache.
     executor:
-        ``"thread"`` (default), ``"process"`` or ``"serial"``.  The
-        serial path is bit-identical to the pooled paths — strategies
-        are deterministic — and exists for debugging and tests.
+        Where the leaders of a call's flights run: ``"thread"``
+        (default) on a thread pool of the call, ``"process"`` on that
+        pool with each search in a worker process, ``"serial"`` inline.
+        All three give bit-identical answers (strategies are
+        deterministic).  Searches are CPU-bound Python, so threads do
+        not overlap them: on a 2-CPU host, cold mobilenet mopt
+        (``measure=False``, ``max_workers=2``, three runs each) took
+        3.0-3.3 s serial, 3.6-4.0 s with threads and 1.7-2.2 s with
+        processes.
     max_workers:
         Pool width for the pooled modes (default: number of distinct
         operators, capped at 8 and at the CPUs usable by this process).
@@ -356,7 +372,7 @@ class NetworkOptimizer:
             # --- 1. deduplicate identical shapes (first occurrence wins).
             distinct = dedup_specs(specs)
 
-            # --- 2. look them up in one batch, fan the misses out.
+            # --- 2. one cache flight per shape; the leaders search.
             solved, cached_keys = self.solve_distinct(distinct)
 
         # --- 3. per-layer outcomes (cached/deduped results relabeled).
@@ -376,74 +392,82 @@ class NetworkOptimizer:
     def solve_distinct(
         self, distinct: Mapping[str, ConvSpec]
     ) -> Tuple[Dict[str, StrategyResult], set]:
-        """Solve distinct shapes (``shape key -> spec``), cache first.
+        """Solve distinct shapes (``shape key -> spec``) through the cache.
 
-        The cache is consulted for every shape in one batch, only the
-        misses are fanned out (:meth:`solve_specs`), and each new result
-        is stored.  Returns ``(solved, cached_keys)``: the result of
-        every shape key, and the keys that came from the cache.
+        Each shape leads or joins its cache key's
+        :meth:`~repro.engine.cache.ResultCache.flight`, so concurrent
+        callers of one key share one search whichever path they came by.
+        ``serial`` leaders run inline; ``thread`` and ``process`` leaders
+        run on a thread pool of this call, and a ``process`` leader hands
+        its search to a worker process.  An optimizer without a cache
+        uses a throwaway in-memory one per call.  A leader's error is
+        raised here (pooled, once every flight has landed); its key is
+        released and nothing is stored for it.  Returns ``(solved,
+        cached_keys)``: the result of every shape key, and the keys this
+        call neither searched nor joined as a follower (memory and disk
+        hits).
         """
-        solved: Dict[str, StrategyResult] = {}
-        cached_keys: set = set()
-        pending: List[Tuple[str, ConvSpec]] = []
-        cache_keys: Dict[str, str] = {}
-        if self.cache is not None:
-            cache_keys = {
-                shape_key: self.cache.key_for(spec, self.machine, self.strategy)
-                for shape_key, spec in distinct.items()
-            }
-            hits = self.cache.get_many(list(cache_keys.values()))
-            for shape_key, spec in distinct.items():
-                hit = hits.get(cache_keys[shape_key])
-                if hit is not None:
-                    solved[shape_key] = hit
-                    cached_keys.add(shape_key)
-                else:
-                    pending.append((shape_key, spec))
-        else:
-            pending = list(distinct.items())
-        for (shape_key, _), result in zip(
-            pending, self.solve_specs([spec for _, spec in pending])
-        ):
-            solved[shape_key] = result
-            if self.cache is not None:
-                self.cache.put(cache_keys[shape_key], result)
-        return solved, cached_keys
-
-    def solve_specs(self, specs: Sequence[ConvSpec]) -> List[StrategyResult]:
-        """Solve ``specs`` serially or through the configured pool, in order.
-
-        This is the raw fan-out primitive (no dedup, no cache) under
-        :meth:`solve_distinct`.
-        """
-        if not specs:
-            return []
-        # Default pool width is CPU-aware: strategy searches are pure
-        # CPU-bound Python, so threads beyond the usable cores only add
-        # GIL contention (a 1-core container runs fastest serial).  An
-        # explicit ``max_workers`` is a caller contract and still wins.
+        cache = self.cache if self.cache is not None else ResultCache()
+        # An explicit ``max_workers`` is a caller contract.  The default
+        # width is the usable cores (capped at 8); threads that wide still
+        # contend for the GIL (see the ``executor`` docstring's timings),
+        # only processes overlap the searches.
         workers = self.max_workers or min(
-            len(specs), 8, max(1, solve_pool.available_cpus())
+            len(distinct), 8, max(1, solve_pool.available_cpus())
         )
-        if self.executor == "serial" or workers <= 1 or len(specs) == 1:
-            return [self.strategy.search(spec, self.machine) for spec in specs]
-        if self.executor == "thread":
-            # Threads share the process, hence also the (bounded) intra-op
-            # solve pool — one process budget for both fan-out layers.
-            pool_cls = ThreadPoolExecutor
-            pool_kwargs: Dict[str, Any] = {}
-        else:
-            # Operator-level worker processes are marked so they never spawn
-            # nested per-class pools (``OptimizerSettings.class_workers`` is
-            # suppressed inside workers).
-            pool_cls = ProcessPoolExecutor
-            pool_kwargs = {"initializer": solve_pool.mark_worker}
-        with pool_cls(max_workers=workers, **pool_kwargs) as pool:
-            futures = [
-                pool.submit(_search_worker, self.strategy, spec, self.machine)
-                for spec in specs
-            ]
-            return [future.result() for future in futures]
+        pooled = self.executor != "serial" and workers > 1 and len(distinct) > 1
+        searched: set = set()
+        joined: set = set()
+        processes: Optional[ProcessPoolExecutor] = None
+
+        def search(shape_key: str, spec: ConvSpec) -> StrategyResult:
+            searched.add(shape_key)
+            if processes is None:
+                return self.strategy.search(spec, self.machine)
+            return processes.submit(
+                _search_worker, self.strategy, spec, self.machine
+            ).result()
+
+        # Leader threads wait at the gate until every flight is registered,
+        # so the worker processes (forked in this thread) never copy a lock
+        # a running leader holds.
+        gate = threading.Event()
+        with ExitStack() as stack:
+            leaders = None
+            if pooled:
+                leaders = stack.enter_context(
+                    ThreadPoolExecutor(workers, initializer=gate.wait)
+                )
+            flights = {}
+            try:
+                for shape_key, spec in distinct.items():
+                    key = cache.key_for(spec, self.machine, self.strategy)
+                    flight, coalesced = cache.flight(
+                        key, partial(search, shape_key, spec), leaders
+                    )
+                    if coalesced:
+                        joined.add(shape_key)
+                    flights[shape_key] = flight
+                # A flight this call leads cannot land before the gate opens.
+                if pooled and self.executor == "process" and any(
+                    not flight.done() and shape_key not in joined
+                    for shape_key, flight in flights.items()
+                ):
+                    # Operator-level worker processes never spawn nested
+                    # per-class pools (``solve_pool.mark_worker``).
+                    processes = stack.enter_context(
+                        ProcessPoolExecutor(
+                            workers, initializer=solve_pool.mark_worker
+                        )
+                    )
+                    # The fork start method forks every worker at the
+                    # first submit: do it here, before any leader runs.
+                    processes.submit(int)
+            finally:
+                gate.set()
+            wait(flights.values())
+        solved = {shape_key: flight.result() for shape_key, flight in flights.items()}
+        return solved, set(distinct) - searched - joined
 
 
 def optimize_network(

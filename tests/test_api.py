@@ -287,6 +287,65 @@ class TestSessionSync:
         assert "tiny-test" in text and "api-probe" in text and "disk" in text
 
 
+class _GatedProbe:
+    """A fixed-output strategy whose searches wait until ``callers`` of
+    them are waiting at once; from then on the gate stays open."""
+
+    name = "gated-probe"
+
+    def __init__(self, callers: int):
+        self.callers = callers
+        self.searched: list = []
+        self._arrived = threading.Condition()
+
+    def search(self, spec, machine):
+        with self._arrived:
+            self.searched.append(spec.name)
+            self._arrived.notify_all()
+            if not self._arrived.wait_for(
+                lambda: len(self.searched) >= self.callers, timeout=30
+            ):
+                raise AssertionError("the callers never overlapped")
+        return StrategyResult(
+            strategy=self.name,
+            spec_name=spec.name,
+            gflops=4.0,
+            time_seconds=spec.flops / 4e9,
+            search_seconds=0.0,
+        )
+
+    def cache_token(self):
+        return {}
+
+
+class TestOneComputationPerKey:
+    def test_blocking_callers_share_each_search(self):
+        """Two threads optimizing one network on one cache search each of
+        its 9 shapes once: a shape one call leads, the other joins."""
+        probe = _GatedProbe(callers=2)
+        cache = ResultCache()
+        results = [None, None]
+
+        def run(index):
+            session = Session("tiny", probe, cache=cache, executor="serial")
+            (results[index],) = session.optimize_many(["mobilenet"])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert sorted(probe.searched) == sorted(set(probe.searched))
+        assert len(probe.searched) == 9
+        # Each call's 9 shapes were searched, joined or hit: a joined
+        # shape is not a cache hit of the call that joined it.
+        hits = results[0].cache_hits + results[1].cache_hits
+        assert cache.stats.coalesced >= 1
+        assert hits == cache.stats.memory_hits
+        assert hits + cache.stats.coalesced + len(probe.searched) == 2 * 9
+        assert results[0].gflops_by_layer() == results[1].gflops_by_layer()
+
+
 class TestByNameVsByObject:
     def test_machine_by_name_equals_by_object(self, small_spec):
         by_name = _session(machine="tiny")

@@ -9,9 +9,11 @@ satellites in :mod:`repro.core`.
 
 import dataclasses
 import json
+import threading
 from dataclasses import dataclass, field
 
 import pytest
+import scipy
 
 from repro.core.microkernel import design_microkernel
 from repro.core.optimizer import OptimizerSettings
@@ -168,6 +170,7 @@ class TestSerialization:
                 {
                     "version": CACHE_FORMAT_VERSION,
                     "strategy_version": STRATEGY_VERSION,
+                    "scipy": scipy.__version__,
                     "spec": nameless,
                     "machine": machine_to_dict(machine),
                     "strategy": {
@@ -370,6 +373,14 @@ class TestDiskEvictionAndVersioning:
         after = result_cache_key(spec, machine, strategy)
         assert before != after  # numerics changes invalidate cached entries
 
+    def test_scipy_version_stamps_keys(self, machine, monkeypatch):
+        spec = _spec("A")
+        strategy = get_strategy("random", **RANDOM_OPTS)
+        before = result_cache_key(spec, machine, strategy)
+        monkeypatch.setattr(scipy, "__version__", scipy.__version__ + ".other")
+        after = result_cache_key(spec, machine, strategy)
+        assert before != after  # a store written under another kernel misses
+
 
 class TestNetworkOptimizer:
     def test_dedup_of_repeated_shapes(self, machine):
@@ -505,6 +516,50 @@ class TestNetworkOptimizer:
         assert outcome.gflops > 0
         assert outcome.result.best_config is not None
         assert outcome.result.extras["class_name"] == "inner-w"
+
+
+class _FailingStrategy:
+    """Counts its searches per operator and raises on the named one."""
+
+    name = "failing-probe"
+
+    def __init__(self, failing: str):
+        self.failing = failing
+        self.searches: dict = {}
+        self._lock = threading.Lock()
+
+    def search(self, spec, machine):
+        with self._lock:
+            self.searches[spec.name] = self.searches.get(spec.name, 0) + 1
+        if spec.name == self.failing:
+            raise RuntimeError(f"search of {spec.name} failed")
+        return _constant_result(spec.name)
+
+    def cache_token(self):
+        return {}
+
+
+class TestFailingLeader:
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_error_reaches_caller_and_releases_the_key(self, machine, executor):
+        specs = [_spec("A"), _spec("B", kernel=1), _spec("C", in_channels=4)]
+        strategy = _FailingStrategy("B")
+        cache = ResultCache()
+        optimizer = NetworkOptimizer(
+            machine, strategy, cache=cache, executor=executor, max_workers=3
+        )
+        failing_key = cache.key_for(specs[1], machine, strategy)
+        for attempt in (1, 2):
+            with pytest.raises(RuntimeError, match="search of B failed"):
+                optimizer.optimize(specs)
+            # Released, not stored: the next call searches B again.
+            assert strategy.searches["B"] == attempt
+            assert failing_key not in cache
+            assert not cache._inflight
+        strategy.failing = None
+        result = optimizer.optimize(specs)
+        assert strategy.searches == {"A": 1, "B": 3, "C": 1}
+        assert result.outcome("B").gflops == 1.0 and failing_key in cache
 
 
 class TestMemoizationSatellites:
