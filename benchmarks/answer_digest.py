@@ -6,9 +6,14 @@ integerized tile configuration and the predicted time as ``float.hex``
 (so equality means bitwise equality):
 
 * all 32 Table 1 operators on the i7-9700k with the default ``mopt``
-  strategy settings (``fast_settings(parallel=True)``), and
+  strategy settings (``fast_settings(parallel=True)``),
 * the 24 seeded operators of the differential family
-  (``tests/test_differential.py``) on the tiny test machine.
+  (``tests/test_differential.py``) on the tiny test machine, and
+* a ``repro.dse.explore`` mopt sweep of one differential-family
+  operator over 4 variants of the tiny machine (L1 capacity x cores,
+  with the parallel model so that cores matter), recording each
+  candidate's best integerized configuration and predicted time: the
+  explorer -> ``Session`` -> ``NetworkOptimizer`` path.
 
 Answers depend on the thread count of scipy's bundled OpenBLAS (SLSQP's
 linear algebra).  The solver pins that library to one thread at its first
@@ -56,6 +61,36 @@ def _candidates(result) -> Dict[str, Any]:
     }
 
 
+def _sweep(spec, settings) -> Dict[str, Any]:
+    """Per-candidate answers of a 4-machine mopt ``explore`` over ``spec``."""
+    from repro.dse import DesignSpace, axis_values, explore
+    from repro.engine import ResultCache
+    from repro.engine.serialization import config_to_dict
+    from repro.engine.strategy import get_strategy
+    from repro.machine.presets import tiny_test_machine
+
+    space = DesignSpace(
+        tiny_test_machine(),
+        [
+            axis_values("caches.L1.capacity_bytes", [2 * 1024, 4 * 1024]),
+            axis_values("cores", [2, 4]),
+        ],
+    )
+    strategy = get_strategy("mopt", settings=settings, measure=False)
+    cache = ResultCache()
+    # The same call on every checkout, so a base side run by this script
+    # takes it as the head does.
+    result = explore(space, [[spec]], strategy=strategy, cache=cache)
+    answers: Dict[str, Any] = {}
+    for candidate, outcome in zip(space.expand().candidates, result.outcomes):
+        found = cache.get(cache.key_for(spec, candidate.machine, strategy))
+        answers[f"sweep/{spec.name}@{outcome.machine_name}"] = {
+            "config": config_to_dict(found.best_config) if found else None,
+            "time": float(outcome.total_time_seconds).hex(),
+        }
+    return answers
+
+
 def digest() -> Dict[str, Any]:
     """Per-operator, per-class answers of the fixed operator set."""
     import scipy
@@ -79,6 +114,7 @@ def digest() -> Dict[str, Any]:
     for seed in DIFFERENTIAL_SEEDS:
         spec = random_operator_spec(seed)
         answers[f"differential/{spec.name}"] = _candidates(tiny.optimize(spec))
+    answers.update(_sweep(random_operator_spec(2), _settings(parallel=True)))
     # Checkouts that predate the pin do not report it.
     pinned = solver.solver_stats().get("blas_threads_pinned", False)
     return {

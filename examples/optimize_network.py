@@ -5,8 +5,8 @@ of the paper's Section 10 evaluation on the i7-9700K — driven entirely
 through :class:`repro.api.Session`: every system (MOpt, the oneDNN-like
 library, the AutoTVM-like tuner) is one session over the same machine and
 shared persistent cache, and each session deduplicates repeated operator
-shapes, fans distinct operators out across a worker pool and serves
-repeated runs from the cache.
+shapes, searches each distinct shape once and serves repeated runs from
+the cache.
 
 Run with:  python examples/optimize_network.py [network] [num_layers] [cache_dir]
            e.g.  python examples/optimize_network.py mobilenet 4
@@ -49,8 +49,7 @@ def main() -> None:
     for name, options in strategies.items():
         print(f"running {name!r} over {len(specs)} stages...")
         session = Session(
-            "i7-9700k", name, strategy_options=options, cache=cache,
-            max_workers=4,
+            "i7-9700k", name, strategy_options=options, cache=cache
         )
         results[name] = session.optimize(specs)
         print("  " + results[name].summary())

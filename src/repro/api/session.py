@@ -142,7 +142,8 @@ class Session:
         as-is;
         ``False`` — caching off.
     executor / max_workers:
-        Fan-out configuration of the synchronous paths (see
+        Where the synchronous paths search: ``"serial"`` (default)
+        inline, ``"process"`` on ``max_workers`` worker processes (see
         :class:`~repro.engine.network.NetworkOptimizer`).
     server_config:
         Optional :class:`~repro.serving.server.ServerConfig` for the
@@ -161,7 +162,7 @@ class Session:
         *,
         strategy_options: Optional[Mapping[str, Any]] = None,
         cache: Union[None, bool, str, Path, ResultCache] = None,
-        executor: str = "thread",
+        executor: str = "serial",
         max_workers: Optional[int] = None,
         server_config: Optional[Any] = None,
         trace: Union[None, bool, str, Path] = None,
@@ -378,7 +379,6 @@ class Session:
         *,
         batch: int = 1,
         chunk_size: int = 16,
-        max_workers: Optional[int] = None,
         progress: Optional[Union[str, Path]] = None,
         progress_durability: str = "fsync",
         on_progress: Optional[Callable[[int, int], None]] = None,
@@ -420,7 +420,6 @@ class Session:
             cache=self.cache if self.cache is not None else False,
             batch=batch,
             chunk_size=chunk_size,
-            max_workers=max_workers,
             progress=progress,
             progress_durability=progress_durability,
             on_progress=on_progress,
@@ -601,7 +600,7 @@ def optimize(
     strategy_options: Optional[Mapping[str, Any]] = None,
     cache: Union[None, bool, str, Path, ResultCache] = None,
     batch: int = 1,
-    executor: str = "thread",
+    executor: str = "serial",
     max_workers: Optional[int] = None,
 ) -> Union[OpResult, NetworkResult]:
     """One-shot convenience: build a :class:`Session` and optimize once."""

@@ -704,7 +704,6 @@ def _run_dse(args: argparse.Namespace) -> int:
                 cache=args.cache_dir if args.cache_dir else None,
                 batch=args.batch,
                 chunk_size=args.chunk_size,
-                max_workers=args.max_workers,
                 progress=args.progress,
                 progress_durability=args.progress_durability,
                 on_progress=None if args.json else _print_progress,
@@ -802,9 +801,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="truncate network workloads to their first N layers",
     )
     optimize.add_argument(
-        "--executor", default="thread", choices=("serial", "thread", "process")
+        "--executor",
+        default="serial",
+        choices=("serial", "process"),
+        help="search inline (serial) or on worker processes (process)",
     )
-    optimize.add_argument("--max-workers", type=int, default=None)
+    optimize.add_argument(
+        "--max-workers", type=int, default=None,
+        help="worker processes for --executor process",
+    )
     optimize.add_argument(
         "--per-layer", action="store_true", help="print one line per layer"
     )
@@ -982,7 +987,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-size", type=int, default=16,
         help="progress-report cadence (print every N completed machines)",
     )
-    dse.add_argument("--max-workers", type=int, default=None)
     dse.add_argument(
         "--progress",
         default=None,

@@ -26,9 +26,9 @@ The pieces:
 * :mod:`repro.dse.space` — the declarative parameter-space grammar:
   :class:`DesignSpace`, :class:`Axis` (:func:`axis_values`,
   :func:`axis_grid`, :func:`axis_log2`), validity pruning.
-* :mod:`repro.dse.explorer` — the sweep executor: candidate x workload
-  fan-out through the shared engine/Session path, chunked parallel
-  execution, resumable JSON-lines progress.
+* :mod:`repro.dse.explorer` — the sweep executor: every candidate x
+  workload through the shared engine/Session path, one candidate after
+  another, resumable JSON-lines progress.
 * :mod:`repro.dse.merge` — distributed sweeps: merge per-shard
   progress stores (``explore(shard="i/n")`` per host) back into one
   result set deduped by machine digest.

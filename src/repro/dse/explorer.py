@@ -1,4 +1,4 @@
-"""Sweep executor: fan a candidate-machine x workload matrix through the engine.
+"""Sweep executor: run a candidate-machine x workload matrix through the engine.
 
 :func:`explore` evaluates every candidate machine of a
 :class:`~repro.dse.space.DesignSpace` on every requested workload, going
@@ -7,8 +7,12 @@ through the exact same path every other front end uses — a
 :class:`~repro.engine.cache.ResultCache` and one shared strategy
 instance — so operator dedup, the two-tier cache (whose keys already
 content-hash the machine) and the vectorized batched core are all
-reused.  Candidates are processed in chunks on a thread pool (solving
-is serial *within* a candidate to avoid nested pools).
+reused.  Candidates are evaluated one after another in the calling
+thread, each with a serial ``Session``: a search is CPU-bound Python
+that holds the GIL, so threads would not overlap candidates (on a
+2-CPU host a thread pool spent more CPU per sweep than one thread).
+Each candidate's ``dse.candidate`` span is a child of the sweep's
+``dse.sweep`` span.
 
 Sweeps are **resumable**: pass ``progress=<path>`` and every completed
 candidate is appended to a JSON-lines progress store as soon as it is
@@ -38,7 +42,6 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
@@ -664,30 +667,6 @@ def _evaluate_isolated(
         )
 
 
-def _evaluate_traced(
-    trace_ctx,
-    candidate: Candidate,
-    workloads: Sequence[SweepWorkload],
-    labels: Sequence[str],
-    strategy: SearchStrategy,
-    cache: Optional[ResultCache],
-    batch: int,
-    retry: Optional[RetryPolicy],
-) -> CandidateOutcome:
-    """Thread-pool entry: adopt the sweep's trace context in the worker.
-
-    Trace ancestry is a context variable and does not cross thread-pool
-    boundaries on its own, so the submitting sweep ships its
-    ``(trace_id, span_id)`` with every work item; the per-candidate span
-    then joins the sweep's trace instead of starting an orphan one.
-    """
-    with obs_trace.activate(trace_ctx):
-        with obs_trace.span("dse.candidate", machine=candidate.machine.name):
-            return _evaluate_isolated(
-                candidate, workloads, labels, strategy, cache, batch, retry
-            )
-
-
 def explore(
     space: DesignSpace,
     workloads: Union[SweepWorkload, Sequence[SweepWorkload]] = ("resnet18",),
@@ -697,7 +676,6 @@ def explore(
     cache: Union[None, bool, str, Path, ResultCache] = None,
     batch: int = 1,
     chunk_size: int = 16,
-    max_workers: Optional[int] = None,
     progress: Optional[Union[str, Path]] = None,
     progress_durability: str = "fsync",
     on_progress: Optional[Callable[[int, int], None]] = None,
@@ -728,11 +706,10 @@ def explore(
         to disable.
     batch:
         Workload batch size.
-    chunk_size / max_workers:
-        Candidates all feed one thread pool of ``max_workers`` (default:
-        min(pending, cores, 8)); solves are serial within a candidate.
-        ``chunk_size`` is the ``on_progress``/progress-print cadence
-        (every N completed candidates).
+    chunk_size:
+        The ``on_progress``/progress-print cadence (every N completed
+        candidates).  Candidates run one after another in the calling
+        thread; solves are serial within a candidate.
     progress:
         Optional path of a JSON-lines progress store making the sweep
         resumable across interruptions and processes.
@@ -860,51 +837,32 @@ def explore(
     try:
         if pending:
             chunk_size = max(1, chunk_size)
-            workers = max_workers or min(len(pending), os.cpu_count() or 4, 8)
-            pool = ThreadPoolExecutor(max_workers=workers)
-            trace_ctx = obs_trace.current_context()
-            try:
-                futures = {
-                    pool.submit(
-                        _evaluate_traced,
-                        trace_ctx,
-                        candidate,
-                        workloads,
-                        labels,
-                        strategy,
-                        shared_cache,
-                        batch,
-                        retry,
-                    ): digest
-                    for digest, candidate in pending
-                }
-                # Record outcomes as they finish, not in submission order:
-                # an interrupt then loses only the candidates still in
-                # flight, never already-completed ones — and no candidate
-                # waits on a slower one (the pool bounds concurrency).
-                for future in as_completed(futures):
-                    outcome = future.result()
-                    completed[futures[future]] = outcome
-                    if store is not None:
-                        store.append(outcome)
-                    if outcome.failed:
-                        failures += 1
-                        if max_failures is not None and failures > max_failures:
-                            raise TooManyFailuresError(
-                                failures, max_failures, outcome.error or "?"
-                            )
-                    done += 1
-                    if heartbeat is not None:
-                        heartbeat.update(done, failures)
-                    if on_progress is not None and (
-                        done % chunk_size == 0 or done == total
-                    ):
-                        on_progress(done, total)
-            finally:
-                # Ctrl-C (or a failed candidate) must stop the sweep, not
-                # silently run the queued remainder to completion with
-                # nobody left to record the outcomes — resume finishes it.
-                pool.shutdown(wait=True, cancel_futures=True)
+            # One after another on purpose: searches hold the GIL (see
+            # the module docstring).
+            for digest, candidate in pending:
+                with obs_trace.span(
+                    "dse.candidate", machine=candidate.machine.name
+                ):
+                    outcome = _evaluate_isolated(
+                        candidate, workloads, labels, strategy,
+                        shared_cache, batch, retry,
+                    )
+                completed[digest] = outcome
+                if store is not None:
+                    store.append(outcome)
+                if outcome.failed:
+                    failures += 1
+                    if max_failures is not None and failures > max_failures:
+                        raise TooManyFailuresError(
+                            failures, max_failures, outcome.error or "?"
+                        )
+                done += 1
+                if heartbeat is not None:
+                    heartbeat.update(done, failures)
+                if on_progress is not None and (
+                    done % chunk_size == 0 or done == total
+                ):
+                    on_progress(done, total)
         elif on_progress is not None:
             on_progress(done, total)
         finished = True

@@ -20,7 +20,7 @@ network-level engine with three pieces:
 * **Network optimization** (:mod:`repro.engine.network`) —
   :class:`NetworkOptimizer` deduplicates identically-shaped layers,
   leads or joins one cache flight per distinct shape (leaders search
-  inline, on threads or in worker processes), and aggregates network
+  inline or in worker processes), and aggregates network
   totals (predicted time, GFLOPS) plus per-layer figures for geomean
   speedup comparisons.
 

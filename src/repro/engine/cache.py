@@ -23,11 +23,11 @@ settings)`` combination an O(1) lookup instead of a solver run.
 One single-flight table sits in front of both tiers: each missing key
 being computed has one in-flight ``concurrent.futures.Future``
 (:meth:`ResultCache.flight`).  Threads block on it
-(:meth:`~repro.engine.network.NetworkOptimizer.solve_distinct`,
-:meth:`ResultCache.get_or_compute`) and the serving event loop awaits
-it, so concurrent callers of either kind share one computation per key.
-The leader's :meth:`ResultCache._lead` is the one place that checks the
-disk tier for a missing key, computes it and stores the result.
+(:meth:`~repro.engine.network.NetworkOptimizer.solve_distinct`) and the
+serving event loop awaits it, so concurrent callers of either kind
+share one computation per key.  The leader's :meth:`ResultCache._lead`
+is the one place that checks the disk tier for a missing key, computes
+it and stores the result.
 
 Keys are content hashes (:func:`repro.engine.serialization.stable_hash`)
 of everything that determines the result: the operator *shape* (name
@@ -376,18 +376,6 @@ class ResultCache:
 
             job.add_done_callback(fail_if_cancelled)
         return future, False
-
-    def get_or_compute(
-        self, key: str, compute: Callable[[], StrategyResult]
-    ) -> StrategyResult:
-        """Return the cached result for ``key``, computing it at most once.
-
-        The blocking form of :meth:`flight`: a leader runs the work in
-        this thread, a follower waits for the leader's outcome (counted
-        in ``stats.coalesced``), and a leader's exception is raised in
-        every waiter.
-        """
-        return self.flight(key, compute)[0].result()
 
     def _lead(
         self,

@@ -13,8 +13,8 @@ and a strategy name, and it
    per distinct shape: a memory hit is done at once, a follower waits
    for another caller's computation of the same key, and a leader
    checks the disk tier, else searches and stores,
-3. runs the leaders inline (``serial``) or on a thread pool of the call,
-   whose ``process`` leaders hand each search to a worker process,
+3. runs the leaders inline (``serial``, the default) or, with
+   ``process``, hands each leader's search to a worker process,
 4. aggregates per-layer results into network totals: predicted
    execution time, network GFLOPS and per-layer figures from which
    geomean speedups between strategies are computed.
@@ -44,7 +44,7 @@ from .serialization import spec_shape_key
 from .strategy import SearchStrategy, StrategyResult, get_strategy
 
 #: Accepted ``executor`` modes of :class:`NetworkOptimizer`.
-EXECUTOR_MODES = ("serial", "thread", "process")
+EXECUTOR_MODES = ("serial", "process")
 
 
 def resolve_network(
@@ -302,18 +302,18 @@ class NetworkOptimizer:
         search entirely and warm whole-network re-runs become O(lookups).
         Without one, each call coalesces through a throwaway cache.
     executor:
-        Where the leaders of a call's flights run: ``"thread"``
-        (default) on a thread pool of the call, ``"process"`` on that
-        pool with each search in a worker process, ``"serial"`` inline.
-        All three give bit-identical answers (strategies are
-        deterministic).  Searches are CPU-bound Python, so threads do
-        not overlap them: on a 2-CPU host, cold mobilenet mopt
-        (``measure=False``, ``max_workers=2``, three runs each) took
-        3.0-3.3 s serial, 3.6-4.0 s with threads and 1.7-2.2 s with
-        processes.
+        Where a call's searches run: ``"serial"`` (default) inline in
+        the calling thread, ``"process"`` each in a worker process.
+        Both give bit-identical answers (strategies are deterministic).
+        Searches are CPU-bound Python that hold the GIL, so threads
+        would not overlap them: on a 2-CPU host, cold mobilenet mopt
+        (``measure=False``, ``max_workers=2``) took 2.9-4.0 s serial,
+        1.7-2.3 s on processes and 3.6-4.8 s on a thread pool, whose
+        process CPU stayed within 0.6 % of the wall.
     max_workers:
-        Pool width for the pooled modes (default: number of distinct
-        operators, capped at 8 and at the CPUs usable by this process).
+        Worker-process count for ``"process"`` (default: number of
+        distinct operators, capped at 8 and at the CPUs usable by this
+        process).
     """
 
     def __init__(
@@ -323,7 +323,7 @@ class NetworkOptimizer:
         *,
         strategy_options: Optional[Mapping[str, Any]] = None,
         cache: Optional[ResultCache] = None,
-        executor: str = "thread",
+        executor: str = "serial",
         max_workers: Optional[int] = None,
     ):
         if executor not in EXECUTOR_MODES:
@@ -397,10 +397,10 @@ class NetworkOptimizer:
         Each shape leads or joins its cache key's
         :meth:`~repro.engine.cache.ResultCache.flight`, so concurrent
         callers of one key share one search whichever path they came by.
-        ``serial`` leaders run inline; ``thread`` and ``process`` leaders
-        run on a thread pool of this call, and a ``process`` leader hands
-        its search to a worker process.  An optimizer without a cache
-        uses a throwaway in-memory one per call.  A leader's error is
+        ``serial`` leaders run inline; ``process`` leaders run on a
+        thread pool of this call, each handing its search to a worker
+        process.  An optimizer without a cache uses a throwaway
+        in-memory one per call.  A leader's error is
         raised here (pooled, once every flight has landed); its key is
         released and nothing is stored for it.  Returns ``(solved,
         cached_keys)``: the result of every shape key, and the keys this
@@ -408,14 +408,12 @@ class NetworkOptimizer:
         hits).
         """
         cache = self.cache if self.cache is not None else ResultCache()
-        # An explicit ``max_workers`` is a caller contract.  The default
-        # width is the usable cores (capped at 8); threads that wide still
-        # contend for the GIL (see the ``executor`` docstring's timings),
-        # only processes overlap the searches.
+        # An explicit ``max_workers`` is a caller contract; the default
+        # width is the usable cores (capped at 8).
         workers = self.max_workers or min(
             len(distinct), 8, max(1, solve_pool.available_cpus())
         )
-        pooled = self.executor != "serial" and workers > 1 and len(distinct) > 1
+        pooled = self.executor == "process" and workers > 1 and len(distinct) > 1
         searched: set = set()
         joined: set = set()
         processes: Optional[ProcessPoolExecutor] = None
@@ -449,7 +447,7 @@ class NetworkOptimizer:
                         joined.add(shape_key)
                     flights[shape_key] = flight
                 # A flight this call leads cannot land before the gate opens.
-                if pooled and self.executor == "process" and any(
+                if pooled and any(
                     not flight.done() and shape_key not in joined
                     for shape_key, flight in flights.items()
                 ):
@@ -477,7 +475,7 @@ def optimize_network(
     strategy: str = "mopt",
     strategy_options: Optional[Mapping[str, Any]] = None,
     cache: Optional[ResultCache] = None,
-    executor: str = "thread",
+    executor: str = "serial",
     max_workers: Optional[int] = None,
     batch: int = 1,
 ) -> NetworkResult:
@@ -499,7 +497,7 @@ def compare_network_strategies(
     strategies: Mapping[str, Mapping[str, Any]],
     *,
     cache: Optional[ResultCache] = None,
-    executor: str = "thread",
+    executor: str = "serial",
     max_workers: Optional[int] = None,
     batch: int = 1,
 ) -> Dict[str, NetworkResult]:

@@ -245,8 +245,8 @@ class TestSessionSync:
             _session().optimize([1, 2, 3])
 
     def test_single_op_looks_the_cache_up_once(self, small_spec, tmp_path):
-        """A cold op is one miss and one disk read, not a get + a
-        get_or_compute (which counted two misses and read the store twice)."""
+        """A cold op is one miss and one disk read, not a get and then a
+        blocking flight (which counted two misses and read the store twice)."""
         store = _CountingStore(tmp_path / "store")
         session = _session(cache=ResultCache(path=store))
         cold = session.optimize(small_spec)

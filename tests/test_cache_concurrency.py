@@ -5,7 +5,7 @@ many threads (the solve pool) and event-loop tasks (coalesced requests)
 hit one :class:`~repro.engine.cache.ResultCache` at once.  These tests
 pin the contracts that concurrency relies on:
 
-* **single-flight** — concurrent ``get_or_compute`` calls and
+* **single-flight** — concurrent blocking ``flight(...)[0].result()`` calls and
   ``flight`` waiters on the same key run the computation exactly once,
   across plain threads, thread pools and event-loop tasks awaiting the
   flight's future, and a leader job cancelled before it runs releases
@@ -67,7 +67,7 @@ class _SolveCounter:
 
 
 # ----------------------------------------------------------------------
-# Single-flight get_or_compute
+# Single-flight blocking callers
 # ----------------------------------------------------------------------
 class TestSingleFlightThreads:
     def test_many_threads_one_key_single_compute(self):
@@ -76,7 +76,7 @@ class TestSingleFlightThreads:
         results = []
 
         def worker():
-            results.append(cache.get_or_compute("k", counter.compute_for("k")))
+            results.append(cache.flight("k", counter.compute_for("k"))[0].result())
 
         threads = [threading.Thread(target=worker) for _ in range(16)]
         for thread in threads:
@@ -101,7 +101,7 @@ class TestSingleFlightThreads:
             # so every key is contended by every thread.
             for step in range(len(keys)):
                 key = keys[(index + step) % len(keys)]
-                result = cache.get_or_compute(key, counter.compute_for(key))
+                result = cache.flight(key, counter.compute_for(key))[0].result()
                 assert result.spec_name == key
 
         with ThreadPoolExecutor(max_workers=16) as pool:
@@ -125,7 +125,7 @@ class TestSingleFlightThreads:
         def worker():
             barrier.wait()
             try:
-                cache.get_or_compute("k", failing)
+                cache.flight("k", failing)[0].result()
             except RuntimeError as error:
                 errors.append(error)
 
@@ -138,19 +138,19 @@ class TestSingleFlightThreads:
         # re-attempt; waiters inherit their leader's error)...
         assert len(errors) == 4
         # ... and the key is released: a later compute succeeds.
-        result = cache.get_or_compute("k", lambda: _result("k"))
+        result = cache.flight("k", lambda: _result("k"))[0].result()
         assert result.spec_name == "k"
 
     def test_computed_value_lands_in_both_tiers(self, tmp_path):
         cache = ResultCache(tmp_path / "store")
         counter = _SolveCounter()
-        cache.get_or_compute("k", counter.compute_for("k"))
+        cache.flight("k", counter.compute_for("k"))[0].result()
         assert counter.counts == {"k": 1}
         # Fresh instance over the same directory: disk hit, no compute.
         reopened = ResultCache(tmp_path / "store")
-        result = reopened.get_or_compute(
+        result = reopened.flight(
             "k", pytest.fail  # must not be called
-        )
+        )[0].result()
         assert result.spec_name == "k"
         assert reopened.stats.disk_hits == 1
         cache.close()
@@ -170,9 +170,9 @@ class TestSingleFlightThreads:
                 tasks = [
                     loop.run_in_executor(
                         pool,
-                        cache.get_or_compute,
-                        "shared",
-                        counter.compute_for("shared"),
+                        lambda: cache.flight(
+                            "shared", counter.compute_for("shared")
+                        )[0].result(),
                     )
                     for _ in range(8)
                 ]
@@ -185,7 +185,7 @@ class TestSingleFlightThreads:
 
 class TestOneFlightTable:
     """Threads and event-loop tasks share one in-flight table: every
-    caller of ``flight`` or ``get_or_compute`` on a key joins one
+    caller of ``flight`` on a key, blocking or awaiting, joins one
     computation, led on an executor or inline."""
 
     @staticmethod
@@ -222,7 +222,7 @@ class TestOneFlightTable:
                 assert not coalesced
                 threads = self._threads(
                     4,
-                    lambda: thread_results.append(cache.get_or_compute("k", compute)),
+                    lambda: thread_results.append(cache.flight("k", compute)[0].result()),
                 )
                 joined = [cache.flight("k", compute, pool) for _ in range(4)]
                 assert all(coalesced for _, coalesced in joined)
@@ -278,7 +278,7 @@ class TestOneFlightTable:
 
         def follow():
             try:
-                cache.get_or_compute("k", failing)
+                cache.flight("k", failing)[0].result()
             except RuntimeError as error:
                 thread_errors.append(error)
 
@@ -359,7 +359,7 @@ class TestOneFlightTable:
         release.set()
         blocking.result(timeout=10)
         assert counter.counts == {}
-        result = cache.get_or_compute("k", counter.compute_for("k"))
+        result = cache.flight("k", counter.compute_for("k"))[0].result()
         assert result.spec_name == "k" and counter.counts == {"k": 1}
 
     def test_stress_threads_and_loop_tasks_compute_each_key_once(self):
@@ -374,7 +374,7 @@ class TestOneFlightTable:
         def walk(index):
             for step in range(len(keys)):
                 key = keys[(index + step) % len(keys)]
-                assert cache.get_or_compute(key, counter.compute_for(key)).spec_name == key
+                assert cache.flight(key, counter.compute_for(key))[0].result().spec_name == key
 
         async def scenario(pool):
             async def walk_async(index):
@@ -546,7 +546,7 @@ class TestDiskStoreContention:
 
     def test_result_cache_roundtrip_under_mixed_load(self, tmp_path):
         """Threads + event-loop tasks over one persistent cache: every
-        get_or_compute observes a value equal to what was stored."""
+        blocking flight observes a value equal to what was stored."""
         cache = ResultCache(tmp_path / "mixed", max_disk_entries=64)
         counter = _SolveCounter(delay_s=0.002)
         keys = [f"key{i}" for i in range(12)]
@@ -557,9 +557,9 @@ class TestDiskStoreContention:
                 tasks = [
                     loop.run_in_executor(
                         pool,
-                        cache.get_or_compute,
-                        keys[i % len(keys)],
-                        counter.compute_for(keys[i % len(keys)]),
+                        lambda key=keys[i % len(keys)]: cache.flight(
+                            key, counter.compute_for(key)
+                        )[0].result(),
                     )
                     for i in range(48)
                 ]
@@ -612,12 +612,12 @@ class TestStoreHandles:
         leaves its handle, and closing a path-opened cache twice is fine."""
         store = ChunkedResultStore(tmp_path / "shared")
         cache = ResultCache(store)
-        cache.get_or_compute("k", lambda: _result("k"))
+        cache.flight("k", lambda: _result("k"))[0].result()
         cache.close()
         assert store._handle is not None
         store.close()
         owned = ResultCache(tmp_path / "owned")
-        owned.get_or_compute("k", lambda: _result("k"))
+        owned.flight("k", lambda: _result("k"))[0].result()
         owned.close()
         owned.close()
         assert owned.disk._handle is None

@@ -282,33 +282,6 @@ class TestExplore:
             _explore(strategy="random", strategy_options={"trials": 4},
                      progress=progress)
 
-    def test_progress_appends_in_completion_order(self, tmp_path, monkeypatch):
-        # A slow candidate must not hold back the durability of faster
-        # ones: outcomes are persisted as they finish, so an interrupt
-        # loses only candidates still in flight.
-        import time
-
-        import repro.dse.explorer as explorer_mod
-
-        real = explorer_mod._evaluate_candidate
-
-        def slow_first(candidate, *args, **kwargs):
-            if candidate.parameter("cores") == 2:
-                time.sleep(0.3)
-            return real(candidate, *args, **kwargs)
-
-        monkeypatch.setattr(explorer_mod, "_evaluate_candidate", slow_first)
-        space = DesignSpace("tiny", [axis_values("cores", [2, 4])])
-        progress = tmp_path / "sweep.jsonl"
-        result = _explore(space, progress=progress, max_workers=2)
-        lines = [
-            json.loads(line)
-            for line in progress.read_text().splitlines()[1:]
-        ]
-        assert [line["parameters"][0][1] for line in lines] == [4, 2]
-        # Final outcomes stay in candidate (axis) order regardless.
-        assert [o.parameter("cores") for o in result.outcomes] == [2, 4]
-
     def test_torn_progress_line_tolerated(self, tmp_path):
         progress = tmp_path / "sweep.jsonl"
         sub = DesignSpace(
@@ -407,7 +380,7 @@ class TestExplore:
 
         monkeypatch.setattr(explorer_mod, "_evaluate_candidate", failing)
         space = DesignSpace("tiny", [axis_values("cores", [2, 4, 8])])
-        result = _explore(space, max_workers=1)
+        result = _explore(space)
         assert len(calls) == 3
         assert result.failures == 3
         assert all(o.failed and "boom" in o.error for o in result.outcomes)
@@ -416,8 +389,8 @@ class TestExplore:
             result.best()
 
     def test_max_failures_cancels_queued_candidates(self, monkeypatch):
-        # Past the abort threshold the sweep must not run the queued
-        # remainder to completion with nobody left to act on it.
+        # Past the abort threshold the sweep stops: the first failure
+        # aborts it before the next candidate runs.
         import repro.dse.explorer as explorer_mod
         from repro.dse import TooManyFailuresError
 
@@ -430,8 +403,8 @@ class TestExplore:
         monkeypatch.setattr(explorer_mod, "_evaluate_candidate", failing)
         space = DesignSpace("tiny", [axis_values("cores", [2, 4, 8])])
         with pytest.raises(TooManyFailuresError, match="boom"):
-            _explore(space, max_workers=1, max_failures=0)
-        assert len(calls) < 3  # the queued tail was cancelled
+            _explore(space, max_failures=0)
+        assert len(calls) == 1
 
     def test_one_shot_iterable_workload_not_exhausted(self):
         from repro.api.spec import parse

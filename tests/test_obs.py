@@ -347,6 +347,42 @@ class TestForkPropagation:
         assert any(r["pid"] != operator["pid"] for r in by_name["solve.select"])
 
 
+class TestDseTraceAncestry:
+    def test_sweep_is_one_trace(self, traced, tiny_machine, small_spec):
+        """Every candidate span is a child of the sweep span, and every
+        operator solve sits under a candidate, in the sweep's trace."""
+        from repro.dse import DesignSpace, axis_values, explore
+
+        space = DesignSpace(tiny_machine, [axis_values("cores", [1, 2])])
+        explore(
+            space,
+            [[small_spec]],
+            strategy="mopt",
+            strategy_options={"settings": _settings(), "measure": False},
+        )
+        records = obs_trace.drain()
+        by_id = {r["span_id"]: r for r in records}
+        (sweep,) = [r for r in records if r["name"] == "dse.sweep"]
+        candidates = [r for r in records if r["name"] == "dse.candidate"]
+        assert len(candidates) == 2
+        for candidate in candidates:
+            assert candidate["parent_id"] == sweep["span_id"]
+            assert candidate["trace_id"] == sweep["trace_id"]
+
+        def ancestor_names(record):
+            names = []
+            while record["parent_id"] is not None:
+                record = by_id[record["parent_id"]]
+                names.append(record["name"])
+            return names
+
+        operators = [r for r in records if r["name"] == "solve.operator"]
+        assert len(operators) == 2
+        for operator in operators:
+            assert "dse.candidate" in ancestor_names(operator)
+            assert operator["trace_id"] == sweep["trace_id"]
+
+
 # ----------------------------------------------------------------------
 # heartbeats and `dse status`
 # ----------------------------------------------------------------------

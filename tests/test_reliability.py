@@ -702,7 +702,6 @@ def _tiny_space():
 def _explore(**kwargs):
     kwargs.setdefault("strategy", "onednn")
     kwargs.setdefault("strategy_options", {"threads": 2})
-    kwargs.setdefault("max_workers", 1)  # deterministic fault targeting
     return explore(_tiny_space(), ("resnet18/R12",), **kwargs)
 
 
@@ -754,8 +753,7 @@ class TestSweepChaos:
         with activate(injector):
             with pytest.raises(TooManyFailuresError):
                 session.explore(
-                    _tiny_space(), ("resnet18/R12",),
-                    max_workers=1, max_failures=0,
+                    _tiny_space(), ("resnet18/R12",), max_failures=0
                 )
 
 
