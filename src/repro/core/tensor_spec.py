@@ -167,8 +167,10 @@ class ConvSpec:
     @property
     def macs(self) -> int:
         """Number of multiply-accumulate operations of the operator."""
-        e = self.loop_extents
-        return e["n"] * e["k"] * e["c"] * e["r"] * e["s"] * e["h"] * e["w"]
+        return (
+            self.batch * self.out_channels * self.in_channels * self.kernel_h
+            * self.kernel_w * self.out_height * self.out_width
+        )
 
     @property
     def flops(self) -> int:

@@ -248,15 +248,25 @@ class RequestHandle:
 
         Each batch holds at least one event; the last batch ends with the
         terminal event.  A transport writes a batch with one write.
+
+        ``submit`` queues the :class:`AcceptedEvent` before any worker
+        has run, so behind a non-terminal first event the stream yields
+        to the loop once: the worker that admission woke runs in that
+        pass, and a request it answers without suspending (every
+        operator a memory-tier hit) leaves as one batch.  A request that
+        waits for a worker or a solve gets its Accepted one pass later.
         """
         queue = self._events
+        batch = [await queue.get()]
+        if not batch[0].terminal:
+            await asyncio.sleep(0)
         while True:
-            batch = [await queue.get()]
             while not batch[-1].terminal and not queue.empty():
                 batch.append(queue.get_nowait())
             yield batch
             if batch[-1].terminal:
                 return
+            batch = [await queue.get()]
 
 
 def _layers_by_shape(specs: List[ConvSpec]) -> Dict[str, List[Tuple[int, ConvSpec]]]:
@@ -1224,8 +1234,9 @@ async def _serve_request_inner(
             FailedEvent(request_id=request.request_id, error=str(error))
         )
         return
-    # Every event already queued goes out in one write and one drain;
-    # each stays its own JSON line.
+    # Every event already queued goes out in one write and one drain,
+    # each its own JSON line: a warm request's Accepted, Operator and
+    # Completed events leave together.
     async for batch in handle.event_batches():
         async with write_lock:
             writer.write(

@@ -17,6 +17,7 @@ saturation) is deterministic and fast.
 
 import asyncio
 import dataclasses
+import gc
 import json
 import threading
 import time
@@ -721,6 +722,32 @@ class TestTCPTransport:
         assert response.network == "custom"
         assert response.operators[0].name == "small"
 
+    def test_warm_round_trips_leave_no_reference_cycles(
+        self, machine, small_spec, pointwise_spec
+    ):
+        """perfbench's load generator runs with the collector off, so a
+        cycle per round trip would pile up as resident memory."""
+        network = (small_spec, pointwise_spec)
+
+        async def scenario():
+            async with _server(machine) as server:
+                tcp = await start_tcp_server(server, "127.0.0.1", 0)
+                port = tcp.sockets[0].getsockname()[1]
+                async with await TCPServingClient.connect("127.0.0.1", port) as client:
+                    await client.optimize(network)  # solves, then warm only
+                    gc.collect()
+                    gc.disable()
+                    try:
+                        for _ in range(500):
+                            await client.optimize(network)
+                        unreachable = gc.collect()
+                    finally:
+                        gc.enable()
+                tcp.close()
+                await tcp.wait_closed()
+                return unreachable
+
+        assert run(scenario()) == 0
 
     def test_client_timeout_applies_per_event(self):
         """Events each within ``timeout_s``, together well past it, complete."""
@@ -816,6 +843,22 @@ def _variants(spec, count):
     ]
 
 
+def _record_writes(monkeypatch):
+    """Record every ``StreamWriter.write`` as ``(local port, payload)``.
+
+    The server's writes are those whose local port is the listening port.
+    """
+    writes = []
+    write = asyncio.StreamWriter.write
+
+    def recording(writer, data):
+        writes.append((writer.get_extra_info("sockname")[1], bytes(data)))
+        return write(writer, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", recording)
+    return writes
+
+
 class TestWireFormat:
     def test_warm_and_solving_requests_send_one_line_per_event(
         self, machine, small_spec, pointwise_spec
@@ -841,6 +884,72 @@ class TestWireFormat:
                 event = event_from_dict(decode_message(line))
                 assert line == encode_message(event_to_dict(event))
             _check_stream(lines, 3, cached=cached)
+
+    def test_warm_request_leaves_in_one_write(
+        self, machine, small_spec, pointwise_spec, monkeypatch
+    ):
+        writes = _record_writes(monkeypatch)
+        network = (small_spec, pointwise_spec, small_spec)
+
+        async def scenario():
+            async with _server(machine) as server:
+                tcp = await start_tcp_server(server, "127.0.0.1", 0)
+                port = tcp.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                await _exchange(reader, writer, [OptimizeRequest(network)])
+                del writes[:]
+                warm = await _exchange(reader, writer, [OptimizeRequest(network)])
+                writer.close()
+                await writer.wait_closed()
+                tcp.close()
+                await tcp.wait_closed()
+                return port, warm
+
+        port, warm = run(scenario())
+        _check_stream(warm, 3, cached=True)
+        # Accepted, three Operators and Completed: one write, one drain.
+        assert [data for local, data in writes if local == port] == [b"".join(warm)]
+
+    def test_waiting_request_gets_accepted_while_its_solve_is_gated(
+        self, machine, small_spec, monkeypatch
+    ):
+        gate = threading.Event()
+
+        @dataclass(frozen=True)
+        class GatedStrategy(ProbeStrategy):
+            def search(self, spec, machine):
+                assert gate.wait(10), "the gate never opened"
+                return super().search(spec, machine)
+
+        writes = _record_writes(monkeypatch)
+
+        async def scenario():
+            async with OptimizationServer(machine, GatedStrategy()) as server:
+                tcp = await start_tcp_server(server, "127.0.0.1", 0)
+                port = tcp.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(encode_message(OptimizeRequest((small_spec,)).to_dict()))
+                await writer.drain()
+                try:
+                    # The solve cannot end before the gate opens, so the
+                    # Accepted line must not wait for it.
+                    async with asyncio.timeout(5.0):
+                        lines = [await reader.readline()]
+                    sent_while_gated = [data for local, data in writes if local == port]
+                finally:
+                    gate.set()
+                async with asyncio.timeout(10.0):
+                    while decode_message(lines[-1])["type"] not in _TERMINAL_TYPES:
+                        lines.append(await reader.readline())
+                writer.close()
+                await writer.wait_closed()
+                tcp.close()
+                await tcp.wait_closed()
+                return lines, sent_while_gated
+
+        lines, sent_while_gated = run(scenario())
+        _check_stream(lines, 1, cached=False)
+        assert sent_while_gated == [lines[0]]
 
     def test_eight_inflight_requests_never_interleave_frames(
         self, machine, small_spec

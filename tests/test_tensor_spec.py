@@ -1,5 +1,7 @@
 """Unit tests for problem/tensor index algebra (repro.core.tensor_spec)."""
 
+import math
+
 import pytest
 
 from repro.core.tensor_spec import (
@@ -18,6 +20,7 @@ from repro.core.tensor_spec import (
     total_footprint,
     validate_tiles,
 )
+from repro.workloads.benchmarks import all_benchmarks
 
 
 class TestConstants:
@@ -59,6 +62,10 @@ class TestConvSpec:
         expected_macs = 1 * 8 * 4 * 3 * 3 * 6 * 6
         assert tiny_spec.macs == expected_macs
         assert tiny_spec.flops == 2 * expected_macs
+
+    def test_macs_is_the_loop_extent_product_for_every_table1_spec(self):
+        for spec in all_benchmarks():
+            assert spec.macs == math.prod(spec.loop_extents.values()), spec.name
 
     def test_element_counts(self, tiny_spec):
         assert tiny_spec.out_elements == 1 * 8 * 6 * 6
