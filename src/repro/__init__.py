@@ -77,128 +77,84 @@ The same flows from a shell: ``python -m repro optimize resnet18
 (see ``python -m repro --help``).
 """
 
-from .api import (
-    Session,
-    WarmCacheReport,
-    conv,
-    matmul,
-    network,
-    operator,
-    parse,
-)
-from .api.types import OptimizeRequest
-from .core import (
-    ConvSpec,
-    MOptOptimizer,
-    MultiLevelConfig,
-    OptimizationResult,
-    OptimizerSettings,
-    TilingConfig,
-    data_volume,
-    design_microkernel,
-    fast_settings,
-    multilevel_cost,
-    optimize_conv,
-    pruned_permutation_classes,
-)
-from .dse import (
-    Axis,
-    DesignSpace,
-    ExplorationResult,
-    axis_grid,
-    axis_log2,
-    axis_values,
-    explore,
-    pareto_frontier,
-)
-from .engine import (
-    NetworkOptimizer,
-    NetworkResult,
-    OpResult,
-    ResultCache,
-    SearchStrategy,
-    StrategyResult,
-    available_strategies,
-    get_strategy,
-    register_strategy,
-    result_cache_key,
-    spec_shape_key,
-    strategy_registry,
-)
-from .machine import (
-    MachineSpec,
-    available_machines,
-    cascade_lake_i9_10980xe,
-    coffee_lake_i7_9700k,
-    get_machine,
-    machine_registry,
-    register_machine,
-    tiny_test_machine,
-)
-from .serving import (
-    OptimizationServer,
-    OptimizeResponse,
-    ServerConfig,
-    ServingClient,
-)
-from .workloads import all_benchmarks, benchmark_by_name, network_benchmarks
+from importlib import import_module
 
 __version__ = "1.8.0"
 
-__all__ = [
-    "Axis",
-    "ConvSpec",
-    "DesignSpace",
-    "ExplorationResult",
-    "MachineSpec",
-    "MOptOptimizer",
-    "MultiLevelConfig",
-    "NetworkOptimizer",
-    "NetworkResult",
-    "OpResult",
-    "OptimizationResult",
-    "OptimizationServer",
-    "OptimizeRequest",
-    "OptimizeResponse",
-    "OptimizerSettings",
-    "ResultCache",
-    "SearchStrategy",
-    "ServerConfig",
-    "ServingClient",
-    "Session",
-    "StrategyResult",
-    "TilingConfig",
-    "WarmCacheReport",
-    "all_benchmarks",
-    "available_machines",
-    "available_strategies",
-    "axis_grid",
-    "axis_log2",
-    "axis_values",
-    "benchmark_by_name",
-    "cascade_lake_i9_10980xe",
-    "coffee_lake_i7_9700k",
-    "conv",
-    "data_volume",
-    "design_microkernel",
-    "explore",
-    "fast_settings",
-    "get_machine",
-    "get_strategy",
-    "machine_registry",
-    "matmul",
-    "multilevel_cost",
-    "network",
-    "network_benchmarks",
-    "operator",
-    "optimize_conv",
-    "pareto_frontier",
-    "parse",
-    "pruned_permutation_classes",
-    "register_machine",
-    "register_strategy",
-    "result_cache_key",
-    "spec_shape_key",
-    "strategy_registry",
-    "tiny_test_machine",
-]
+#: Every public name -> the module that defines it.  A name's module is
+#: imported on the name's first use (PEP 562), so ``import repro`` loads
+#: only the package itself, and a cold solve never pays for the serving,
+#: DSE, baseline or simulator subsystems.
+_EXPORTS = {
+    "Axis": ".dse",
+    "ConvSpec": ".core",
+    "DesignSpace": ".dse",
+    "ExplorationResult": ".dse",
+    "MachineSpec": ".machine",
+    "MOptOptimizer": ".core",
+    "MultiLevelConfig": ".core",
+    "NetworkOptimizer": ".engine",
+    "NetworkResult": ".engine",
+    "OpResult": ".engine",
+    "OptimizationResult": ".core",
+    "OptimizationServer": ".serving",
+    "OptimizeRequest": ".api.types",
+    "OptimizeResponse": ".serving",
+    "OptimizerSettings": ".core",
+    "ResultCache": ".engine",
+    "SearchStrategy": ".engine",
+    "ServerConfig": ".serving",
+    "ServingClient": ".serving",
+    "Session": ".api",
+    "StrategyResult": ".engine",
+    "TilingConfig": ".core",
+    "WarmCacheReport": ".api",
+    "all_benchmarks": ".workloads",
+    "available_machines": ".machine",
+    "available_strategies": ".engine",
+    "axis_grid": ".dse",
+    "axis_log2": ".dse",
+    "axis_values": ".dse",
+    "benchmark_by_name": ".workloads",
+    "cascade_lake_i9_10980xe": ".machine",
+    "coffee_lake_i7_9700k": ".machine",
+    "conv": ".api",
+    "data_volume": ".core",
+    "design_microkernel": ".core",
+    "explore": ".dse",
+    "fast_settings": ".core",
+    "get_machine": ".machine",
+    "get_strategy": ".engine",
+    "machine_registry": ".machine",
+    "matmul": ".api",
+    "multilevel_cost": ".core",
+    "network": ".api",
+    "network_benchmarks": ".workloads",
+    "operator": ".api",
+    "optimize_conv": ".core",
+    "pareto_frontier": ".dse",
+    "parse": ".api",
+    "pruned_permutation_classes": ".core",
+    "register_machine": ".machine",
+    "register_strategy": ".engine",
+    "result_cache_key": ".engine",
+    "spec_shape_key": ".engine",
+    "strategy_registry": ".engine",
+    "tiny_test_machine": ".machine",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

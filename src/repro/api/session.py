@@ -36,10 +36,10 @@ there.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -69,6 +69,9 @@ from ..obs import trace as obs_trace
 from ..obs.trace import span
 from ..workloads.benchmarks import network_names
 from .spec import parse
+
+if TYPE_CHECKING:  # asyncio loads only once an async path runs
+    import asyncio
 
 #: Anything `Session.optimize` accepts: one operator, a workload
 #: reference string, or an explicit operator list.
@@ -534,6 +537,8 @@ class Session:
         )
 
     async def _ensure_client(self):
+        import asyncio
+
         from ..serving.client import ServingClient
         from ..serving.server import OptimizationServer
 
@@ -575,6 +580,8 @@ class Session:
         """Stop the embedded serving engine (no-op if never started)."""
         if self._server is None:
             return
+        import asyncio
+
         if self._server_loop is asyncio.get_running_loop():
             server, self._server = self._server, None
             self._client = None

@@ -45,7 +45,6 @@ invocations; everything is built on :class:`repro.api.Session`.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import contextlib
 import json
 import sys
@@ -230,6 +229,8 @@ def _run_optimize(args: argparse.Namespace) -> int:
 # serve / demo
 # ----------------------------------------------------------------------
 async def _run_serve(args: argparse.Namespace) -> int:
+    import asyncio
+
     from .engine.cache import ResultCache
     from .machine.presets import get_machine
     from .serving.server import OptimizationServer, ServerConfig, start_tcp_server
@@ -390,6 +391,8 @@ def _parse_endpoint(endpoint: str) -> Tuple[str, int]:
 
 
 async def _run_stats(args: argparse.Namespace) -> int:
+    import asyncio
+
     from .serving.client import TCPServingClient
 
     try:
@@ -419,6 +422,8 @@ async def _run_stats(args: argparse.Namespace) -> int:
 
 
 async def _run_top(args: argparse.Namespace) -> int:
+    import asyncio
+
     from .obs.top import compute_dashboard, render_dashboard
 
     iterations: Optional[int] = 1 if args.once else args.iterations
@@ -1150,6 +1155,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         if args.command in async_runners:
+            import asyncio
+
             return asyncio.run(async_runners[args.command](args))
         return runners[args.command](args)
     except KeyboardInterrupt:

@@ -639,9 +639,16 @@ class CompiledPermutationCost:
     at generation time; the generic :func:`volume_general` /
     :func:`combined_footprint` remain the independent reference it is
     tested against.
+
+    The three functions are generated and compiled on first use of any
+    of them: :meth:`plan_signature` and :meth:`volume_interval_bound`
+    read only the analysis, so a class whose solve collapses into
+    another's never builds its code.  Two threads racing on the first
+    use may both build it; the code is pure, so either copy serves.
     """
 
     _POS = {index: position for position, index in enumerate(LOOP_INDICES)}
+    _EVALUATORS = ("volume_floats", "footprint_floats", "lanes")
 
     def __init__(self, permutation: Sequence[str], *, stride: int = 1, dilation: int = 1):
         config = TilingConfig(permutation, {i: 2.0 for i in LOOP_INDICES})
@@ -669,12 +676,18 @@ class CompiledPermutationCost:
         # Positions used repeatedly by the evaluators.
         self._p = {i: self._POS[i] for i in LOOP_INDICES}
         self._iterator_name = {self._POS[i]: i for i in LOOP_INDICES}
+
+    def __getattr__(self, name: str):
+        # Reached only while the evaluators are not yet instance attributes.
+        if name not in self._EVALUATORS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         make = compile_generated(
-            _plan_source(self._float_plans, stride == 1, dilation == 1), "make"
+            _plan_source(self._float_plans, self.stride == 1, self.dilation == 1), "make"
         )
-        self.volume_floats, self.footprint_floats, self.lanes = make(stride, dilation)
-        for function in (self.volume_floats, self.footprint_floats, self.lanes):
+        for attribute, function in zip(self._EVALUATORS, make(self.stride, self.dilation)):
             function.source = make.source
+            setattr(self, attribute, function)
+        return getattr(self, name)
 
     # -- interval bounds (basin lower bounds for the min-max solve) --------
     def volume_interval_bound(

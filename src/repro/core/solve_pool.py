@@ -37,16 +37,19 @@ lets tests kill a worker on a chosen dispatch deterministically.
 
 from __future__ import annotations
 
-import multiprocessing
+import atexit
 import os
 import threading
-from concurrent.futures import BrokenExecutor, CancelledError, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, CancelledError
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..obs import trace as obs_trace
 from ..obs.metrics import REGISTRY
 from ..reliability.faults import fault_fires
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 _IN_WORKER = False
 
@@ -109,6 +112,11 @@ def _get_executor(workers: int) -> ProcessPoolExecutor:
     global _EXECUTOR, _EXECUTOR_SIZE
     with _EXECUTOR_LOCK:
         if _EXECUTOR is None or _EXECUTOR_SIZE < workers:
+            # Only ``class_workers > 1`` gets here: a serial solve never
+            # loads multiprocessing.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             if _EXECUTOR is not None:
                 _EXECUTOR.shutdown(wait=False)
             try:
@@ -130,6 +138,13 @@ def shutdown_pool() -> None:
             _EXECUTOR.shutdown(wait=True)
         _EXECUTOR = None
         _EXECUTOR_SIZE = 0
+
+
+# Drop the pool before interpreter teardown.  `concurrent.futures.process`
+# is imported only when the first pool is built, after this module, so
+# teardown clears its globals first; a pool still held here would then
+# be collected with its weakref callback failing on them.
+atexit.register(shutdown_pool)
 
 
 def _discard_broken_executor(executor: ProcessPoolExecutor) -> None:

@@ -27,14 +27,13 @@ importable there.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import wait
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..obs.trace import span
-from ..analysis.stats import geometric_mean
 from ..core import solve_pool
 from ..core.tensor_spec import ConvSpec
 from ..machine.spec import MachineSpec
@@ -42,6 +41,9 @@ from ..workloads.benchmarks import network_benchmarks
 from .cache import ResultCache
 from .serialization import spec_shape_key
 from .strategy import SearchStrategy, StrategyResult, get_strategy
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Accepted ``executor`` modes of :class:`NetworkOptimizer`.
 EXECUTOR_MODES = ("serial", "process")
@@ -263,6 +265,8 @@ class NetworkResult:
         Layers are matched by name; both results must cover the same
         layers (the usual case: same network, different strategies).
         """
+        from ..analysis.stats import geometric_mean
+
         mine = self.gflops_by_layer()
         theirs = other.gflops_by_layer()
         if set(mine) != set(theirs):
@@ -433,6 +437,9 @@ class NetworkOptimizer:
         with ExitStack() as stack:
             leaders = None
             if pooled:
+                # Only this mode loads the pools (and multiprocessing).
+                from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
                 leaders = stack.enter_context(
                     ThreadPoolExecutor(workers, initializer=gate.wait)
                 )

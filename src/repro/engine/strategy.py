@@ -16,6 +16,11 @@ contract:
 configuration, a JSON-able ``extras`` mapping) so results round-trip
 through the persistent cache of :mod:`repro.engine.cache` and across
 process-pool workers unchanged.
+
+The comparison systems' modules (:mod:`repro.baselines`, the simulator's
+:mod:`repro.sim.perfmodel`) are imported by the ``search`` and
+``characterize`` methods that run them, so registering every system
+costs an analytical ``mopt`` search nothing.
 """
 
 from __future__ import annotations
@@ -33,20 +38,12 @@ from typing import (
 )
 
 from ..obs.trace import span
-from ..baselines.autotvm_like import ConvTemplate, XGBLikeTuner
-from ..baselines.onednn_like import (
-    ONEDNN_KERNEL_EFFICIENCY,
-    run_onednn_like,
-    schedule_library,
-)
-from ..baselines.random_search import grid_search, random_search
 from ..core.config import MultiLevelConfig
 from ..core.microkernel import design_microkernel
 from ..core.optimizer import MOptOptimizer, OptimizerSettings, fast_settings
 from ..core.pruning import pruning_statistics
 from ..core.tensor_spec import LOOP_INDICES, ConvSpec
 from ..machine.spec import MachineSpec
-from ..sim.perfmodel import virtual_measurement
 from .serialization import (
     maybe_config_from_dict,
     maybe_config_to_dict,
@@ -175,6 +172,8 @@ class MOptStrategy:
             "predicted_time_seconds": best.predicted_time_seconds,
         }
         if self.measure:
+            from ..sim.perfmodel import virtual_measurement
+
             threads = self._resolved_threads(machine)
             measurements = [
                 virtual_measurement(
@@ -251,6 +250,8 @@ class OneDnnStrategy:
     seed: int = 0
 
     def search(self, spec: ConvSpec, machine: MachineSpec) -> StrategyResult:
+        from ..baselines.onednn_like import run_onednn_like
+
         with span(
             "strategy.search", strategy=self.name, operator=spec.name
         ) as sp:
@@ -276,6 +277,8 @@ class OneDnnStrategy:
 
     def characterize(self, spec: ConvSpec, machine: MachineSpec) -> Dict[str, Any]:
         """Table 2 row: derived strengths/limitations of the library."""
+        from ..baselines.onednn_like import ONEDNN_KERNEL_EFFICIENCY, schedule_library
+
         schedules = schedule_library(spec, machine)
         return {
             "system": "oneDNN (library baseline)",
@@ -303,6 +306,8 @@ class AutoTVMStrategy:
     seed: int = 0
 
     def search(self, spec: ConvSpec, machine: MachineSpec) -> StrategyResult:
+        from ..baselines.autotvm_like import XGBLikeTuner
+
         tuner = XGBLikeTuner(spec, machine, threads=self.threads, seed=self.seed)
         tuning = tuner.tune(self.trials)
         gflops = tuning.best_gflops
@@ -324,6 +329,8 @@ class AutoTVMStrategy:
 
     def characterize(self, spec: ConvSpec, machine: MachineSpec) -> Dict[str, Any]:
         """Table 2 row: derived strengths/limitations of the auto-tuner."""
+        from ..baselines.autotvm_like import ConvTemplate
+
         template = ConvTemplate(spec)
         return {
             "system": "TVM / AutoTVM (auto-tuner baseline)",
@@ -350,6 +357,8 @@ class RandomSearchStrategy:
     seed: int = 0
 
     def search(self, spec: ConvSpec, machine: MachineSpec) -> StrategyResult:
+        from ..baselines.random_search import random_search
+
         outcome = random_search(
             spec, machine, threads=self.threads, trials=self.trials, seed=self.seed
         )
@@ -388,6 +397,8 @@ class GridSearchStrategy:
     permutation: Tuple[str, ...] = LOOP_INDICES
 
     def search(self, spec: ConvSpec, machine: MachineSpec) -> StrategyResult:
+        from ..baselines.random_search import grid_search
+
         outcome = grid_search(
             spec,
             machine,

@@ -21,19 +21,10 @@ module may import :mod:`repro.obs` without cycles):
   functions over serving stats payloads).
 """
 
-from . import export, metrics, top, trace
-from .export import histogram_quantile, render_json, render_prometheus
-from .heartbeat import (
-    DEFAULT_STALE_AFTER,
-    HeartbeatWriter,
-    heartbeat_path_for,
-    read_heartbeats,
-    render_status,
-    status_payload,
-)
+from importlib import import_module
+
+from . import metrics, trace
 from .metrics import REGISTRY, MetricsRegistry
-from .summary import render_summary, summarize
-from .top import compute_dashboard, render_dashboard
 from .trace import (
     activate,
     current_context,
@@ -45,6 +36,27 @@ from .trace import (
     remote_capture,
     span,
 )
+
+#: Names of the layers only the CLI, the server's ``stats`` verb and DSE
+#: sweeps use -> their module, imported on first use (PEP 562): every
+#: solver module imports this package for ``trace`` and ``metrics``.
+_LAZY = {
+    "export": "export",
+    "histogram_quantile": "export",
+    "render_json": "export",
+    "render_prometheus": "export",
+    "DEFAULT_STALE_AFTER": "heartbeat",
+    "HeartbeatWriter": "heartbeat",
+    "heartbeat_path_for": "heartbeat",
+    "read_heartbeats": "heartbeat",
+    "render_status": "heartbeat",
+    "status_payload": "heartbeat",
+    "render_summary": "summary",
+    "summarize": "summary",
+    "top": "top",
+    "compute_dashboard": "top",
+    "render_dashboard": "top",
+}
 
 __all__ = [
     "DEFAULT_STALE_AFTER",
@@ -76,3 +88,18 @@ __all__ = [
     "top",
     "trace",
 ]
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    loaded = import_module(f".{module}", __name__)
+    value = loaded if name == module else getattr(loaded, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -14,6 +14,7 @@ instances and offers lookup helpers used by every experiment.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.tensor_spec import ConvSpec
@@ -94,12 +95,23 @@ def network_names() -> Tuple[str, ...]:
     return tuple(_NETWORK_ROWS)
 
 
+@lru_cache(maxsize=64, typed=True)
+def _network_specs(key: str, batch: int) -> Tuple[ConvSpec, ...]:
+    # Specs are frozen, so one validated build serves every request of a
+    # (network, batch); typed, so batch=True or 1.0 is still rejected.
+    return tuple(_row_to_spec(row, batch) for row in _NETWORK_ROWS[key])
+
+
 def network_benchmarks(network: str, *, batch: int = 1) -> List[ConvSpec]:
-    """All conv2d operators of one network, in the paper's Table 1 order."""
+    """All conv2d operators of one network, in the paper's Table 1 order.
+
+    Returns a new list on every call (callers may mutate it) of specs
+    built once per ``(network, batch)``.
+    """
     key = network.lower()
     if key not in _NETWORK_ROWS:
         raise KeyError(f"unknown network {network!r}; available: {network_names()}")
-    return [_row_to_spec(row, batch) for row in _NETWORK_ROWS[key]]
+    return list(_network_specs(key, batch))
 
 
 def all_benchmarks(*, batch: int = 1) -> List[ConvSpec]:

@@ -20,6 +20,8 @@ mechanism may ever change a result:
   refine-solve numerics) must be visible as a ``STRATEGY_VERSION`` bump.
 """
 
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -201,7 +203,8 @@ class TestShapeFamilySharing:
     def test_cold_r3_compiles_one_source_per_plan_and_round(self):
         """The sparse jacobian lives in its round's generated source: a
         cold R3 solve (default ``mopt`` settings) compiles as many
-        evaluator sources as plans plus round structures, 19."""
+        evaluator sources as solved plans plus round structures, 17:
+        the 2 classes that collapse into another's solve build no plan."""
         from repro.core.optimizer import fast_settings
         from repro.machine.presets import coffee_lake_i7_9700k
         from repro.workloads.benchmarks import benchmark_by_name
@@ -213,7 +216,58 @@ class TestShapeFamilySharing:
         )
         before = evaluator_compiles()
         optimizer.optimize(benchmark_by_name("R3"))
-        assert evaluator_compiles() - before == 19
+        assert evaluator_compiles() - before == 17
+
+    def test_plan_code_is_built_on_first_evaluator_use(self):
+        """The signature and the interval bound read only the analysis;
+        the first evaluator use compiles all three functions once."""
+        plan = CompiledPermutationCost(REP, stride=2, dilation=1)
+        before = evaluator_compiles()
+        plan.plan_signature(frozenset())
+        plan.volume_interval_bound([16.0] * 7, [16.0] * 7, [4.0] * 7, [4.0] * 7)
+        assert evaluator_compiles() == before
+        (problem, tiles), *_ = _sample_points()
+        volume = plan.volume_floats(problem, tiles)
+        plan.footprint_floats(tiles)
+        plan.lanes
+        assert evaluator_compiles() == before + 1
+        assert plan.lanes.source == plan.volume_floats.source
+        fresh = CompiledPermutationCost(REP, stride=2, dilation=1)
+        assert fresh.volume_floats(problem, tiles) == volume
+        with pytest.raises(AttributeError):
+            plan.no_such_attribute
+
+    def test_racing_first_uses_all_get_working_code(self):
+        """Threads racing on a plan's first use may each build its code;
+        every one of them evaluates with a working, equal function."""
+        problem, tiles = _sample_points()[0]
+        expected = CompiledPermutationCost(REP).volume_floats(problem, tiles)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                plan = CompiledPermutationCost(REP)
+                start = threading.Barrier(8)
+                seen = []
+
+                def first_use(name):
+                    start.wait(timeout=10)
+                    getattr(plan, name)
+                    seen.append(plan.volume_floats(problem, tiles))
+
+                names = CompiledPermutationCost._EVALUATORS
+                threads = [
+                    threading.Thread(target=first_use, args=(names[i % len(names)],))
+                    for i in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert seen == [expected] * 8
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_differing_family_compiles_new_entries(self, tiny_machine):
         plain = ConvSpec("plain", 1, 16, 8, 10, 10, 3, 3, padding=1)

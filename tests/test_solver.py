@@ -223,11 +223,53 @@ print(json.dumps({
 }))
 """
 
+#: What a cold ``mopt`` solve never runs, so never imports: asyncio, the
+#: process pools and every subsystem beside the solve path.
+_COLD_UNUSED = (
+    "asyncio",
+    "concurrent.futures.process",
+    "multiprocessing",
+    "repro.analysis",
+    "repro.baselines",
+    "repro.dse",
+    "repro.experiments",
+    "repro.obs.export",
+    "repro.obs.heartbeat",
+    "repro.obs.summary",
+    "repro.obs.top",
+    "repro.serving",
+    "repro.sim",
+)
 
-def _import_all():
+_COLD_SOLVES = """
+from repro.api import Session
+from repro.core.cost_model import DEFAULT_COMPILE_CACHE
+from repro.workloads.benchmarks import benchmark_by_name
+
+def session():
+    return Session("i7-9700k", "mopt", strategy_options={"measure": False})
+
+for _ in range(3):
+    DEFAULT_COMPILE_CACHE.clear()
+    session().performance_stats()
+for name in ("R3", "Y13"):
+    DEFAULT_COMPILE_CACHE.clear()
+    assert session().optimize(benchmark_by_name(name)).gflops > 0
+"""
+
+_LOADED = """
+print(json.dumps(sorted(
+    name for name in sys.modules
+    if any(name == p or name.startswith(p + ".") for p in PREFIXES)
+)))
+"""
+
+
+def _run_fresh(script: str):
+    """Run ``script`` in a fresh interpreter; its last stdout line as JSON."""
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_ALL],
+        [sys.executable, "-c", script],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
@@ -235,6 +277,15 @@ def _import_all():
         check=True,
     )
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def _loaded_after(code: str, prefixes=_COLD_UNUSED):
+    """Modules under ``prefixes`` that a fresh process has loaded after ``code``."""
+    return _run_fresh(f"import json, sys\nPREFIXES = {tuple(prefixes)!r}\n{code}\n{_LOADED}")
+
+
+def _import_all():
+    return _run_fresh(_IMPORT_ALL)
 
 
 class TestImportBudget:
@@ -247,6 +298,27 @@ class TestImportBudget:
         """A fresh process loads the kernel by file; a later
         ``import scipy.optimize`` runs on that same module object."""
         assert _import_all()["one_kernel"] is True
+
+    def test_front_doors_load_only_the_solve_path(self):
+        assert _loaded_after("import repro, repro.api, repro.cli") == []
+
+    def test_serving_loads_no_search_subsystem(self):
+        prefixes = ("repro.baselines", "repro.dse", "repro.sim")
+        assert _loaded_after("import repro.serving", prefixes) == []
+
+    def test_every_public_name_resolves_and_is_listed(self):
+        names = _run_fresh(
+            "import json, repro\n"
+            "missing = [n for n in repro.__all__ if getattr(repro, n, None) is None]\n"
+            "print(json.dumps([missing, sorted(set(repro.__all__) - set(dir(repro))),"
+            " len(repro.__all__)]))"
+        )
+        assert names == [[], [], 55]
+
+    def test_cold_solves_load_nothing_deferred(self):
+        """Set-ups and cold solves as the cold-net benchmark runs them: the
+        deferred modules load neither at import nor later on the path."""
+        assert _loaded_after(_COLD_SOLVES) == []
 
 
 class TestKernelLoad:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.tensor_spec import LOOP_INDICES
+from repro.core.tensor_spec import LOOP_INDICES, ConvSpec, InvalidSpecError
+from repro.workloads import benchmarks as benchmarks_module
 from repro.workloads.benchmarks import (
     all_benchmarks,
     benchmark_by_name,
@@ -68,6 +69,33 @@ class TestTable1:
 
     def test_custom_batch(self):
         assert benchmark_by_name("R2", batch=4).batch == 4
+
+    def test_specs_are_built_once_per_network_and_batch(self, monkeypatch):
+        built = []
+        post_init = ConvSpec.__post_init__
+
+        def counting(self):
+            built.append(self.name)
+            post_init(self)
+
+        monkeypatch.setattr(ConvSpec, "__post_init__", counting)
+        benchmarks_module._network_specs.cache_clear()
+        first = network_benchmarks("mobilenet")
+        assert len(built) == 9
+        second = network_benchmarks("MobileNet")
+        assert len(built) == 9
+        assert second == first and second is not first
+        first.clear()
+        assert len(network_benchmarks("mobilenet")) == 9
+        benchmark_by_name("R3")
+        benchmark_by_name("Y13")
+        assert len(built) == 9 + 12 + 11
+
+    def test_memoized_specs_keep_batch_validation(self):
+        network_benchmarks("resnet18", batch=1)
+        for batch in (True, 1.0, 0):
+            with pytest.raises(InvalidSpecError):
+                network_benchmarks("resnet18", batch=batch)
 
 
 class TestScaling:
