@@ -250,27 +250,18 @@ class ResultCache:
         return None
 
     def get_many(
-        self,
-        keys: Sequence[str],
-        *,
-        memory_only: bool = False,
-        record_misses: bool = True,
+        self, keys: Sequence[str], *, record_misses: bool = True
     ) -> Dict[str, Optional[StrategyResult]]:
         """Batched lookup: one result (or ``None``) per key, in one pass.
 
         The memory tier is scanned under a single lock acquisition; only
-        the keys that miss it go to the disk tier.  This is what the
-        serving front-end uses to consult the cache for every distinct
-        operator of a request at once.
-
-        ``memory_only=True`` skips the disk tier and does no IO at all —
-        misses are returned as ``None`` without being counted in the
-        stats (the caller is expected to follow up with a full lookup
-        for them), which lets an event loop serve warm requests without
-        a thread-pool hop.  ``record_misses=False`` likewise keeps full
-        lookups from counting misses, for callers that will immediately
-        route the missing keys into :meth:`flight` (which counts the miss
-        itself — without this, every cold serving operator would be
+        the keys that miss it go to the disk tier.  The serving front-end
+        runs it on its event loop for every distinct operator of a
+        request at once, so a request answered from either tier takes no
+        thread-pool hop.  ``record_misses=False`` keeps the lookup from
+        counting misses, for callers that will immediately route the
+        missing keys into :meth:`flight` (which counts the miss itself —
+        without this, every cold serving operator would be
         double-counted).
         """
         found: Dict[str, Optional[StrategyResult]] = {}
@@ -284,10 +275,6 @@ class ResultCache:
                     found[key] = cached
                 else:
                     disk_keys.append(key)
-        if memory_only:
-            for key in disk_keys:
-                found[key] = None
-            return found
         for key in disk_keys:
             if self.disk is not None:
                 payload = self.disk.get(key)

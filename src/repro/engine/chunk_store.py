@@ -211,8 +211,11 @@ class ChunkedResultStore:
     # ------------------------------------------------------------------
     # layout helpers
     # ------------------------------------------------------------------
+    def _chunk_file(self, chunk_id: int) -> str:
+        return os.path.join(self.root, f"chunk-{chunk_id:08d}.bin")
+
     def _chunk_path(self, chunk_id: int) -> Path:
-        return self.root / f"chunk-{chunk_id:08d}.bin"
+        return Path(self._chunk_file(chunk_id))
 
     def _idx_path(self, chunk_id: int) -> Path:
         return self.root / f"chunk-{chunk_id:08d}.idx"
@@ -451,10 +454,14 @@ class ChunkedResultStore:
             loc = self._index.get(key)
             if loc is None:
                 return None
+            # Open, one pread, close: each syscall releases the GIL, and
+            # no descriptor is kept, as compaction replaces chunk files.
             try:
-                with self._chunk_path(loc.chunk).open("rb") as handle:
-                    handle.seek(loc.offset)
-                    blob = handle.read(loc.length)
+                fd = os.open(self._chunk_file(loc.chunk), os.O_RDONLY)
+                try:
+                    blob = os.pread(fd, loc.length, loc.offset)
+                finally:
+                    os.close(fd)
             except OSError:
                 return None
             entry: Any = None

@@ -14,6 +14,11 @@ share:
   exactly once, no matter how the requests interleave, and a request
   that joins another's solve awaits it on the event loop without
   holding a pool thread;
+* a request's lookup over both cache tiers runs on the event loop, so a
+  request whose operators are all cached, in memory or on disk, never
+  queues behind solves for a pool thread.  The trade-off: the loop does
+  a page-cache read under the disk store's lock, which a concurrent put
+  holds for its append and flush;
 * actual solves run on a bounded thread pool so the event loop stays
   responsive while scipy works;
 * every request streams progress events (one per completed operator)
@@ -827,11 +832,11 @@ class OptimizationServer:
                 remaining = expires_at - time.monotonic()
                 if remaining <= 0:
                     raise asyncio.TimeoutError
-            # The coalesce phase opens with a pass over the memory tier
-            # (no IO).  A request it answers completely finishes right
-            # here: no solve task, no wait.
+            # The coalesce phase opens with one lookup over both cache
+            # tiers, run on the loop.  A request it answers completely
+            # finishes right here: no solve task, no wait.
             coalesce_start = time.perf_counter()
-            cache_hits = self.cache.get_many(list(keys.values()), memory_only=True)
+            cache_hits = self.cache.get_many(list(keys.values()), record_misses=False)
             if all(hit is not None for hit in cache_hits.values()):
                 solved, cached_keys, _ = self._sweep_hits(
                     handle, distinct, keys, cache_hits, layers, coalesce_start
@@ -888,7 +893,7 @@ class OptimizationServer:
                             self._solve_misses(
                                 handle, strategy, distinct, fallback_keys,
                                 self.cache.get_many(
-                                    list(fallback_keys.values()), memory_only=True
+                                    list(fallback_keys.values()), record_misses=False
                                 ),
                                 layers, coalesce_start,
                             )
@@ -1041,33 +1046,20 @@ class OptimizationServer:
         strategy: SearchStrategy,
         distinct: Mapping[str, ConvSpec],
         keys: Mapping[str, str],
-        cache_hits: Dict[str, Optional[StrategyResult]],
+        cache_hits: Mapping[str, Optional[StrategyResult]],
         layers: Mapping[str, List[Tuple[int, ConvSpec]]],
         coalesce_start: float,
     ) -> Tuple[Dict[str, StrategyResult], set, int]:
-        """Finish a request the memory tier did not answer completely.
+        """Finish a request the cache tiers did not answer completely.
 
-        ``cache_hits`` is the memory-tier pass of every distinct key
-        (``None`` where it missed).  The misses go to the disk tier in one
-        thread-pool trip, then every shape still missing joins or leads
-        its key's cache flight (a leader solves on the shared thread
-        pool), streaming per-layer progress events.  Returns
-        ``(shape_key -> result, cached shape keys, coalesced operator
-        count)``.
+        ``cache_hits`` is the lookup of every distinct key over both tiers
+        (``None`` where it missed).  Every shape it missed joins or leads
+        its key's cache flight (a leader checks the disk tier again, then
+        solves on the shared thread pool), streaming per-layer progress
+        events.  Returns ``(shape_key -> result, cached shape keys,
+        coalesced operator count)``.
         """
-        loop = asyncio.get_running_loop()
         assert self._pool is not None
-        disk_keys = [key for key, hit in cache_hits.items() if hit is None]
-        if disk_keys and self.cache.disk is not None:
-            # Pool threads do not inherit this task's contextvars: ship the
-            # request's ancestry so spans the store opens join its trace.
-            lookup_ctx = current_context()
-
-            def disk_lookup() -> Dict[str, Optional[StrategyResult]]:
-                with activate(lookup_ctx):
-                    return self.cache.get_many(disk_keys, record_misses=False)
-
-            cache_hits.update(await loop.run_in_executor(self._pool, disk_lookup))
         solved, cached_keys, misses = self._sweep_hits(
             handle, distinct, keys, cache_hits, layers, coalesce_start
         )

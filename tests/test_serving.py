@@ -383,9 +383,10 @@ class TestCoalescing:
         self, machine, small_spec, pointwise_spec, tmp_path
     ):
         """One solve thread; a slow miss and its coalesced duplicate are in
-        flight.  The follower queued nothing on the pool, so a third
-        request whose operator is on disk still completes: its disk
-        lookup is the only job waiting behind the leader's solve."""
+        flight.  The follower queued nothing on the pool, and a third
+        request whose operator is on disk completes while the leader's
+        solve still holds the only thread: its disk lookup runs on the
+        event loop, not behind the solve."""
         started, gate = threading.Event(), threading.Event()
 
         @dataclass(frozen=True)
@@ -423,13 +424,14 @@ class TestCoalescing:
                 # follower queued no job behind it.
                 assert server._pool._work_queue.empty()
                 on_disk = server.submit(OptimizeRequest((pointwise_spec,)))
-                await asyncio.sleep(0.02)
-                gate.set()
+                try:
+                    answered = await asyncio.wait_for(on_disk.result(), 5)
+                finally:
+                    gate.set()
                 responses = await asyncio.wait_for(
-                    asyncio.gather(slow.result(), duplicate.result(), on_disk.result()),
-                    10,
+                    asyncio.gather(slow.result(), duplicate.result()), 10
                 )
-                return server, responses
+                return server, (*responses, answered)
 
         try:
             server, (slow, duplicate, on_disk) = run(scenario())
@@ -886,29 +888,45 @@ class TestWireFormat:
             _check_stream(lines, 3, cached=cached)
 
     def test_warm_request_leaves_in_one_write(
-        self, machine, small_spec, pointwise_spec, monkeypatch
+        self, machine, small_spec, pointwise_spec, monkeypatch, tmp_path
     ):
+        """A request answered from the memory tier, or from the store under
+        an empty memory tier, leaves in one write."""
         writes = _record_writes(monkeypatch)
         network = (small_spec, pointwise_spec, small_spec)
 
-        async def scenario():
-            async with _server(machine) as server:
+        async def scenario(cache, warm_up):
+            async with _server(machine, cache=cache) as server:
                 tcp = await start_tcp_server(server, "127.0.0.1", 0)
                 port = tcp.sockets[0].getsockname()[1]
                 reader, writer = await asyncio.open_connection("127.0.0.1", port)
-                await _exchange(reader, writer, [OptimizeRequest(network)])
+                if warm_up:
+                    await _exchange(reader, writer, [OptimizeRequest(network)])
                 del writes[:]
                 warm = await _exchange(reader, writer, [OptimizeRequest(network)])
+                sent = [data for local, data in writes if local == port]
                 writer.close()
                 await writer.wait_closed()
                 tcp.close()
                 await tcp.wait_closed()
-                return port, warm
+                return warm, sent
 
-        port, warm = run(scenario())
-        _check_stream(warm, 3, cached=True)
-        # Accepted, three Operators and Completed: one write, one drain.
-        assert [data for local, data in writes if local == port] == [b"".join(warm)]
+        # The first cache solves and fills its store, and its second
+        # request is a memory hit; a fresh cache over the same store
+        # starts with an empty memory tier, so the store answers.
+        runs = []
+        for warm_up in (True, False):
+            cache = ResultCache(tmp_path)
+            try:
+                runs.append(run(scenario(cache, warm_up)))
+            finally:
+                cache.close()
+        assert cache.stats.memory_hits == 0
+        assert cache.stats.disk_hits == 2
+        for warm, sent in runs:
+            _check_stream(warm, 3, cached=True)
+            # Accepted, three Operators and Completed: one write, one drain.
+            assert sent == [b"".join(warm)]
 
     def test_waiting_request_gets_accepted_while_its_solve_is_gated(
         self, machine, small_spec, monkeypatch

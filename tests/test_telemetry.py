@@ -369,9 +369,9 @@ class TestEndToEndTracing:
         return scenario()
 
     def test_disk_lookup_spans_join_the_request_trace(self, machine, tmp_path):
-        """The disk-tier lookup runs on a pool thread; spans a store
-        opens there must carry the request's trace id, not start orphan
-        traces of their own."""
+        """The disk-tier lookup runs on the event loop inside the
+        request's processing; spans a store opens there must carry the
+        request's trace id, not start orphan traces of their own."""
         from repro.engine.cache import ResultCache
         from repro.engine.chunk_store import ChunkedResultStore
 
