@@ -49,6 +49,7 @@ from .protocol import (
 )
 from .server import (
     DeadlineExpiredError,
+    EventBuffer,
     OptimizationServer,
     RequestFailedError,
     ServerOverloadedError,
@@ -212,7 +213,8 @@ class TCPServingClient:
         self.reconnect = reconnect
         self.rejections = 0
         self.reconnects = 0
-        self._streams: dict = {}
+        #: request id -> the frames read for it so far.
+        self._streams: Dict[str, EventBuffer] = {}
         self._reader_task: Optional["asyncio.Task[None]"] = None
         # Populated by connect(); reconnect only works with an address.
         self._host: Optional[str] = None
@@ -263,7 +265,7 @@ class TCPServingClient:
 
     # ------------------------------------------------------------------
     async def _read_loop(self) -> None:
-        """Demultiplex incoming event lines to per-request queues."""
+        """Demultiplex incoming event lines to per-request buffers."""
         try:
             while True:
                 line = await self._reader.readline()
@@ -277,21 +279,21 @@ class TCPServingClient:
                     # Stats replies are raw dicts, not serving events —
                     # route them to their waiter before event decoding
                     # (which rejects unknown frame types).
-                    queue = self._streams.get(payload.get("request_id"))
-                    if queue is not None:
-                        queue.put_nowait(payload)
+                    stream = self._streams.get(payload.get("request_id"))
+                    if stream is not None:
+                        stream.put(payload)
                     continue
                 try:
                     event = event_from_dict(payload)
                 except (ValueError, KeyError):
                     continue
-                queue = self._streams.get(event.request_id)
-                if queue is not None:
-                    queue.put_nowait(event)
+                stream = self._streams.get(event.request_id)
+                if stream is not None:
+                    stream.put(event)
         finally:
             eof = ConnectionResetError("connection closed by server")
-            for queue in self._streams.values():
-                queue.put_nowait(eof)
+            for stream in self._streams.values():
+                stream.put(eof)
 
     async def _reconnect(self) -> None:
         """Tear down the dead connection and open a fresh one."""
@@ -353,13 +355,15 @@ class TCPServingClient:
     ) -> Tuple[Optional[OptimizeResponse], Optional[ServingEvent]]:
         """Send one request; return (response, terminal rejection/None).
 
-        One ``asyncio.timeout`` window covers the whole exchange and is
-        pushed ``timeout_s`` ahead before every wait: the write-drain and
-        each wait for an event.  Events already queued are taken without
-        waiting.
+        One ``asyncio.timeout`` window covers the whole exchange.  It is
+        set ``timeout_s`` ahead when the request is written, which bounds
+        the write-drain and the silence before the first event, and
+        pushed ``timeout_s`` ahead again after every batch of events,
+        which bounds the silence before the next.  Events already read
+        are taken without waiting.
         """
-        queue: "asyncio.Queue" = asyncio.Queue()
-        self._streams[request.request_id] = queue
+        stream = EventBuffer()
+        self._streams[request.request_id] = stream
         loop = asyncio.get_running_loop()
         timeout_s = self.timeout_s
         draining = True
@@ -371,27 +375,26 @@ class TCPServingClient:
                 await self._writer.drain()
                 draining = False
                 while True:
-                    if queue.empty():
-                        if timeout_s is not None:
-                            window.reschedule(loop.time() + timeout_s)
-                        event = await queue.get()
-                    else:
-                        event = queue.get_nowait()
-                    if isinstance(event, BaseException):
-                        raise event
-                    if on_event is not None:
-                        on_event(event)
-                    if isinstance(event, CompletedEvent):
-                        return event.response, None
-                    if isinstance(event, RejectedEvent):
-                        return None, event
-                    if isinstance(event, ExpiredEvent):
-                        raise DeadlineExpiredError(
-                            f"request {request.request_id} expired after "
-                            f"{event.waited_s * 1e3:.1f} ms"
-                        )
-                    if isinstance(event, FailedEvent):
-                        raise RequestFailedError(event.error)
+                    if not stream.items:
+                        await stream.wait()
+                    for event in stream.take():
+                        if isinstance(event, BaseException):
+                            raise event
+                        if on_event is not None:
+                            on_event(event)
+                        if isinstance(event, CompletedEvent):
+                            return event.response, None
+                        if isinstance(event, RejectedEvent):
+                            return None, event
+                        if isinstance(event, ExpiredEvent):
+                            raise DeadlineExpiredError(
+                                f"request {request.request_id} expired after "
+                                f"{event.waited_s * 1e3:.1f} ms"
+                            )
+                        if isinstance(event, FailedEvent):
+                            raise RequestFailedError(event.error)
+                    if timeout_s is not None:
+                        window.reschedule(loop.time() + timeout_s)
         except TimeoutError:
             if not window.expired():
                 raise
@@ -467,8 +470,8 @@ class TCPServingClient:
         """
         request_id = next_request_id("stats")
         fmt = "prometheus" if prometheus else "json"
-        queue: "asyncio.Queue" = asyncio.Queue()
-        self._streams[request_id] = queue
+        stream = EventBuffer()
+        self._streams[request_id] = stream
         try:
             self._writer.write(
                 encode_message(
@@ -482,11 +485,13 @@ class TCPServingClient:
                     f"write stalled past {self.timeout_s:.1f}s"
                 ) from None
             try:
-                reply = await asyncio.wait_for(queue.get(), self.timeout_s)
-            except asyncio.TimeoutError:
+                async with asyncio.timeout(self.timeout_s):
+                    await stream.wait()
+            except TimeoutError:
                 raise ServingTimeoutError(
                     f"no stats reply within {self.timeout_s:.1f}s"
                 ) from None
+            reply = stream.items[0]
             if isinstance(reply, BaseException):
                 raise reply
             if isinstance(reply, FailedEvent):

@@ -13,13 +13,16 @@ parallel hierarchy.
 The streaming shape of one request's lifetime is::
 
     -> OptimizeRequest
-    <- AcceptedEvent          (queued; position and depth at admission)
+    <- AcceptedEvent          (admitted; the queue depth admission found)
     <- OperatorEvent * N      (one per layer, as each operator completes)
     <- CompletedEvent         (terminal: aggregates + per-layer figures)
 
 or a terminal :class:`RejectedEvent` (back-pressure, with a
 ``retry_after_s`` hint), :class:`ExpiredEvent` (deadline passed before
-completion) or :class:`FailedEvent` (strategy error).
+completion) or :class:`FailedEvent` (strategy error).  A request whose
+operators are all cached is answered at admission, ahead of queued
+work: its whole stream is ready when ``submit`` returns, and it is
+never rejected or expired.
 """
 
 from __future__ import annotations
@@ -56,7 +59,12 @@ __all__ = [
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class AcceptedEvent:
-    """The request was admitted to the queue."""
+    """The request was admitted.
+
+    ``queue_depth`` is the queue depth admission found: with the
+    request itself when it was queued, without it when it was answered
+    from the cache tiers at admission.
+    """
 
     request_id: str
     queue_depth: int

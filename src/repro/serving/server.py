@@ -4,21 +4,25 @@
 one-shot API into a long-lived service that many concurrent clients can
 share:
 
-* requests enter a :class:`~repro.serving.queue.BoundedRequestQueue`
-  (per-request priorities and deadlines, reject-with-retry-after when
-  the backlog is full);
-* a fixed set of asyncio workers claims requests and solves each
-  network's *distinct* operators through the result cache's one
-  single-flight table (:meth:`~repro.engine.cache.ResultCache.flight`)
-  — identical operators requested by concurrent clients are solved
-  exactly once, no matter how the requests interleave, and a request
-  that joins another's solve awaits it on the event loop without
-  holding a pool thread;
-* a request's lookup over both cache tiers runs on the event loop, so a
-  request whose operators are all cached, in memory or on disk, never
-  queues behind solves for a pool thread.  The trade-off: the loop does
-  a page-cache read under the disk store's lock, which a concurrent put
-  holds for its append and flush;
+* :meth:`OptimizationServer.submit` looks a request up in both cache
+  tiers on the event loop, and a request whose operators are all
+  cached, in memory or on disk, is answered right there, at admission:
+  ahead of queued work, without a queue slot or a worker, and never
+  rejected or expired.  The trade-off: the loop does a page-cache read
+  under the disk store's lock, which a concurrent put holds for its
+  append and flush;
+* a request with a miss enters a
+  :class:`~repro.serving.queue.BoundedRequestQueue` (per-request
+  priorities and deadlines, reject-with-retry-after when the backlog is
+  full), carrying its lookup;
+* a fixed set of asyncio workers claims queued requests, looks up again
+  only the keys that missed, and solves each network's *distinct*
+  missing operators through the result cache's one single-flight table
+  (:meth:`~repro.engine.cache.ResultCache.flight`) — identical
+  operators requested by concurrent clients are solved exactly once, no
+  matter how the requests interleave, and a request that joins
+  another's solve awaits it on the event loop without holding a pool
+  thread;
 * actual solves run on a bounded thread pool so the event loop stays
   responsive while scipy works;
 * every request streams progress events (one per completed operator)
@@ -63,7 +67,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, AsyncIterator, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, AsyncIterator, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from ..core import solve_pool  # noqa: F401 — registers its stat collector
 from ..core.batched import table_cache_stats  # noqa: F401 — collector import
@@ -166,12 +170,49 @@ class ServerStats:
     watchdog_failed: int = 0
 
 
+class EventBuffer:
+    """One request's events in arrival order, for one reader.
+
+    A plain list the producer appends to and the reader empties at once
+    with :meth:`take`; a waiter future exists only while the reader
+    waits on an empty buffer (:meth:`wait`).  The server buffers a
+    handle's events in one, the TCP client each request's frames.
+    """
+
+    __slots__ = ("items", "_waiter")
+
+    def __init__(self) -> None:
+        self.items: List[Any] = []
+        self._waiter: Optional["asyncio.Future[None]"] = None
+
+    def put(self, item: Any) -> None:
+        self.items.append(item)
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def take(self) -> List[Any]:
+        """Every buffered item, leaving the buffer empty."""
+        items, self.items = self.items, []
+        return items
+
+    async def wait(self) -> None:
+        """Return once at least one item is buffered."""
+        if not self.items:
+            self._waiter = asyncio.get_running_loop().create_future()
+            try:
+                await self._waiter
+            finally:
+                self._waiter = None
+
+
 class RequestHandle:
     """One submitted request: its event stream and awaitable result.
 
-    The network and strategy are resolved once at admission (they also
-    serve as submit-time validation) and stashed here so the worker does
-    not redo the work.
+    The network, strategy, per-shape layers and cache keys are resolved
+    once at admission (they also serve as submit-time validation) and
+    stashed here, with the admission lookup, so a worker does not redo
+    the work.
     """
 
     def __init__(
@@ -199,7 +240,14 @@ class RequestHandle:
         # ``time.monotonic()`` moment this request must be terminal by,
         # stamped when a worker claims it; the watchdog enforces it.
         self.expires_at: Optional[float] = None
-        self._events: "asyncio.Queue[ServingEvent]" = asyncio.Queue()
+        #: Filled in by ``submit()``: the layers of each distinct shape,
+        #: each shape's cache key and the admission lookup of those keys
+        #: over both tiers (``None`` where it missed).
+        self.layers: Dict[str, List[Tuple[int, ConvSpec]]] = {}
+        self.keys: Dict[str, str] = {}
+        self.hits: Dict[str, Optional[StrategyResult]] = {}
+        self._events = EventBuffer()
+        self._finished = False
         self._future: "asyncio.Future[OptimizeResponse]" = loop.create_future()
         # Resolved by OptimizationServer.cancel() and the watchdog: a
         # mid-flight worker races it against its solve and releases the
@@ -220,8 +268,33 @@ class RequestHandle:
     def request_id(self) -> str:
         return self.request.request_id
 
+    def _trace_context(self) -> Optional[obs_trace.TraceContext]:
+        """The ancestry a traced request's children record under, else ``None``."""
+        if self.trace_id is None or self.request_span_id is None:
+            return None
+        return self.trace_id, self.request_span_id
+
+    def _record_phase(self, name: str, duration_s: float, **attrs: Any) -> None:
+        """Record a finished phase of a traced request under its
+        ``serving.request`` span."""
+        if self.trace_id is not None:
+            record_span(
+                name,
+                duration_s,
+                trace_id=self.trace_id,
+                parent_id=self.request_span_id,
+                request_id=self.request_id,
+                **attrs,
+            )
+
     def _emit(self, event: ServingEvent) -> None:
-        self._events.put_nowait(event)
+        # Nothing follows the terminal event, so it ends every reader's
+        # last batch: an operator that lands after cancellation or expiry
+        # is dropped.
+        if self._finished:
+            return
+        self._finished = event.terminal
+        self._events.put(event)
 
     def _resolve(self, response: OptimizeResponse) -> None:
         if not self._future.done():
@@ -242,36 +315,26 @@ class RequestHandle:
 
     async def events(self) -> AsyncIterator[ServingEvent]:
         """Stream this request's events until (and including) the terminal one."""
-        while True:
-            event = await self._events.get()
-            yield event
-            if event.terminal:
-                return
+        async for batch in self.event_batches():
+            for event in batch:
+                yield event
 
     async def event_batches(self) -> AsyncIterator[List[ServingEvent]]:
-        """Stream this request's events, every event already queued at once.
+        """Stream this request's events, every event already buffered at once.
 
         Each batch holds at least one event; the last batch ends with the
-        terminal event.  A transport writes a batch with one write.
-
-        ``submit`` queues the :class:`AcceptedEvent` before any worker
-        has run, so behind a non-terminal first event the stream yields
-        to the loop once: the worker that admission woke runs in that
-        pass, and a request it answers without suspending (every
-        operator a memory-tier hit) leaves as one batch.  A request that
-        waits for a worker or a solve gets its Accepted one pass later.
+        terminal event.  A transport writes a batch with one write.  A
+        request ``submit`` answered from the cache tiers is already
+        terminal, so its whole stream is the first batch.
         """
-        queue = self._events
-        batch = [await queue.get()]
-        if not batch[0].terminal:
-            await asyncio.sleep(0)
+        buffer = self._events
         while True:
-            while not batch[-1].terminal and not queue.empty():
-                batch.append(queue.get_nowait())
+            if not buffer.items:
+                await buffer.wait()
+            batch = buffer.take()
             yield batch
             if batch[-1].terminal:
                 return
-            batch = [await queue.get()]
 
 
 def _layers_by_shape(specs: List[ConvSpec]) -> Dict[str, List[Tuple[int, ConvSpec]]]:
@@ -567,11 +630,20 @@ class OptimizationServer:
     def submit(
         self, request: OptimizeRequest, *, client_id: Optional[str] = None
     ) -> RequestHandle:
-        """Admit ``request`` or raise :class:`ServerOverloadedError`.
+        """Admit ``request``: answer it from the cache tiers, or queue it.
 
-        Must be called from the server's event loop.  The returned
-        handle immediately carries an :class:`AcceptedEvent`; progress
-        and terminal events follow as the request is serviced.
+        Must be called from the server's event loop.  One lookup over
+        both cache tiers covers the request's distinct operators.  When
+        every one hits, the request is answered here, ahead of queued
+        work: the returned handle already carries its whole stream
+        (:class:`AcceptedEvent`, whose ``queue_depth`` is the depth
+        admission found, one :class:`OperatorEvent` per layer and
+        :class:`CompletedEvent`) and its resolved result.  Such a request
+        takes no queue slot and is never rejected or expired.  A request
+        with a miss is queued with its lookup, or rejected with
+        :class:`ServerOverloadedError` when the queue is full; its
+        handle carries the :class:`AcceptedEvent`, and progress and
+        terminal events follow as a worker services it.
 
         ``client_id`` is a transport-supplied fallback tenant label
         (the TCP handler passes the peer address); the request's own
@@ -607,6 +679,28 @@ class OptimizationServer:
                 else:
                     handle.trace_id = obs_trace.new_span_id()
             handle.request_span_id = obs_trace.new_span_id()
+        handle.layers = layers = _layers_by_shape(specs)
+        handle.keys = keys = {
+            shape_key: self._cache_key(shape_key, group[0][1], strategy)
+            for shape_key, group in layers.items()
+        }
+        lookup_start = time.perf_counter()
+        with activate(handle._trace_context()):
+            handle.hits = hits = self.cache.get_many(
+                list(keys.values()), record_misses=False
+            )
+        if None not in hits.values():
+            queued_s = lookup_start - handle.submitted_at
+            self._accept(handle, self._queue.depth)
+            handle._record_phase(
+                "serving.queue_wait", queued_s,
+                client=handle.client_id or "local",
+            )
+            try:
+                self._answer_from_cache(handle, queued_s, lookup_start)
+            except Exception as error:  # pragma: no cover - defensive
+                self._finish_failed(handle, error)
+            return handle
         deadline = (
             request.deadline_s
             if request.deadline_s is not None
@@ -629,29 +723,33 @@ class OptimizationServer:
             overloaded = ServerOverloadedError(error.retry_after_s)
             handle._fail(overloaded)
             raise overloaded from None
-        self.stats.accepted += 1
-        self._handles[id(handle)] = handle
+        self._accept(handle, depth)
         # Enqueue-time saturation gauges: depth is what admission just
         # saw; backlog counts everything admitted but not yet terminal.
         registry = obs_metrics.REGISTRY
         registry.gauge("serving.queue_depth").set(depth)
         registry.gauge("serving.backlog").set(len(self._handles))
-        handle._emit(
-            AcceptedEvent(request_id=request.request_id, queue_depth=depth)
-        )
         return handle
 
-    def _observe_terminal(self, handle: RequestHandle, request_class: str) -> float:
-        """Record one request reaching a terminal state.
+    def _accept(self, handle: RequestHandle, depth: int) -> None:
+        """Count ``handle`` admitted and emit its :class:`AcceptedEvent`."""
+        self.stats.accepted += 1
+        self._handles[id(handle)] = handle
+        handle._emit(AcceptedEvent(request_id=handle.request_id, queue_depth=depth))
+
+    def _observe_terminal(
+        self, handle: RequestHandle, request_class: str, end: Optional[float] = None
+    ) -> None:
+        """Record one request reaching a terminal state at ``end`` (now).
 
         Feeds the per-class latency histogram, the per-class and
         per-client counters, refreshes the saturation gauges, and — when
         the request is traced — synthesizes its ``serving.request`` span
         covering the full submit-to-terminal wall (a live ``with`` block
-        cannot: the region starts in ``submit()``'s task and ends in a
-        worker's).  Returns the request's wall seconds.
+        cannot: a queued request's region starts in ``submit()``'s task
+        and ends in a worker's).
         """
-        latency_s = time.perf_counter() - handle.submitted_at
+        latency_s = (time.perf_counter() if end is None else end) - handle.submitted_at
         registry = obs_metrics.REGISTRY
         registry.histogram(f"serving.latency_s.{request_class}").observe(latency_s)
         registry.counter(f"serving.requests.{request_class}").inc()
@@ -673,7 +771,6 @@ class OptimizationServer:
                 request_class=request_class,
                 client=handle.client_id or "local",
             )
-        return latency_s
 
     def cancel(
         self, handle: RequestHandle, reason: str = "cancelled by client"
@@ -792,39 +889,28 @@ class OptimizationServer:
         # synthesized by ``_observe_terminal`` with exact duration; here
         # the worker records the queue wait it just ended and adopts the
         # pre-allocated span as ancestry so every child joins the trace.
-        queued_s = time.perf_counter() - handle.submitted_at
-        ctx: Optional[obs_trace.TraceContext] = None
-        if handle.trace_id is not None and handle.request_span_id is not None:
-            ctx = (handle.trace_id, handle.request_span_id)
-            record_span(
-                "serving.queue_wait",
-                queued_s,
-                trace_id=handle.trace_id,
-                parent_id=handle.request_span_id,
-                request_id=handle.request_id,
-                client=handle.client_id or "local",
-            )
-        with activate(ctx):
-            await self._process_request(handle, expires_at, queued_s)
+        claimed = time.perf_counter()
+        queued_s = claimed - handle.submitted_at
+        handle._record_phase(
+            "serving.queue_wait", queued_s,
+            client=handle.client_id or "local",
+        )
+        with activate(handle._trace_context()):
+            await self._process_request(handle, expires_at, queued_s, claimed)
 
     async def _process_request(
-        self, handle: RequestHandle, expires_at: Optional[float], queued_s: float
+        self,
+        handle: RequestHandle,
+        expires_at: Optional[float],
+        queued_s: float,
+        service_start: float,
     ) -> None:
-        request = handle.request
-        service_start = time.perf_counter()
-        strategy = handle.strategy
-        network_name, specs = handle.network_name, handle.specs
-        layers = _layers_by_shape(specs)
-        distinct = {shape_key: group[0][1] for shape_key, group in layers.items()}
-        keys = {
-            shape_key: self._cache_key(shape_key, spec, strategy)
-            for shape_key, spec in distinct.items()
-        }
-        coalesced_ops = 0
         if handle.cancelled:
             # Cancelled between queue claim and processing: cancel()
             # already emitted the terminal event and failed the future.
             return
+        strategy = handle.strategy
+        coalesced_ops = 0
         degraded = False
         try:
             remaining = None
@@ -832,93 +918,96 @@ class OptimizationServer:
                 remaining = expires_at - time.monotonic()
                 if remaining <= 0:
                     raise asyncio.TimeoutError
-            # The coalesce phase opens with one lookup over both cache
-            # tiers, run on the loop.  A request it answers completely
+            # The coalesce phase looks up again, on the loop, only the
+            # keys admission missed: another request may have solved them
+            # while this one waited.  A request that now hits everywhere
             # finishes right here: no solve task, no wait.
-            coalesce_start = time.perf_counter()
-            cache_hits = self.cache.get_many(list(keys.values()), record_misses=False)
-            if all(hit is not None for hit in cache_hits.values()):
-                solved, cached_keys, _ = self._sweep_hits(
-                    handle, distinct, keys, cache_hits, layers, coalesce_start
+            hits = handle.hits
+            hits.update(
+                self.cache.get_many(
+                    [key for key, hit in hits.items() if hit is None],
+                    record_misses=False,
                 )
-            else:
-                # The primary solve runs under the tighter of the deadline
-                # and the per-request solve budget; overrunning the budget
-                # degrades to the fallback strategy instead of expiring.
-                budget = self.config.solve_timeout_s
-                budget_bound = (
-                    budget is not None
-                    and self._fallback_strategy is not None
-                    and strategy.name != self._fallback_strategy.name
-                    and (remaining is None or budget < remaining)
+            )
+            if None not in hits.values():
+                self._answer_from_cache(handle, queued_s, service_start)
+                return
+            # The primary solve runs under the tighter of the deadline
+            # and the per-request solve budget; overrunning the budget
+            # degrades to the fallback strategy instead of expiring.
+            budget = self.config.solve_timeout_s
+            budget_bound = (
+                budget is not None
+                and self._fallback_strategy is not None
+                and strategy.name != self._fallback_strategy.name
+                and (remaining is None or budget < remaining)
+            )
+            timeout = budget if budget_bound else remaining
+            solve = asyncio.ensure_future(
+                self._solve_misses(
+                    handle, strategy, handle.keys, hits, service_start
                 )
-                timeout = budget if budget_bound else remaining
-                solve = asyncio.ensure_future(
-                    self._solve_misses(
-                        handle, strategy, distinct, keys, cache_hits, layers,
-                        coalesce_start,
+            )
+            cancelled = handle._cancelled
+            try:
+                done, _ = await asyncio.wait(
+                    {solve, cancelled},
+                    timeout=timeout,
+                    return_when=asyncio.FIRST_COMPLETED,
+                )
+                if solve not in done and cancelled not in done and budget_bound:
+                    # The primary blew its solve budget: abandon the
+                    # wait (its pool solves keep running and still warm
+                    # the shared cache) and answer with the cheaper
+                    # fallback within whatever deadline budget remains.
+                    solve.cancel()
+                    await asyncio.gather(solve, return_exceptions=True)
+                    degraded = True
+                    self.stats.degraded += 1
+                    obs_metrics.REGISTRY.counter(
+                        "health.serving.degraded"
+                    ).inc()
+                    assert self._fallback_strategy is not None
+                    strategy = self._fallback_strategy
+                    fallback_keys = {
+                        shape_key: self._cache_key(shape_key, group[0][1], strategy)
+                        for shape_key, group in handle.layers.items()
+                    }
+                    if expires_at is not None:
+                        remaining = expires_at - time.monotonic()
+                        if remaining <= 0:
+                            raise asyncio.TimeoutError
+                    coalesce_start = time.perf_counter()
+                    solve = asyncio.ensure_future(
+                        self._solve_misses(
+                            handle, strategy, fallback_keys,
+                            self.cache.get_many(
+                                list(fallback_keys.values()), record_misses=False
+                            ),
+                            coalesce_start,
+                        )
                     )
-                )
-                cancelled = handle._cancelled
-                try:
                     done, _ = await asyncio.wait(
                         {solve, cancelled},
-                        timeout=timeout,
+                        timeout=remaining,
                         return_when=asyncio.FIRST_COMPLETED,
                     )
-                    if solve not in done and cancelled not in done and budget_bound:
-                        # The primary blew its solve budget: abandon the
-                        # wait (its pool solves keep running and still warm
-                        # the shared cache) and answer with the cheaper
-                        # fallback within whatever deadline budget remains.
-                        solve.cancel()
-                        await asyncio.gather(solve, return_exceptions=True)
-                        degraded = True
-                        self.stats.degraded += 1
-                        obs_metrics.REGISTRY.counter(
-                            "health.serving.degraded"
-                        ).inc()
-                        assert self._fallback_strategy is not None
-                        strategy = self._fallback_strategy
-                        fallback_keys = {
-                            shape_key: self._cache_key(shape_key, spec, strategy)
-                            for shape_key, spec in distinct.items()
-                        }
-                        if expires_at is not None:
-                            remaining = expires_at - time.monotonic()
-                            if remaining <= 0:
-                                raise asyncio.TimeoutError
-                        coalesce_start = time.perf_counter()
-                        solve = asyncio.ensure_future(
-                            self._solve_misses(
-                                handle, strategy, distinct, fallback_keys,
-                                self.cache.get_many(
-                                    list(fallback_keys.values()), record_misses=False
-                                ),
-                                layers, coalesce_start,
-                            )
-                        )
-                        done, _ = await asyncio.wait(
-                            {solve, cancelled},
-                            timeout=remaining,
-                            return_when=asyncio.FIRST_COMPLETED,
-                        )
-                    if solve not in done:
-                        # Deadline or client cancellation won the race: stop
-                        # waiting and release this worker.  Underlying pool
-                        # solves keep running (they may feed coalesced
-                        # siblings) and still land in the shared cache.
-                        solve.cancel()
-                        await asyncio.gather(solve, return_exceptions=True)
-                        if cancelled in done:
-                            return  # cancel()/watchdog already finished it
-                        raise asyncio.TimeoutError
-                    solved, cached_keys, coalesced_ops = solve.result()
-                except asyncio.CancelledError:
-                    # Worker cancelled (server stopping): don't orphan the
-                    # solve task, as wait_for used to guarantee.
+                if solve not in done:
+                    # Deadline or client cancellation won the race: stop
+                    # waiting and release this worker.  Underlying pool
+                    # solves keep running (they may feed coalesced
+                    # siblings) and still land in the shared cache.
                     solve.cancel()
-                    raise
+                    await asyncio.gather(solve, return_exceptions=True)
+                    if cancelled in done:
+                        return  # cancel()/watchdog already finished it
+                    raise asyncio.TimeoutError
+                solved, cached_keys, coalesced_ops = solve.result()
+            except asyncio.CancelledError:
+                # Worker cancelled (server stopping): don't orphan the
+                # solve task, as wait_for used to guarantee.
+                solve.cancel()
+                raise
         except asyncio.TimeoutError:
             if self._handles.pop(id(handle), None) is None:
                 return  # the watchdog (or cancel) beat us to the expiry
@@ -932,14 +1021,59 @@ class OptimizationServer:
         except BaseException as error:
             self._finish_failed(handle, error)
             return
+        self._complete(
+            handle, strategy, solved, cached_keys, coalesced_ops, degraded,
+            queued_s=queued_s, service_start=service_start,
+        )
 
+    def _answer_from_cache(
+        self, handle: RequestHandle, queued_s: float, coalesce_start: float
+    ) -> None:
+        """Answer ``handle``, every operator of which ``handle.hits`` holds.
+
+        The coalesce phase that began at ``coalesce_start`` ends once the
+        hits are emitted, and the respond phase begins at that moment.
+        """
+        solved, cached_keys, _ = self._sweep_hits(handle, handle.keys, handle.hits)
+        respond_start = time.perf_counter()
+        handle._record_phase(
+            "serving.coalesce", respond_start - coalesce_start,
+            distinct=len(handle.keys),
+        )
+        self._complete(
+            handle, handle.strategy, solved, cached_keys,
+            queued_s=queued_s, service_start=coalesce_start,
+            respond_start=respond_start,
+        )
+
+    def _complete(
+        self,
+        handle: RequestHandle,
+        strategy: SearchStrategy,
+        solved: Mapping[str, StrategyResult],
+        cached_keys: set,
+        coalesced_ops: int = 0,
+        degraded: bool = False,
+        *,
+        queued_s: float,
+        service_start: float,
+        respond_start: Optional[float] = None,
+    ) -> None:
+        """Answer ``handle``: its response, Completed event and figures.
+
+        The one completion of a request, whether ``submit()`` answered it
+        from the cache tiers or a worker finished it.  The
+        ``serving.respond`` span runs from ``respond_start`` (now) to
+        the terminal moment, so it meets the coalesce span before it and
+        the request span's end.
+        """
+        if respond_start is None:
+            respond_start = time.perf_counter()
         if self._handles.pop(id(handle), None) is None:
             return  # watchdog-expired or cancelled while we finished
-        # Explicitly timed like the coalesce phase: warm-request hot
-        # path, no child spans under it.
-        respond_start = time.perf_counter()
+        specs = handle.specs
         network_result = build_network_result(
-            network=network_name,
+            network=handle.network_name,
             machine_name=self.machine.name,
             strategy=strategy.name,
             specs=specs,
@@ -949,7 +1083,7 @@ class OptimizationServer:
         )
         response = OptimizeResponse.from_network_result(
             network_result,
-            request_id=request.request_id,
+            request_id=handle.request_id,
             coalesced=coalesced_ops,
             queued_s=queued_s,
             service_s=time.perf_counter() - service_start,
@@ -958,16 +1092,7 @@ class OptimizationServer:
         self.stats.completed += 1
         self.stats.operators_served += len(specs)
         handle._resolve(response)
-        handle._emit(
-            CompletedEvent(request_id=request.request_id, response=response)
-        )
-        record_span(
-            "serving.respond",
-            time.perf_counter() - respond_start,
-            trace_id=handle.trace_id,
-            parent_id=handle.request_span_id,
-            request_id=handle.request_id,
-        )
+        handle._emit(CompletedEvent(request_id=handle.request_id, response=response))
         # Request-class taxonomy: the degraded path wins (it answered),
         # coalescing beats plain cold (some solves were shared), a fully
         # cache-answered request is warm, everything else is cold.
@@ -975,11 +1100,13 @@ class OptimizationServer:
             request_class = "degraded"
         elif coalesced_ops > 0:
             request_class = "coalesced"
-        elif len(cached_keys) == len(distinct):
+        elif len(cached_keys) == len(handle.layers):
             request_class = "warm"
         else:
             request_class = "cold"
-        self._observe_terminal(handle, request_class)
+        end = time.perf_counter()
+        handle._record_phase("serving.respond", end - respond_start)
+        self._observe_terminal(handle, request_class, end)
 
     def _finish_failed(self, handle: RequestHandle, error: BaseException) -> None:
         if id(handle) not in self._handles:
@@ -1002,70 +1129,59 @@ class OptimizationServer:
     def _sweep_hits(
         self,
         handle: RequestHandle,
-        distinct: Mapping[str, ConvSpec],
         keys: Mapping[str, str],
-        cache_hits: Mapping[str, Optional[StrategyResult]],
-        layers: Mapping[str, List[Tuple[int, ConvSpec]]],
-        coalesce_start: float,
+        hits: Mapping[str, Optional[StrategyResult]],
     ) -> Tuple[Dict[str, StrategyResult], set, List[str]]:
-        """Close the coalesce phase: emit the hits, return what is left.
+        """Emit the hits of a lookup, and return what is left.
 
         Walks the distinct shapes in order, emitting one cached
-        :class:`OperatorEvent` per layer of every shape ``cache_hits``
-        answers, and records the ``serving.coalesce`` span from
-        ``coalesce_start`` (through the cheaper ``record_span``: the
-        region opens no child spans that would need the ancestry).
-        Returns ``(shape_key -> result, cached shape keys, missed shape
-        keys)``.
+        :class:`OperatorEvent` per layer of every shape whose key
+        (``keys``, shape key -> cache key) ``hits`` answers.  Returns
+        ``(shape_key -> result, cached shape keys, missed shape keys)``.
         """
         solved: Dict[str, StrategyResult] = {}
         cached_keys: set = set()
         misses: List[str] = []
-        for shape_key in distinct:
-            hit = cache_hits.get(keys[shape_key])
+        for shape_key, layers in handle.layers.items():
+            hit = hits.get(keys[shape_key])
             if hit is not None:
-                self.stats.operators_cached += len(layers[shape_key])
+                self.stats.operators_cached += len(layers)
                 solved[shape_key] = hit
                 cached_keys.add(shape_key)
-                _emit_layers(handle, layers[shape_key], hit, True, False)
+                _emit_layers(handle, layers, hit, True, False)
             else:
                 misses.append(shape_key)
-        record_span(
-            "serving.coalesce",
-            time.perf_counter() - coalesce_start,
-            trace_id=handle.trace_id,
-            parent_id=handle.request_span_id,
-            request_id=handle.request_id,
-            distinct=len(distinct),
-        )
         return solved, cached_keys, misses
 
     async def _solve_misses(
         self,
         handle: RequestHandle,
         strategy: SearchStrategy,
-        distinct: Mapping[str, ConvSpec],
         keys: Mapping[str, str],
-        cache_hits: Mapping[str, Optional[StrategyResult]],
-        layers: Mapping[str, List[Tuple[int, ConvSpec]]],
+        hits: Mapping[str, Optional[StrategyResult]],
         coalesce_start: float,
     ) -> Tuple[Dict[str, StrategyResult], set, int]:
         """Finish a request the cache tiers did not answer completely.
 
-        ``cache_hits`` is the lookup of every distinct key over both tiers
-        (``None`` where it missed).  Every shape it missed joins or leads
-        its key's cache flight (a leader checks the disk tier again, then
+        ``hits`` is the lookup of every distinct key (``keys``, shape key
+        -> cache key) over both tiers, ``None`` where it missed; the
+        coalesce phase that began at ``coalesce_start`` ends once its
+        hits are emitted.  Every shape it missed joins or leads its
+        key's cache flight (a leader checks the disk tier again, then
         solves on the shared thread pool), streaming per-layer progress
         events.  Returns ``(shape_key -> result, cached shape keys,
         coalesced operator count)``.
         """
         assert self._pool is not None
-        solved, cached_keys, misses = self._sweep_hits(
-            handle, distinct, keys, cache_hits, layers, coalesce_start
+        solved, cached_keys, misses = self._sweep_hits(handle, keys, hits)
+        handle._record_phase(
+            "serving.coalesce", time.perf_counter() - coalesce_start,
+            distinct=len(keys),
         )
         coalesced_ops = 0
         if not misses:
             return solved, cached_keys, coalesced_ops
+        layers = handle.layers
 
         with span(
             "serving.solve", request_id=handle.request_id, misses=len(misses)
@@ -1077,7 +1193,7 @@ class OptimizationServer:
             flights = {}
             for shape_key in misses:
                 cache_key = keys[shape_key]
-                solve = partial(self._solve, strategy, cache_key, distinct[shape_key])
+                solve = partial(self._solve, strategy, cache_key, layers[shape_key][0][1])
                 flight, coalesced = self.cache.flight(cache_key, solve, self._pool)
                 if coalesced:
                     self.stats.operators_coalesced += len(layers[shape_key])
@@ -1148,102 +1264,71 @@ class OptimizationServer:
 # ----------------------------------------------------------------------
 # TCP transport: the same protocol as JSON lines over a socket
 # ----------------------------------------------------------------------
-async def _serve_request(
-    server: OptimizationServer,
-    writer: asyncio.StreamWriter,
-    write_lock: asyncio.Lock,
-    payload: Mapping[str, Any],
-) -> None:
-    """Service one decoded request line, streaming its events back.
+def _frames(events: List[ServingEvent]) -> bytes:
+    """``events`` as one JSON line each, for one write."""
+    return b"".join(encode_message(event_to_dict(event)) for event in events)
 
-    A client that disconnects mid-stream has abandoned its request: the
-    connection error (or the connection handler cancelling this task) is
-    converted into :meth:`OptimizationServer.cancel`, so the request
-    stops holding a queue slot or a worker.  Solves already running on
-    the pool finish in the background and still fill the shared cache.
+
+def _submit_line(
+    server: OptimizationServer, payload: Any, peer_id: Optional[str]
+) -> Tuple[Optional[RequestHandle], List[ServingEvent]]:
+    """Submit one decoded request line: ``(handle, events to write now)``.
+
+    The events are everything the request has so far: a request
+    ``submit`` answered from the cache tiers is already terminal.  The
+    handle is ``None`` when the line was answered without one: a line
+    that is no request, a full queue, or a request ``submit`` refused.
     """
-    submitted: List[RequestHandle] = []
-    try:
-        await _serve_request_inner(server, writer, write_lock, payload, submitted)
-    except (ConnectionResetError, BrokenPipeError, OSError):
-        for handle in submitted:
-            server.cancel(handle, reason="abandoned: client disconnected")
-    except asyncio.CancelledError:
-        for handle in submitted:
-            server.cancel(handle, reason="abandoned: client disconnected")
-        raise
-
-
-async def _serve_request_inner(
-    server: OptimizationServer,
-    writer: asyncio.StreamWriter,
-    write_lock: asyncio.Lock,
-    payload: Mapping[str, Any],
-    submitted: List[RequestHandle],
-) -> None:
-    async def send(event: ServingEvent) -> None:
-        async with write_lock:
-            writer.write(encode_message(event_to_dict(event)))
-            await writer.drain()
-
+    if not isinstance(payload, dict):
+        error = f"bad request: not a JSON object: {type(payload).__name__}"
+        return None, [FailedEvent(request_id="?", error=error)]
     try:
         request = OptimizeRequest.from_dict(payload)
     except (KeyError, ValueError, TypeError) as error:
-        async with write_lock:
-            writer.write(
-                encode_message(
-                    event_to_dict(
-                        FailedEvent(
-                            request_id=str(payload.get("request_id", "?")),
-                            error=f"bad request: {error}",
-                        )
-                    )
-                )
-            )
-            await writer.drain()
-        return
-    # Attribute telemetry to the TCP peer unless the client named itself.
-    peer = writer.get_extra_info("peername")
-    peer_id = f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) and len(peer) >= 2 else None
+        request_id = str(payload.get("request_id", "?"))
+        return None, [FailedEvent(request_id=request_id, error=f"bad request: {error}")]
     try:
         handle = server.submit(request, client_id=peer_id)
-        submitted.append(handle)
     except ServerOverloadedError as error:
-        await send(
-            RejectedEvent(
-                request_id=request.request_id,
-                reason="queue full",
-                retry_after_s=error.retry_after_s,
-            )
+        rejected = RejectedEvent(
+            request_id=request.request_id,
+            reason="queue full",
+            retry_after_s=error.retry_after_s,
         )
-        return
+        return None, [rejected]
     except (ValueError, KeyError, TypeError, RuntimeError) as error:
         # Unknown network/strategy (KeyError), empty network (ValueError),
         # bad strategy options / field types (TypeError) or a server that
         # stopped while the connection stayed open (RuntimeError): the
         # client must still get a terminal event, never a silent hang.
-        await send(
-            FailedEvent(request_id=request.request_id, error=str(error))
-        )
-        return
-    # Every event already queued goes out in one write and one drain,
-    # each its own JSON line: a warm request's Accepted, Operator and
-    # Completed events leave together.
-    async for batch in handle.event_batches():
-        async with write_lock:
-            writer.write(
-                b"".join(encode_message(event_to_dict(event)) for event in batch)
-            )
-            await writer.drain()
+        return None, [FailedEvent(request_id=request.request_id, error=str(error))]
+    return handle, handle._events.take()
 
 
-async def _serve_stats(
-    server: OptimizationServer,
-    writer: asyncio.StreamWriter,
-    write_lock: asyncio.Lock,
-    payload: Mapping[str, Any],
+async def _stream_events(
+    server: OptimizationServer, handle: RequestHandle, writer: asyncio.StreamWriter
 ) -> None:
-    """Answer one ``stats`` verb line with a single reply frame.
+    """Write a waiting request's events as they come, each batch in one write.
+
+    A client that disconnects mid-stream has abandoned its request: when
+    the stream ends on a connection error, or the connection handler
+    cancels it, the still-live request is cancelled through
+    :meth:`OptimizationServer.cancel`, so it stops holding a queue slot
+    or a worker.  Solves already running on the pool finish in the
+    background and still fill the shared cache.
+    """
+    try:
+        async for batch in handle.event_batches():
+            writer.write(_frames(batch))
+            await writer.drain()
+    except OSError:
+        pass  # the connection is gone
+    finally:
+        server.cancel(handle, reason="abandoned: client disconnected")
+
+
+def _stats_reply(server: OptimizationServer, payload: Mapping[str, Any]) -> bytes:
+    """The one frame answering a ``stats`` verb line.
 
     ``{"verb": "stats", "request_id": ..., "format": "json"|"prometheus"}``
     gets back ``{"type": "stats", "request_id": ..., "format": ...}``
@@ -1254,32 +1339,17 @@ async def _serve_stats(
     """
     request_id = str(payload.get("request_id", "stats"))
     fmt = str(payload.get("format", "json"))
+    reply: Dict[str, Any] = {"type": "stats", "request_id": request_id, "format": fmt}
     try:
-        reply: Dict[str, Any] = {
-            "type": "stats",
-            "request_id": request_id,
-            "format": fmt,
-        }
         if fmt == "prometheus":
             reply["prometheus"] = render_prometheus(obs_metrics.snapshot())
         elif fmt == "json":
             reply["stats"] = server.stats_snapshot()
         else:
             raise ValueError(f"unknown stats format: {fmt!r}")
-    except Exception as error:  # pragma: no cover - defensive
-        async with write_lock:
-            writer.write(
-                encode_message(
-                    event_to_dict(
-                        FailedEvent(request_id=request_id, error=str(error))
-                    )
-                )
-            )
-            await writer.drain()
-        return
-    async with write_lock:
-        writer.write(encode_message(reply))
-        await writer.drain()
+    except Exception as error:
+        return _frames([FailedEvent(request_id=request_id, error=str(error))])
+    return encode_message(reply)
 
 
 async def _handle_connection(
@@ -1287,9 +1357,18 @@ async def _handle_connection(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
-    """One client connection: JSON-lines requests in, event streams out."""
-    write_lock = asyncio.Lock()
-    pending: List["asyncio.Task[None]"] = []
+    """One client connection: JSON-lines requests in, event streams out.
+
+    Each line is submitted as it is read.  What the request has so far
+    goes out at once in one write and one drain, each event its own JSON
+    line: a request answered from the cache tiers leaves whole (Accepted,
+    Operators, Completed) in the pass that read it, and only a request
+    that waits for a worker gets a task streaming the rest.
+    """
+    # Attribute telemetry to the TCP peer unless the client named itself.
+    peer = writer.get_extra_info("peername")
+    peer_id = f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) and len(peer) >= 2 else None
+    streams: Set["asyncio.Task[None]"] = set()
     try:
         while True:
             line = await reader.readline()
@@ -1302,32 +1381,28 @@ async def _handle_connection(
                 payload = json.loads(line.decode("utf-8"))
             except ValueError:
                 continue
-            if payload.get("verb") == "stats":
-                pending.append(
-                    asyncio.ensure_future(
-                        _serve_stats(server, writer, write_lock, payload)
-                    )
-                )
-                pending = [task for task in pending if not task.done()]
-                continue
-            pending.append(
-                asyncio.ensure_future(
-                    _serve_request(server, writer, write_lock, payload)
-                )
-            )
-            pending = [task for task in pending if not task.done()]
-        # EOF: the client closed its connection.  Anything still pending
-        # was abandoned mid-stream — the `finally` below cancels those
-        # serve tasks, which propagates into server-side request
-        # cancellation so no abandoned request holds a queue slot.
-    except (ConnectionResetError, BrokenPipeError):
-        pass
+            if isinstance(payload, dict) and payload.get("verb") == "stats":
+                writer.write(_stats_reply(server, payload))
+            else:
+                handle, events = _submit_line(server, payload, peer_id)
+                writer.write(_frames(events))
+                if handle is not None and not events[-1].terminal:
+                    stream = asyncio.ensure_future(_stream_events(server, handle, writer))
+                    streams.add(stream)
+                    stream.add_done_callback(streams.discard)
+            await writer.drain()
+        # EOF: the client closed its connection.  A stream still open was
+        # abandoned mid-way — the `finally` below cancels it, which
+        # cancels its request so that no abandoned request holds a slot.
+    except OSError:
+        pass  # the connection is gone
     finally:
-        for task in pending:
-            task.cancel()
+        pending = list(streams)
+        for stream in pending:
+            stream.cancel()
         if pending:
-            # Let the cancelled tasks run their cancellation handlers
-            # (server-side request cancellation) before closing up.
+            # Let the cancelled streams cancel their requests before
+            # closing up.
             await asyncio.gather(*pending, return_exceptions=True)
         try:
             writer.close()

@@ -498,6 +498,86 @@ class TestBackPressure:
         # With depth 1 and four concurrent clients, someone was pushed back.
         assert client.rejections > 0
 
+    def test_cached_request_is_answered_while_the_queue_is_full(
+        self, machine, small_spec, pointwise_spec, strided_spec, tmp_path
+    ):
+        """While a gated solve holds the only worker and a second cold
+        request fills the queue, a request whose operators are all cached
+        is answered at admission, in-process and over TCP, and is not
+        rejected: from the memory tier, and from the store under a fresh
+        cache's empty memory tier."""
+        gate = threading.Event()
+        solving = threading.Event()
+
+        @dataclass(frozen=True)
+        class GatedStrategy(ProbeStrategy):
+            def search(self, spec, machine):
+                solving.set()
+                assert gate.wait(10), "the gate never opened"
+                return super().search(spec, machine)
+
+        config = ServerConfig(max_queue_depth=1, workers=1, solve_threads=1)
+        warm = (small_spec,)
+
+        async def scenario(cache, warm_up, cold):
+            async with OptimizationServer(
+                machine, GatedStrategy(), cache=cache, config=config
+            ) as server:
+                if warm_up:
+                    gate.set()
+                    await server.submit(OptimizeRequest(warm)).result()
+                gate.clear()
+                solving.clear()
+                tcp = await start_tcp_server(server, "127.0.0.1", 0)
+                port = tcp.sockets[0].getsockname()[1]
+                streams = [[], []]
+                try:
+                    blocker = server.submit(OptimizeRequest(cold[:1]))
+                    async with asyncio.timeout(5.0):
+                        while not solving.is_set():
+                            await asyncio.sleep(0.005)
+                    queued = server.submit(OptimizeRequest(cold[1:]))
+                    assert server.queue_depth == 1
+                    await ServingClient(server, max_retries=0).optimize(
+                        warm, on_event=streams[0].append
+                    )
+                    async with await TCPServingClient.connect(
+                        "127.0.0.1", port, max_retries=0
+                    ) as client:
+                        await client.optimize(warm, on_event=streams[1].append)
+                    rejected = server.stats.rejected
+                finally:
+                    gate.set()
+                    tcp.close()
+                    await tcp.wait_closed()
+                await blocker.result()
+                await queued.result()
+                return streams, rejected
+
+        # The first cache solves `warm` and fills its store, then answers
+        # it from memory; a fresh cache over that store starts with an
+        # empty memory tier, so the store answers.  Each input gates its
+        # own cold operators: the first input's are in the store by then.
+        inputs = [
+            (True, (pointwise_spec, strided_spec)),
+            (False, tuple(_variants(pointwise_spec, 2))),
+        ]
+        for warm_up, cold in inputs:
+            cache = ResultCache(tmp_path)
+            try:
+                streams, rejected = run(scenario(cache, warm_up, cold))
+            finally:
+                cache.close()
+            assert rejected == 0
+            for events in streams:
+                assert [type(event) for event in events] == [
+                    AcceptedEvent, OperatorEvent, CompletedEvent
+                ]
+                assert events[0].queue_depth == 1
+                assert events[1].cached is True
+            if not warm_up:
+                assert cache.stats.disk_hits == 1
+
 
 class TestDeadlines:
     def test_queued_request_expires(self, machine, small_spec, pointwise_spec):
@@ -1012,6 +1092,37 @@ class TestWireFormat:
             else:
                 _check_stream(stream, 1 + index % 3, cached=True)
 
+    def test_non_object_line_gets_a_failed_event_and_keeps_the_connection(
+        self, machine, small_spec
+    ):
+        async def scenario():
+            async with _server(machine) as server:
+                tcp = await start_tcp_server(server, "127.0.0.1", 0)
+                port = tcp.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                request = OptimizeRequest((small_spec,))
+                writer.write(b"[1, 2]\n" + encode_message(request.to_dict()))
+                await writer.drain()
+                lines, terminals = [], 0
+                async with asyncio.timeout(10.0):
+                    while terminals < 2:
+                        line = await reader.readline()
+                        assert line, "server closed the connection"
+                        lines.append(line)
+                        terminals += decode_message(line)["type"] in _TERMINAL_TYPES
+                writer.close()
+                await writer.wait_closed()
+                tcp.close()
+                await tcp.wait_closed()
+                return lines
+
+        lines = run(scenario())
+        failed = event_from_dict(decode_message(lines[0]))
+        assert isinstance(failed, FailedEvent)
+        assert failed.request_id == "?"
+        assert failed.error.startswith("bad request: ")
+        _check_stream(lines[1:], 1, cached=False)
+
 
 class TestTaskBudget:
     """Tasks the server loop starts per request, counted by a task factory."""
@@ -1053,6 +1164,10 @@ class TestTaskBudget:
     def test_all_hit_request_starts_only_its_serve_task(
         self, machine, small_spec, pointwise_spec, strided_spec
     ):
+        """A request whose operators are all cached is answered inside
+        ``submit()`` and written by the connection handler: it starts no
+        task at all.  A request with a miss starts its streaming task and
+        its ``_solve_misses`` task."""
         network = (small_spec, pointwise_spec)
         cold, warm, miss = run(
             self._count_tasks(
@@ -1064,10 +1179,10 @@ class TestTaskBudget:
                 ],
             )
         )
-        assert warm == ["_serve_request"]
-        # A request with a miss still solves in a task of its own.
+        assert warm == []
+        # A request with a miss still streams and solves in tasks of its own.
         for tasks in (cold, miss):
-            assert tasks[0] == "_serve_request"
+            assert tasks[0] == "_stream_events"
             assert any(name.endswith("._solve_misses") for name in tasks)
 
     def test_cancel_signal_stays_unset_after_completion(

@@ -460,6 +460,48 @@ class TestEndToEndTracing:
         assert "serving requests: 1" in rendered
         assert "cold" in rendered
 
+    def test_all_hit_request_is_one_tight_tree(self, machine):
+        """A traced request answered at admission joins the TCP client's
+        trace, and its children tile its wall."""
+
+        async def scenario():
+            async with _server(machine) as server:
+                tcp = await start_tcp_server(server, "127.0.0.1", 0)
+                port = tcp.sockets[0].getsockname()[1]
+                try:
+                    async with await TCPServingClient.connect(
+                        "127.0.0.1", port
+                    ) as client:
+                        await client.optimize(_specs(2))  # solves, untraced
+                        obs_trace.enable()
+                        obs_trace.drain()
+                        await client.optimize(_specs(2))
+                finally:
+                    tcp.close()
+                    await tcp.wait_closed()
+
+        try:
+            run(scenario())
+            records = obs_trace.drain()
+        finally:
+            obs_trace.disable()
+
+        (client_span,) = [r for r in records if r["name"] == "serving.client.request"]
+        (request,) = [r for r in records if r["name"] == "serving.request"]
+        assert request["trace_id"] == client_span["trace_id"]
+        assert request["parent_id"] == client_span["span_id"]
+        assert request["attrs"]["request_class"] == "warm"
+        children = [r for r in records if r["parent_id"] == request["span_id"]]
+        names = [child["name"] for child in children]
+        assert len(names) == len(set(names)), names
+        assert {"serving.coalesce", "serving.respond"} <= set(names)
+        assert "serving.solve" not in names
+        assert all(child["trace_id"] == request["trace_id"] for child in children)
+        child_sum = sum(child["duration_s"] for child in children)
+        wall = request["duration_s"]
+        assert wall > 0
+        assert abs(child_sum - wall) / wall <= 0.05, (child_sum, wall)
+
     def test_untraced_serving_records_no_spans(self, machine):
         assert not obs_trace.is_enabled()
         before = len(obs_trace.snapshot_spans())
