@@ -146,7 +146,8 @@ class Session:
         ``False`` — caching off.
     executor / max_workers:
         Where the synchronous paths search: ``"serial"`` (default)
-        inline, ``"process"`` on ``max_workers`` worker processes (see
+        inline, ``"process"`` on the long-lived worker pool,
+        ``max_workers`` searches at a time (see
         :class:`~repro.engine.network.NetworkOptimizer`).
     server_config:
         Optional :class:`~repro.serving.server.ServerConfig` for the
@@ -449,7 +450,7 @@ class Session:
         ``iterations_<status>``: ``converged``, ``iteration_limit``,
         ``other``) and the ``evaluator_compiles`` of generated code; ``blas_threads_pinned``
         says whether scipy's OpenBLAS was pinned to one thread (``None``
-        before the first solve).  Solves in the forked solve-pool
+        before the first solve).  Solves on the process pool's
         workers are not counted here.
 
         The ``"reliability"`` entry folds in the process-wide health

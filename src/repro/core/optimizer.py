@@ -27,9 +27,7 @@ formulation of Section 5:
 Permutation classes whose cost expressions coincide after dropping
 extent-1 loops (e.g. all the spatial loops of a matmul-like operator) are
 solved once and the solution is shared — the collapse is certified
-bitwise-exact by :meth:`CompiledPermutationCost.plan_signature`.  The
-per-class solves are independent, so they can also be fanned out across a
-process pool (``OptimizerSettings.class_workers``).
+bitwise-exact by :meth:`CompiledPermutationCost.plan_signature`.
 
 The result records every candidate (one per permutation class) so the
 ``MOpt-5`` variant of the paper's evaluation (take the best of the top five
@@ -100,13 +98,6 @@ class OptimizerSettings:
     permutation_class_names:
         Restrict the search to a subset of the eight pruned classes (mainly
         for tests and ablations); ``None`` searches all eight.
-    class_workers:
-        Fan the independent per-class solves of this *single* operator out
-        across a process pool.  ``None`` or ``1`` solves serially; the pool
-        is also suppressed inside operator-level worker processes, so a
-        network sweep's process budget is never multiplied (one budget for
-        both fan-out layers).  Results are bitwise-identical to the serial
-        order — this knob never enters cache keys.
     """
 
     levels: Tuple[str, ...] = ("Reg", "L1", "L2", "L3")
@@ -119,7 +110,6 @@ class OptimizerSettings:
     snap_to_divisors: bool = True
     solver: SolverOptions = field(default_factory=SolverOptions)
     permutation_class_names: Optional[Tuple[str, ...]] = None
-    class_workers: Optional[int] = None
 
     def with_solver(self, solver: SolverOptions) -> "OptimizerSettings":
         """Copy with different solver options."""
@@ -310,24 +300,9 @@ class MOptOptimizer:
         groups: Sequence[Sequence[PermutationClass]],
         microkernel: MicrokernelDesign,
     ) -> List[Dict[str, Dict[str, float]]]:
-        """Solve one representative per group, serially or across the pool."""
-        from . import solve_pool
-
-        representatives = [group[0] for group in groups]
-        workers = solve_pool.resolve_workers(
-            self.settings.class_workers, len(representatives)
-        )
-        if workers > 1:
-            return solve_pool.run_class_solves(
-                self.machine,
-                self.settings,
-                spec,
-                [cls.name for cls in representatives],
-                workers,
-            )
+        """Solve one representative per group."""
         return [
-            self._solve_class_tiles(spec, cls, microkernel)
-            for cls in representatives
+            self._solve_class_tiles(spec, group[0], microkernel) for group in groups
         ]
 
     # ------------------------------------------------------------------

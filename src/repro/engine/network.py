@@ -14,24 +14,20 @@ and a strategy name, and it
    for another caller's computation of the same key, and a leader
    checks the disk tier, else searches and stores,
 3. runs the leaders inline (``serial``, the default) or, with
-   ``process``, hands each leader's search to a worker process,
+   ``process``, on threads of the call that each hand their search to
+   the long-lived worker pool of :mod:`repro.core.solve_pool`,
 4. aggregates per-layer results into network totals: predicted
    execution time, network GFLOPS and per-layer figures from which
    geomean speedups between strategies are computed.
-
-Worker processes receive the strategy instance itself
-(:func:`_search_worker`), so the strategy class only has to be
-importable there.
 """
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import wait
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..obs.trace import span
 from ..core import solve_pool
@@ -41,9 +37,6 @@ from ..workloads.benchmarks import network_benchmarks
 from .cache import ResultCache
 from .serialization import spec_shape_key
 from .strategy import SearchStrategy, StrategyResult, get_strategy
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 #: Accepted ``executor`` modes of :class:`NetworkOptimizer`.
 EXECUTOR_MODES = ("serial", "process")
@@ -123,24 +116,6 @@ def op_result(
     return OpResult(
         spec=spec, result=result, cached=shape_key in cached_keys, shape_key=shape_key
     )
-
-
-def _search_worker(
-    strategy: SearchStrategy,
-    spec: ConvSpec,
-    machine: MachineSpec,
-) -> StrategyResult:
-    """Top-level (picklable) pool worker.
-
-    The strategy *instance* is shipped to the worker rather than a
-    ``(name, options)`` registry reference: under the ``spawn`` /
-    ``forkserver`` start methods a fresh worker only has the built-in
-    registrations, so strategies registered at runtime in the parent
-    would be unresolvable there.  Pickling the instance only requires
-    the strategy class to be importable, which every module-level class
-    (including the built-in dataclass adapters) satisfies.
-    """
-    return strategy.search(spec, machine)
 
 
 @dataclass(frozen=True)
@@ -307,17 +282,22 @@ class NetworkOptimizer:
         Without one, each call coalesces through a throwaway cache.
     executor:
         Where a call's searches run: ``"serial"`` (default) inline in
-        the calling thread, ``"process"`` each in a worker process.
-        Both give bit-identical answers (strategies are deterministic).
-        Searches are CPU-bound Python that hold the GIL, so threads
-        would not overlap them: on a 2-CPU host, cold mobilenet mopt
-        (``measure=False``, ``max_workers=2``) took 2.9-4.0 s serial,
-        1.7-2.3 s on processes and 3.6-4.8 s on a thread pool, whose
-        process CPU stayed within 0.6 % of the wall.
+        the calling thread, ``"process"`` on the long-lived worker pool
+        of :mod:`repro.core.solve_pool`.  Both give bit-identical
+        answers (strategies are deterministic).  Searches are CPU-bound
+        Python that hold the GIL, so threads would not overlap them: on
+        a 2-CPU host, cold mobilenet mopt (``measure=False``,
+        ``max_workers=2``) took 3.2-3.6 s serial and 2.1-2.6 s on
+        processes as a fresh process's first call, the pool's start
+        (a forkserver and two workers importing the solver) included,
+        then 1.4-1.8 s on the started pool; a thread pool took
+        3.6-4.8 s.  Pool workers import the main module, so a script
+        that uses ``"process"`` needs the ``if __name__ == "__main__":``
+        guard.
     max_workers:
-        Worker-process count for ``"process"`` (default: number of
-        distinct operators, capped at 8 and at the CPUs usable by this
-        process).
+        How many searches a ``"process"`` call runs at once, and the
+        size the pool grows to (default: number of distinct operators,
+        capped at 8 and at the CPUs usable by this process).
     """
 
     def __init__(
@@ -402,9 +382,10 @@ class NetworkOptimizer:
         :meth:`~repro.engine.cache.ResultCache.flight`, so concurrent
         callers of one key share one search whichever path they came by.
         ``serial`` leaders run inline; ``process`` leaders run on a
-        thread pool of this call, each handing its search to a worker
-        process.  An optimizer without a cache uses a throwaway
-        in-memory one per call.  A leader's error is
+        thread pool of this call, each handing its search to the
+        long-lived worker pool (:func:`repro.core.solve_pool.search`).
+        An optimizer without a cache uses a throwaway in-memory one per
+        call.  A leader's error is
         raised here (pooled, once every flight has landed); its key is
         released and nothing is stored for it.  Returns ``(solved,
         cached_keys)``: the result of every shape key, and the keys this
@@ -415,62 +396,38 @@ class NetworkOptimizer:
         # An explicit ``max_workers`` is a caller contract; the default
         # width is the usable cores (capped at 8).
         workers = self.max_workers or min(
-            len(distinct), 8, max(1, solve_pool.available_cpus())
+            max(1, len(distinct)), 8, solve_pool.available_cpus()
         )
-        pooled = self.executor == "process" and workers > 1 and len(distinct) > 1
+        pooled = self.executor == "process"
         searched: set = set()
         joined: set = set()
-        processes: Optional[ProcessPoolExecutor] = None
 
         def search(shape_key: str, spec: ConvSpec) -> StrategyResult:
             searched.add(shape_key)
-            if processes is None:
+            if not pooled:
                 return self.strategy.search(spec, self.machine)
-            return processes.submit(
-                _search_worker, self.strategy, spec, self.machine
-            ).result()
+            return solve_pool.search(self.strategy, spec, self.machine, workers)
 
-        # Leader threads wait at the gate until every flight is registered,
-        # so the worker processes (forked in this thread) never copy a lock
-        # a running leader holds.
-        gate = threading.Event()
         with ExitStack() as stack:
             leaders = None
             if pooled:
-                # Only this mode loads the pools (and multiprocessing).
-                from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+                # Only this mode loads the thread pool, and solve_pool
+                # builds its process pool on the first search.
+                from concurrent.futures import ThreadPoolExecutor
 
-                leaders = stack.enter_context(
-                    ThreadPoolExecutor(workers, initializer=gate.wait)
-                )
+                leaders = stack.enter_context(ThreadPoolExecutor(workers))
             flights = {}
-            try:
-                for shape_key, spec in distinct.items():
-                    key = cache.key_for(spec, self.machine, self.strategy)
-                    flight, coalesced = cache.flight(
-                        key, partial(search, shape_key, spec), leaders
-                    )
-                    if coalesced:
-                        joined.add(shape_key)
-                    flights[shape_key] = flight
-                # A flight this call leads cannot land before the gate opens.
-                if pooled and any(
-                    not flight.done() and shape_key not in joined
-                    for shape_key, flight in flights.items()
-                ):
-                    # Operator-level worker processes never spawn nested
-                    # per-class pools (``solve_pool.mark_worker``).
-                    processes = stack.enter_context(
-                        ProcessPoolExecutor(
-                            workers, initializer=solve_pool.mark_worker
-                        )
-                    )
-                    # The fork start method forks every worker at the
-                    # first submit: do it here, before any leader runs.
-                    processes.submit(int)
-            finally:
-                gate.set()
+            for shape_key, spec in distinct.items():
+                key = cache.key_for(spec, self.machine, self.strategy)
+                flight, coalesced = cache.flight(
+                    key, partial(search, shape_key, spec), leaders
+                )
+                if coalesced:
+                    joined.add(shape_key)
+                flights[shape_key] = flight
             wait(flights.values())
+        if pooled and searched:
+            solve_pool.count_batch()
         solved = {shape_key: flight.result() for shape_key, flight in flights.items()}
         return solved, set(distinct) - searched - joined
 

@@ -104,15 +104,8 @@ def solver_options_to_dict(options: SolverOptions) -> Dict[str, Any]:
 
 
 def settings_to_dict(settings: OptimizerSettings) -> Dict[str, Any]:
-    """Plain-dict form of :class:`OptimizerSettings` (solver included).
-
-    ``class_workers`` is deliberately excluded: it only controls *where*
-    the per-class solves run (process-pool fan-out), never *what* they
-    compute — results are bitwise-identical at any worker count, so it
-    must not perturb cache keys or recorded experiment settings.
-    """
+    """Plain-dict form of :class:`OptimizerSettings` (solver included)."""
     payload = dataclasses.asdict(settings)
-    payload.pop("class_workers", None)
     payload["levels"] = list(settings.levels)
     if settings.permutation_class_names is not None:
         payload["permutation_class_names"] = list(settings.permutation_class_names)
@@ -122,11 +115,11 @@ def settings_to_dict(settings: OptimizerSettings) -> Dict[str, Any]:
 def settings_from_dict(payload: Mapping[str, Any]) -> OptimizerSettings:
     """Rebuild :class:`OptimizerSettings` from :func:`settings_to_dict` output.
 
-    Tolerates payloads recorded before (or after) execution-only fields
-    like ``class_workers`` existed, or that still carry retired
-    solve-path switches or solver options (``polish_starts``): unknown
-    keys are dropped rather than crashing, at the top level and in
-    ``solver``, and missing fields fall back to dataclass defaults.
+    Tolerates payloads recorded before (or after) a field existed, or
+    that still carry retired execution knobs, solve-path switches or
+    solver options (``polish_starts``): unknown keys are dropped rather
+    than crashing, at the top level and in ``solver``, and missing
+    fields fall back to dataclass defaults.
     """
     data = dict(payload)
     data["levels"] = tuple(data["levels"])

@@ -5,8 +5,8 @@ telemetry on (nothing here imports the solver/engine packages, so any
 module may import :mod:`repro.obs` without cycles):
 
 * :mod:`repro.obs.trace` — nestable ``span()`` context managers with
-  trace-id propagation across thread pools and fork-based process
-  pools, a bounded ring buffer, JSON-lines export.
+  trace-id propagation across thread pools and the process pool, a
+  bounded ring buffer, JSON-lines export.
 * :mod:`repro.obs.metrics` — the process-wide registry (counters,
   gauges, fixed-bucket histograms, named collectors) behind
   ``metrics.snapshot()``; ``Session.performance_stats()`` and the

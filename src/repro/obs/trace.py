@@ -18,8 +18,8 @@ Design constraints this module is built around:
 * **Thread- and task-safe nesting.**  The current span is a
   :mod:`contextvars` variable, so concurrent threads and interleaved
   asyncio tasks each see their own ancestry.
-* **Explicit cross-worker propagation.**  Thread pools and fork-based
-  process pools do not inherit a submitting task's context, so callers
+* **Explicit cross-worker propagation.**  Thread pools and process
+  pools do not inherit a submitting task's context, so callers
   ship :func:`current_context` with the work item: thread workers wrap
   execution in :func:`activate`; process workers (which cannot reach
   the parent's ring) wrap it in :func:`remote_capture` and return the
@@ -71,7 +71,7 @@ _CURRENT: ContextVar[Optional[TraceContext]] = ContextVar(
     "repro_trace_current", default=None
 )
 #: Side sink for :func:`remote_capture` — records spans even when the
-#: process-wide flag is off (fork workers of an untraced parent pool).
+#: process-wide flag is off (pool workers of an untraced caller).
 _SINK: ContextVar[Optional[List[Dict[str, Any]]]] = ContextVar(
     "repro_trace_sink", default=None
 )
@@ -85,8 +85,8 @@ def _new_id() -> str:
 
 
 # getpid() is a syscall; span records are minted several times per
-# serving request, so cache it and refresh in fork children (the solve
-# pool forks workers whose records must carry their own pid).
+# serving request, so cache it and refresh in fork children, whose
+# records must carry their own pid.
 _PID = os.getpid()
 
 

@@ -7,7 +7,7 @@ package is the shared substrate the hot paths build that on:
 
 * :class:`RetryPolicy` — deadline-aware exponential backoff with
   deterministic jitter, one schedule type for every retrying call site
-  (pool re-dispatch, TCP reconnect, sweep-candidate retry).
+  (TCP reconnect, sweep-candidate retry).
 * :class:`FaultInjector` — named, seedable failure points threaded
   through the hot paths (``solve_pool.kill_worker``,
   ``cache.put_oserror``, ``cache.corrupt_entry``, ``serving.solve``,
@@ -26,8 +26,9 @@ package is the shared substrate the hot paths build that on:
 
 The wired recovery behaviors (see each subsystem's docs):
 
-* ``core.solve_pool`` rebuilds a broken process pool once and falls
-  back to bitwise-identical serial execution if it breaks again;
+* ``core.solve_pool`` runs a search whose pool broke (a worker died)
+  again on a rebuilt pool, and inline, bitwise-identically, if the
+  rebuilt pool breaks under it too;
 * ``engine.cache`` quarantines corrupt on-disk entries and degrades to
   memory-only mode on persistent write failures;
 * ``serving`` answers over-budget solves with a cheaper fallback

@@ -36,6 +36,7 @@ from ..reliability import RetryPolicy
 
 from ..core.tensor_spec import ConvSpec
 from .protocol import (
+    MAX_LINE_BYTES,
     CompletedEvent,
     ExpiredEvent,
     FailedEvent,
@@ -232,7 +233,7 @@ class TCPServingClient:
     ) -> "TCPServingClient":
         """Open a connection to a serving endpoint (bounded by ``timeout_s``)."""
         reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), timeout_s
+            asyncio.open_connection(host, port, limit=MAX_LINE_BYTES), timeout_s
         )
         client = cls(
             reader, writer,
@@ -307,7 +308,8 @@ class TCPServingClient:
         except Exception:
             pass  # the transport may already be gone
         reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(self._host, self._port), self.timeout_s
+            asyncio.open_connection(self._host, self._port, limit=MAX_LINE_BYTES),
+            self.timeout_s,
         )
         self._reader, self._writer = reader, writer
         self._reader_task = asyncio.ensure_future(self._read_loop())

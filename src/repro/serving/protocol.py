@@ -35,6 +35,7 @@ from ..api.types import OptimizeRequest, next_request_id
 from ..engine.network import NetworkResult
 
 __all__ = [
+    "MAX_LINE_BYTES",
     "AcceptedEvent",
     "CompletedEvent",
     "ExpiredEvent",
@@ -384,6 +385,11 @@ def event_from_dict(payload: Mapping[str, Any]) -> ServingEvent:
         )
     raise ValueError(f"unknown event type {kind!r}")
 
+
+#: Longest JSON line either end of the TCP transport reads (the
+#: ``limit`` of its ``asyncio`` streams): room for a request or a
+#: response of tens of thousands of layers.
+MAX_LINE_BYTES = 8 * 1024 * 1024
 
 #: ``json.dumps(payload, sort_keys=True)`` builds this encoder anew on
 #: every call; one shared instance encodes the same bytes.

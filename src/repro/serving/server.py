@@ -84,6 +84,7 @@ from ..obs.export import render_prometheus
 from ..obs.trace import activate, current_context, record_span, span
 from ..reliability.faults import fault_point
 from .protocol import (
+    MAX_LINE_BYTES,
     AcceptedEvent,
     CompletedEvent,
     ExpiredEvent,
@@ -1352,6 +1353,30 @@ def _stats_reply(server: OptimizationServer, payload: Mapping[str, Any]) -> byte
     return encode_message(reply)
 
 
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next line (``b""`` at EOF), or ``None`` for one over the limit.
+
+    A line over :data:`MAX_LINE_BYTES` is consumed whole, through its
+    newline, so the next read starts at the next line.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as eof:
+        return eof.partial
+    except asyncio.LimitOverrunError as overrun:
+        consumed = overrun.consumed
+    while True:
+        # The first `consumed` buffered bytes hold no newline: drop them.
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as overrun:
+            consumed = overrun.consumed
+
+
 async def _handle_connection(
     server: OptimizationServer,
     reader: asyncio.StreamReader,
@@ -1371,7 +1396,12 @@ async def _handle_connection(
     streams: Set["asyncio.Task[None]"] = set()
     try:
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
+            if line is None:
+                error = f"bad request: line longer than {MAX_LINE_BYTES} bytes"
+                writer.write(_frames([FailedEvent(request_id="?", error=error)]))
+                await writer.drain()
+                continue
             if not line:
                 break
             line = line.strip()
@@ -1428,4 +1458,5 @@ async def start_tcp_server(
         lambda reader, writer: _handle_connection(server, reader, writer),
         host,
         port,
+        limit=MAX_LINE_BYTES,
     )

@@ -1,28 +1,28 @@
-"""Shape-family compile sharing, intra-operator pool and cache-token policy.
+"""Shape-family compile sharing, the process pool and cache-token policy.
 
 Raw-speed round 2 keys the compiled permutation-class plans by *shape
 family* — the permutation plus stride/dilation, never the loop extents —
 and shares one bounded, counted table (:class:`repro.core.cost_model.
 CompileCache`) across every optimizer, network sweep and DSE exploration
-in the process.  The per-class solves of one operator can additionally
-fan out across a process pool (:mod:`repro.core.solve_pool`).  Neither
+in the process.  The searches of an ``executor="process"`` network run
+on one long-lived process pool (:mod:`repro.core.solve_pool`).  Neither
 mechanism may ever change a result:
 
 * two specs of the same family must reuse one compiled table *and*
   produce bitwise-identical costs to fresh compilation;
 * differing stride/dilation must never share an entry;
-* pooled and serial class solves must agree bitwise, also when another
-  thread shut the shared pool down under a batch, and the pinned-
-  dimension class collapse must hand every member of a group the tiles
-  its own solve would have produced;
-* ``class_workers`` is execution-only, so it must be invisible to cache
-  keys and recorded settings, while the loss-free screening rework (new
-  refine-solve numerics) must be visible as a ``STRATEGY_VERSION`` bump.
+* pooled and serial searches must agree bitwise at any worker count,
+  also when another thread shut the shared pool down under a search,
+  and the pinned-dimension class collapse must hand every member of a
+  group the tiles its own solve would have produced;
+* recorded settings carry no execution-path knobs, while the loss-free
+  screening rework (new refine-solve numerics) must be visible as a
+  ``STRATEGY_VERSION`` bump.
 """
 
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import pytest
 
@@ -39,6 +39,8 @@ from repro.core.optimizer import MOptOptimizer, OptimizerSettings
 from repro.core.pruning import pruned_representatives
 from repro.core.solver import SolverOptions
 from repro.core.tensor_spec import LOOP_INDICES, ConvSpec
+from repro.engine import NetworkOptimizer, StrategyResult
+from repro.engine.serialization import settings_to_dict
 
 QUICK = SolverOptions(multistarts=0, maxiter=40, fallback_samples=50)
 
@@ -70,6 +72,43 @@ def _candidate_table(result):
         c.class_name: (c.config, c.predicted_time_seconds)
         for c in result.candidates
     }
+
+
+@dataclass(frozen=True)
+class _TableStrategy:
+    """mopt answering with its whole candidate table (module level, so a
+    pool worker can unpickle it)."""
+
+    settings: OptimizerSettings
+    name: str = field(default="mopt-table", init=False)
+
+    def search(self, spec, machine):
+        result = MOptOptimizer(machine, self.settings).optimize(spec)
+        return StrategyResult(
+            strategy=self.name,
+            spec_name=spec.name,
+            gflops=result.predicted_gflops,
+            time_seconds=result.best.predicted_time_seconds,
+            search_seconds=0.0,
+            extras={"table": _candidate_table(result)},
+        )
+
+    def cache_token(self):
+        return {"settings": settings_to_dict(self.settings)}
+
+
+POOLED_NET = (
+    ConvSpec("pooled", 1, 16, 8, 8, 8, 3, 3, padding=1),
+    ConvSpec("pooled-1x1", 1, 8, 16, 8, 8, 1, 1),
+    ConvSpec("pooled-wide", 1, 8, 8, 10, 10, 3, 3, padding=1),
+)
+
+
+def _network_tables(machine, specs, **execution):
+    """Per-layer candidate tables of one network optimize."""
+    optimizer = NetworkOptimizer(machine, _TableStrategy(_settings()), **execution)
+    result = optimizer.optimize(list(specs))
+    return [op.result.extras["table"] for op in result.operators]
 
 
 # ----------------------------------------------------------------------
@@ -281,43 +320,92 @@ class TestShapeFamilySharing:
 
 
 # ----------------------------------------------------------------------
-# Intra-operator process pool
+# The process pool of executor="process"
 # ----------------------------------------------------------------------
 class TestSolvePool:
-    def test_resolve_workers_policy(self):
-        assert solve_pool.resolve_workers(None, 8) == 1
-        assert solve_pool.resolve_workers(1, 8) == 1
-        assert solve_pool.resolve_workers(4, 8) == 4
-        assert solve_pool.resolve_workers(4, 1) == 1
-        assert solve_pool.resolve_workers(16, 3) == 3
-
-    def test_pool_suppressed_inside_worker(self, monkeypatch):
-        monkeypatch.setattr(solve_pool, "_IN_WORKER", True)
-        assert solve_pool.resolve_workers(4, 8) == 1
-
     def test_pooled_solves_bitwise_identical_to_serial(self, tiny_machine):
-        spec = ConvSpec("pooled", 1, 16, 8, 8, 8, 3, 3, padding=1)
-        serial = MOptOptimizer(tiny_machine, _settings()).optimize(spec)
+        serial = _network_tables(tiny_machine, POOLED_NET[:2])
         before = solve_pool.pool_stats()
         try:
-            pooled = MOptOptimizer(
-                tiny_machine, _settings(class_workers=2)
-            ).optimize(spec)
+            pooled = _network_tables(
+                tiny_machine, POOLED_NET[:2], executor="process", max_workers=2
+            )
         finally:
             solve_pool.shutdown_pool()
         after = solve_pool.pool_stats()
         assert after["pool_batches"] == before["pool_batches"] + 1
-        assert after["pool_solves"] > before["pool_solves"]
-        assert _candidate_table(pooled) == _candidate_table(serial)
+        assert after["pool_solves"] == before["pool_solves"] + 2
+        assert pooled == serial
+
+    def test_answers_do_not_depend_on_the_worker_count(self, tiny_machine):
+        """One worker and two give bitwise the serial candidate tables,
+        and a second call reuses the pool the first one grew."""
+        serial = _network_tables(tiny_machine, POOLED_NET)
+        solve_pool.shutdown_pool()
+        try:
+            one = _network_tables(
+                tiny_machine, POOLED_NET, executor="process", max_workers=1
+            )
+            two = _network_tables(
+                tiny_machine, POOLED_NET, executor="process", max_workers=2
+            )
+            pool = solve_pool._EXECUTOR
+            before = solve_pool.pool_stats()
+            again = _network_tables(
+                tiny_machine, POOLED_NET, executor="process", max_workers=2
+            )
+            after = solve_pool.pool_stats()
+            assert solve_pool._EXECUTOR is pool
+        finally:
+            solve_pool.shutdown_pool()
+        assert after["pool_solves"] == before["pool_solves"] + len(POOLED_NET)
+        assert after["pool_rebuilds"] == before["pool_rebuilds"]
+        assert one == serial
+        assert two == serial
+        assert again == serial
+
+    def test_concurrent_calls_share_the_pool_and_count_every_search(
+        self, tiny_machine
+    ):
+        """Four callers (more leader threads than cores) share the one
+        pool: every search is answered bitwise and counted once."""
+        serial = _network_tables(tiny_machine, POOLED_NET)
+        before = solve_pool.pool_stats()
+        answers = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [
+                threading.Thread(
+                    target=lambda: answers.append(
+                        _network_tables(
+                            tiny_machine, POOLED_NET, executor="process", max_workers=2
+                        )
+                    )
+                )
+                for _ in range(4)
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+            solve_pool.shutdown_pool()
+        after = solve_pool.pool_stats()
+        assert answers == [serial] * 4
+        assert after["pool_solves"] == before["pool_solves"] + 4 * len(POOLED_NET)
+        assert after["pool_batches"] == before["pool_batches"] + 4
 
     def test_pool_shut_down_by_another_thread_is_recovered(
         self, tiny_machine, monkeypatch
     ):
-        """Operator threads share one pool, and a thread that saw it break
-        shuts it down under the others' batches: their submits then raise
-        RuntimeError, which must be recovered like a break."""
-        spec = ConvSpec("pooled", 1, 16, 8, 8, 8, 3, 3, padding=1)
-        serial = MOptOptimizer(tiny_machine, _settings()).optimize(spec)
+        """Leader threads share one pool, and a thread that saw it break
+        (or grew it) shuts it down under the others' searches: their
+        submits then raise RuntimeError, which must be recovered like a
+        break."""
+        serial = _network_tables(tiny_machine, POOLED_NET[:1])
         get_executor = solve_pool._get_executor
         handed_out = []
 
@@ -330,22 +418,22 @@ class TestSolvePool:
 
         monkeypatch.setattr(solve_pool, "_get_executor", shut_down_first)
         try:
-            pooled = MOptOptimizer(
-                tiny_machine, _settings(class_workers=2)
-            ).optimize(spec)
+            pooled = _network_tables(
+                tiny_machine, POOLED_NET[:1], executor="process", max_workers=2
+            )
         finally:
             solve_pool.shutdown_pool()
         assert handed_out[1] is not handed_out[0]
-        assert _candidate_table(pooled) == _candidate_table(serial)
+        assert pooled == serial
 
     def test_discarding_a_broken_pool_keeps_its_replacement(self):
         """Two threads that saw the same pool break both discard it; the
         second discard must not shut down the pool the first one rebuilt."""
         broken = solve_pool._get_executor(2)
-        solve_pool._discard_broken_executor(broken)
+        assert solve_pool._discard_broken_executor(broken)
         replacement = solve_pool._get_executor(2)
         try:
-            solve_pool._discard_broken_executor(broken)
+            assert not solve_pool._discard_broken_executor(broken)
             assert solve_pool._get_executor(2) is replacement
             assert replacement.submit(int, 7).result() == 7
         finally:
@@ -402,14 +490,6 @@ class TestCacheTokenPolicy:
         # predicted times, so results cached under version 3 are stale.
         assert STRATEGY_VERSION == 4
 
-    def test_settings_to_dict_excludes_class_workers(self):
-        from repro.engine.serialization import settings_to_dict
-
-        base = _settings()
-        payload = settings_to_dict(base)
-        assert "class_workers" not in payload
-        assert payload == settings_to_dict(replace(base, class_workers=8))
-
     def test_settings_has_no_execution_path_knobs(self):
         from repro.engine.serialization import settings_to_dict
 
@@ -443,13 +523,6 @@ class TestCacheTokenPolicy:
         payload["future_execution_flag"] = 8  # recorded by a newer revision
         restored = settings_from_dict(payload)
         assert restored == base
-
-    def test_mopt_cache_token_invariant_under_class_workers(self, tiny_machine):
-        from repro.engine.strategy import get_strategy
-
-        plain = get_strategy("mopt", settings=_settings())
-        pooled = get_strategy("mopt", settings=_settings(class_workers=4))
-        assert dict(plain.cache_token()) == dict(pooled.cache_token())
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ The obs package (PR 9) threads three facilities through the codebase:
 
 * **Structured tracing** — nestable ``span()`` context managers recording
   into a bounded ring, with explicit context propagation across the DSE
-  thread pool (:func:`~repro.obs.trace.activate`) and the fork-based
-  solve pool (:func:`~repro.obs.trace.remote_capture` + ``ingest``).
+  thread pool (:func:`~repro.obs.trace.activate`) and the process
+  pool (:func:`~repro.obs.trace.remote_capture` + ``ingest``).
   One trace id must survive both hops.
 * **Unified metrics registry** — counters / gauges / fixed-bucket
   histograms plus named collectors, subsuming the per-subsystem stat
@@ -18,7 +18,7 @@ The obs package (PR 9) threads three facilities through the codebase:
   distinguish from slow ones.
 
 These tests pin the concurrency contracts (16 writer threads plus an
-asyncio loop against one ring/registry), the fork-boundary trace-id
+asyncio loop against one ring/registry), the process-boundary trace-id
 propagation, the heartbeat round-trip including stale detection, and a
 golden rendering of ``trace summary``.
 """
@@ -31,7 +31,7 @@ import threading
 
 import pytest
 
-from repro.core.optimizer import MOptOptimizer, OptimizerSettings
+from repro.core.optimizer import OptimizerSettings
 from repro.core.solver import SolverOptions
 from repro.obs import heartbeat as hb
 from repro.obs import trace as obs_trace
@@ -311,40 +311,46 @@ class TestTraceSpans:
 
 
 # ----------------------------------------------------------------------
-# fork-based solve pool: one trace id across the process boundary
+# the process pool: one trace id across the process boundary
 # ----------------------------------------------------------------------
 class TestForkPropagation:
     def test_pooled_class_solves_join_the_parent_trace(
-        self, traced, tiny_machine, small_spec
+        self, traced, tiny_machine, small_spec, pointwise_spec
     ):
-        from repro.core import solve_pool
+        """A traced ``executor="process"`` network: each search and its
+        class solves run in a pool worker, and their spans join the
+        caller's trace under an ancestor the caller recorded."""
+        import os
 
-        solve_pool.shutdown_pool()
-        try:
-            MOptOptimizer(
-                tiny_machine, _settings(class_workers=2)
-            ).optimize(small_spec)
-        finally:
-            solve_pool.shutdown_pool()
+        from repro.engine import NetworkOptimizer
+
+        optimizer = NetworkOptimizer(
+            tiny_machine,
+            "mopt",
+            strategy_options={"settings": _settings(), "measure": False},
+            executor="process",
+            max_workers=2,
+        )
+        with obs_trace.span("caller") as caller:
+            optimizer.optimize([small_spec, pointwise_spec])
         records = obs_trace.drain()
-        by_name = {}
-        for rec in records:
-            by_name.setdefault(rec["name"], []).append(rec)
+        by_id = {r["span_id"]: r for r in records}
+        here = os.getpid()
 
-        (operator,) = by_name["solve.operator"]
-        # Every span of the optimize — parent-side phases and
-        # worker-side class solves alike — carries one trace id.
-        assert {r["trace_id"] for r in records} == {operator["trace_id"]}
-        assert operator["parent_id"] is None
-
-        class_spans = by_name["solve.class"]
-        assert len(class_spans) >= 2
-        worker_pids = {r["pid"] for r in class_spans}
-        # The pool forks real workers, so class solves report foreign
-        # pids yet still stitch into the submitting trace.
-        assert worker_pids and operator["pid"] not in worker_pids
+        # Every span of the optimize — caller-side and worker-side
+        # alike — carries the caller's trace id.
+        assert {r["trace_id"] for r in records} == {caller.trace_id}
+        operators = [r for r in records if r["name"] == "solve.operator"]
+        assert len(operators) == 2
+        for operator in operators:
+            # The searches ran in workers, yet each one stitches into
+            # the caller's tree.
+            assert operator["pid"] != here
+            ancestor = by_id[operator["parent_id"]]
+            while ancestor["pid"] != here:
+                ancestor = by_id[ancestor["parent_id"]]
         # The worker-side select/refine phases came through ingest().
-        assert any(r["pid"] != operator["pid"] for r in by_name["solve.select"])
+        assert any(r["pid"] != here for r in records if r["name"] == "solve.select")
 
 
 class TestDseTraceAncestry:

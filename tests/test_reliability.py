@@ -10,8 +10,9 @@ matching ``health.*`` counter of the metrics registry fired).  Covered:
   schedule, deadline abandonment, retry counters;
 * :class:`~repro.reliability.FaultInjector` — arming knobs
   (times/after/key/probability) and activation scoping;
-* the intra-operator solve pool — a killed worker rebuilds the pool
-  once, a second break degrades to serial, both bitwise-identical;
+* the process pool of ``executor="process"`` — a worker killed
+  mid-search rebuilds the pool once, a second break runs the search
+  inline, both bitwise-identical;
 * the disk result cache — corrupt entries quarantined to ``.corrupt``
   with LRU recount, write failures (disk full / read-only) degrade the
   store to memory-only with a single warning instead of crashing;
@@ -45,9 +46,10 @@ from repro.core.optimizer import MOptOptimizer, OptimizerSettings
 from repro.core.solver import SolverOptions
 from repro.core.tensor_spec import ConvSpec
 from repro.dse import DesignSpace, axis_values, explore
-from repro.engine import StrategyResult, strategy_registry
+from repro.engine import NetworkOptimizer, StrategyResult, strategy_registry
 from repro.engine.cache import ResultCache
 from repro.engine.chunk_store import CACHE_FORMAT_VERSION, ChunkedResultStore
+from repro.engine.serialization import settings_to_dict
 from repro.machine.presets import tiny_test_machine
 from repro.obs.metrics import REGISTRY
 from repro.reliability import (
@@ -96,6 +98,38 @@ def _candidate_table(result):
         c.class_name: (c.config, c.predicted_time_seconds)
         for c in result.candidates
     }
+
+
+@dataclass(frozen=True)
+class _TableStrategy:
+    """mopt answering with its whole candidate table (module level, so a
+    pool worker can unpickle it)."""
+
+    settings: OptimizerSettings
+    name: str = field(default="mopt-table", init=False)
+
+    def search(self, spec, machine):
+        result = MOptOptimizer(machine, self.settings).optimize(spec)
+        return StrategyResult(
+            strategy=self.name,
+            spec_name=spec.name,
+            gflops=result.predicted_gflops,
+            time_seconds=result.best.predicted_time_seconds,
+            search_seconds=0.0,
+            extras={"table": _candidate_table(result)},
+        )
+
+    def cache_token(self):
+        return {"settings": settings_to_dict(self.settings)}
+
+
+def _pooled_search(machine):
+    """``SPEC``'s answer and candidate table, searched on the pool."""
+    optimizer = NetworkOptimizer(
+        machine, _TableStrategy(_settings()), executor="process", max_workers=2
+    )
+    (op,) = optimizer.optimize([SPEC]).operators
+    return op.result.time_seconds, op.result.extras["table"]
 
 
 @pytest.fixture(autouse=True)
@@ -322,42 +356,33 @@ class TestFaultInjector:
 # Solve pool: killed workers
 # ----------------------------------------------------------------------
 class TestSolvePoolRecovery:
+    """A worker killed mid-search under ``executor="process"``."""
+
     def test_killed_worker_rebuilds_pool_bitwise_identical(self, machine):
-        undisturbed = MOptOptimizer(
-            machine, _settings(class_workers=2)
-        ).optimize(SPEC)
+        undisturbed = _pooled_search(machine)
         before = solve_pool.pool_stats()
         injector = FaultInjector().arm("solve_pool.kill_worker", times=1)
         with activate(injector):
-            disturbed = MOptOptimizer(
-                machine, _settings(class_workers=2)
-            ).optimize(SPEC)
+            disturbed = _pooled_search(machine)
         after = solve_pool.pool_stats()
         assert injector.fired("solve_pool.kill_worker") == 1
         assert after["pool_rebuilds"] == before["pool_rebuilds"] + 1
         assert after["serial_fallbacks"] == before["serial_fallbacks"]
         assert REGISTRY.counter_value("health.pool_rebuilds") == 1
-        assert _candidate_table(disturbed) == _candidate_table(undisturbed)
-        assert disturbed.best.predicted_time_seconds == (
-            undisturbed.best.predicted_time_seconds
-        )
+        assert disturbed == undisturbed
 
     def test_second_break_degrades_to_serial_bitwise_identical(self, machine):
-        undisturbed = MOptOptimizer(
-            machine, _settings(class_workers=2)
-        ).optimize(SPEC)
+        undisturbed = _pooled_search(machine)
         before = solve_pool.pool_stats()
         injector = FaultInjector().arm("solve_pool.kill_worker", times=2)
         with activate(injector):
-            disturbed = MOptOptimizer(
-                machine, _settings(class_workers=2)
-            ).optimize(SPEC)
+            disturbed = _pooled_search(machine)
         after = solve_pool.pool_stats()
         assert injector.fired("solve_pool.kill_worker") == 2
         assert after["pool_rebuilds"] == before["pool_rebuilds"] + 1
         assert after["serial_fallbacks"] == before["serial_fallbacks"] + 1
         assert REGISTRY.counter_value("health.serial_fallbacks") == 1
-        assert _candidate_table(disturbed) == _candidate_table(undisturbed)
+        assert disturbed == undisturbed
 
 
 # ----------------------------------------------------------------------
@@ -765,10 +790,7 @@ class TestAcceptanceScenario:
     def test_faulted_resnet18_bitwise_identical_with_counters(
         self, machine, tmp_path
     ):
-        options = {
-            "settings": _settings(class_workers=2),
-            "measure": False,
-        }
+        options = {"settings": _settings(), "measure": False}
         baseline = Session(
             machine, "mopt", strategy_options=options,
             cache=tmp_path / "clean",
@@ -776,7 +798,7 @@ class TestAcceptanceScenario:
 
         session = Session(
             machine, "mopt", strategy_options=options,
-            cache=tmp_path / "faulted",
+            cache=tmp_path / "faulted", executor="process", max_workers=2,
         )
         injector = (
             FaultInjector()
@@ -784,7 +806,7 @@ class TestAcceptanceScenario:
             .arm("cache.corrupt_entry", times=1)
         )
         with activate(injector):
-            # Cold run: one pool worker dies mid-batch (rebuild path)
+            # Cold run: one pool worker dies mid-search (rebuild path)
             # and the first result written to disk is torn.
             cold = session.optimize("resnet18")
             # Drop the memory tier so the warm pass reads the disk store

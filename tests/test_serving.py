@@ -1123,6 +1123,67 @@ class TestWireFormat:
         assert failed.error.startswith("bad request: ")
         _check_stream(lines[1:], 1, cached=False)
 
+    def test_warm_thousand_layer_request_over_tcp(self, machine, small_spec):
+        """A 1,000-layer spec list is one JSON line far over asyncio's
+        default 64 KiB stream limit, and so is its Completed event."""
+        layers = tuple(
+            dataclasses.replace(small_spec, name=f"layer{index}")
+            for index in range(1000)
+        )
+
+        async def scenario():
+            async with _server(machine) as server:
+                tcp = await start_tcp_server(server, "127.0.0.1", 0)
+                port = tcp.sockets[0].getsockname()[1]
+                async with await TCPServingClient.connect("127.0.0.1", port) as client:
+                    await client.optimize([small_spec])  # warms the one shape
+                    big = await asyncio.wait_for(client.optimize(layers), 30.0)
+                    after = await asyncio.wait_for(client.optimize([small_spec]), 10.0)
+                tcp.close()
+                await tcp.wait_closed()
+                return big, after
+
+        big, after = run(scenario())
+        assert big.num_operators == 1000
+        assert big.cache_hits == 1
+        assert after.num_operators == 1
+
+    def test_line_over_the_limit_gets_a_failed_event_and_keeps_the_connection(
+        self, machine, small_spec, monkeypatch
+    ):
+        from repro.serving import server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_LINE_BYTES", 4096)
+
+        async def scenario():
+            async with _server(machine) as server:
+                tcp = await start_tcp_server(server, "127.0.0.1", 0)
+                port = tcp.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                request = OptimizeRequest((small_spec,))
+                writer.write(b"[" + b"1, " * 5000 + b"1]\n")
+                writer.write(encode_message(request.to_dict()))
+                await writer.drain()
+                lines, terminals = [], 0
+                async with asyncio.timeout(10.0):
+                    while terminals < 2:
+                        line = await reader.readline()
+                        assert line, "server closed the connection"
+                        lines.append(line)
+                        terminals += decode_message(line)["type"] in _TERMINAL_TYPES
+                writer.close()
+                await writer.wait_closed()
+                tcp.close()
+                await tcp.wait_closed()
+                return lines
+
+        lines = run(scenario())
+        failed = event_from_dict(decode_message(lines[0]))
+        assert isinstance(failed, FailedEvent)
+        assert failed.request_id == "?"
+        assert failed.error == "bad request: line longer than 4096 bytes"
+        _check_stream(lines[1:], 1, cached=False)
+
 
 class TestTaskBudget:
     """Tasks the server loop starts per request, counted by a task factory."""
